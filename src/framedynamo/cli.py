@@ -182,6 +182,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     result = evolve(scenario)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "series.csv").write_text(result.series.to_csv())
+    if result.series.truncated:
+        # a halted run may keep too few samples for a growth fit
+        print(f"wrote {cfg.out_dir / 'series.csv'}")
+        print("WARNING: evolution halted at the overflow guard; "
+              "series.csv holds the partial run", file=sys.stderr)
+        return 2
     window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
     omega_mean = float(np.mean(1.0 / omega.value(grid.z)))
     fit = growth_fit(result.series.t, result.series.l2[:, 1],
@@ -189,10 +195,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
     (cfg.out_dir / "growth.txt").write_text(fit.report())
     print(f"wrote {cfg.out_dir / 'series.csv'} and growth.txt")
     print(fit.report(), end="")
-    if result.series.truncated:
-        print("WARNING: evolution halted at the overflow guard; "
-              "series.csv holds the partial run", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -1,12 +1,18 @@
 """Differentiation kernels for the (p, q, z) grids.
 
-p and q are periodic on [0, 1) and are differentiated spectrally with the
-real FFT. z is differentiated with 4th-order finite differences, either on
-a closed interval (one-sided stencils of the same order at the ends) or on
-a periodic interval (central stencils throughout). Stencil weights come
-from Fornberg's recursion, so the boundary closures keep full order.
+p and q are periodic on [0, 1) and are differentiated spectrally, by a
+cached read-only dense Fourier matrix (the rFFT derivative of the identity)
+applied along the axis in one batched matmul; at the small p, q sizes used
+here that beats an rFFT/irFFT pair per call. z is differentiated with
+4th-order finite differences, either on a closed interval (one-sided
+stencils of the same order at the ends) or on a periodic interval (central
+stencils throughout). Stencil weights come from Fornberg's recursion, so
+the boundary closures keep full order.
 """
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -85,19 +91,29 @@ def z_derivative_matrix(n: int, dz: float, order: int = 1,
     return D
 
 
+@functools.lru_cache(maxsize=64)
+def _fourier_matrix(n: int, order: int, length: float) -> np.ndarray:
+    """Read-only matrix whose column j is the rFFT derivative of e_j."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    if order % 2 == 1 and n % 2 == 0:
+        k[-1] = 0.0
+    mult = ((1j * k) ** order)[:, None]
+    D = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * mult, n=n, axis=0)
+    D.flags.writeable = False
+    return D
+
+
 def spectral_derivative(f: np.ndarray, axis: int, order: int = 1,
                         length: float = 1.0) -> np.ndarray:
-    """Derivative of a real field along a periodic axis via rFFT.
+    """Fourier derivative of a real field along a periodic axis.
 
     The axis is assumed to sample [0, length) uniformly without the
     endpoint. The Nyquist mode is zeroed for odd derivative orders.
     """
+    f = np.asarray(f)
     n = f.shape[axis]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
-    if order % 2 == 1 and n % 2 == 0:
-        k = k.copy()
-        k[-1] = 0.0
-    shape = [1] * f.ndim
-    shape[axis] = len(k)
-    mult = (1j * k.reshape(shape)) ** order
-    return np.fft.irfft(np.fft.rfft(f, axis=axis) * mult, n=n, axis=axis)
+    axis %= f.ndim
+    D = _fourier_matrix(n, order, float(length))
+    stacked = f.reshape(math.prod(f.shape[:axis]), n,
+                        math.prod(f.shape[axis + 1:]))
+    return (D @ stacked).reshape(f.shape)

@@ -390,11 +390,12 @@ class FrameOperators:
         Closed-interval grids integrate over the interior third only (the
         measurement region); periodic grids integrate over the full domain.
         """
-        return float(np.sqrt(np.sum(a ** 2 * self._measure())))
+        rows = a.reshape(-1, a.shape[-1])
+        return float(np.sqrt(np.einsum("iz,iz->z", rows, rows) @ self._measure()))
 
     def component_norms(self, B: FrameField) -> np.ndarray:
-        w = self._measure()
-        return np.sqrt(np.sum(B.data ** 2 * w, axis=(1, 2, 3)))
+        per_z = np.einsum("cpqz,cpqz->cz", B.data, B.data)
+        return np.sqrt(per_z @ self._measure())
 
 
 # -- one-shot functional facade ----------------------------------------------

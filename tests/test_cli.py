@@ -71,6 +71,20 @@ def test_evolve_seed_changes_random_field(tmp_path, capsys):
         (tmp_path / "b" / "series.csv").read_bytes()
 
 
+def test_evolve_overflow_guard_reported_as_truncation(tmp_path, capsys):
+    # the explicit step is unstable for this resistivity, so the norm hits
+    # the overflow guard after a few samples, too few for a growth fit
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\neta = 0.05\nn_p = 8\nn_q = 8\n")
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert code == 2, err
+    assert "overflow guard" in err and "error:" not in err
+    rows = (tmp_path / "o" / "series.csv").read_text().strip().split("\n")
+    assert 2 <= len(rows) - 1 < 20
+    assert not (tmp_path / "o" / "growth.txt").exists()
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[evolve]\nvelocity = 1.0\n")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from framedynamo.differentiation import (fornberg_weights, spectral_derivative,
+from framedynamo.differentiation import (_fourier_matrix, fornberg_weights,
+                                         spectral_derivative,
                                          z_derivative_matrix)
 
 
@@ -89,3 +90,41 @@ def test_spectral_derivative_along_middle_axis():
     df = spectral_derivative(f, axis=1)
     expect = 2 * np.pi * np.cos(2 * np.pi * x)
     np.testing.assert_allclose(df[2, :, 3], expect, atol=1e-10)
+
+
+def rfft_derivative(f, axis, order, length):
+    """The transform-per-call Fourier derivative, as a reference."""
+    n = f.shape[axis]
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    if order % 2 == 1 and n % 2 == 0:
+        k[-1] = 0.0
+    shape = [1] * f.ndim
+    shape[axis] = len(k)
+    mult = (1j * k.reshape(shape)) ** order
+    return np.fft.irfft(np.fft.rfft(f, axis=axis) * mult, n=n, axis=axis)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 32])
+def test_spectral_derivative_matches_rfft_reference(n, order):
+    rng = np.random.default_rng(n + 10 * order)
+    length = 2.5
+    cases = [((3, 4, 5), axis) for axis in (0, 1, 2, -1)] + \
+        [((3, 4, 5, 6), axis) for axis in (1, 2)]
+    for base, axis in cases:
+        shape = list(base)
+        shape[axis] = n
+        f = rng.normal(size=shape)
+        got = spectral_derivative(f, axis, order, length)
+        ref = rfft_derivative(f, axis, order, length)
+        assert got.shape == f.shape
+        scale = (2 * np.pi * n / length) ** order
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale)
+
+
+def test_spectral_matrix_cache_is_read_only():
+    spectral_derivative(np.ones((8, 3)), 0)
+    D = _fourier_matrix(8, 1, 1.0)
+    assert _fourier_matrix(8, 1, 1.0) is D
+    with pytest.raises(ValueError):
+        D[0, 0] = 1.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framedynamo.differentiation import spectral_derivative
 from framedynamo.frame_calculus import (ConformalFactor, FrameField,
                                         FrameMetric, FrameOperators)
 from framedynamo.induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
@@ -103,6 +104,77 @@ def test_rhs_conformal_effective_advection_coefficient():
     assert out.bq[0, 0, -1] == pytest.approx(0.36787944117144233, abs=1e-12)
 
 
+def termwise_rhs(sc, data):
+    """The induction right-hand side term by term, one operator per term."""
+    m, g = sc.metric, sc.grid
+    op = FrameOperators(m, g)
+    z = g.z
+    lam, v, eta = m.lam, sc.flow_speed, sc.resistivity
+    om = m.omega.value(z)
+    dlog = m.omega.log_derivative(z)
+    w = v / om
+    bp, bq, bz = data
+    out = np.stack([-w * op.dz(bp) - lam * w * bp,
+                    -w * op.dz(bq) + lam * w * bq,
+                    -w * op.dz(bz) + v * dlog / om * bz])
+    if eta > 0:
+        e_plus, e_minus = np.exp(lam * z), np.exp(-lam * z)
+        corr = 0.5 * dlog / om
+
+        def lap(f):
+            return (e_plus ** 2 * spectral_derivative(f, 0, 2)
+                    + e_minus ** 2 * spectral_derivative(f, 1, 2) + op.dzz(f))
+
+        out[0] += eta * (lap(bp) - lam ** 2 * bp
+                         - 2 * lam * e_plus * op.dp(bz)) \
+            - eta * corr * (op.dz(bp) + lam * bp)
+        out[1] += eta * (lap(bq) - lam ** 2 * bq
+                         - 2 * lam * e_minus * op.dq(bz)) \
+            - eta * corr * (op.dz(bq) - lam * bq)
+        out[2] += eta * (lap(bz) - 2 * lam * op.dz(bz)) - eta * corr * op.dz(bz)
+    return out
+
+
+def pqz_field():
+    """A field with p, q and z structure in every slot (not solenoidal)."""
+    s, c = np.sin, np.cos
+    tau = 2 * np.pi
+    return InitialField(
+        bp=lambda p, q, z: (1.5 + s(tau * z)) * c(tau * q) + 0.3 * s(tau * p),
+        bq=lambda p, q, z: (2.0 + c(tau * z)) * (1 + 0.5 * s(tau * p + 0.3)),
+        bz=lambda p, q, z: c(tau * p) * s(tau * q) * (1 + z) + 0.2 * c(tau * z))
+
+
+_TAB_Z = np.linspace(-1.0, 2.0, 301)
+OMEGAS = {
+    "identity": ConformalFactor.identity,
+    "exponential": lambda: ConformalFactor.exponential(0.5),
+    "tabulated": lambda: ConformalFactor.tabulated(
+        _TAB_Z, 1.0 + 0.3 * np.sin(2 * np.pi * _TAB_Z)),
+}
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-2])
+@pytest.mark.parametrize("omega,periodic", [
+    ("identity", True), ("identity", False),
+    ("exponential", False), ("tabulated", False)])
+def test_fused_rhs_matches_termwise_formula(omega, periodic, eta):
+    metric = FrameMetric(0.9, OMEGAS[omega]())
+    grid = metric.grid(6, 5, 24, z_periodic=periodic)
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.3,
+                        initial_field=pqz_field(), t_end=0.1,
+                        dt=stable_dt(metric, grid, 1.3), resistivity=eta)
+    B = sc.initial_field.on_grid(grid)
+    op = FrameOperators(metric, grid)
+    # both resistive cross terms are exercised
+    assert np.max(np.abs(op.dp(B.bz))) > 1.0
+    assert np.max(np.abs(op.dq(B.bz))) > 1.0
+    ref = termwise_rhs(sc, B.data)
+    got = induction_rhs(sc, B).data
+    np.testing.assert_allclose(got, ref, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_rhs_rejects_nonfinite_field():
     sc = scenario()
     data = np.zeros((3, *sc.grid.shape))
@@ -160,6 +232,29 @@ def test_evolve_conformal_z_component_stretching():
     diff = res.field.data[..., sl] - oracle.data[..., sl]
     err = np.sqrt(np.sum(diff ** 2)) / np.sqrt(np.sum(oracle.data[..., sl] ** 2))
     assert err <= 1e-5
+
+
+def test_evolve_matches_textbook_rk4():
+    sc = scenario(eta=1e-2, n_z=32, n_pq=4, t_end=0.1, init=pqz_field())
+    init = sc.initial_field.on_grid(sc.grid)
+    before = init.data.copy()
+    rate = lambda x: induction_rhs(sc, FrameField(sc.grid, x)).data
+    dt = sc.t_end / sc.n_steps
+    b = init.data.copy()
+    for _ in range(sc.n_steps):
+        k1 = rate(b)
+        k2 = rate(b + 0.5 * dt * k1)
+        k3 = rate(b + 0.5 * dt * k2)
+        k4 = rate(b + dt * k3)
+        b = b + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    first, second = evolve(sc), evolve(sc)
+    np.testing.assert_allclose(first.field.data, b, rtol=0,
+                               atol=1e-13 * np.max(np.abs(b)))
+    np.testing.assert_array_equal(first.field.data, second.field.data)
+    assert not np.shares_memory(first.field.data, second.field.data)
+    np.testing.assert_array_equal(init.data, before)
+    np.testing.assert_array_equal(sc.initial_field.on_grid(sc.grid).data,
+                                  before)
 
 
 def test_evolve_overflow_guard_truncates():
