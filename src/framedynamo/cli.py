@@ -189,9 +189,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
               "series.csv holds the partial run", file=sys.stderr)
         return 2
     window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
+    # mean-field (k = 0) rate of the operator: growth minus resistive decay
     omega_mean = float(np.mean(1.0 / omega.value(grid.z)))
+    theory = lam * v * omega_mean - scenario.resistivity * lam ** 2
     fit = growth_fit(result.series.t, result.series.l2[:, 1],
-                     theory_rate=lam * v * omega_mean, window=window)
+                     theory_rate=theory, window=window)
     (cfg.out_dir / "growth.txt").write_text(fit.report())
     print(f"wrote {cfg.out_dir / 'series.csv'} and growth.txt")
     print(fit.report(), end="")

@@ -21,6 +21,9 @@ z points only (advection, growth, stretching and, with eta > 0, dzz, the
 n_z-by-n_z matrix per component and applied in one batched matmul. Only
 e^{+-2 lam z} dpp/dqq and the d_{p,q} Bz cross terms remain separate.
 
+The system dB/dt = L B is linear and autonomous, so one classical RK4 step
+of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.
+
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
 """
@@ -306,8 +309,10 @@ class EvolutionResult:
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
     """Classical 4-stage Runge-Kutta integration of the induction system.
 
-    Steps run in place on three preallocated buffers, in the textbook
-    order of operations: `acc` sums k1 + 2 k2 + 2 k3 + k4.
+    A step applies P(h L) by Horner's rule. With eta = 0, L couples z points
+    only, so P(h L) is one precomputed n_z-by-n_z matrix per component. With
+    eta > 0 the p, q terms couple p, q points, so the step is four RHS calls:
+    k = L b; k = L(b + c k) for c = h/4, h/3, h/2; b += h k.
     """
     rhs = _RHS(scenario)
     grid = scenario.grid
@@ -343,21 +348,35 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     initial_total = record(0.0, b)
     guard = scenario.overflow_factor * max(initial_total, 1e-300)
     truncated = False
-    acc, stage, k = np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    ideal = scenario.resistivity == 0.0
+    if ideal:
+        # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
+        # one component at a time keeps the n_z-by-n_z temporaries few
+        diag = np.arange(grid.n_z)
+        step_mat = np.empty_like(rhs.zmat_t)
+        for zmat, poly in zip(rhs.zmat_t, step_mat):
+            a = dt * zmat
+            poly[...] = a / 4.0
+            for c in (3.0, 2.0, 1.0):
+                poly[diag, diag] += 1.0
+                poly[...] = (a / c) @ poly
+            poly[diag, diag] += 1.0
+        nxt = np.empty_like(b)
+        rows = (3, -1, grid.n_z)
+    else:
+        stage, k = np.empty_like(b), np.empty_like(b)
     for step in range(1, nsteps + 1):
-        rhs(b, out=acc)                        # k1
-        np.multiply(acc, 0.5 * dt, out=stage)
-        stage += b
-        rhs(stage, out=k)                      # k2
-        for frac in (0.5, 1.0):
-            np.multiply(k, 2.0, out=stage)
-            acc += stage
-            np.multiply(k, frac * dt, out=stage)
-            stage += b
-            rhs(stage, out=k)                  # k3, then k4
-        acc += k
-        acc *= dt / 6.0
-        b += acc
+        if ideal:
+            np.matmul(b.reshape(rows), step_mat, out=nxt.reshape(rows))
+            b, nxt = nxt, b
+        else:
+            rhs(b, out=k)
+            for c in (dt / 4.0, dt / 3.0, dt / 2.0):
+                np.multiply(k, c, out=stage)
+                stage += b
+                rhs(stage, out=k)
+            k *= dt
+            b += k
         if not np.all(np.isfinite(b)):
             raise NumericalError(f"non-finite field at step {step} "
                                  f"(t={step * dt:g})")

@@ -7,6 +7,9 @@ pytest -s or in failure output).
 import numpy as np
 import pytest
 
+from framedynamo.frame_calculus import FrameMetric
+from framedynamo.induction_dynamo import (DynamoScenario, InitialField,
+                                          stable_dt)
 from framedynamo.verification import AcceptanceSuite
 
 
@@ -100,3 +103,18 @@ def test_verify_all_cli_matches(tmp_path, capsys):
                  "curvature-pipeline-equivalence", "conformal-identity",
                  "flux-rope", "divergence-preservation"):
         assert f"PASS  {name}" in out
+
+
+def test_oracle_error_rejects_undefined_oracle_points():
+    # on closed z, inflow points trace back past z_min, where a z-limited
+    # initial field is undefined
+    metric = FrameMetric(1.0)
+    grid = metric.grid(2, 2, 32, z_periodic=False)
+    init = InitialField(
+        bq=lambda p, q, z: np.full(np.broadcast(p, q, z).shape, 2.0),
+        z_limited=True)
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                        initial_field=init, t_end=0.1,
+                        dt=stable_dt(metric, grid, 1.0))
+    with pytest.raises(ValueError, match="mixed-nz32: characteristics oracle"):
+        AcceptanceSuite()._oracle_error(sc)

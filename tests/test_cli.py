@@ -85,6 +85,19 @@ def test_evolve_overflow_guard_reported_as_truncation(tmp_path, capsys):
     assert not (tmp_path / "o" / "growth.txt").exists()
 
 
+def test_evolve_theory_rate_includes_resistive_decay(tmp_path, capsys):
+    # the k = 0 mode grows at lam v <1/Omega> - eta lam^2
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\neta = 0.01\nn_p = 4\nn_q = 4\n")
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    lam = np.log((3.0 + np.sqrt(5.0)) / 2.0)
+    line = next(l for l in out.splitlines() if "theory rate" in l)
+    assert float(line.split(":")[1]) == pytest.approx(lam - 0.01 * lam ** 2,
+                                                      rel=0, abs=1e-9)
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[evolve]\nvelocity = 1.0\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedynamo.differentiation import spectral_derivative
 from framedynamo.frame_calculus import (ConformalFactor, FrameField,
@@ -234,19 +235,34 @@ def test_evolve_conformal_z_component_stretching():
     assert err <= 1e-5
 
 
-def test_evolve_matches_textbook_rk4():
-    sc = scenario(eta=1e-2, n_z=32, n_pq=4, t_end=0.1, init=pqz_field())
-    init = sc.initial_field.on_grid(sc.grid)
-    before = init.data.copy()
+def textbook_rk4(sc):
+    """Out-of-place RK4 on `induction_rhs`, in the textbook order."""
     rate = lambda x: induction_rhs(sc, FrameField(sc.grid, x)).data
     dt = sc.t_end / sc.n_steps
-    b = init.data.copy()
+    b = sc.initial_field.on_grid(sc.grid).data.copy()
     for _ in range(sc.n_steps):
         k1 = rate(b)
         k2 = rate(b + 0.5 * dt * k1)
         k3 = rate(b + 0.5 * dt * k2)
         k4 = rate(b + dt * k3)
         b = b + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return b
+
+
+# eta > 0 runs the Horner RHS stages; eta = 0 the precomputed step matrix,
+# whose one-sided rows are covered by the closed-z cases
+@pytest.mark.parametrize("eta,omega,periodic", [
+    pytest.param(1e-2, "identity", True, id="resistive-periodic"),
+    pytest.param(0.0, "identity", True, id="ideal-periodic"),
+    pytest.param(0.0, "exponential", False, id="ideal-closed-exponential"),
+    pytest.param(0.0, "tabulated", False, id="ideal-closed-tabulated"),
+])
+def test_evolve_matches_textbook_rk4(eta, omega, periodic):
+    sc = scenario(eta=eta, omega=OMEGAS[omega](), periodic=periodic, n_z=32,
+                  n_pq=4, t_end=0.1, init=pqz_field())
+    init = sc.initial_field.on_grid(sc.grid)
+    before = init.data.copy()
+    b = textbook_rk4(sc)
     first, second = evolve(sc), evolve(sc)
     np.testing.assert_allclose(first.field.data, b, rtol=0,
                                atol=1e-13 * np.max(np.abs(b)))
@@ -255,6 +271,36 @@ def test_evolve_matches_textbook_rk4():
     np.testing.assert_array_equal(init.data, before)
     np.testing.assert_array_equal(sc.initial_field.on_grid(sc.grid).data,
                                   before)
+
+
+@st.composite
+def ideal_one_step_scenarios(draw):
+    """Random ideal scenarios whose run is exactly one RK4 step."""
+    lam = draw(st.floats(-1.5, 1.5))
+    v = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    kind = draw(st.sampled_from(["identity", "constant", "exponential"]))
+    if kind == "identity":
+        omega = ConformalFactor.identity()
+    elif kind == "constant":
+        omega = ConformalFactor.from_constant(draw(st.floats(0.5, 2.0)))
+    else:
+        omega = ConformalFactor.exponential(draw(st.floats(-1.0, 1.0)))
+    n_pq = draw(st.sampled_from([2, 4]))
+    metric = FrameMetric(lam, omega)
+    grid = metric.grid(n_pq, n_pq, draw(st.integers(8, 48)),
+                       z_periodic=kind != "exponential")
+    dt = stable_dt(metric, grid, v)
+    return DynamoScenario(metric=metric, grid=grid, flow_speed=v,
+                          initial_field=pqz_field(), t_end=dt, dt=dt)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(ideal_one_step_scenarios())
+def test_ideal_step_matrix_is_one_textbook_rk4_step(sc):
+    assert sc.n_steps == 1
+    b = textbook_rk4(sc)
+    np.testing.assert_allclose(evolve(sc).field.data, b, rtol=0,
+                               atol=1e-13 * np.max(np.abs(b)))
 
 
 def test_evolve_overflow_guard_truncates():
