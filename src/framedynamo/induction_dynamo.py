@@ -22,7 +22,10 @@ n_z-by-n_z matrix per component and applied in one batched matmul. Only
 e^{+-2 lam z} dpp/dqq and the d_{p,q} Bz cross terms remain separate.
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
-of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.
+of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
+and s steps are B <- P(h L)^s B. With eta = 0, L couples z points only, so
+the whole interval between two samples is one precomputed n_z-by-n_z
+propagator per component; the fields inside an interval are never formed.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
@@ -183,7 +186,9 @@ class DynamoScenario:
     t_end: float
     dt: float
     resistivity: float = 0.0
-    sample_stride: int = 0           # 0: choose automatically (~200 samples)
+    # steps per sample interval; an ideal run advances a whole interval per
+    # matmul. 0: choose automatically (~200 samples); capped at n_steps
+    sample_stride: int = 0
     overflow_factor: float = 1e12
     probe_weights: dict[str, Callable] = field(default_factory=dict)
 
@@ -209,7 +214,7 @@ class DynamoScenario:
     @property
     def stride(self) -> int:
         if self.sample_stride > 0:
-            return self.sample_stride
+            return min(self.sample_stride, self.n_steps)
         return max(1, self.n_steps // 200)
 
 
@@ -284,7 +289,6 @@ class EvolutionSeries:
 
     t: np.ndarray
     l2: np.ndarray        # (n, 3) per component
-    linf: np.ndarray      # (n, 3)
     total_l2: np.ndarray  # (n,)
     div_rel: np.ndarray   # (n,)
     probes: dict[str, np.ndarray]
@@ -302,17 +306,31 @@ class EvolutionSeries:
 
 @dataclass
 class EvolutionResult:
+    """Final field, sampled series, and what the run did and why it stopped."""
+
     field: FrameField
     series: EvolutionSeries
+    steps: int           # RK4 steps taken
+    dt: float            # step size, t_end / n_steps
+    stop_reason: str     # "completed" or "overflow guard"
 
 
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
     """Classical 4-stage Runge-Kutta integration of the induction system.
 
-    A step applies P(h L) by Horner's rule. With eta = 0, L couples z points
-    only, so P(h L) is one precomputed n_z-by-n_z matrix per component. With
-    eta > 0 the p, q terms couple p, q points, so the step is four RHS calls:
-    k = L b; k = L(b + c k) for c = h/4, h/3, h/2; b += h k.
+    A step applies P(h L). With eta = 0, L couples z points only, so P(h L)
+    is an n_z-by-n_z matrix per component, built by Horner's rule, and the
+    run advances one sample interval of `stride` steps per batched matmul
+    with P(h L)^stride (the last interval with P(h L)^(n_steps mod stride)).
+    The fields between two samples are never formed, so a non-finite field
+    is reported at the end of its sample interval. With eta > 0 the p, q
+    terms couple p, q points, so each step is four RHS calls:
+    k = L b; k = L(b + c k) for c = h/4, h/3, h/2; b += h k, and a
+    non-finite field is reported at its step.
+
+    The run samples at t = 0, at every `stride` steps and at t_end, and
+    stops early with stop_reason "overflow guard" once a sampled norm
+    exceeds `overflow_factor` times the initial one.
     """
     rhs = _RHS(scenario)
     grid = scenario.grid
@@ -327,7 +345,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     probe_w = {name: np.asarray(fn(grid.z), dtype=float) * measure
                for name, fn in scenario.probe_weights.items()}
 
-    times, l2s, linfs, totals, divs = [], [], [], [], []
+    times, l2s, totals, divs = [], [], [], []
     probes: dict[str, list] = {name: [] for name in probe_w}
 
     def record(t, data):
@@ -337,7 +355,6 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         divnorm = op.l2_norm(op.div(fld))
         times.append(t)
         l2s.append(comp)
-        linfs.append(np.max(np.abs(data), axis=(1, 2, 3)))
         totals.append(total)
         divs.append(divnorm / total if total > 0 else 0.0)
         for name, w in probe_w.items():
@@ -347,51 +364,58 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 
     initial_total = record(0.0, b)
     guard = scenario.overflow_factor * max(initial_total, 1e-300)
-    truncated = False
+    stop_reason = "completed"
     ideal = scenario.resistivity == 0.0
     if ideal:
         # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
         # one component at a time keeps the n_z-by-n_z temporaries few
         diag = np.arange(grid.n_z)
-        step_mat = np.empty_like(rhs.zmat_t)
-        for zmat, poly in zip(rhs.zmat_t, step_mat):
+        propagators = {n: np.empty_like(rhs.zmat_t)
+                       for n in {stride, nsteps % stride} - {0}}
+        for comp, zmat in enumerate(rhs.zmat_t):
             a = dt * zmat
-            poly[...] = a / 4.0
+            poly = a / 4.0
             for c in (3.0, 2.0, 1.0):
                 poly[diag, diag] += 1.0
-                poly[...] = (a / c) @ poly
+                poly = (a / c) @ poly
             poly[diag, diag] += 1.0
+            for n, power in propagators.items():
+                power[comp] = np.linalg.matrix_power(poly, n)
         nxt = np.empty_like(b)
         rows = (3, -1, grid.n_z)
     else:
         stage, k = np.empty_like(b), np.empty_like(b)
-    for step in range(1, nsteps + 1):
-        if ideal:
-            np.matmul(b.reshape(rows), step_mat, out=nxt.reshape(rows))
-            b, nxt = nxt, b
-        else:
-            rhs(b, out=k)
-            for c in (dt / 4.0, dt / 3.0, dt / 2.0):
-                np.multiply(k, c, out=stage)
-                stage += b
-                rhs(stage, out=k)
-            k *= dt
-            b += k
-        if not np.all(np.isfinite(b)):
-            raise NumericalError(f"non-finite field at step {step} "
-                                 f"(t={step * dt:g})")
-        if step % stride == 0 or step == nsteps:
-            total = record(step * dt, b)
-            if total > guard:
-                truncated = True
-                break
+    step = 0
+    while step < nsteps:
+        end = min(step + stride, nsteps)
+        while step < end:
+            if ideal:
+                np.matmul(b.reshape(rows), propagators[end - step],
+                          out=nxt.reshape(rows))
+                b, nxt = nxt, b
+                step = end
+            else:
+                rhs(b, out=k)
+                for c in (dt / 4.0, dt / 3.0, dt / 2.0):
+                    np.multiply(k, c, out=stage)
+                    stage += b
+                    rhs(stage, out=k)
+                k *= dt
+                b += k
+                step += 1
+            if not np.all(np.isfinite(b)):
+                raise NumericalError(f"non-finite field at step {step} "
+                                     f"(t={step * dt:g})")
+        if record(step * dt, b) > guard:
+            stop_reason = "overflow guard"
+            break
 
     series = EvolutionSeries(
-        t=np.array(times), l2=np.array(l2s), linf=np.array(linfs),
+        t=np.array(times), l2=np.array(l2s),
         total_l2=np.array(totals), div_rel=np.array(divs),
         probes={k: np.array(v) for k, v in probes.items()},
-        truncated=truncated)
-    return EvolutionResult(FrameField(grid, b), series)
+        truncated=stop_reason != "completed")
+    return EvolutionResult(FrameField(grid, b), series, step, dt, stop_reason)
 
 
 # -- method of characteristics -------------------------------------------------

@@ -235,18 +235,25 @@ def test_evolve_conformal_z_component_stretching():
     assert err <= 1e-5
 
 
-def textbook_rk4(sc):
-    """Out-of-place RK4 on `induction_rhs`, in the textbook order."""
+def textbook_rk4_fields(sc):
+    """Fields after 0, 1, ..., n_steps out-of-place RK4 steps on
+    `induction_rhs`, in the textbook order."""
     rate = lambda x: induction_rhs(sc, FrameField(sc.grid, x)).data
     dt = sc.t_end / sc.n_steps
     b = sc.initial_field.on_grid(sc.grid).data.copy()
+    fields = [b]
     for _ in range(sc.n_steps):
         k1 = rate(b)
         k2 = rate(b + 0.5 * dt * k1)
         k3 = rate(b + 0.5 * dt * k2)
         k4 = rate(b + dt * k3)
         b = b + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return b
+        fields.append(b)
+    return fields
+
+
+def textbook_rk4(sc):
+    return textbook_rk4_fields(sc)[-1]
 
 
 # eta > 0 runs the Horner RHS stages; eta = 0 the precomputed step matrix,
@@ -271,6 +278,47 @@ def test_evolve_matches_textbook_rk4(eta, omega, periodic):
     np.testing.assert_array_equal(init.data, before)
     np.testing.assert_array_equal(sc.initial_field.on_grid(sc.grid).data,
                                   before)
+
+
+# stride 3 over a step count that is not a multiple of 3 uses both the
+# P^3 interval propagator and the P^(n_steps mod 3) one for the last interval;
+# a stride beyond n_steps is capped at n_steps, one interval for the run
+@pytest.mark.parametrize("omega,periodic,stride", [
+    pytest.param("identity", True, 3, id="periodic-identity"),
+    pytest.param("exponential", False, 3, id="closed-exponential"),
+    pytest.param("identity", True, 100, id="stride-beyond-n-steps"),
+])
+def test_ideal_sample_intervals_match_step_by_step_rk4(omega, periodic, stride):
+    sc = scenario(omega=OMEGAS[omega](), periodic=periodic, n_z=32, n_pq=4,
+                  t_end=0.1, init=pqz_field(), sample_stride=stride)
+    n = sc.n_steps
+    assert n % 3 != 0 and n > 3
+    fields = textbook_rk4_fields(sc)
+    res = evolve(sc)
+    b = fields[-1]
+    tol = 1e-13 * np.max(np.abs(b))
+    # closed z has no inflow condition, so round-off in the one-sided rows at
+    # z_min grows along the run and rounds differently through P^3 than
+    # through the textbook loop: 1.2e-13 max|B| at z_min here, 1e-15 inside
+    inflow = 0 if periodic else 2
+    np.testing.assert_allclose(res.field.data[..., inflow:], b[..., inflow:],
+                               rtol=0, atol=tol)
+    np.testing.assert_allclose(res.field.data, b, rtol=0, atol=3 * tol)
+    dt = sc.t_end / n
+    sampled = [*range(0, n, stride), n]
+    np.testing.assert_array_equal(res.series.t, np.array(sampled) * dt)
+    assert res.series.t[-1] == pytest.approx(sc.t_end, rel=1e-15)
+    assert (res.steps, res.dt, res.stop_reason) == (n, dt, "completed")
+    assert not res.series.truncated
+    op = FrameOperators(sc.metric, sc.grid)
+    for i, step in enumerate(sampled):
+        fld = FrameField(sc.grid, fields[step])
+        comp = op.component_norms(fld)
+        total = np.sqrt(np.sum(comp ** 2))
+        np.testing.assert_allclose(res.series.l2[i], comp, rtol=1e-12)
+        np.testing.assert_allclose(res.series.div_rel[i],
+                                   op.l2_norm(op.div(fld)) / total,
+                                   rtol=1e-12)
 
 
 @st.composite
@@ -307,7 +355,9 @@ def test_evolve_overflow_guard_truncates():
     sc = scenario(t_end=20.0, n_z=64, overflow_factor=1e3, sample_stride=50)
     res = evolve(sc)
     assert res.series.truncated
-    assert res.series.t[-1] < 20.0
+    assert res.stop_reason == "overflow guard"
+    assert res.steps < sc.n_steps and res.steps % 50 == 0
+    assert res.series.t[-1] == res.steps * res.dt < 20.0
     # partial series is returned, not silently discarded
     assert len(res.series.t) >= 2
 
@@ -320,6 +370,16 @@ def test_evolve_nan_raises_numerical_error():
                   sample_stride=10 ** 6,
                   init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
     with pytest.raises(NumericalError):
+        evolve(sc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_ideal_overflow_inside_one_interval_raises_numerical_error():
+    # e^{lam v t_end} = e^{900} overflows double before the only sample at
+    # t_end, so the guard never sees it; the interval's end field is inf/nan
+    sc = scenario(lam=300.0, t_end=3.0, n_z=32, overflow_factor=1e300,
+                  sample_stride=10 ** 6)
+    with pytest.raises(NumericalError, match=f"step {sc.n_steps} "):
         evolve(sc)
 
 
