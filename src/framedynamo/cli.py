@@ -19,17 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .exterior_geometry import (christoffel_oracle, comparison_table,
-                                conformal_coframe, curvature, flat_coframe,
-                                solve_connection, stretched_coframe,
-                                stretched_coframe_half)
+                                curvature, named_coframe, paper_closed_forms,
+                                solve_connection)
 from .flux_rope import (NoDynamoBoundError, RopeParams, amplification_ratio,
                         btheta_solution, continuity_solution,
                         dynamo_radius_bound, frenet_integrate, is_dynamo,
                         rope_csv, tube_metric_factor)
 from .frame_calculus import ConformalFactor, FrameMetric
-from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario, InitialField,
+from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
                                NumericalError, cat_map_eigen, evolve,
-                               growth_fit, stable_dt)
+                               growth_fit, named_initial_field, stable_dt)
 from .verification import format_summary, run_all
 
 __all__ = ["main", "RunConfig", "ConfigError"]
@@ -148,22 +147,6 @@ def _parse_lam(spec: str) -> float:
     return float(spec)
 
 
-def _initial_field(kind: str, lam: float, seed: int) -> InitialField:
-    if kind == "q_sine":
-        return InitialField.q_slot(lambda z: 2.0 + np.sin(2 * np.pi * z))
-    if kind == "q_random":
-        return InitialField.random_fourier(seed)
-    if kind == "pq_mixed":
-        return InitialField.pq_profiles(
-            lambda z: 2.0 + np.sin(2 * np.pi * z),
-            lambda z: 2.0 + np.cos(2 * np.pi * z))
-    if kind == "solenoidal":
-        return InitialField.solenoidal_pz(
-            lam, lambda z: np.sin(2 * np.pi * z),
-            lambda z: 2 * np.pi * np.cos(2 * np.pi * z))
-    raise ConfigError(f"init: unknown initial field {kind!r}")
-
-
 def cmd_evolve(cfg: RunConfig) -> int:
     lam = _parse_lam(cfg.get("lam"))
     omega = _parse_omega(cfg.get("omega"))
@@ -176,7 +159,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         if dt_spec == "auto" else float(dt_spec)
     scenario = DynamoScenario(
         metric=metric, grid=grid, flow_speed=v,
-        initial_field=_initial_field(cfg.get("init"), lam, cfg.seed),
+        initial_field=named_initial_field(cfg.get("init"), lam, cfg.seed),
         t_end=cfg.get_float("t_end"), dt=dt,
         resistivity=cfg.get_float("eta"))
     result = evolve(scenario)
@@ -204,29 +187,10 @@ def cmd_curvature(cfg: RunConfig) -> int:
     lam = cfg.get_float("lam")
     z = np.linspace(cfg.get_float("z_min"), cfg.get_float("z_max"),
                     cfg.get_int("n_z"))
-    name = cfg.get("metric")
-    if name == "flat":
-        basis = flat_coframe()
-    elif name == "arnold":
-        basis = conformal_coframe(FrameMetric(lam), "arnold")
-    elif name.startswith("constant:"):
-        c = float(name.split(":", 1)[1])
-        basis = conformal_coframe(
-            FrameMetric(lam, ConformalFactor.from_constant(c)), name)
-    elif name == "stretched":
-        basis = stretched_coframe(lam)
-    elif name == "stretched_half":
-        basis = stretched_coframe_half(lam)
-    else:
-        raise ConfigError(f"metric: unknown metric {name!r}")
+    basis = named_coframe(cfg.get("metric"), lam)
     conn = solve_connection(basis, z)
     cart = curvature(conn)
     orac = christoffel_oracle(basis, z)
-    paper_forms = {
-        "R^p_qpq": lambda zz: lam * np.exp(-lam * zz / 2),
-        "R^q_zqz": lambda zz: 0.5 * lam ** 2 * np.exp(-lam * zz),
-        "R^p_zpq": lambda zz: 0.0,
-    }
     header = (
         f"metric: {basis.label} (lam={lam:g})\n"
         f"cartan-vs-oracle max difference : {cart.max_difference(orac):.6e}\n"
@@ -236,7 +200,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
         f"pair-symmetry residual          : {cart.pair_symmetry_residual():.6e}\n"
         "closed-form columns are report-only; the oracle column is the "
         "reference\n\n")
-    table = comparison_table(cart, orac, paper_forms,
+    table = comparison_table(cart, orac, paper_closed_forms(lam),
                              stride=max(1, len(z) // 9))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "curvature.txt").write_text(header + table)
@@ -280,7 +244,7 @@ def cmd_catmap(cfg: RunConfig) -> int:
     print(f"chi1 = {chi1:.12g}")
     print(f"chi2 = {chi2:.12g}")
     print(f"chi1*chi2 = {chi1 * chi2:.12g}")
-    print(f"stretch rate ln(chi1) = {cm.stretch_rate:.12g}")
+    print(f"stretch rate ln(chi1) = {CAT_STRETCH_RATE:.12g}")
     print(f"stretch direction: ({cm.eigenvectors[0, 0]:+.12g}, "
           f"{cm.eigenvectors[1, 0]:+.12g})")
     print(f"contract direction: ({cm.eigenvectors[0, 1]:+.12g}, "

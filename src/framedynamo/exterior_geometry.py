@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .frame_calculus import FrameMetric
+from .frame_calculus import ConformalFactor, FrameMetric
 
 __all__ = [
     "CoframeBasis",
@@ -47,10 +47,12 @@ __all__ = [
     "conformal_coframe",
     "stretched_coframe",
     "stretched_coframe_half",
+    "named_coframe",
+    "paper_closed_forms",
 ]
 
-AXES = ("p", "q", "z")
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
+_ZAXIS = 2  # the coefficients depend on z only
 _PAIR_INDEX = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
 
 
@@ -61,6 +63,12 @@ def _pair_coeff(i: int, j: int) -> tuple[int, float]:
     if i < j:
         return _PAIR_INDEX[(i, j)], 1.0
     return _PAIR_INDEX[(j, i)], -1.0
+
+
+def _stack(fs: Sequence[Callable], z: np.ndarray) -> np.ndarray:
+    """The three coefficient functions fs evaluated on z, stacked."""
+    return np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
+                     for f in fs])
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,7 @@ class CoframeBasis:
 
     def coefficients(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        a = np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
-                      for f in self.coeff])
+        a = _stack(self.coeff, z)
         if np.any(a <= 0):
             raise ValueError(f"{self.label}: coframe coefficients must be "
                              "strictly positive on the sample points")
@@ -110,10 +117,7 @@ class CoframeBasis:
         """c_i = a_i'/(a_z a_i) and their z-derivatives."""
         z = np.asarray(z, dtype=float)
         a = self.coefficients(z)
-        da = np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
-                       for f in self.d1])
-        d2a = np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
-                        for f in self.d2])
+        da, d2a = _stack(self.d1, z), _stack(self.d2, z)
         c = da / (a[2] * a)
         dc = d2a / (a[2] * a) - c * (da[2] / a[2] + da / a)
         return c, dc
@@ -167,6 +171,27 @@ def stretched_coframe_half(lam: float) -> CoframeBasis:
     closed form omega^q_z = lam e^{-lam z/2} omega^q.
     """
     return CoframeBasis.exponential((1, 1, 1), (0, lam, lam / 2), "stretched-half")
+
+
+def named_coframe(name: str, lam: float) -> CoframeBasis:
+    """The named coframes: flat, arnold, constant:<c>, stretched, stretched_half.
+
+    constant:<c> is the coframe of the FrameMetric with the constant
+    conformal factor c.
+    """
+    if name == "flat":
+        return flat_coframe()
+    if name == "arnold":
+        return arnold_coframe(lam)
+    if name.startswith("constant:"):
+        c = float(name.split(":", 1)[1])
+        return conformal_coframe(
+            FrameMetric(lam, ConformalFactor.from_constant(c)), name)
+    if name == "stretched":
+        return stretched_coframe(lam)
+    if name == "stretched_half":
+        return stretched_coframe_half(lam)
+    raise ValueError(f"metric: unknown metric {name!r}")
 
 
 @dataclass(frozen=True)
@@ -385,6 +410,43 @@ def curvature(conn: ConnectionForms) -> CurvatureReport:
     return CurvatureReport(z, riemann, source="cartan")
 
 
+def _coordinate_christoffel(basis: CoframeBasis, z: np.ndarray
+                            ) -> tuple[np.ndarray, ...]:
+    """Coordinate Christoffel symbols of g_ii = a_i(z)^2 and their z-derivative.
+
+    Returns (a, da, Gamma, dGamma) with Gamma[:, A, B, C] = Gamma^A_{BC}
+    from the textbook formula, brute-forced over all index combinations.
+    """
+    z = np.asarray(z, dtype=float)
+    a = basis.coefficients(z)
+    da, d2a = _stack(basis.d1, z), _stack(basis.d2, z)
+    g = a ** 2
+    gp = 2 * a * da                    # d_z g_ii
+    gpp = 2 * (da ** 2 + a * d2a)      # d_z^2 g_ii
+    if np.any(g <= 0):
+        raise ValueError("metric is not invertible on the sample points")
+    ginv = 1.0 / g
+    ginv_p = -gp / g ** 2
+
+    def dg(deriv, d, c, b):
+        # d_b g_{dc} (deriv = gp) or d_b d_z g_{dc} (deriv = gpp) for the
+        # diagonal z-only metric
+        if d != c or b != _ZAXIS:
+            return 0.0
+        return deriv[d]
+
+    Gam = np.zeros((len(z), 3, 3, 3))
+    dGam = np.zeros_like(Gam)
+    for A in range(3):
+        for B in range(3):
+            for C in range(3):
+                s = dg(gp, A, C, B) + dg(gp, A, B, C) - dg(gp, B, C, A)
+                ds = dg(gpp, A, C, B) + dg(gpp, A, B, C) - dg(gpp, B, C, A)
+                Gam[:, A, B, C] = 0.5 * ginv[A] * s
+                dGam[:, A, B, C] = 0.5 * (ginv_p[A] * s + ginv[A] * ds)
+    return a, da, Gam, dGam
+
+
 def christoffel_oracle(basis: CoframeBasis | FrameMetric,
                        z: np.ndarray) -> CurvatureReport:
     """Coordinate Christoffel/Riemann pipeline converted to the frame.
@@ -397,49 +459,16 @@ def christoffel_oracle(basis: CoframeBasis | FrameMetric,
         basis = conformal_coframe(basis)
     z = np.asarray(z, dtype=float)
     nz = len(z)
-    a = basis.coefficients(z)
-    da = np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
-                   for f in basis.d1])
-    d2a = np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
-                    for f in basis.d2])
-    g = a ** 2
-    gp = 2 * a * da                    # d_z g_ii
-    gpp = 2 * (da ** 2 + a * d2a)      # d_z^2 g_ii
-    if np.any(g <= 0):
-        raise ValueError("metric is not invertible on the sample points")
-    ginv = 1.0 / g
-    ginv_p = -gp / g ** 2
-    zaxis = 2
-
-    def dg(d, c, b):
-        # d_b g_{dc} for the diagonal z-only metric
-        if d != c or b != zaxis:
-            return 0.0
-        return gp[d]
-
-    def d2g(d, c, b):
-        if d != c or b != zaxis:
-            return 0.0
-        return gpp[d]
-
-    Gam = np.zeros((nz, 3, 3, 3))
-    dGam = np.zeros((nz, 3, 3, 3))
-    for A in range(3):
-        for B in range(3):
-            for C in range(3):
-                s = dg(A, C, B) + dg(A, B, C) - dg(B, C, A)
-                ds = d2g(A, C, B) + d2g(A, B, C) - d2g(B, C, A)
-                Gam[:, A, B, C] = 0.5 * ginv[A] * s
-                dGam[:, A, B, C] = 0.5 * (ginv_p[A] * s + ginv[A] * ds)
+    a, _, Gam, dGam = _coordinate_christoffel(basis, z)
     R = np.zeros((nz, 3, 3, 3, 3))
     for A in range(3):
         for B in range(3):
             for C in range(3):
                 for D in range(3):
                     acc = np.zeros(nz)
-                    if C == zaxis:
+                    if C == _ZAXIS:
                         acc += dGam[:, A, D, B]
-                    if D == zaxis:
+                    if D == _ZAXIS:
                         acc -= dGam[:, A, C, B]
                     for E in range(3):
                         acc += Gam[:, A, C, E] * Gam[:, E, D, B]
@@ -462,32 +491,13 @@ def frame_connection_oracle(basis: CoframeBasis, z: np.ndarray) -> np.ndarray:
     - delta_{ij} d_k(a_j) / (a_k a_j^2) ]; used to cross-check
     solve_connection.
     """
-    z = np.asarray(z, dtype=float)
-    nz = len(z)
-    a = basis.coefficients(z)
-    da = np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
-                   for f in basis.d1])
-    g = a ** 2
-    gp = 2 * a * da
-    ginv = 1.0 / g
-    zaxis = 2
-
-    def dg(d, c, b):
-        if d != c or b != zaxis:
-            return 0.0
-        return gp[d]
-
-    Gam = np.zeros((nz, 3, 3, 3))
-    for A in range(3):
-        for B in range(3):
-            for C in range(3):
-                Gam[:, A, B, C] = 0.5 * ginv[A] * (dg(A, C, B) + dg(A, B, C) - dg(B, C, A))
-    out = np.zeros((nz, 3, 3, 3))
+    a, da, Gam, _ = _coordinate_christoffel(basis, z)
+    out = np.zeros_like(Gam)
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 val = Gam[:, i, k, j] / (a[k] * a[j]) * a[i]
-                if i == j and k == zaxis:
+                if i == j and k == _ZAXIS:
                     val = val - a[i] * da[j] / (a[k] * a[j] ** 2)
                 out[:, i, j, k] = val
     return out
@@ -500,6 +510,19 @@ REPORTED_COMPONENTS = (
     ("R^q_zqz", (1, 2, 1, 2)),
     ("R^p_zpq", (0, 2, 0, 1)),
 )
+
+
+def paper_closed_forms(lam: float) -> dict[str, Callable]:
+    """The paper's closed forms of REPORTED_COMPONENTS, as functions of z.
+
+    They are quoted for comparison only: the oracle, not these forms, is
+    the reference for the computed curvature.
+    """
+    return {
+        "R^p_qpq": lambda zz: lam * np.exp(-lam * zz / 2),
+        "R^q_zqz": lambda zz: 0.5 * lam ** 2 * np.exp(-lam * zz),
+        "R^p_zpq": lambda zz: 0.0,
+    }
 
 
 def comparison_table(cartan: CurvatureReport, oracle: CurvatureReport,

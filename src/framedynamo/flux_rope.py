@@ -153,10 +153,6 @@ class RopeParams:
     tau: float = 1.0
     kappa: float = 1.0
     theta0: float = 0.0
-    v_theta: float = 0.0
-    v_s: float = 0.0
-    b0: float = 1.0
-    b1: float = 1.0
     b_amplitude: float = 1.0  # B0 of the poloidal solution
 
     def __post_init__(self):

@@ -9,12 +9,15 @@ metrics with scale factors
 
     h_p = w(z) e^{-lam z},   h_q = w(z) e^{lam z},   h_z = w(z),
 
-where w = Omega^{1/2}. All differential operators (grad, div, curl, scalar
-and vector Laplacian) are the general orthogonal-coordinates expressions in
-these scale factors, evaluated with spectral derivatives in p, q and
-4th-order finite differences in z. Metric factors and their z-derivatives
-enter analytically, so operators applied to constant frame fields are exact
-up to roundoff.
+where w = Omega^{1/2}. Omega comes in two families: the closed form
+c e^{a z} (identity, constant and exponential factors), which supplies w,
+w', w'' and its characteristic foot points exactly, and a tabulated cubic
+spline, which is differentiated. All differential operators (grad, div,
+curl, scalar and vector Laplacian) are the general orthogonal-coordinates
+expressions in these scale factors, evaluated with spectral derivatives in
+p, q and 4th-order finite differences in z. Metric factors and their
+z-derivatives enter analytically, so operators applied to constant frame
+fields are exact up to roundoff.
 
 Orientation convention: (e_p, e_q, e_z) is right-handed, e_p x e_q = e_z.
 """
@@ -33,52 +36,38 @@ __all__ = [
     "Grid3D",
     "FrameField",
     "FrameOperators",
-    "grad",
-    "div",
-    "curl",
-    "laplacian_scalar",
-    "vector_laplacian",
 ]
-
-ZProfile = Callable[[np.ndarray], np.ndarray]
-
-
-def _const_profile(c: float) -> ZProfile:
-    return lambda z: np.full_like(np.asarray(z, dtype=float), c)
-
 
 @dataclass(frozen=True)
 class ConformalFactor:
     """Positive scalar factor Omega(z) multiplying a base metric.
 
-    `value` maps z to Omega(z) > 0 and `log_derivative` to d/dz ln Omega.
-    `kind` is one of identity, constant, exponential, tabulated; the
-    identity kind is the exact no-op (value 1, log-derivative 0).
+    Two families. The closed-form family is Omega = c e^{a z}: identity is
+    (c, a) = (1, 0), `from_constant(c)` is (c, 0) and `exponential(a)` is
+    (1, a); it owns its closed forms for Omega^{1/2} and its derivatives,
+    the characteristic foot point and the z-uniform flag (a = 0). The
+    tabulated family interpolates samples with a cubic `spline` and
+    differentiates it.
     """
 
-    kind: str
-    value: ZProfile
-    log_derivative: ZProfile
-    exponent: float = 0.0
     constant: float = 1.0
+    exponent: float = 0.0
+    spline: Callable | None = None  # tabulated family only
 
     @classmethod
     def identity(cls) -> "ConformalFactor":
-        return cls("identity", _const_profile(1.0), _const_profile(0.0))
+        return cls()
 
     @classmethod
     def from_constant(cls, c: float) -> "ConformalFactor":
         if c <= 0:
             raise ValueError(f"conformal factor must be positive, got {c}")
-        return cls("constant", _const_profile(float(c)), _const_profile(0.0),
-                   constant=float(c))
+        return cls(constant=float(c))
 
     @classmethod
     def exponential(cls, a: float) -> "ConformalFactor":
         """Omega(z) = exp(a z); the log-derivative is identically a."""
-        a = float(a)
-        return cls("exponential", lambda z: np.exp(a * np.asarray(z, dtype=float)),
-                   _const_profile(a), exponent=a)
+        return cls(exponent=float(a))
 
     @classmethod
     def tabulated(cls, z_samples: np.ndarray, values: np.ndarray) -> "ConformalFactor":
@@ -87,34 +76,38 @@ class ConformalFactor:
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
             raise ValueError("tabulated conformal factor must be positive")
-        spline = CubicSpline(np.asarray(z_samples, dtype=float), values)
-        dspline = spline.derivative()
-        return cls("tabulated", spline, lambda z: dspline(z) / spline(z))
+        return cls(spline=CubicSpline(np.asarray(z_samples, dtype=float), values))
 
     @property
-    def is_trivial(self) -> bool:
-        return self.kind == "identity" or (self.kind == "constant" and self.constant == 1.0)
+    def z_uniform(self) -> bool:
+        """Omega does not depend on z (closed form with a = 0)."""
+        return self.spline is None and self.exponent == 0.0
+
+    def value(self, z: np.ndarray) -> np.ndarray:
+        """Omega(z) > 0."""
+        z = np.asarray(z, dtype=float)
+        if self.spline is not None:
+            return self.spline(z)
+        return self.constant * np.exp(self.exponent * z)
+
+    def log_derivative(self, z: np.ndarray) -> np.ndarray:
+        """d/dz ln Omega."""
+        z = np.asarray(z, dtype=float)
+        if self.spline is not None:
+            return self.spline.derivative()(z) / self.spline(z)
+        return np.full_like(z, self.exponent)
 
     def sqrt_profile(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """w = Omega^{1/2} with its first two z-derivatives.
 
-        Exact closed forms per kind; the tabulated kind differentiates its
-        spline.
+        Closed form: w = sqrt(c) e^{a z/2}, w' = (a/2) w, w'' = (a^2/4) w.
+        The tabulated family differentiates its spline.
         """
         z = np.asarray(z, dtype=float)
-        if self.kind == "identity":
-            one = np.ones_like(z)
-            zero = np.zeros_like(z)
-            return one, zero, zero
-        if self.kind == "constant":
-            w = np.full_like(z, np.sqrt(self.constant))
-            zero = np.zeros_like(z)
-            return w, zero, zero
-        if self.kind == "exponential":
-            w = np.exp(0.5 * self.exponent * z)
+        if self.spline is None:
+            w = np.sqrt(self.constant) * np.exp(0.5 * self.exponent * z)
             return w, 0.5 * self.exponent * w, 0.25 * self.exponent ** 2 * w
-        om = self.value(z)
-        w = np.sqrt(om)
+        w = np.sqrt(self.value(z))
         dlog = self.log_derivative(z)
         dw = 0.5 * w * dlog
         # numerical second derivative of w via the log-derivative's slope
@@ -123,12 +116,29 @@ class ConformalFactor:
         d2w = 0.5 * (d2log + 0.5 * dlog ** 2) * w
         return w, dw, d2w
 
+    def foot_point(self, z: np.ndarray, v: float, t: float) -> np.ndarray:
+        """Closed-form foot z0 of the characteristic dz/dt = v/Omega(z).
+
+        z0 = z - (v/c) t for a = 0, else ln(e^{a z} - a (v/c) t)/a, NaN
+        where that logarithm is undefined (the characteristic escapes).
+        Closed-form family only.
+        """
+        if self.spline is not None:
+            raise ValueError("a tabulated factor has no closed-form foot point")
+        z = np.asarray(z, dtype=float)
+        a = self.exponent
+        if a == 0.0:
+            return z - (v / self.constant) * t
+        arg = np.exp(a * z) - a * (v / self.constant) * t
+        with np.errstate(invalid="ignore"):
+            return np.where(arg > 0, np.log(np.maximum(arg, 1e-300)) / a, np.nan)
+
 
 @dataclass(frozen=True)
 class FrameMetric:
     """Stretched metric with optional conformal factor.
 
-    lam is the stretching rate per unit z. With a trivial factor the scale
+    lam is the stretching rate per unit z. With the identity factor the scale
     factors are exactly (e^{-lam z}, e^{lam z}, 1); the metric determinant
     is the squared product of the scale factors, i.e. Omega^3.
     """
@@ -160,11 +170,6 @@ class FrameMetric:
     def determinant(self, z: np.ndarray) -> np.ndarray:
         h1, h2, h3 = self.scale_factors(z)
         return (h1 * h2 * h3) ** 2
-
-    def volume_weight(self, z: np.ndarray) -> np.ndarray:
-        """sqrt(det g) = Omega^{3/2}; the p,q exponentials cancel."""
-        h1, h2, h3 = self.scale_factors(z)
-        return h1 * h2 * h3
 
     def grid(self, n_p: int = 32, n_q: int = 32, n_z: int = 128,
              z_periodic: bool = False) -> "Grid3D":
@@ -296,10 +301,8 @@ class FrameOperators:
         self.d2 = z_derivative_matrix(grid.n_z, grid.dz, 2, grid.z_periodic)
         h1, h2, h3 = metric.scale_factors(z)
         dh1, dh2, dh3 = metric.scale_factor_derivatives(z)
-        self.h = (h1, h2, h3)
         self.inv_h = (1.0 / h1, 1.0 / h2, 1.0 / h3)
         G = h1 * h2 * h3
-        self.vol = G
         # div B = (1/h1) dp Bp + (1/h2) dq Bq + (1/h3) dz Bz + c_div Bz
         self.c_div = (dh1 * h2 + h1 * dh2) / G
         # curl coefficient profiles: h_i'/(h_i h3)
@@ -310,6 +313,14 @@ class FrameOperators:
         dPz = (dh1 * h2 + h1 * dh2 - h1 * h2 * dh3 / h3) / h3
         self.c_lap_dz = dPz / G
         self.c_lap_dzz = Pz / G
+        # z measure of the norms: sqrt(det g) dz per p,q point, restricted
+        # to the interior third on closed grids
+        measure = G * grid.z_weights() / (grid.n_p * grid.n_q)
+        if not grid.z_periodic:
+            mask = np.zeros(grid.n_z)
+            mask[grid.interior_z_slice()] = 1.0
+            measure = measure * mask
+        self.measure = measure
 
     # -- derivative helpers -------------------------------------------------
 
@@ -376,14 +387,6 @@ class FrameOperators:
 
     # -- norms --------------------------------------------------------------
 
-    def _measure(self) -> np.ndarray:
-        w = self.vol * self.grid.z_weights() / (self.grid.n_p * self.grid.n_q)
-        if not self.grid.z_periodic:
-            mask = np.zeros(self.grid.n_z)
-            mask[self.grid.interior_z_slice()] = 1.0
-            w = w * mask
-        return w
-
     def l2_norm(self, a: np.ndarray) -> float:
         """Volume-weighted L2 norm of a scalar or stacked-component array.
 
@@ -391,31 +394,9 @@ class FrameOperators:
         measurement region); periodic grids integrate over the full domain.
         """
         rows = a.reshape(-1, a.shape[-1])
-        return float(np.sqrt(np.einsum("iz,iz->z", rows, rows) @ self._measure()))
+        return float(np.sqrt(np.einsum("iz,iz->z", rows, rows) @ self.measure))
 
     def component_norms(self, B: FrameField) -> np.ndarray:
         per_z = np.einsum("cpqz,cpqz->cz", B.data, B.data)
-        return np.sqrt(per_z @ self._measure())
+        return np.sqrt(per_z @ self.measure)
 
-
-# -- one-shot functional facade ----------------------------------------------
-
-
-def grad(metric: FrameMetric, grid: Grid3D, f: np.ndarray) -> FrameField:
-    return FrameOperators(metric, grid).grad(f)
-
-
-def div(metric: FrameMetric, grid: Grid3D, B: FrameField) -> np.ndarray:
-    return FrameOperators(metric, grid).div(B)
-
-
-def curl(metric: FrameMetric, grid: Grid3D, B: FrameField) -> FrameField:
-    return FrameOperators(metric, grid).curl(B)
-
-
-def laplacian_scalar(metric: FrameMetric, grid: Grid3D, f: np.ndarray) -> np.ndarray:
-    return FrameOperators(metric, grid).laplacian_scalar(f)
-
-
-def vector_laplacian(metric: FrameMetric, grid: Grid3D, B: FrameField) -> FrameField:
-    return FrameOperators(metric, grid).vector_laplacian(B)

@@ -47,6 +47,7 @@ __all__ = [
     "cat_map_eigen",
     "CAT_STRETCH_RATE",
     "InitialField",
+    "named_initial_field",
     "DynamoScenario",
     "EvolutionSeries",
     "EvolutionResult",
@@ -75,11 +76,6 @@ class CatMap:
     eigenvalues: tuple[float, float]   # (chi1 > 1, chi2 < 1)
     eigenvectors: np.ndarray           # columns, matching eigenvalue order
 
-    @property
-    def stretch_rate(self) -> float:
-        """ln chi1, the stretching exponent per unit z."""
-        return float(np.log(self.eigenvalues[0]))
-
 
 def cat_map_eigen() -> CatMap:
     m = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -90,6 +86,7 @@ def cat_map_eigen() -> CatMap:
     return CatMap(m, (float(vals[0]), float(vals[1])), vecs)
 
 
+# ln chi1 = ln((3 + sqrt 5)/2), the stretching exponent per unit z
 CAT_STRETCH_RATE = float(np.log((3.0 + np.sqrt(5.0)) / 2.0))
 
 
@@ -165,6 +162,29 @@ class InitialField:
         return FrameField.from_callables(grid, self.bp, self.bq, self.bz)
 
 
+def named_initial_field(name: str, lam: float = 0.0, seed: int = 0) -> InitialField:
+    """The named initial fields: q_sine, q_random, pq_mixed, solenoidal.
+
+    q_sine puts 2 + sin 2 pi z in the q slot, q_random is
+    `random_fourier(seed)`, pq_mixed puts 2 + sin 2 pi z and 2 + cos 2 pi z
+    in the p and q slots, and solenoidal is `solenoidal_pz` with
+    h = sin 2 pi z on the stretching rate lam.
+    """
+    if name == "q_sine":
+        return InitialField.q_slot(lambda z: 2.0 + np.sin(2 * np.pi * z))
+    if name == "q_random":
+        return InitialField.random_fourier(seed)
+    if name == "pq_mixed":
+        return InitialField.pq_profiles(
+            lambda z: 2.0 + np.sin(2 * np.pi * z),
+            lambda z: 2.0 + np.cos(2 * np.pi * z))
+    if name == "solenoidal":
+        return InitialField.solenoidal_pz(
+            lam, lambda z: np.sin(2 * np.pi * z),
+            lambda z: 2 * np.pi * np.cos(2 * np.pi * z))
+    raise ValueError(f"init: unknown initial field {name!r}")
+
+
 def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
               cfl: float = 0.4) -> float:
     """Advective time step dt = cfl * dz / max |v_eff|."""
@@ -204,7 +224,7 @@ class DynamoScenario:
             raise ValueError(
                 f"dt={self.dt:g} violates the advective bound "
                 f"0.5*dz/|v_eff|max={0.5 * self.grid.dz / vmax:g}")
-        if self.grid.z_periodic and self.metric.omega.kind not in ("identity", "constant"):
+        if self.grid.z_periodic and not self.metric.omega.z_uniform:
             raise ValueError("periodic z requires a z-uniform conformal factor")
 
     @property
@@ -341,7 +361,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     dt = scenario.t_end / nsteps
     stride = scenario.stride
     op = rhs.op
-    measure = op._measure()
+    measure = op.measure
     probe_w = {name: np.asarray(fn(grid.z), dtype=float) * measure
                for name, fn in scenario.probe_weights.items()}
 
@@ -425,17 +445,8 @@ def _trace_back(scenario: DynamoScenario, z: np.ndarray, t: float) -> np.ndarray
     """Characteristic foot points z0 with dz/dt = v_eff(z) = v/Omega(z)."""
     om = scenario.metric.omega
     v = scenario.flow_speed
-    if om.kind == "identity":
-        return z - v * t
-    if om.kind == "constant":
-        return z - (v / om.constant) * t
-    if om.kind == "exponential":
-        a = om.exponent
-        if a == 0.0:
-            return z - v * t
-        arg = np.exp(a * z) - a * v * t
-        with np.errstate(invalid="ignore"):
-            return np.where(arg > 0, np.log(np.maximum(arg, 1e-300)) / a, np.nan)
+    if om.spline is None:
+        return om.foot_point(z, v, t)
     # tabulated factor: invert t = int_{z0}^{z} Omega(u)/v du pointwise
     from scipy.integrate import quad
     from scipy.optimize import brentq
@@ -526,13 +537,16 @@ def growth_fit(t: np.ndarray, norms: np.ndarray, theory_rate: float = 0.0,
                window: tuple[float, float] = (0.4, 1.0)) -> GrowthFit:
     """Fit log||B|| against t over a trailing fraction of the series.
 
-    The window is a fraction pair of the sample count; its start must skip
-    at least the first 20% of samples (initial transient).
+    The window is a fraction pair (start, end) of the sample count with
+    0.2 <= start < end <= 1: it skips at least the first 20% of samples
+    (initial transient) and ends inside the series.
     """
     t = np.asarray(t, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    if window[0] < 0.2:
-        raise ValueError("fit window must exclude the first 20% of samples")
+    if not 0.2 <= window[0] < window[1] <= 1.0:
+        raise ValueError(f"fit window {tuple(window)} must satisfy "
+                         "0.2 <= start < end <= 1: it excludes the first 20% "
+                         "of samples and ends inside the series")
     if np.any(norms <= 0):
         raise ValueError("norm series must be strictly positive for a log fit")
     n = len(t)

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior_geometry import (CoframeBasis, christoffel_oracle,
-                                comparison_table, conformal_coframe, curvature,
-                                flat_coframe, solve_connection,
-                                stretched_coframe, stretched_coframe_half)
+from .exterior_geometry import (christoffel_oracle, comparison_table,
+                                curvature, named_coframe, paper_closed_forms,
+                                solve_connection)
 from .flux_rope import (RopeParams, amplification_ratio, btheta_solution,
                         dynamo_radius_bound, frenet_integrate, is_dynamo,
                         tube_metric_factor)
@@ -25,7 +24,7 @@ from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
                              FrameOperators)
 from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario, InitialField,
                                characteristics_oracle, evolve, growth_fit,
-                               stable_dt)
+                               named_initial_field, stable_dt)
 
 __all__ = ["CheckResult", "AcceptanceSuite", "run_all", "format_summary"]
 
@@ -81,10 +80,9 @@ class AcceptanceSuite:
     def _growth_scenario(self, omega: ConformalFactor) -> DynamoScenario:
         metric = FrameMetric(self.lam, omega)
         grid = metric.grid(32, 32, 128, z_periodic=True)
-        g = lambda z: 2.0 + np.sin(2 * np.pi * z)
         return DynamoScenario(
             metric=metric, grid=grid, flow_speed=1.0,
-            initial_field=InitialField.q_slot(g), t_end=2.0,
+            initial_field=named_initial_field("q_sine"), t_end=2.0,
             dt=stable_dt(metric, grid, 1.0, cfl=0.4))
 
     @cached_property
@@ -129,12 +127,10 @@ class AcceptanceSuite:
     def closed_solenoidal_run(self):
         metric = FrameMetric(1.0)
         grid = metric.grid(16, 16, 128, z_periodic=False)
-        init = InitialField.solenoidal_pz(
-            1.0, lambda z: np.sin(2 * np.pi * z),
-            lambda z: 2 * np.pi * np.cos(2 * np.pi * z))
-        sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
-                            initial_field=init, t_end=0.25,
-                            dt=stable_dt(metric, grid, 1.0, cfl=0.4))
+        sc = DynamoScenario(
+            metric=metric, grid=grid, flow_speed=1.0,
+            initial_field=named_initial_field("solenoidal", 1.0), t_end=0.25,
+            dt=stable_dt(metric, grid, 1.0, cfl=0.4))
         res = evolve(sc)
         self._div_series.append(("closed-solenoidal", res.series.div_rel))
         return sc, res
@@ -208,17 +204,11 @@ class AcceptanceSuite:
     def check_curvature_pipeline(self) -> CheckResult:
         z = np.linspace(0.0, 1.0, 65)
         lam = 1.0
-        bases = [
-            ("flat", flat_coframe()),
-            ("arnold", conformal_coframe(FrameMetric(lam), "arnold")),
-            ("constant-conformal", conformal_coframe(
-                FrameMetric(lam, ConformalFactor.from_constant(4.0)), "const4")),
-            ("stretched", stretched_coframe(lam)),
-        ]
         worst = 0.0
         rows = []
         flat_max = 0.0
-        for name, basis in bases:
+        for name in ("flat", "arnold", "constant:4", "stretched"):
+            basis = named_coframe(name, lam)
             cart = curvature(solve_connection(basis, z))
             orac = christoffel_oracle(basis, z)
             diff = cart.max_difference(orac)
@@ -229,15 +219,11 @@ class AcceptanceSuite:
             rows.append(f"{name}: |cartan-oracle|={diff:.2e}, "
                         f"antisym/bianchi={sym:.2e}")
         # report-only comparison with the quoted closed forms
-        basis_half = stretched_coframe_half(lam)
+        basis_half = named_coframe("stretched_half", lam)
         cart_half = curvature(solve_connection(basis_half, z))
         orac_half = christoffel_oracle(basis_half, z)
-        paper_forms = {
-            "R^p_qpq": lambda zz: lam * np.exp(-lam * zz / 2),
-            "R^q_zqz": lambda zz: 0.5 * lam ** 2 * np.exp(-lam * zz),
-            "R^p_zpq": lambda zz: 0.0,
-        }
-        table = comparison_table(cart_half, orac_half, paper_forms, stride=8)
+        table = comparison_table(cart_half, orac_half, paper_closed_forms(lam),
+                                 stride=8)
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             (self.out_dir / "curvature.txt").write_text(table)
@@ -253,9 +239,8 @@ class AcceptanceSuite:
             grid = metric.grid(8, 8, 128, z_periodic=True)
             sc = DynamoScenario(
                 metric=metric, grid=grid, flow_speed=1.0,
-                initial_field=InitialField.q_slot(
-                    lambda z: 2.0 + np.sin(2 * np.pi * z)),
-                t_end=1.0, dt=stable_dt(metric, grid, 1.0, cfl=0.4))
+                initial_field=named_initial_field("q_sine"), t_end=1.0,
+                dt=stable_dt(metric, grid, 1.0, cfl=0.4))
             res = evolve(sc)
             self._div_series.append(("identity-pair", res.series.div_rel))
             return res.series
@@ -268,7 +253,7 @@ class AcceptanceSuite:
             float(np.max(np.abs(s_base.total_l2 - s_unit.total_l2))))
         return CheckResult(
             "conformal-identity", gap <= 1e-12, gap, 1e-12,
-            "identity-kind and constant(1.0) factors produce the same series")
+            "identity and constant(1.0) factors produce the same series")
 
     def check_flux_rope(self) -> CheckResult:
         errs = {}

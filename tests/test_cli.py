@@ -134,6 +134,30 @@ def test_config_cfl_violation_rejected(tmp_path, capsys):
     assert "advective bound" in err
 
 
+def test_config_fit_window_past_series_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nn_p = 4\nn_q = 4\nn_z = 64\nt_end = 0.2\n"
+                   "fit_end = 5\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "error:" in err and "fit window" in err
+
+
+@pytest.mark.parametrize("section, text", [
+    ("curvature", "metric: unknown metric 'bogus'"),
+    ("evolve", "init: unknown initial field 'bogus'"),
+])
+def test_config_unknown_name_rejected(tmp_path, capsys, section, text):
+    key = text.split(":")[0]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = bogus\n")
+    code, _, err = run_cli(capsys, section, "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"error: {text}" in err
+
+
 def test_curvature_command_writes_table(tmp_path, capsys):
     code, out, err = run_cli(capsys, "curvature", "--out", str(tmp_path / "o"))
     assert code == 0, err

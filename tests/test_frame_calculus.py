@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from framedynamo.frame_calculus import (ConformalFactor, FrameField,
-                                        FrameMetric, FrameOperators, Grid3D,
-                                        curl, div, grad, laplacian_scalar,
-                                        vector_laplacian)
+                                        FrameMetric, FrameOperators, Grid3D)
 
 LAM = 1.0
 
@@ -50,7 +48,15 @@ def test_identity_factor_is_exact():
     z = np.linspace(0, 1, 17)
     assert np.all(f.value(z) == 1.0)
     assert np.all(f.log_derivative(z) == 0.0)
-    assert f.is_trivial
+    assert f == ConformalFactor.from_constant(1.0)
+
+
+def test_tabulated_factor_has_no_closed_form_foot_point():
+    zs = np.linspace(-1, 2, 31)
+    f = ConformalFactor.tabulated(zs, np.exp(zs))
+    assert not f.z_uniform
+    with pytest.raises(ValueError, match="tabulated"):
+        f.foot_point(zs, 1.0, 0.1)
 
 
 def test_exponential_factor_log_derivative_is_constant():
@@ -385,20 +391,6 @@ def test_operators_do_not_mutate_inputs():
     op.div(B)
     op.vector_laplacian(B)
     assert np.array_equal(B.data, before)
-
-
-def test_oneshot_functions_match_operator_class():
-    metric, grid, _ = make_ops(n_z=33)
-    op = FrameOperators(metric, grid)
-    B = smooth_field(grid, seed=2)
-    f = B.bq
-    np.testing.assert_array_equal(grad(metric, grid, f).data, op.grad(f).data)
-    np.testing.assert_array_equal(div(metric, grid, B), op.div(B))
-    np.testing.assert_array_equal(curl(metric, grid, B).data, op.curl(B).data)
-    np.testing.assert_array_equal(laplacian_scalar(metric, grid, f),
-                                  op.laplacian_scalar(f))
-    np.testing.assert_array_equal(vector_laplacian(metric, grid, B).data,
-                                  op.vector_laplacian(B).data)
 
 
 def test_field_shape_validation():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +37,8 @@ def test_cat_map_eigenstructure():
     assert chi1 == pytest.approx((3 + np.sqrt(5)) / 2, abs=1e-12)
     assert chi1 * chi2 == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.det(cm.matrix) == pytest.approx(1.0, abs=1e-12)
-    assert cm.stretch_rate == pytest.approx(0.9624236501192069, abs=1e-12)
+    assert CAT_STRETCH_RATE == pytest.approx(np.log(chi1), abs=1e-12)
+    assert CAT_STRETCH_RATE == pytest.approx(0.9624236501192069, abs=1e-12)
     # eigenvector directions diagonalize the map
     for k in range(2):
         v = cm.eigenvectors[:, k]
@@ -63,6 +66,14 @@ def test_scenario_rejects_negative_resistivity():
 def test_scenario_rejects_periodic_with_varying_factor():
     with pytest.raises(ValueError, match="z-uniform"):
         scenario(omega=ConformalFactor.exponential(1.0))
+
+
+def test_periodic_exponential_factor_with_zero_rate_is_identity():
+    # e^{0 z} is z-uniform, so periodic z accepts it, and it is the identity
+    base = evolve(scenario(t_end=0.2)).series
+    flat = evolve(scenario(omega=ConformalFactor.exponential(0.0), t_end=0.2)).series
+    for name in ("t", "l2", "total_l2", "div_rel"):
+        assert np.array_equal(getattr(flat, name), getattr(base, name)), name
 
 
 # -- right-hand side -------------------------------------------------------------
@@ -566,6 +577,13 @@ def test_growth_fit_enforces_transient_cut():
     t = np.linspace(0, 1, 100)
     with pytest.raises(ValueError, match="20%"):
         growth_fit(t, np.exp(t), window=(0.1, 1.0))
+
+
+@pytest.mark.parametrize("window", [(0.4, 5.0), (0.9, 0.5), (0.5, 0.5)])
+def test_growth_fit_rejects_window_outside_series(window):
+    t = np.linspace(0, 1, 100)
+    with pytest.raises(ValueError, match=re.escape(str(window))):
+        growth_fit(t, np.exp(t), window=window)
 
 
 def test_growth_fit_report_text():
