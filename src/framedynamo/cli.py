@@ -133,10 +133,15 @@ def load_config(command: str, config_path: str | None, out_dir: str,
 def _parse_omega(spec: str) -> ConformalFactor:
     if spec == "identity":
         return ConformalFactor.identity()
-    if spec.startswith("constant:"):
-        return ConformalFactor.from_constant(float(spec.split(":", 1)[1]))
-    if spec.startswith("exponential:"):
-        return ConformalFactor.exponential(float(spec.split(":", 1)[1]))
+    for kind, arg, build in (("constant", "c", ConformalFactor.from_constant),
+                             ("exponential", "a", ConformalFactor.exponential)):
+        if spec.startswith(kind + ":"):
+            try:
+                value = float(spec.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"omega: expected {kind}:<{arg}> with a "
+                                  f"number {arg}, got {spec!r}") from None
+            return build(value)
     raise ConfigError(f"omega: expected identity, constant:<c> or "
                       f"exponential:<a>, got {spec!r}")
 

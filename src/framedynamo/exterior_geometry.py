@@ -184,7 +184,11 @@ def named_coframe(name: str, lam: float) -> CoframeBasis:
     if name == "arnold":
         return arnold_coframe(lam)
     if name.startswith("constant:"):
-        c = float(name.split(":", 1)[1])
+        try:
+            c = float(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"metric: expected constant:<c> with a number c, "
+                             f"got {name!r}") from None
         return conformal_coframe(
             FrameMetric(lam, ConformalFactor.from_constant(c)), name)
     if name == "stretched":

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .differentiation import z_derivative_matrix
 
@@ -170,6 +169,13 @@ class TubeMetric:
     thin: bool
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid-rule integral of y over x, 0 at x[0]."""
+    out = np.zeros(len(x))
+    out[1:] = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return out
+
+
 def tube_metric_factor(params: RopeParams, kappa_profile, tau_profile,
                        s: np.ndarray) -> TubeMetric:
     """K(s) along the rope; rejects self-intersecting tubes (K <= 0)."""
@@ -179,7 +185,7 @@ def tube_metric_factor(params: RopeParams, kappa_profile, tau_profile,
     if params.r * np.max(kap, initial=0.0) >= 1.0:
         raise ValueError("tube radius exceeds 1/max(kappa): metric factor "
                          "would vanish")
-    theta = params.theta0 - cumulative_trapezoid(tor, s, initial=0.0)
+    theta = params.theta0 - cumulative_trapezoid(tor, s)
     K = 1.0 - params.r * kap * np.cos(theta)
     if np.any(K <= 0):
         raise ValueError("tube metric factor is non-positive somewhere")
@@ -219,7 +225,7 @@ def btheta_solution(params: RopeParams, tube: TubeMetric,
     -tau ds), evaluated with the trapezoid rule. Returns shape (len(s),)
     for scalar t, else (len(t), len(s)).
     """
-    integral = cumulative_trapezoid(1.0 - tube.K, tube.theta, initial=0.0)
+    integral = cumulative_trapezoid(1.0 - tube.K, tube.theta)
     t_arr = np.expand_dims(np.asarray(t, dtype=float), -1)
     return params.b_amplitude * np.exp(params.gamma * t_arr - integral)
 
@@ -248,7 +254,7 @@ def continuity_solution(s: np.ndarray, r: float, kappa_profile, tau_profile,
     s = np.asarray(s, dtype=float)
     kap = _as_profile(kappa_profile, s)
     tor = _as_profile(tau_profile, s)
-    return v0 * np.exp(-r * cumulative_trapezoid(tor * kap, s, initial=0.0))
+    return v0 * np.exp(-r * cumulative_trapezoid(tor * kap, s))
 
 
 def rope_csv(tube: TubeMetric, kappa_profile, tau_profile,

@@ -21,11 +21,18 @@ z points only (advection, growth, stretching and, with eta > 0, dzz, the
 n_z-by-n_z matrix per component and applied in one batched matmul. Only
 e^{+-2 lam z} dpp/dqq and the d_{p,q} Bz cross terms remain separate.
 
+Those p, q resistive terms carry e^{+-lam z}, which is not z-periodic, and
+closed z has no boundary condition for them, so `DynamoScenario` rejects
+eta > 0 unless the initial field is constant along p and q. The p, q
+terms vanish on such fields, and L keeps a field constant along p and q;
+with eta = 0 the terms are absent. So every accepted L couples z points
+only.
+
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
-and s steps are B <- P(h L)^s B. With eta = 0, L couples z points only, so
-the whole interval between two samples is one precomputed n_z-by-n_z
-propagator per component; the fields inside an interval are never formed.
+and s steps are B <- P(h L)^s B. Since L couples z points only, the whole
+interval between two samples is one precomputed n_z-by-n_z propagator per
+component; the fields inside an interval are never formed.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
@@ -197,7 +204,14 @@ def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
 
 @dataclass(frozen=True)
 class DynamoScenario:
-    """Everything needed to run one induction evolution."""
+    """Everything needed to run one induction evolution.
+
+    Accepted: resistivity >= 0; t_end, dt > 0; grid and metric on one z
+    range; dt within the advective bound 0.5 dz / max|v_eff|; periodic z
+    only with a z-uniform factor; resistivity > 0 only with an initial
+    field exactly constant along p and q on the grid, on periodic and on
+    closed z (see the module docstring). Anything else raises ValueError.
+    """
 
     metric: FrameMetric
     grid: Grid3D
@@ -206,7 +220,7 @@ class DynamoScenario:
     t_end: float
     dt: float
     resistivity: float = 0.0
-    # steps per sample interval; an ideal run advances a whole interval per
+    # steps per sample interval; every run advances a whole interval per
     # matmul. 0: choose automatically (~200 samples); capped at n_steps
     sample_stride: int = 0
     overflow_factor: float = 1e12
@@ -226,6 +240,16 @@ class DynamoScenario:
                 f"0.5*dz/|v_eff|max={0.5 * self.grid.dz / vmax:g}")
         if self.grid.z_periodic and not self.metric.omega.z_uniform:
             raise ValueError("periodic z requires a z-uniform conformal factor")
+        if self.resistivity > 0:
+            data = self.initial_field.on_grid(self.grid).data
+            if not np.array_equal(data, np.broadcast_to(data[:, :1, :1],
+                                                        data.shape),
+                                  equal_nan=True):
+                raise ValueError(
+                    "resistivity > 0 requires an initial field constant "
+                    "along p and q: the resistive p, q terms carry "
+                    "e^{+-lam z}, which is not z-periodic, and closed z has "
+                    "no boundary condition for them")
 
     @property
     def n_steps(self) -> int:
@@ -338,15 +362,13 @@ class EvolutionResult:
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
     """Classical 4-stage Runge-Kutta integration of the induction system.
 
-    A step applies P(h L). With eta = 0, L couples z points only, so P(h L)
-    is an n_z-by-n_z matrix per component, built by Horner's rule, and the
-    run advances one sample interval of `stride` steps per batched matmul
-    with P(h L)^stride (the last interval with P(h L)^(n_steps mod stride)).
-    The fields between two samples are never formed, so a non-finite field
-    is reported at the end of its sample interval. With eta > 0 the p, q
-    terms couple p, q points, so each step is four RHS calls:
-    k = L b; k = L(b + c k) for c = h/4, h/3, h/2; b += h k, and a
-    non-finite field is reported at its step.
+    A step applies P(h L). Every accepted L couples z points only (see
+    `DynamoScenario`), so P(h L) is an n_z-by-n_z matrix per component,
+    built by Horner's rule from the fused z-operators, and the run advances
+    one sample interval of `stride` steps per batched matmul with
+    P(h L)^stride (the last interval with P(h L)^(n_steps mod stride)). The
+    fields between two samples are never formed, so a non-finite field is
+    reported at the end of its sample interval, for eta > 0 as for eta = 0.
 
     The run samples at t = 0, at every `stride` steps and at t_end, and
     stops early with stop_reason "overflow guard" once a sampled norm
@@ -385,47 +407,32 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     initial_total = record(0.0, b)
     guard = scenario.overflow_factor * max(initial_total, 1e-300)
     stop_reason = "completed"
-    ideal = scenario.resistivity == 0.0
-    if ideal:
-        # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
-        # one component at a time keeps the n_z-by-n_z temporaries few
-        diag = np.arange(grid.n_z)
-        propagators = {n: np.empty_like(rhs.zmat_t)
-                       for n in {stride, nsteps % stride} - {0}}
-        for comp, zmat in enumerate(rhs.zmat_t):
-            a = dt * zmat
-            poly = a / 4.0
-            for c in (3.0, 2.0, 1.0):
-                poly[diag, diag] += 1.0
-                poly = (a / c) @ poly
+    # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
+    # one component at a time keeps the n_z-by-n_z temporaries few
+    diag = np.arange(grid.n_z)
+    propagators = {n: np.empty_like(rhs.zmat_t)
+                   for n in {stride, nsteps % stride} - {0}}
+    for comp, zmat in enumerate(rhs.zmat_t):
+        a = dt * zmat
+        poly = a / 4.0
+        for c in (3.0, 2.0, 1.0):
             poly[diag, diag] += 1.0
-            for n, power in propagators.items():
-                power[comp] = np.linalg.matrix_power(poly, n)
-        nxt = np.empty_like(b)
-        rows = (3, -1, grid.n_z)
-    else:
-        stage, k = np.empty_like(b), np.empty_like(b)
+            poly = (a / c) @ poly
+        poly[diag, diag] += 1.0
+        for n, power in propagators.items():
+            power[comp] = np.linalg.matrix_power(poly, n)
+    nxt = np.empty_like(b)
+    rows = (3, -1, grid.n_z)
     step = 0
     while step < nsteps:
         end = min(step + stride, nsteps)
-        while step < end:
-            if ideal:
-                np.matmul(b.reshape(rows), propagators[end - step],
-                          out=nxt.reshape(rows))
-                b, nxt = nxt, b
-                step = end
-            else:
-                rhs(b, out=k)
-                for c in (dt / 4.0, dt / 3.0, dt / 2.0):
-                    np.multiply(k, c, out=stage)
-                    stage += b
-                    rhs(stage, out=k)
-                k *= dt
-                b += k
-                step += 1
-            if not np.all(np.isfinite(b)):
-                raise NumericalError(f"non-finite field at step {step} "
-                                     f"(t={step * dt:g})")
+        np.matmul(b.reshape(rows), propagators[end - step],
+                  out=nxt.reshape(rows))
+        b, nxt = nxt, b
+        step = end
+        if not np.all(np.isfinite(b)):
+            raise NumericalError(f"non-finite field at step {step} "
+                                 f"(t={step * dt:g})")
         if record(step * dt, b) > guard:
             stop_reason = "overflow guard"
             break

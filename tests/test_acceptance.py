@@ -7,7 +7,8 @@ pytest -s or in failure output).
 import numpy as np
 import pytest
 
-from framedynamo.frame_calculus import FrameMetric
+from framedynamo import verification
+from framedynamo.frame_calculus import ConformalFactor, FrameMetric
 from framedynamo.induction_dynamo import (DynamoScenario, InitialField,
                                           stable_dt)
 from framedynamo.verification import AcceptanceSuite
@@ -65,10 +66,18 @@ def test_criterion_5_curvature_pipeline(suite):
 
 
 def test_criterion_6_conformal_identity(suite):
-    """A unit conformal factor reproduces the plain-metric series to
+    """A constant factor c = 4 at v = 1 reproduces the plain-metric series
+    at v = 1/4, rescaled by c^(3/4) (norms) and c^(-1/2) (div_rel), to
     1e-12 in every emitted quantity."""
     result = suite.check_conformal_identity()
     _assert_check(result)
+
+
+def test_conformal_identity_fails_when_the_factor_is_dropped(monkeypatch):
+    monkeypatch.setattr(verification.ConformalFactor, "from_constant",
+                        lambda c: ConformalFactor.identity())
+    result = AcceptanceSuite().check_conformal_identity()
+    assert not result.passed and result.measured > 1e-3
 
 
 def test_criterion_7_flux_rope(suite):

@@ -144,6 +144,32 @@ def test_config_fit_window_past_series_rejected(tmp_path, capsys):
     assert "error:" in err and "fit window" in err
 
 
+def test_config_resistive_field_with_pq_structure_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\ninit = solenoidal\neta = 0.01\n"
+                   "n_p = 4\nn_q = 4\nn_z = 64\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "error:" in err and "constant along p and q" in err
+
+
+@pytest.mark.parametrize("section, text", [
+    ("evolve", "omega: expected exponential:<a> with a number a, "
+               "got 'exponential:abc'"),
+    ("curvature", "metric: expected constant:<c> with a number c, "
+                  "got 'constant:abc'"),
+])
+def test_config_bad_numeric_suffix_rejected(tmp_path, capsys, section, text):
+    key, value = text.split(":")[0], text.split("got ")[1].strip("'")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    code, _, err = run_cli(capsys, section, "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"error: {text}" in err
+
+
 @pytest.mark.parametrize("section, text", [
     ("curvature", "metric: unknown metric 'bogus'"),
     ("evolve", "init: unknown initial field 'bogus'"),

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import framedynamo
 from framedynamo.flux_rope import (FrenetCurve, NoDynamoBoundError, RopeParams,
                                    amplification_ratio, btheta_solution,
                                    continuity_residual, continuity_solution,
-                                   dynamo_radius_bound, frenet_integrate,
-                                   is_dynamo, rope_csv, tube_metric_factor)
+                                   cumulative_trapezoid, dynamo_radius_bound,
+                                   frenet_integrate, is_dynamo, rope_csv,
+                                   tube_metric_factor)
 
 
 def rodrigues(axis, angle):
@@ -14,6 +20,31 @@ def rodrigues(axis, angle):
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
+
+
+# -- quadrature -------------------------------------------------------------------
+
+
+def test_cumulative_trapezoid_matches_scipy_on_nonuniform_grid():
+    from scipy.integrate import cumulative_trapezoid as reference
+
+    rng = np.random.default_rng(3)
+    x = np.cumsum(rng.uniform(0.001, 0.05, size=400))
+    y = np.sin(7 * x) * np.exp(-x)
+    want = reference(y, x, initial=0.0)
+    got = cumulative_trapezoid(y, x)
+    assert got.shape == want.shape and got[0] == 0.0
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_import_framedynamo_loads_no_scipy():
+    code = ("import sys, framedynamo; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = os.path.dirname(os.path.dirname(framedynamo.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- frame integration -----------------------------------------------------------

@@ -11,7 +11,8 @@ from framedynamo.induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
                                           InitialField, NumericalError,
                                           cat_map_eigen,
                                           characteristics_oracle, evolve,
-                                          growth_fit, induction_rhs, stable_dt)
+                                          growth_fit, induction_rhs,
+                                          named_initial_field, stable_dt)
 
 
 def q_sine():
@@ -66,6 +67,26 @@ def test_scenario_rejects_negative_resistivity():
 def test_scenario_rejects_periodic_with_varying_factor():
     with pytest.raises(ValueError, match="z-uniform"):
         scenario(omega=ConformalFactor.exponential(1.0))
+
+
+def solenoidal():
+    return named_initial_field("solenoidal", 1.0)
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+@pytest.mark.parametrize("init", [solenoidal, lambda: pqz_field()],
+                         ids=["solenoidal-pz", "pqz"])
+def test_scenario_rejects_resistive_field_with_pq_structure(init, periodic):
+    with pytest.raises(ValueError, match="constant along p and q.*"
+                       "not z-periodic.*no boundary condition"):
+        scenario(eta=1e-3, periodic=periodic, init=init())
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+def test_scenario_accepts_resistive_z_only_and_ideal_pq_fields(periodic):
+    assert scenario(eta=1e-3, periodic=periodic, init=z_field()).resistivity > 0
+    for init in (solenoidal(), pqz_field()):
+        assert scenario(periodic=periodic, init=init).resistivity == 0.0
 
 
 def test_periodic_exponential_factor_with_zero_rate_is_identity():
@@ -157,6 +178,17 @@ def pqz_field():
         bz=lambda p, q, z: c(tau * p) * s(tau * q) * (1 + z) + 0.2 * c(tau * z))
 
 
+def z_field():
+    """A field with z structure in every slot and none along p or q."""
+    s, c = np.sin, np.cos
+    tau = 2 * np.pi
+    ones = lambda p, q, z: np.ones(np.broadcast(p, q, z).shape)
+    return InitialField(
+        bp=lambda p, q, z: (1.5 + s(tau * z)) * ones(p, q, z),
+        bq=lambda p, q, z: (2.0 + c(tau * z) + 0.3 * s(2 * tau * z)) * ones(p, q, z),
+        bz=lambda p, q, z: (0.2 * c(tau * z) + 0.5 * s(3 * tau * z)) * ones(p, q, z))
+
+
 _TAB_Z = np.linspace(-1.0, 2.0, 301)
 OMEGAS = {
     "identity": ConformalFactor.identity,
@@ -171,12 +203,14 @@ OMEGAS = {
     ("identity", True), ("identity", False),
     ("exponential", False), ("tabulated", False)])
 def test_fused_rhs_matches_termwise_formula(omega, periodic, eta):
+    # a resistive scenario needs a z-only initial field; the operator is
+    # still checked on a field with p, q and z structure
     metric = FrameMetric(0.9, OMEGAS[omega]())
     grid = metric.grid(6, 5, 24, z_periodic=periodic)
     sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.3,
-                        initial_field=pqz_field(), t_end=0.1,
+                        initial_field=z_field(), t_end=0.1,
                         dt=stable_dt(metric, grid, 1.3), resistivity=eta)
-    B = sc.initial_field.on_grid(grid)
+    B = pqz_field().on_grid(grid)
     op = FrameOperators(metric, grid)
     # both resistive cross terms are exercised
     assert np.max(np.abs(op.dp(B.bz))) > 1.0
@@ -267,8 +301,8 @@ def textbook_rk4(sc):
     return textbook_rk4_fields(sc)[-1]
 
 
-# eta > 0 runs the Horner RHS stages; eta = 0 the precomputed step matrix,
-# whose one-sided rows are covered by the closed-z cases
+# every run applies the precomputed step matrix; its resistive terms are
+# covered by the periodic z-only case, its one-sided rows by the closed-z cases
 @pytest.mark.parametrize("eta,omega,periodic", [
     pytest.param(1e-2, "identity", True, id="resistive-periodic"),
     pytest.param(0.0, "identity", True, id="ideal-periodic"),
@@ -277,7 +311,7 @@ def textbook_rk4(sc):
 ])
 def test_evolve_matches_textbook_rk4(eta, omega, periodic):
     sc = scenario(eta=eta, omega=OMEGAS[omega](), periodic=periodic, n_z=32,
-                  n_pq=4, t_end=0.1, init=pqz_field())
+                  n_pq=4, t_end=0.1, init=z_field() if eta > 0 else pqz_field())
     init = sc.initial_field.on_grid(sc.grid)
     before = init.data.copy()
     b = textbook_rk4(sc)
@@ -333,8 +367,9 @@ def test_ideal_sample_intervals_match_step_by_step_rk4(omega, periodic, stride):
 
 
 @st.composite
-def ideal_one_step_scenarios(draw):
-    """Random ideal scenarios whose run is exactly one RK4 step."""
+def one_step_scenarios(draw, resistive=False):
+    """Random scenarios whose run is exactly one RK4 step: ideal ones on the
+    p, q, z field, resistive ones (eta in [0, 0.05]) on the z-only field."""
     lam = draw(st.floats(-1.5, 1.5))
     v = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
     kind = draw(st.sampled_from(["identity", "constant", "exponential"]))
@@ -344,22 +379,43 @@ def ideal_one_step_scenarios(draw):
         omega = ConformalFactor.from_constant(draw(st.floats(0.5, 2.0)))
     else:
         omega = ConformalFactor.exponential(draw(st.floats(-1.0, 1.0)))
-    n_pq = draw(st.sampled_from([2, 4]))
+    if resistive:
+        n_pq, init = 4, z_field()
+        periodic = kind != "exponential" and draw(st.booleans())
+        eta = draw(st.floats(0.0, 0.05))
+    else:
+        n_pq, init = draw(st.sampled_from([2, 4])), pqz_field()
+        periodic, eta = kind != "exponential", 0.0
     metric = FrameMetric(lam, omega)
     grid = metric.grid(n_pq, n_pq, draw(st.integers(8, 48)),
-                       z_periodic=kind != "exponential")
+                       z_periodic=periodic)
     dt = stable_dt(metric, grid, v)
+    if eta > 0:
+        # stable_dt bounds advection only: a tiny |v| gives a step so long
+        # that its diffusion overflows double
+        dt = min(dt, grid.dz)
     return DynamoScenario(metric=metric, grid=grid, flow_speed=v,
-                          initial_field=pqz_field(), t_end=dt, dt=dt)
+                          initial_field=init, t_end=dt, dt=dt,
+                          resistivity=eta)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(ideal_one_step_scenarios())
-def test_ideal_step_matrix_is_one_textbook_rk4_step(sc):
+def assert_one_textbook_rk4_step(sc):
     assert sc.n_steps == 1
     b = textbook_rk4(sc)
     np.testing.assert_allclose(evolve(sc).field.data, b, rtol=0,
                                atol=1e-13 * np.max(np.abs(b)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(one_step_scenarios())
+def test_ideal_step_matrix_is_one_textbook_rk4_step(sc):
+    assert_one_textbook_rk4_step(sc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(one_step_scenarios(resistive=True))
+def test_resistive_step_matrix_is_one_textbook_rk4_step(sc):
+    assert_one_textbook_rk4_step(sc)
 
 
 def test_evolve_overflow_guard_truncates():
