@@ -5,13 +5,16 @@
 Commands: evolve, curvature, fluxrope, catmap, verify-all. Configuration is
 an INI-style file with one section per command and key = value entries;
 unknown keys are rejected. Artifacts are CSV/plain-text files written under
---out with at least 15 significant digits per number. Exit codes: 0 on
-success, 1 on configuration or validation errors, 2 on numerical failure.
+--out with at least 15 significant digits per number; verify-all also writes
+its matrix as verify.json (name, passed, measured, limit and runtime_s per
+check). Exit codes: 0 on success, 1 on configuration or validation errors,
+2 on numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -264,6 +267,11 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     (cfg.out_dir / "verify.txt").write_text(
         summary + "\n" + "\n".join(f"{r.name}: {r.details}" for r in results)
         + "\n")
+    (cfg.out_dir / "verify.json").write_text(json.dumps(
+        [{"name": r.name, "passed": bool(r.passed),
+          "measured": float(r.measured), "limit": float(r.limit),
+          "runtime_s": r.runtime_s} for r in results],
+        indent=2) + "\n")
     print(summary, end="")
     return 0 if all(r.passed for r in results) else 2
 

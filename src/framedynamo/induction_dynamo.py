@@ -449,29 +449,41 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 
 
 def _trace_back(scenario: DynamoScenario, z: np.ndarray, t: float) -> np.ndarray:
-    """Characteristic foot points z0 with dz/dt = v_eff(z) = v/Omega(z)."""
+    """Characteristic foot points z0 with dz/dt = v_eff(z) = v/Omega(z).
+
+    The closed-form family inverts exactly. A tabulated factor solves
+    int_{z0}^{z} Omega(u) du = v t for all z at once, with the spline's
+    exact antiderivative: the bracket grows upstream (against sign(v t))
+    by doubling, up to 60 times, and is then bisected to adjacent floats.
+    Points with no sign change in the bracket have no finite foot (NaN).
+    """
     om = scenario.metric.omega
     v = scenario.flow_speed
     if om.spline is None:
         return om.foot_point(z, v, t)
-    # tabulated factor: invert t = int_{z0}^{z} Omega(u)/v du pointwise
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    def shoot(zi):
-        f = lambda z0: quad(lambda u: om.value(np.array([u]))[0] / v, z0, zi,
-                            limit=200)[0] - t
-        # f(zi) = -t < 0; expand the bracket downstream until f flips sign
-        span = abs(v) * t / max(1e-12, float(np.min(om.value(scenario.grid.z))))
-        lo = zi - span
-        for _ in range(60):
-            if f(lo) >= 0.0:
-                return brentq(f, lo, zi + 1e-12)
-            span *= 2.0
-            lo = zi - span
-        return np.nan  # characteristic escapes: no finite foot point
-
-    return np.array([shoot(zi) for zi in np.atleast_1d(z)])
+    z = np.array(z, dtype=float, ndmin=1)
+    d = np.sign(v * t)  # 0 leaves every foot at z
+    antiderivative = om.spline.antiderivative()
+    # z0 is reached once d (F(z) - F(z0)) >= |v t|; F increases, so this
+    # holds from the foot point upstream and fails at z0 = z
+    target = d * antiderivative(z) - abs(v * t)
+    reached = lambda z0, goal: d * antiderivative(z0) <= goal
+    span = abs(v * t) / max(1e-12, float(np.min(om.value(scenario.grid.z))))
+    trials = z - d * span * 2.0 ** np.arange(60)[:, None]  # (60, len(z))
+    hit = reached(trials, target)
+    found = hit.any(axis=0)
+    lo, target = z[found], target[found]  # lo not reached, hi reached
+    hi = trials[np.argmax(hit, axis=0), np.arange(z.size)][found]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = reached(mid, target)
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    z0 = np.full_like(z, np.nan)
+    z0[found] = hi
+    return z0
 
 
 def characteristics_oracle(scenario: DynamoScenario, t: float

@@ -38,6 +38,7 @@ class CheckResult:
     measured: float
     limit: float
     details: str = ""
+    runtime_s: float = 0.0  # set by run_all; includes shared runs it built
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -343,7 +344,13 @@ class AcceptanceSuite:
             self.check_flux_rope,
             self.check_divergence_preservation,
         ]
-        return [c() for c in checks]
+        results = []
+        for check in checks:
+            t0 = time.perf_counter()
+            result = check()
+            result.runtime_s = time.perf_counter() - t0
+            results.append(result)
+        return results
 
 
 def run_all(out_dir=None) -> list[CheckResult]:

@@ -4,6 +4,8 @@ Runs the full verification suite once and asserts every criterion at its
 stated tolerance, printing one pass/fail line per criterion (visible with
 pytest -s or in failure output).
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,9 @@ def test_verify_all_cli_matches(tmp_path, capsys):
                  "curvature-pipeline-equivalence", "conformal-identity",
                  "flux-rope", "divergence-preservation"):
         assert f"PASS  {name}" in out
+    entries = json.loads((tmp_path / "verify.json").read_text())
+    assert len(entries) == 8
+    assert all(e["passed"] is True and e["runtime_s"] > 0 for e in entries)
 
 
 def test_oracle_error_rejects_undefined_oracle_points():

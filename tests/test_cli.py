@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,37 @@ def test_fluxrope_invalid_radius_rejected(tmp_path, capsys):
                            "--out", str(tmp_path / "o"))
     assert code == 1
     assert "radius exceeds" in err
+
+
+def test_fluxrope_zero_step_rejected(tmp_path, capsys):
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[fluxrope]\nds = 0\n")
+    code, _, err = run_cli(capsys, "fluxrope", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "error: ds must be positive" in err
+
+
+def test_verify_all_writes_json_matrix(tmp_path, capsys, monkeypatch):
+    from framedynamo.verification import AcceptanceSuite, CheckResult
+
+    names = [m for m in vars(AcceptanceSuite) if m.startswith("check_")]
+    assert len(names) == 8
+    for i, method in enumerate(names):
+        result = CheckResult(method, passed=np.bool_(i != 2), measured=0.5 * i,
+                             limit=np.float64(1.0))
+        monkeypatch.setattr(AcceptanceSuite, method,
+                            lambda self, r=result: r)
+    code, out, _ = run_cli(capsys, "verify-all", "--out", str(tmp_path))
+    assert code == 2
+    assert "7/8 checks passed" in out
+    entries = json.loads((tmp_path / "verify.json").read_text())
+    assert [e["name"] for e in entries] == names
+    for i, e in enumerate(entries):
+        assert set(e) == {"name", "passed", "measured", "limit", "runtime_s"}
+        assert e["passed"] is (i != 2)
+        assert e["measured"] == 0.5 * i and e["limit"] == 1.0
+        assert 0.0 <= e["runtime_s"] < 1.0
 
 
 def test_csv_numbers_carry_full_precision(tmp_path, capsys):

@@ -125,6 +125,47 @@ def test_varying_profiles_are_sampled():
     assert c.orthonormality_drift() <= 1e-10
 
 
+def test_magnus_integrator_is_fourth_order():
+    # tau/kappa varies, so the commutator term w1 x w2 is non-zero
+    kappa = lambda s: 0.5 + 0.3 * np.sin(s)
+    tau = lambda s: 0.2 * np.cos(1.7 * s)
+    ref = frenet_integrate(kappa, tau, 8.0, 0.0025)
+    errs = []
+    for ds in (0.04, 0.02, 0.01):
+        c = frenet_integrate(kappa, tau, 8.0, ds)
+        step = int(round(ds / ref.ds))
+        errs.append([np.max(np.abs(c.x - ref.x[::step])),
+                     np.max(np.abs(c.t - ref.t[::step]))])
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 3.8), orders
+
+
+def test_lancret_helix_keeps_tangent_angle_with_axis():
+    # tau/kappa constant: the unit Darboux vector (tau t + kappa b)/|w| is a
+    # fixed axis u, so t.u stays constant however kappa varies
+    ratio = 0.6
+    kappa = lambda s: 0.5 + 0.3 * np.sin(s)
+    c = frenet_integrate(kappa, lambda s: ratio * kappa(s), 50.0, 0.01)
+    u = (ratio * c.t[0] + c.b[0]) / np.hypot(ratio, 1.0)
+    np.testing.assert_allclose(c.t @ u, ratio / np.hypot(ratio, 1.0),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"ds": 0.0}, "ds"),
+    ({"ds": -0.01}, "ds"),
+    ({"ds": np.nan}, "ds"),
+    ({"s_max": -1.0}, "s_max"),
+    ({"t0": (0.0, 0.0, 0.0)}, "t0"),
+    ({"n0": (2.0, 0.0, 0.0)}, "n0"),
+    ({"n0": (0.0, 0.0, 0.0)}, "n0"),
+])
+def test_degenerate_input_rejected(kwargs, name):
+    args = {"s_max": 1.0, "ds": 0.01, **kwargs}
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        frenet_integrate(0.5, 0.2, **args)
+
+
 def test_step_size_guard():
     with pytest.raises(ValueError, match="step too large"):
         frenet_integrate(2.0, 0.0, 1.0, 0.2)
