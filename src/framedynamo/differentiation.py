@@ -79,9 +79,7 @@ def z_derivative_matrix(n: int, dz: float, order: int = 1,
         return D
     half = 2
     for i in range(n):
-        if half <= i < n - half and order == 1:
-            idx = np.arange(i - half, i + half + 1)
-        elif half <= i < n - half and order == 2:
+        if half <= i < n - half:
             idx = np.arange(i - half, i + half + 1)
         elif i < half:
             idx = np.arange(0, width)

@@ -53,7 +53,7 @@ __all__ = [
 
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
 _ZAXIS = 2  # the coefficients depend on z only
-_PAIR_INDEX = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+_PAIR_INDEX = {pair: n for n, pair in enumerate(WEDGE_PAIRS)}
 
 
 def _pair_coeff(i: int, j: int) -> tuple[int, float]:
@@ -210,15 +210,20 @@ class TwoForms:
         return sign * self.coeff[:, leg, pair]
 
 
+def _z_wedge(c: np.ndarray) -> np.ndarray:
+    """c_i omega^z ^ omega^i for legs p, q on the wedge basis, (nz, 3, 3)."""
+    coeff = np.zeros((c.shape[1], 3, 3))
+    for i in range(2):  # d omega^z = 0 for diagonal z-dependent coframes
+        pair, sign = _pair_coeff(2, i)
+        coeff[:, i, pair] = sign * c[i]
+    return coeff
+
+
 def exterior_derivative(basis: CoframeBasis, z: np.ndarray) -> TwoForms:
     """d omega^i = (a_i'/(a_z a_i)) omega^z ^ omega^i on the wedge basis."""
     z = np.asarray(z, dtype=float)
     c, _ = basis.structure_rates(z)
-    coeff = np.zeros((len(z), 3, 3))
-    for i in range(2):  # d omega^z = 0 for diagonal z-dependent coframes
-        pair, sign = _pair_coeff(2, i)
-        coeff[:, i, pair] = sign * c[i]
-    return TwoForms(z, coeff)
+    return TwoForms(z, _z_wedge(c))
 
 
 def exterior_derivative_2form(basis: CoframeBasis, forms: TwoForms,
@@ -273,42 +278,19 @@ class ConnectionForms:
                         res[:, i, pair] += sign * self.gamma[:, i, j, k]
         return float(np.max(np.abs(res)))
 
-    def closed_form_constants(self) -> dict:
-        """Coefficients matching omega^p_q = -alpha omega^p and
-        omega^z_p = beta omega^p; zero for the metrics handled here."""
-        alpha = -self.gamma[:, 0, 1, 0]
-        beta = self.gamma[:, 2, 0, 0]
-        return {
-            "alpha": alpha,
-            "beta": beta,
-            "omega_q_z_on_q": self.gamma[:, 1, 2, 1],
-        }
-
 
 def _connection_system() -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Constant 9x9 system: unknowns Gamma^i_{jk} for pairs i<j."""
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    pidx = {pr: n for n, pr in enumerate(pairs)}
-
-    def col(i, j, k):
-        if i == j:
-            return None, 0.0
-        if i < j:
-            return 3 * pidx[(i, j)] + k, 1.0
-        return 3 * pidx[(j, i)] + k, -1.0
-
+    """Constant 9x9 system; unknown 3 n + k is Gamma^i_{jk}, (i, j) = WEDGE_PAIRS[n]."""
     M = np.zeros((9, 9))
     rows = []
-    r = 0
     for i in range(3):
-        for (a, b) in WEDGE_PAIRS:
+        for row_pair, (a, b) in enumerate(WEDGE_PAIRS):
             # Gamma^i_{ba} - Gamma^i_{ab} = -D^i_{ab}
             for (j, k), s in (((b, a), 1.0), ((a, b), -1.0)):
-                cidx, sign = col(i, j, k)
-                if cidx is not None:
-                    M[r, cidx] += s * sign
-            rows.append((i, _PAIR_INDEX[(a, b)]))
-            r += 1
+                pair, sign = _pair_coeff(i, j)
+                if sign:
+                    M[len(rows), 3 * pair + k] += s * sign
+            rows.append((i, row_pair))
     return M, rows
 
 
@@ -316,12 +298,13 @@ _M_CONN, _ROWS_CONN = _connection_system()
 _M_CONN_INV = np.linalg.inv(_M_CONN)
 
 
-def _gamma_from_rhs(rhs: np.ndarray) -> np.ndarray:
-    """Solve the structure system for (nz, 9) right-hand sides."""
-    u = rhs @ _M_CONN_INV.T
-    nz = rhs.shape[0]
-    gamma = np.zeros((nz, 3, 3, 3))
-    for n, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+def _gamma_from_rates(c: np.ndarray) -> np.ndarray:
+    """Solve the structure system with d omega^i = c_i omega^z ^ omega^i."""
+    d = _z_wedge(c)
+    u = np.stack([-d[:, i, pair] for (i, pair) in _ROWS_CONN],
+                 axis=1) @ _M_CONN_INV.T
+    gamma = np.zeros((len(u), 3, 3, 3))
+    for n, (i, j) in enumerate(WEDGE_PAIRS):
         for k in range(3):
             gamma[:, i, j, k] = u[:, 3 * n + k]
             gamma[:, j, i, k] = -u[:, 3 * n + k]
@@ -331,18 +314,10 @@ def _gamma_from_rhs(rhs: np.ndarray) -> np.ndarray:
 def solve_connection(basis: CoframeBasis, z: np.ndarray) -> ConnectionForms:
     """Unique antisymmetric solution of d omega^i = -omega^i_j ^ omega^j."""
     z = np.asarray(z, dtype=float)
-    d = exterior_derivative(basis, z)
     c, dc = basis.structure_rates(z)
-    # rhs rows follow _ROWS_CONN ordering: -D^i_{ab}
-    rhs = np.stack([-d.coeff[:, i, pair] for (i, pair) in _ROWS_CONN], axis=1)
-    # derivative of the rhs: D depends linearly on c
-    dcoeff = np.zeros_like(d.coeff)
-    for i in range(2):
-        pair, sign = _pair_coeff(2, i)
-        dcoeff[:, i, pair] = sign * dc[i]
-    drhs = np.stack([-dcoeff[:, i, pair] for (i, pair) in _ROWS_CONN], axis=1)
-    gamma = _gamma_from_rhs(rhs)
-    gamma_dz = _gamma_from_rhs(drhs)
+    gamma = _gamma_from_rates(c)
+    # the system is linear in c, so c' gives the z-derivative
+    gamma_dz = _gamma_from_rates(dc)
     if not np.all(np.isfinite(gamma)):
         raise ValueError("structure-equation solve produced non-finite values")
     return ConnectionForms(z, gamma, gamma_dz, basis)

@@ -101,20 +101,19 @@ class ConformalFactor:
         """w = Omega^{1/2} with its first two z-derivatives.
 
         Closed form: w = sqrt(c) e^{a z/2}, w' = (a/2) w, w'' = (a^2/4) w.
-        The tabulated family differentiates its spline.
+        The tabulated family takes Omega' and Omega'' from its spline:
+        w' = (1/2) w Omega'/Omega, w'' = (1/2) w (Omega''/Omega
+        - (1/2) (Omega'/Omega)^2).
         """
         z = np.asarray(z, dtype=float)
         if self.spline is None:
             w = np.sqrt(self.constant) * np.exp(0.5 * self.exponent * z)
             return w, 0.5 * self.exponent * w, 0.25 * self.exponent ** 2 * w
-        w = np.sqrt(self.value(z))
-        dlog = self.log_derivative(z)
-        dw = 0.5 * w * dlog
-        # numerical second derivative of w via the log-derivative's slope
-        eps = 1e-5 * max(1.0, float(np.max(np.abs(z))) if z.size else 1.0)
-        d2log = (self.log_derivative(z + eps) - self.log_derivative(z - eps)) / (2 * eps)
-        d2w = 0.5 * (d2log + 0.5 * dlog ** 2) * w
-        return w, dw, d2w
+        om = self.spline(z)
+        w = np.sqrt(om)
+        dlog = self.spline.derivative(1)(z) / om
+        return (w, 0.5 * w * dlog,
+                0.5 * w * (self.spline.derivative(2)(z) / om - 0.5 * dlog ** 2))
 
     def foot_point(self, z: np.ndarray, v: float, t: float) -> np.ndarray:
         """Closed-form foot z0 of the characteristic dz/dt = v/Omega(z).

@@ -1,32 +1,33 @@
 """Magnetic induction evolution in the stretched frame and its oracles.
 
-The flow is (0, 0, v) with constant v; with a conformal factor Omega(z) the
-advection acts through the effective speed v_eff = v / Omega. The ideal
-(eta = 0) component system is
+The flow is (0, 0, v) with constant v; with a conformal factor Omega(z) it
+advects at the effective speed v_eff = v / Omega, written w below. With
+c = (1/2) (ln Omega)'/Omega and Lap = e^{2 lam z} dpp + e^{-2 lam z} dqq
++ dzz, the component equations of the stretched frame are
 
-    dt Bp = -v_eff dz Bp - lam v_eff Bp
-    dt Bq = -v_eff dz Bq + lam v_eff Bq
-    dt Bz = -v_eff dz Bz + v (ln Omega)' / Omega * Bz
+    dt Bp = -w dz Bp - lam w Bp
+            + eta [(Lap - lam^2) Bp - 2 lam e^{lam z} dp Bz - c (dz + lam) Bp]
+    dt Bq = -w dz Bq + lam w Bq
+            + eta [(Lap - lam^2) Bq - 2 lam e^{-lam z} dq Bz - c (dz - lam) Bq]
+    dt Bz = -w dz Bz + v (ln Omega)'/Omega Bz
+            + eta [(Lap - 2 lam dz) Bz - c dz Bz]
 
-so Bq grows at +lam v_eff, Bp decays at -lam v_eff, and Bz picks up the
-conformal stretching factor Omega(z)/Omega(z0) along characteristics.
-Resistive terms follow the component equations of the stretched frame:
-eta[(Lap - lam^2) B_{p,q} - 2 lam e^{+-lam z} d_{p,q} Bz] for the p, q slots
-and eta[Lap - 2 lam dz] Bz, plus first-order z-corrections proportional to
-(ln Omega)'.
+so Bq grows at +lam w, Bp decays at -lam w, and Bz picks up the conformal
+stretching factor Omega(z)/Omega(z0) along characteristics.
 
-The right-hand side is evaluated in fused form: every term that couples
-z points only (advection, growth, stretching and, with eta > 0, dzz, the
-(ln Omega)' corrections, -2 lam dz and -lam^2) is folded into one
-n_z-by-n_z matrix per component and applied in one batched matmul. Only
-e^{+-2 lam z} dpp/dqq and the d_{p,q} Bz cross terms remain separate.
+Only the terms that an accepted run reaches are evaluated. The resistive
+p, q terms carry e^{+-lam z}, which is not z-periodic, and closed z has no
+boundary condition for eta dzz, so `DynamoScenario` accepts eta > 0 only
+on periodic z with an initial field constant along p and q. On such a
+field dpp, dqq and the dp, dq Bz cross terms vanish, and the operator keeps
+the field constant along p and q; periodic z needs a z-uniform Omega, so
+c = 0. What remains couples z points only:
 
-Those p, q resistive terms carry e^{+-lam z}, which is not z-periodic, and
-closed z has no boundary condition for them, so `DynamoScenario` rejects
-eta > 0 unless the initial field is constant along p and q. The p, q
-terms vanish on such fields, and L keeps a field constant along p and q;
-with eta = 0 the terms are absent. So every accepted L couples z points
-only.
+    dt Bp = eta dzz Bp - w dz Bp - (lam w + eta lam^2) Bp
+    dt Bq = eta dzz Bq - w dz Bq + (lam w - eta lam^2) Bq
+    dt Bz = eta dzz Bz - (w + 2 eta lam) dz Bz + v (ln Omega)'/Omega Bz
+
+It is one n_z-by-n_z matrix per component, applied in one batched matmul.
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
@@ -45,7 +46,6 @@ from typing import Callable
 
 import numpy as np
 
-from .differentiation import spectral_derivative
 from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
                              FrameOperators, Grid3D)
 
@@ -125,10 +125,6 @@ class InitialField:
         return cls(bq=lambda p, q, z: g(z) * np.ones(np.broadcast(p, q, z).shape))
 
     @classmethod
-    def p_slot(cls, g: Callable) -> "InitialField":
-        return cls(bp=lambda p, q, z: g(z) * np.ones(np.broadcast(p, q, z).shape))
-
-    @classmethod
     def z_slot(cls, g: Callable) -> "InitialField":
         return cls(bz=lambda p, q, z: g(z) * np.ones(np.broadcast(p, q, z).shape))
 
@@ -151,19 +147,19 @@ class InitialField:
         )
 
     @classmethod
-    def random_fourier(cls, seed: int, n_modes: int = 3, slot: str = "q") -> "InitialField":
-        """Smooth random 1-periodic z-profile in one frame slot."""
+    def random_fourier(cls, seed: int) -> "InitialField":
+        """Smooth random 1-periodic z-profile of three modes in the q slot."""
         rng = np.random.default_rng(seed)
-        amps = rng.normal(size=n_modes) / np.arange(1, n_modes + 1)
-        phases = rng.uniform(0, 2 * np.pi, size=n_modes)
+        amps = rng.normal(size=3) / np.arange(1, 4)
+        phases = rng.uniform(0, 2 * np.pi, size=3)
 
         def g(z):
             out = np.zeros_like(np.asarray(z, dtype=float))
-            for k in range(n_modes):
+            for k in range(3):
                 out += amps[k] * np.sin(2 * np.pi * (k + 1) * z + phases[k])
             return out + 2.0  # offset keeps the norm away from zero
 
-        return {"p": cls.p_slot, "q": cls.q_slot, "z": cls.z_slot}[slot](g)
+        return cls.q_slot(g)
 
     def on_grid(self, grid: Grid3D) -> FrameField:
         return FrameField.from_callables(grid, self.bp, self.bq, self.bz)
@@ -202,15 +198,29 @@ def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
     return cfl * grid.dz / vmax
 
 
+def _require_constant_along_pq(data: np.ndarray) -> None:
+    """Raise unless every component of the field is constant along p and q.
+
+    Shared by `DynamoScenario` and `induction_rhs` for resistivity > 0.
+    """
+    if not np.array_equal(data, np.broadcast_to(data[:, :1, :1], data.shape),
+                          equal_nan=True):
+        raise ValueError(
+            "resistivity > 0 requires a field constant along p and q: the "
+            "resistive p, q terms carry e^{+-lam z}, which is not "
+            "z-periodic, and closed z has no boundary condition for them")
+
+
 @dataclass(frozen=True)
 class DynamoScenario:
     """Everything needed to run one induction evolution.
 
     Accepted: resistivity >= 0; t_end, dt > 0; grid and metric on one z
     range; dt within the advective bound 0.5 dz / max|v_eff|; periodic z
-    only with a z-uniform factor; resistivity > 0 only with an initial
-    field exactly constant along p and q on the grid, on periodic and on
-    closed z (see the module docstring). Anything else raises ValueError.
+    only with a z-uniform factor. Resistivity > 0 is accepted only with an
+    initial field exactly constant along p and q on the grid, and then
+    only on periodic z, since closed z has no boundary condition for
+    eta dzz (see the module docstring). Anything else raises ValueError.
     """
 
     metric: FrameMetric
@@ -241,15 +251,11 @@ class DynamoScenario:
         if self.grid.z_periodic and not self.metric.omega.z_uniform:
             raise ValueError("periodic z requires a z-uniform conformal factor")
         if self.resistivity > 0:
-            data = self.initial_field.on_grid(self.grid).data
-            if not np.array_equal(data, np.broadcast_to(data[:, :1, :1],
-                                                        data.shape),
-                                  equal_nan=True):
+            _require_constant_along_pq(self.initial_field.on_grid(self.grid).data)
+            if not self.grid.z_periodic:
                 raise ValueError(
-                    "resistivity > 0 requires an initial field constant "
-                    "along p and q: the resistive p, q terms carry "
-                    "e^{+-lam z}, which is not z-periodic, and closed z has "
-                    "no boundary condition for them")
+                    "resistivity > 0 requires periodic z: closed z has no "
+                    "boundary condition for the diffusion term eta dzz")
 
     @property
     def n_steps(self) -> int:
@@ -271,51 +277,35 @@ class _RHS:
     def __init__(self, scenario: DynamoScenario):
         m, g = scenario.metric, scenario.grid
         self.op = FrameOperators(m, g)
-        z = g.z
         lam, v, eta = m.lam, scenario.flow_speed, scenario.resistivity
-        om = m.omega.value(z)
-        dlog = m.omega.log_derivative(z)
+        om = m.omega.value(g.z)
         w = v / om                            # effective advection speed
-        corr = 0.5 * dlog / om                # (1/2) Omega^{-2} Omega'
-        rate = np.stack([-lam * w - eta * (lam ** 2 + lam * corr),
-                         lam * w - eta * (lam ** 2 - lam * corr),
-                         v * dlog / om])
+        rate = np.stack([-lam * w - eta * lam ** 2,
+                         lam * w - eta * lam ** 2,
+                         v * m.omega.log_derivative(g.z) / om])
         d1, d2 = self.op.d1, self.op.d2
-        base = eta * d2 - (w + eta * corr)[:, None] * d1
+        base = eta * d2 - w[:, None] * d1
         mats = np.stack([base, base, base - 2.0 * eta * lam * d1])
         mats[:, np.arange(g.n_z), np.arange(g.n_z)] += rate
         self.zmat_t = np.ascontiguousarray(mats.transpose(0, 2, 1))
-        self.eta = eta
-        self.c_pp = eta * np.exp(2.0 * lam * z)
-        self.c_qq = eta * np.exp(-2.0 * lam * z)
-        self.c_cross_p = 2.0 * eta * lam * np.exp(lam * z)
-        self.c_cross_q = 2.0 * eta * lam * np.exp(-lam * z)
 
-    def __call__(self, data: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
-        if out is None:
-            out = np.empty(data.shape)
+    def __call__(self, data: np.ndarray) -> np.ndarray:
         n_z = data.shape[-1]
-        np.matmul(data.reshape(3, -1, n_z), self.zmat_t,
-                  out=out.reshape(3, -1, n_z))
-        if self.eta > 0:
-            for axis, coef in ((1, self.c_pp), (2, self.c_qq)):
-                dd = spectral_derivative(data, axis, 2)
-                dd *= coef
-                out += dd
-            out[0] -= self.c_cross_p * self.op.dp(data[2])
-            out[1] -= self.c_cross_q * self.op.dq(data[2])
-        return out
+        return np.matmul(data.reshape(3, -1, n_z),
+                         self.zmat_t).reshape(data.shape)
 
 
-def induction_rhs(scenario: DynamoScenario, B: FrameField,
-                  t: float = 0.0) -> FrameField:
-    """Right-hand side of the induction system at one instant."""
-    del t  # the system is autonomous; kept for rate-function symmetry
-    rhs = _RHS(scenario)
+def induction_rhs(scenario: DynamoScenario, B: FrameField) -> FrameField:
+    """Right-hand side of the induction system at one instant.
+
+    Rejects what `DynamoScenario` rejects: with resistivity > 0, a field
+    that is not constant along p and q.
+    """
     if not np.all(np.isfinite(B.data)):
         raise ValueError("induction_rhs: field contains non-finite values")
-    return FrameField(scenario.grid, rhs(B.data))
+    if scenario.resistivity > 0:
+        _require_constant_along_pq(B.data)
+    return FrameField(scenario.grid, _RHS(scenario)(B.data))
 
 
 # -- evolution ----------------------------------------------------------------

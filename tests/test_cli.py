@@ -156,6 +156,16 @@ def test_config_resistive_field_with_pq_structure_rejected(tmp_path, capsys):
     assert "error:" in err and "constant along p and q" in err
 
 
+def test_config_resistive_closed_z_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nz_periodic = false\neta = 0.01\n"
+                   "n_p = 4\nn_q = 4\nn_z = 64\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "error:" in err and "periodic z" in err
+
+
 @pytest.mark.parametrize("section, text", [
     ("evolve", "omega: expected exponential:<a> with a number a, "
                "got 'exponential:abc'"),

@@ -113,9 +113,9 @@ def test_connection_stretched_half_closed_form():
     conn = solve_connection(stretched_coframe_half(LAM), Z)
     np.testing.assert_allclose(conn.gamma[:, 1, 2, 1],
                                LAM * np.exp(-LAM * Z / 2), rtol=1e-13)
-    consts = conn.closed_form_constants()
-    np.testing.assert_allclose(consts["alpha"], np.zeros_like(Z), atol=1e-14)
-    np.testing.assert_allclose(consts["beta"], np.zeros_like(Z), atol=1e-14)
+    # omega^p_q = -alpha omega^p and omega^z_p = beta omega^p with alpha = beta = 0
+    np.testing.assert_allclose(conn.gamma[:, 0, 1, 0], np.zeros_like(Z), atol=1e-14)
+    np.testing.assert_allclose(conn.gamma[:, 2, 0, 0], np.zeros_like(Z), atol=1e-14)
 
 
 def test_connection_antisymmetry_and_structure_residual():

@@ -74,6 +74,23 @@ def test_tabulated_factor_tracks_samples():
     np.testing.assert_allclose(f.log_derivative(zq), 0.5, atol=1e-6)
 
 
+def test_tabulated_sqrt_profile_matches_closed_form_on_a_cubic():
+    # a not-a-knot cubic spline reproduces a cubic Omega exactly, so w, w'
+    # and w'' have closed forms; w'' is checked between and at the knots
+    om = lambda z: 1 + 0.2 * z + 0.1 * z ** 2 + 0.05 * z ** 3
+    d1 = lambda z: 0.2 + 0.2 * z + 0.15 * z ** 2
+    d2 = lambda z: 0.2 + 0.3 * z
+    f = ConformalFactor.tabulated(np.linspace(-1.0, 2.0, 61),
+                                  om(np.linspace(-1.0, 2.0, 61)))
+    z = np.linspace(-1.0, 2.0, 1001)
+    w, dw, d2w = f.sqrt_profile(z)
+    dlog = d1(z) / om(z)
+    np.testing.assert_allclose(w, np.sqrt(om(z)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dw, 0.5 * w * dlog, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(d2w, 0.5 * w * (d2(z) / om(z) - 0.5 * dlog ** 2),
+                               rtol=0, atol=2e-12)
+
+
 def test_factor_rejects_nonpositive_values():
     with pytest.raises(ValueError):
         ConformalFactor.from_constant(-2.0)
