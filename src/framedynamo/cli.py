@@ -161,15 +161,14 @@ def cmd_evolve(cfg: RunConfig) -> int:
     metric = FrameMetric(lam, omega)
     grid = metric.grid(cfg.get_int("n_p"), cfg.get_int("n_q"),
                        cfg.get_int("n_z"), z_periodic=cfg.get_bool("z_periodic"))
-    v = cfg.get_float("v")
+    v, eta = cfg.get_float("v"), cfg.get_float("eta")
     dt_spec = cfg.get("dt")
-    dt = stable_dt(metric, grid, v, cfg.get_float("cfl")) \
+    dt = stable_dt(metric, grid, v, cfg.get_float("cfl"), resistivity=eta) \
         if dt_spec == "auto" else float(dt_spec)
     scenario = DynamoScenario(
         metric=metric, grid=grid, flow_speed=v,
         initial_field=named_initial_field(cfg.get("init"), lam, cfg.seed),
-        t_end=cfg.get_float("t_end"), dt=dt,
-        resistivity=cfg.get_float("eta"))
+        t_end=cfg.get_float("t_end"), dt=dt, resistivity=eta)
     result = evolve(scenario)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "series.csv").write_text(result.series.to_csv())

@@ -244,15 +244,23 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class FrameField:
-    """Vector field stored as three scalar grids in the orthonormal frame."""
+    """Vector field stored as three scalar grids in the orthonormal frame.
+
+    A p or q axis of length 1 stands for a field constant along it, as in
+    the collapsed state `evolve` advances; the operators and norms of
+    `FrameOperators` treat it as broadcast over the grid.
+    """
 
     grid: Grid3D
-    data: np.ndarray  # shape (3, n_p, n_q, n_z)
+    data: np.ndarray  # shape (3, n_p or 1, n_q or 1, n_z)
 
     def __post_init__(self):
-        if self.data.shape != (3, *self.grid.shape):
-            raise ValueError(f"field shape {self.data.shape} does not match "
-                             f"grid {(3, *self.grid.shape)}")
+        n_p, n_q, n_z = self.grid.shape
+        shape = self.data.shape
+        if not (len(shape) == 4 and shape[0] == 3 and shape[1] in (1, n_p)
+                and shape[2] in (1, n_q) and shape[3] == n_z):
+            raise ValueError(f"field shape {shape} does not match grid "
+                             f"{(3, *self.grid.shape)} (p, q axes may be 1)")
 
     @classmethod
     def from_components(cls, grid: Grid3D, bp: np.ndarray, bq: np.ndarray,
@@ -312,9 +320,9 @@ class FrameOperators:
         dPz = (dh1 * h2 + h1 * dh2 - h1 * h2 * dh3 / h3) / h3
         self.c_lap_dz = dPz / G
         self.c_lap_dzz = Pz / G
-        # z measure of the norms: sqrt(det g) dz per p,q point, restricted
-        # to the interior third on closed grids
-        measure = G * grid.z_weights() / (grid.n_p * grid.n_q)
+        # z measure of the norms: sqrt(det g) dz, restricted to the interior
+        # third on closed grids; the norms take the p,q mean against it
+        measure = G * grid.z_weights()
         if not grid.z_periodic:
             mask = np.zeros(grid.n_z)
             mask[grid.interior_z_slice()] = 1.0
@@ -386,16 +394,29 @@ class FrameOperators:
 
     # -- norms --------------------------------------------------------------
 
+    def _pq_points(self, a: np.ndarray) -> int:
+        """Number of p,q points of a (..., n_p or 1, n_q or 1, n_z) array."""
+        n_p, n_q, n_z = a.shape[-3:]
+        if n_p not in (1, self.grid.n_p) or n_q not in (1, self.grid.n_q) \
+                or n_z != self.grid.n_z:
+            raise ValueError(f"array shape {a.shape} does not end in grid "
+                             f"{self.grid.shape} (p, q axes may be 1)")
+        return n_p * n_q
+
     def l2_norm(self, a: np.ndarray) -> float:
         """Volume-weighted L2 norm of a scalar or stacked-component array.
 
-        Closed-interval grids integrate over the interior third only (the
-        measurement region); periodic grids integrate over the full domain.
+        The squared field is averaged over p and q and integrated against
+        sqrt(det g) dz, so a p or q axis of length 1 (a field constant
+        along it) gives the same figure as the full grid. Closed-interval
+        grids integrate over the interior third only (the measurement
+        region); periodic grids integrate over the full domain.
         """
         rows = a.reshape(-1, a.shape[-1])
-        return float(np.sqrt(np.einsum("iz,iz->z", rows, rows) @ self.measure))
+        return float(np.sqrt(np.einsum("iz,iz->z", rows, rows) @ self.measure
+                             / self._pq_points(a)))
 
     def component_norms(self, B: FrameField) -> np.ndarray:
+        """Per-component L2 norms, each the p,q mean as in `l2_norm`."""
         per_z = np.einsum("cpqz,cpqz->cz", B.data, B.data)
-        return np.sqrt(per_z @ self.measure)
-
+        return np.sqrt(per_z @ self.measure / self._pq_points(B.data))

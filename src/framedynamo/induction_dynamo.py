@@ -35,6 +35,18 @@ and s steps are B <- P(h L)^s B. Since L couples z points only, the whole
 interval between two samples is one precomputed n_z-by-n_z propagator per
 component; the fields inside an interval are never formed.
 
+Because L couples z points only, it also keeps a field that is constant
+along p or q exactly constant along it. `evolve` therefore holds its
+state at the smallest shape that broadcasts exactly to the initial field,
+(3, n_p', n_q', n_z) with n_p' in {1, n_p} and n_q' in {1, n_q}: the
+Arnold q-slot run advances 1 x 1 x n_z profiles, a field with p,q
+structure the full grid, by the same code. Sampling runs on that state.
+
+Resistive runs also carry a diffusive step bound. An accepted resistive
+L is z-only on periodic z; its fastest decay, of the z Nyquist mode, is
+eta (16/(3 dz^2) + lam^2), and RK4 is stable on the negative real axis
+down to -RK4_REAL_AXIS_LIMIT.
+
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
 """
@@ -65,6 +77,8 @@ __all__ = [
     "GrowthFit",
     "growth_fit",
     "stable_dt",
+    "ADVECTIVE_LIMIT",
+    "RK4_REAL_AXIS_LIMIT",
 ]
 
 
@@ -188,14 +202,56 @@ def named_initial_field(name: str, lam: float = 0.0, seed: int = 0) -> InitialFi
     raise ValueError(f"init: unknown initial field {name!r}")
 
 
+# the largest advective number dt max|v_eff| / dz a scenario accepts
+ADVECTIVE_LIMIT = 0.5
+# RK4 is stable for real decay rates |mu| dt up to this
+RK4_REAL_AXIS_LIMIT = 2.785
+
+
+def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
+                resistivity: float) -> tuple[float, float]:
+    """max |v_eff| and the fastest diffusive decay eta (16/(3 dz^2) + lam^2).
+
+    A step dt has the advective number dt max|v_eff| / dz and the diffusive
+    number dt times the decay: the 4th-order central dzz stencil takes
+    16/(3 dz^2) at the z Nyquist mode, and the -eta lam^2 shift adds to it.
+    The decay is that of an accepted resistive operator, which is z-only on
+    periodic z (see the module docstring).
+    """
+    vmax = float(np.max(np.abs(flow_speed / metric.omega.value(grid.z))))
+    decay = resistivity * (16.0 / (3.0 * grid.dz ** 2) + metric.lam ** 2)
+    return vmax, decay
+
+
 def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
-              cfl: float = 0.4) -> float:
-    """Advective time step dt = cfl * dz / max |v_eff|."""
-    veff = np.abs(flow_speed / metric.omega.value(grid.z))
-    vmax = float(np.max(veff))
-    if vmax == 0.0:
-        return cfl * grid.dz
-    return cfl * grid.dz / vmax
+              cfl: float = 0.4, resistivity: float = 0.0) -> float:
+    """The smaller of the advective and the diffusive time step.
+
+    The advective step is cfl * dz / max |v_eff| (cfl * dz with no flow).
+    With resistivity > 0 the diffusive step puts the diffusive number at
+    the same fraction cfl / ADVECTIVE_LIMIT of RK4_REAL_AXIS_LIMIT that the
+    advective number takes of ADVECTIVE_LIMIT, so cfl = 0.4 keeps both at
+    80% of what `DynamoScenario` accepts.
+    """
+    vmax, decay = _step_rates(metric, grid, flow_speed, resistivity)
+    dt = cfl * grid.dz / vmax if vmax > 0.0 else cfl * grid.dz
+    if decay > 0.0:
+        dt = min(dt, cfl / ADVECTIVE_LIMIT * RK4_REAL_AXIS_LIMIT / decay)
+    return dt
+
+
+def _collapse_pq(data: np.ndarray) -> np.ndarray:
+    """The field at the smallest shape that broadcasts exactly to it.
+
+    A (3, n_p, n_q, n_z) field comes back as a view (3, n_p', n_q', n_z),
+    with the p or q axis cut to length 1 where every component is exactly
+    constant along it; there is no tolerance, and a NaN equals nothing.
+    """
+    if (data == data[:, :1]).all():
+        data = data[:, :1]
+    if (data == data[:, :, :1]).all():
+        data = data[:, :, :1]
+    return data
 
 
 def _require_constant_along_pq(data: np.ndarray) -> None:
@@ -203,8 +259,7 @@ def _require_constant_along_pq(data: np.ndarray) -> None:
 
     Shared by `DynamoScenario` and `induction_rhs` for resistivity > 0.
     """
-    if not np.array_equal(data, np.broadcast_to(data[:, :1, :1], data.shape),
-                          equal_nan=True):
+    if _collapse_pq(data).shape[1:3] != (1, 1):
         raise ValueError(
             "resistivity > 0 requires a field constant along p and q: the "
             "resistive p, q terms carry e^{+-lam z}, which is not "
@@ -220,7 +275,9 @@ class DynamoScenario:
     only with a z-uniform factor. Resistivity > 0 is accepted only with an
     initial field exactly constant along p and q on the grid, and then
     only on periodic z, since closed z has no boundary condition for
-    eta dzz (see the module docstring). Anything else raises ValueError.
+    eta dzz (see the module docstring), and only with dt within the
+    diffusive bound eta dt (16/(3 dz^2) + lam^2) <= RK4_REAL_AXIS_LIMIT.
+    Anything else raises ValueError.
     """
 
     metric: FrameMetric
@@ -243,11 +300,12 @@ class DynamoScenario:
             raise ValueError("t_end and dt must be positive")
         if self.grid.z_min != self.metric.z_min or self.grid.z_max != self.metric.z_max:
             raise ValueError("grid and metric z ranges disagree")
-        vmax = float(np.max(np.abs(self.flow_speed / self.metric.omega.value(self.grid.z))))
-        if vmax > 0 and self.dt > 0.5 * self.grid.dz / vmax + 1e-15:
+        vmax, decay = _step_rates(self.metric, self.grid, self.flow_speed,
+                                  self.resistivity)
+        if vmax > 0 and self.dt > ADVECTIVE_LIMIT * self.grid.dz / vmax + 1e-15:
             raise ValueError(
                 f"dt={self.dt:g} violates the advective bound "
-                f"0.5*dz/|v_eff|max={0.5 * self.grid.dz / vmax:g}")
+                f"0.5*dz/|v_eff|max={ADVECTIVE_LIMIT * self.grid.dz / vmax:g}")
         if self.grid.z_periodic and not self.metric.omega.z_uniform:
             raise ValueError("periodic z requires a z-uniform conformal factor")
         if self.resistivity > 0:
@@ -256,6 +314,12 @@ class DynamoScenario:
                 raise ValueError(
                     "resistivity > 0 requires periodic z: closed z has no "
                     "boundary condition for the diffusion term eta dzz")
+            if decay * self.dt > RK4_REAL_AXIS_LIMIT * (1.0 + 1e-12):
+                raise ValueError(
+                    f"dt={self.dt:g} violates the diffusive bound "
+                    f"eta*dt*(16/(3 dz^2) + lam^2) <= {RK4_REAL_AXIS_LIMIT} "
+                    f"(RK4's real-axis limit), dt <= "
+                    f"{RK4_REAL_AXIS_LIMIT / decay:g}")
 
     @property
     def n_steps(self) -> int:
@@ -315,10 +379,10 @@ def induction_rhs(scenario: DynamoScenario, B: FrameField) -> FrameField:
 class EvolutionSeries:
     """Sampled norms along an evolution.
 
-    l2 norms are volume-weighted (sqrt(det g) measure); div_rel is
-    ||div B||_2 / ||B||_2 over the measurement region. On closed-interval
-    grids the measurement region is the interior third of z; on periodic
-    grids it is the full domain.
+    l2 norms are volume-weighted (the p,q mean against sqrt(det g) dz, see
+    `FrameOperators.l2_norm`); div_rel is ||div B||_2 / ||B||_2 over the
+    measurement region. On closed-interval grids the measurement region is
+    the interior third of z; on periodic grids it is the full domain.
     """
 
     t: np.ndarray
@@ -347,6 +411,8 @@ class EvolutionResult:
     steps: int           # RK4 steps taken
     dt: float            # step size, t_end / n_steps
     stop_reason: str     # "completed" or "overflow guard"
+    cfl_advective: float  # dt max|v_eff| / dz, accepted up to ADVECTIVE_LIMIT
+    cfl_diffusive: float  # eta dt (16/(3 dz^2) + lam^2), up to RK4_REAL_AXIS_LIMIT
 
 
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
@@ -360,21 +426,29 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     fields between two samples are never formed, so a non-finite field is
     reported at the end of its sample interval, for eta > 0 as for eta = 0.
 
+    The state is the initial field at the smallest shape that broadcasts
+    exactly to it: a p or q axis along which the field is exactly constant
+    has length 1, and since L keeps that constancy exactly, it stays so.
+    The matmuls, the finite checks, the overflow guard, the norms, div_rel
+    and the probes all run on that state; the returned field is broadcast
+    to the full grid once, as a fresh array.
+
     The run samples at t = 0, at every `stride` steps and at t_end, and
     stops early with stop_reason "overflow guard" once a sampled norm
     exceeds `overflow_factor` times the initial one.
     """
     rhs = _RHS(scenario)
     grid = scenario.grid
-    b = scenario.initial_field.on_grid(grid).data.copy()
+    b = scenario.initial_field.on_grid(grid).data
     if not np.all(np.isfinite(b)):
         raise ValueError("initial field contains non-finite values")
+    b = _collapse_pq(b).copy()
+    pq_points = b.shape[1] * b.shape[2]
     nsteps = scenario.n_steps
     dt = scenario.t_end / nsteps
     stride = scenario.stride
     op = rhs.op
-    measure = op.measure
-    probe_w = {name: np.asarray(fn(grid.z), dtype=float) * measure
+    probe_w = {name: np.asarray(fn(grid.z), dtype=float) * op.measure
                for name, fn in scenario.probe_weights.items()}
 
     times, l2s, totals, divs = [], [], [], []
@@ -391,7 +465,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         divs.append(divnorm / total if total > 0 else 0.0)
         for name, w in probe_w.items():
             probes[name].append(float(np.sqrt(
-                np.einsum("pqz,pqz,z->", data[1], data[1], w))))
+                np.einsum("pqz,pqz,z->", data[1], data[1], w) / pq_points)))
         return total
 
     initial_total = record(0.0, b)
@@ -432,7 +506,12 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         total_l2=np.array(totals), div_rel=np.array(divs),
         probes={k: np.array(v) for k, v in probes.items()},
         truncated=stop_reason != "completed")
-    return EvolutionResult(FrameField(grid, b), series, step, dt, stop_reason)
+    field = FrameField(grid, np.broadcast_to(b, (3, *grid.shape)).copy())
+    vmax, decay = _step_rates(scenario.metric, grid, scenario.flow_speed,
+                              scenario.resistivity)
+    return EvolutionResult(field, series, step, dt, stop_reason,
+                           cfl_advective=dt * vmax / grid.dz,
+                           cfl_diffusive=dt * decay)
 
 
 # -- method of characteristics -------------------------------------------------

@@ -74,10 +74,10 @@ def test_evolve_seed_changes_random_field(tmp_path, capsys):
 
 
 def test_evolve_overflow_guard_reported_as_truncation(tmp_path, capsys):
-    # the explicit step is unstable for this resistivity, so the norm hits
-    # the overflow guard after a few samples, too few for a growth fit
+    # Bq grows as e^{300 t}, so the norm hits the overflow guard after a few
+    # samples, too few for a growth fit
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[evolve]\neta = 0.05\nn_p = 8\nn_q = 8\n")
+    cfg.write_text("[evolve]\nlam = 300\nn_p = 4\nn_q = 4\n")
     code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
                              "--out", str(tmp_path / "o"))
     assert code == 2, err
@@ -85,6 +85,16 @@ def test_evolve_overflow_guard_reported_as_truncation(tmp_path, capsys):
     rows = (tmp_path / "o" / "series.csv").read_text().strip().split("\n")
     assert 2 <= len(rows) - 1 < 20
     assert not (tmp_path / "o" / "growth.txt").exists()
+
+
+def test_evolve_auto_dt_includes_diffusive_bound(tmp_path, capsys):
+    # the advective step alone is unstable for this resistivity
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\neta = 0.05\nn_p = 8\nn_q = 8\nn_z = 64\n")
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    assert (tmp_path / "o" / "growth.txt").exists()
 
 
 def test_evolve_theory_rate_includes_resistive_decay(tmp_path, capsys):

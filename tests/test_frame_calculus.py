@@ -414,3 +414,32 @@ def test_field_shape_validation():
     grid = Grid3D(4, 4, 33)
     with pytest.raises(ValueError):
         FrameField(grid, np.zeros((3, 4, 4, 32)))
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+@pytest.mark.parametrize("keep", [(1, 1), (1, None), (None, 1), (None, None)],
+                         ids=["p-and-q", "p", "q", "neither"])
+def test_collapsed_pq_axes_give_the_full_grid_figures(keep, periodic):
+    # a field constant along p and/or q, stored with that axis at length 1,
+    # has the norms and the div of its full-grid broadcast
+    metric, grid, op = make_ops(n_p=6, n_q=4, n_z=33, periodic=periodic)
+    full = smooth_field(grid).data[:, :keep[0], :keep[1]]
+    full = np.ascontiguousarray(np.broadcast_to(full, (3, *grid.shape)))
+    short = full[:, :keep[0], :keep[1]]
+    B, b = FrameField(grid, full), FrameField(grid, short)
+    np.testing.assert_allclose(op.component_norms(b),
+                               op.component_norms(B), rtol=1e-13)
+    assert op.l2_norm(short) == pytest.approx(op.l2_norm(full), rel=1e-13)
+    div_full, div_short = op.div(B), op.div(b)
+    assert div_short.shape == short.shape[1:]
+    np.testing.assert_allclose(np.broadcast_to(div_short, grid.shape),
+                               div_full, rtol=0,
+                               atol=1e-12 * np.max(np.abs(div_full)))
+
+
+def test_norms_reject_pq_axes_of_another_length():
+    _, grid, op = make_ops(n_p=6, n_q=4, n_z=33)
+    with pytest.raises(ValueError, match="grid"):
+        op.l2_norm(np.ones((3, 6, 2, 33)))
+    with pytest.raises(ValueError, match="grid"):
+        FrameField(grid, np.ones((3, 3, 4, 33)))

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from framedynamo.differentiation import spectral_derivative
 from framedynamo.frame_calculus import (ConformalFactor, FrameField,
                                         FrameMetric, FrameOperators)
-from framedynamo.induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
+from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
+                                          RK4_REAL_AXIS_LIMIT, DynamoScenario,
                                           InitialField, NumericalError,
-                                          cat_map_eigen,
+                                          _collapse_pq, cat_map_eigen,
                                           characteristics_oracle, evolve,
                                           growth_fit, induction_rhs,
                                           named_initial_field, stable_dt)
@@ -97,6 +98,71 @@ def test_scenario_rejects_resistive_closed_z():
     with pytest.raises(ValueError, match="requires periodic z.*"
                        "no boundary condition"):
         scenario(eta=1e-3, periodic=False, init=z_field())
+
+
+def test_stable_dt_takes_the_smaller_of_advective_and_diffusive_step():
+    metric = FrameMetric(CAT_STRETCH_RATE)
+    grid = metric.grid(8, 8, 64, z_periodic=True)
+    advective = 0.4 * grid.dz
+    assert stable_dt(metric, grid, 1.0, cfl=0.4) == advective
+    assert stable_dt(metric, grid, 1.0, 0.4, resistivity=0.0) == advective
+    decay = 0.05 * (16.0 / (3.0 * grid.dz ** 2) + CAT_STRETCH_RATE ** 2)
+    # the same fraction 0.4 / 0.5 of the RK4 real-axis limit
+    assert stable_dt(metric, grid, 1.0, cfl=0.4, resistivity=0.05) == \
+        pytest.approx(0.8 * RK4_REAL_AXIS_LIMIT / decay, rel=1e-15)
+    assert stable_dt(metric, grid, 1.0, resistivity=1e-6) == advective
+    # no flow: the diffusive step, not cfl * dz
+    assert stable_dt(metric, grid, 0.0, resistivity=0.05) < advective
+
+
+def test_scenario_rejects_dt_above_the_diffusive_bound():
+    # the advective step alone would run into the overflow guard
+    with pytest.raises(ValueError, match="diffusive bound.*2.785"):
+        scenario(eta=0.05, n_z=64, n_pq=8, t_end=0.5)
+    metric = FrameMetric(CAT_STRETCH_RATE)
+    grid = metric.grid(8, 8, 64, z_periodic=True)
+    limit = RK4_REAL_AXIS_LIMIT / (0.05 * (16.0 / (3.0 * grid.dz ** 2)
+                                          + CAT_STRETCH_RATE ** 2))
+    make = lambda dt: DynamoScenario(
+        metric=metric, grid=grid, flow_speed=1.0, initial_field=q_sine(),
+        t_end=0.5, dt=dt, resistivity=0.05)
+    assert make(limit).dt == limit
+    with pytest.raises(ValueError, match="diffusive bound"):
+        make(1.001 * limit)
+
+
+def test_resistive_q_sine_with_auto_dt_completes_and_matches_closed_form():
+    metric = FrameMetric(CAT_STRETCH_RATE)
+    grid = metric.grid(8, 8, 64, z_periodic=True)
+    eta, t_end = 0.05, 0.5
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                        initial_field=q_sine(), t_end=t_end,
+                        dt=stable_dt(metric, grid, 1.0, resistivity=eta),
+                        resistivity=eta)
+    res = evolve(sc)
+    assert res.stop_reason == "completed" and res.steps == sc.n_steps
+    lam, z = CAT_STRETCH_RATE, grid.z
+    bq = np.exp((lam - eta * lam ** 2) * t_end) * (
+        2.0 + np.exp(-4 * np.pi ** 2 * eta * t_end)
+        * np.sin(2 * np.pi * (z - t_end)))
+    np.testing.assert_allclose(res.field.bq, np.broadcast_to(bq, grid.shape),
+                               rtol=1e-5)
+
+
+def test_evolution_reports_its_cfl_numbers():
+    ideal = scenario(t_end=0.3, n_z=64)
+    res = evolve(ideal)
+    assert res.cfl_advective == pytest.approx(res.dt / ideal.grid.dz, rel=1e-14)
+    assert res.cfl_advective <= 0.4 * (1 + 1e-14)
+    assert res.cfl_diffusive == 0.0
+    resistive = scenario(eta=2e-3, t_end=0.3, n_z=64, v=0.5)
+    res = evolve(resistive)
+    assert res.cfl_advective == pytest.approx(0.5 * res.dt / resistive.grid.dz,
+                                              rel=1e-14)
+    dz, lam = resistive.grid.dz, resistive.metric.lam
+    assert res.cfl_diffusive == pytest.approx(
+        res.dt * 2e-3 * (16.0 / (3.0 * dz ** 2) + lam ** 2), rel=1e-14)
+    assert 0 < res.cfl_diffusive <= RK4_REAL_AXIS_LIMIT
 
 
 def test_periodic_exponential_factor_with_zero_rate_is_identity():
@@ -403,11 +469,7 @@ def one_step_scenarios(draw, resistive=False):
     metric = FrameMetric(lam, omega)
     grid = metric.grid(n_pq, n_pq, draw(st.integers(8, 48)),
                        z_periodic=periodic)
-    dt = stable_dt(metric, grid, v)
-    if eta > 0:
-        # stable_dt bounds advection only: a tiny |v| gives a step so long
-        # that its diffusion overflows double
-        dt = min(dt, grid.dz)
+    dt = stable_dt(metric, grid, v, resistivity=eta)
     return DynamoScenario(metric=metric, grid=grid, flow_speed=v,
                           initial_field=init, t_end=dt, dt=dt,
                           resistivity=eta)
@@ -432,6 +494,91 @@ def test_resistive_step_matrix_is_one_textbook_rk4_step(sc):
     assert_one_textbook_rk4_step(sc)
 
 
+def pq_field(const_p, const_q, bump=False):
+    """A field with z structure in every slot, and p or q structure unless
+    it is constant along that axis; `bump` raises one cell of a field
+    constant along p and q by one ulp."""
+    tau = 2 * np.pi
+    along_p = (lambda p: 0.0 * p) if const_p else (lambda p: 0.3 * np.sin(tau * p))
+    along_q = (lambda q: 0.0 * q) if const_q else (lambda q: 0.4 * np.cos(tau * q))
+
+    def slot(k):
+        def f(p, q, z):
+            out = ((1.5 + k + np.sin(tau * z + k)) * (1.0 + along_p(p))
+                   * (1.0 + along_q(q)))
+            if bump and k == 1:
+                out[1, 0, 3] = np.nextafter(out[1, 0, 3], np.inf)
+            return out
+        return f
+
+    return InitialField(bp=slot(0), bq=slot(1), bz=slot(2))
+
+
+@st.composite
+def pq_scenarios(draw):
+    """Short multi-interval runs on fields constant along p, q, both,
+    neither, or both but for one ulp; resistive only where the field is
+    constant along p and q, on periodic z."""
+    kind = draw(st.sampled_from(["p", "q", "both", "neither", "ulp"]))
+    const_p = kind in ("p", "both", "ulp")
+    const_q = kind in ("q", "both", "ulp")
+    periodic = draw(st.booleans())
+    omega = ConformalFactor.identity() if periodic else draw(st.sampled_from(
+        [ConformalFactor.identity(), ConformalFactor.exponential(0.7)]))
+    eta = draw(st.floats(0.0, 0.05)) if kind == "both" and periodic else 0.0
+    metric = FrameMetric(draw(st.floats(-1.5, 1.5)), omega)
+    grid = metric.grid(draw(st.integers(2, 4)), draw(st.integers(2, 4)),
+                       draw(st.integers(8, 24)), z_periodic=periodic)
+    v = draw(st.floats(-2.0, 2.0))
+    dt = stable_dt(metric, grid, v, resistivity=eta)
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=v,
+                        initial_field=pq_field(const_p, const_q, kind == "ulp"),
+                        t_end=draw(st.integers(1, 5)) * dt, dt=dt,
+                        resistivity=eta,
+                        sample_stride=draw(st.integers(1, 3)))
+    expect = (3, 1 if const_p and kind != "ulp" else grid.n_p,
+              1 if const_q and kind != "ulp" else grid.n_q, grid.n_z)
+    return sc, expect
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pq_scenarios())
+def test_collapsed_state_matches_full_grid_rk4(case):
+    sc, collapsed_shape = case
+    init = sc.initial_field.on_grid(sc.grid).data
+    assert _collapse_pq(init).shape == collapsed_shape
+    fields = textbook_rk4_fields(sc)
+    res = evolve(sc)
+    b = fields[-1]
+    assert res.field.data.shape == b.shape and res.field.data.flags.c_contiguous
+    tol = 1e-13 * np.max(np.abs(b))
+    # closed z: the one-sided rows at z_min round differently, as in
+    # test_ideal_sample_intervals_match_step_by_step_rk4
+    inflow = 0 if sc.grid.z_periodic else 2
+    np.testing.assert_allclose(res.field.data[..., inflow:], b[..., inflow:],
+                               rtol=0, atol=tol)
+    np.testing.assert_allclose(res.field.data, b, rtol=0, atol=3 * tol)
+    op = FrameOperators(sc.metric, sc.grid)
+    steps = np.rint(res.series.t / res.dt).astype(int)
+    for i, step in enumerate(steps):
+        comp = op.component_norms(FrameField(sc.grid, fields[step]))
+        np.testing.assert_allclose(res.series.l2[i], comp, rtol=1e-12)
+        np.testing.assert_allclose(res.series.total_l2[i],
+                                   np.sqrt(np.sum(comp ** 2)), rtol=1e-12)
+
+
+def test_q_sine_arnold_run_has_exactly_zero_div_rel():
+    # the state is 1 x 1 x n_z, so its p and q derivatives are exactly 0,
+    # and so are Bp and Bz
+    sc = scenario(n_pq=32, n_z=128, t_end=2.0)
+    first, second = evolve(sc), evolve(sc)
+    assert len(first.series.div_rel) > 200
+    assert np.all(first.series.div_rel == 0.0)
+    assert first.field.data.shape == (3, 32, 32, 128)
+    assert first.field.data.flags.c_contiguous
+    assert not np.shares_memory(first.field.data, second.field.data)
+
+
 def test_evolve_overflow_guard_truncates():
     sc = scenario(t_end=20.0, n_z=64, overflow_factor=1e3, sample_stride=50)
     res = evolve(sc)
@@ -445,9 +592,9 @@ def test_evolve_overflow_guard_truncates():
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_evolve_nan_raises_numerical_error():
-    # resistive term far outside the explicit stability region blows up;
-    # sparse sampling keeps the overflow guard from halting first
-    sc = scenario(eta=5.0, t_end=1.0, n_z=64, overflow_factor=1e290,
+    # a resistive run growing as e^{(lam v - eta lam^2) t} = e^{840} overflows
+    # double; sparse sampling keeps the overflow guard from halting first
+    sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32, overflow_factor=1e290,
                   sample_stride=10 ** 6,
                   init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
     with pytest.raises(NumericalError):
