@@ -8,11 +8,16 @@ here that beats an rFFT/irFFT pair per call. z is differentiated with
 stencils of the same order at the ends) or on a periodic interval (central
 stencils throughout). Stencil weights come from Fornberg's recursion, so
 the boundary closures keep full order.
+
+Tabulated z-profiles are interpolated by `CubicSpline`, a not-a-knot
+cubic spline that carries its first two derivatives and its exact
+antiderivative.
 """
 from __future__ import annotations
 
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +25,7 @@ __all__ = [
     "fornberg_weights",
     "z_derivative_matrix",
     "spectral_derivative",
+    "CubicSpline",
 ]
 
 
@@ -115,3 +121,91 @@ def spectral_derivative(f: np.ndarray, axis: int, order: int = 1,
     stacked = f.reshape(math.prod(f.shape[:axis]), n,
                         math.prod(f.shape[axis + 1:]))
     return (D @ stacked).reshape(f.shape)
+
+
+class CubicSpline:
+    """Not-a-knot cubic spline through (z_samples, values).
+
+    The knot slopes solve the slope form of the spline equations, with
+    not-a-knot rows at both ends (the third derivative is continuous at
+    the second and the second-to-last knot), by a dense `np.linalg.solve`;
+    the cubic Hermite formulas then give each piece's coefficients. Piece
+    i is sum_k c[k, i] (z - z_i)^k, evaluated in ascending powers with the
+    power built by repeated multiplication; outside the knots the end
+    pieces extrapolate. This reproduces the usual library spline of the
+    same name to round-off (checked in the tests).
+
+    `spline(z, nu)` evaluates the spline (nu = 0), its first or second
+    derivative (nu = 1, 2) or its antiderivative (nu = -1), which is zero
+    at the first knot and continuous. All four piece sets are computed at
+    construction.
+    """
+
+    def __init__(self, z_samples: np.ndarray, values: np.ndarray):
+        x = np.asarray(z_samples, dtype=float)
+        y = np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.size < 4:
+            raise ValueError("z_samples must be a 1-D array of at least 4 "
+                             f"knots, got shape {x.shape}")
+        if y.shape != x.shape:
+            raise ValueError(f"values has shape {y.shape}, z_samples has "
+                             f"shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("z_samples must be finite")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("values must be finite")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise ValueError("z_samples must be strictly increasing")
+        n = x.size
+        slope = np.diff(y) / dx
+        A = np.zeros((n, n))
+        b = np.empty(n)
+        i = np.arange(1, n - 1)
+        A[i, i - 1] = dx[1:]
+        A[i, i] = 2 * (dx[:-1] + dx[1:])
+        A[i, i + 1] = dx[:-1]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        A[0, :2] = dx[1], d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        A[-1, -2:] = d, dx[-2]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = np.linalg.solve(A, b)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx])
+        anti = np.vstack([np.zeros(n - 1), c / np.arange(1.0, 5.0)[:, None]])
+        # each piece's constant is the integral over the pieces before it
+        anti[0, 1:] = np.cumsum(self._evaluate(anti[:, :-1], dx[:-1]))
+        self.x = x
+        self._pieces = {-1: anti, 0: c,
+                        1: c[1:] * np.array([1.0, 2.0, 3.0])[:, None],
+                        2: c[2:] * np.array([2.0, 6.0])[:, None]}
+
+    @staticmethod
+    def _evaluate(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """sum_k coeffs[k] s^k, accumulated in ascending powers."""
+        out = coeffs[0]
+        power = s
+        for ck in coeffs[1:-1]:
+            out = out + ck * power
+            power = power * s
+        return out + coeffs[-1] * power
+
+    def __call__(self, z: np.ndarray, nu: int = 0) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        # the piece of z: i with x_i <= z < x_{i+1}, the end pieces beyond
+        i = np.searchsorted(self.x[1:-1], z, side="right")
+        return self._evaluate(self._pieces[nu].take(i, axis=1),
+                              z - self.x.take(i))
+
+    def derivative(self, nu: int = 1) -> Callable[[np.ndarray], np.ndarray]:
+        """The derivative of order nu = 1 or 2, as a callable of z."""
+        if nu not in (1, 2):
+            raise ValueError(f"derivative order must be 1 or 2, got {nu}")
+        return functools.partial(self, nu=nu)
+
+    def antiderivative(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The antiderivative, zero at the first knot, as a callable of z."""
+        return functools.partial(self, nu=-1)

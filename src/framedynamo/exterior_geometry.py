@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .differentiation import CubicSpline
 from .frame_calculus import ConformalFactor, FrameMetric
 
 __all__ = [
@@ -97,10 +98,18 @@ class CoframeBasis:
     @classmethod
     def from_samples(cls, z_samples: np.ndarray, coeff_samples: Sequence[np.ndarray],
                      label: str = "tabulated") -> "CoframeBasis":
-        from scipy.interpolate import CubicSpline
+        """Coefficients a_p, a_q, a_z interpolated from samples on z_samples.
 
-        splines = [CubicSpline(z_samples, np.asarray(c, dtype=float))
-                   for c in coeff_samples]
+        Each coefficient is a not-a-knot `CubicSpline` through its samples;
+        its first and second derivatives are the spline's own, exact on the
+        cubic pieces and extrapolated through the end pieces. `CubicSpline`
+        rejects fewer than 4 knots, z_samples that are not strictly
+        increasing, non-finite samples and mismatched lengths.
+        """
+        if len(coeff_samples) != 3:
+            raise ValueError("coeff_samples must hold the samples of three "
+                             f"coefficients, got {len(coeff_samples)}")
+        splines = [CubicSpline(z_samples, c) for c in coeff_samples]
         return cls(tuple(splines),
                    tuple(s.derivative(1) for s in splines),
                    tuple(s.derivative(2) for s in splines), label)

@@ -11,24 +11,26 @@ metrics with scale factors
 
 where w = Omega^{1/2}. Omega comes in two families: the closed form
 c e^{a z} (identity, constant and exponential factors), which supplies w,
-w', w'' and its characteristic foot points exactly, and a tabulated cubic
-spline, which is differentiated. All differential operators (grad, div,
-curl, scalar and vector Laplacian) are the general orthogonal-coordinates
-expressions in these scale factors, evaluated with spectral derivatives in
-p, q and 4th-order finite differences in z. Metric factors and their
-z-derivatives enter analytically, so operators applied to constant frame
-fields are exact up to roundoff.
+w', w'' and its characteristic foot points exactly, and a tabulated
+not-a-knot cubic spline (`differentiation.CubicSpline`, plain numpy),
+whose derivatives and antiderivative are those of its cubic pieces. All
+differential operators (grad, div, curl, scalar and vector Laplacian) are
+the general orthogonal-coordinates expressions in these scale factors,
+evaluated with spectral derivatives in p, q and 4th-order finite
+differences in z. Metric factors and their z-derivatives enter
+analytically, so operators applied to constant frame fields are exact up
+to roundoff.
 
 Orientation convention: (e_p, e_q, e_z) is right-handed, e_p x e_q = e_z.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .differentiation import spectral_derivative, z_derivative_matrix
+from .differentiation import (CubicSpline, spectral_derivative,
+                              z_derivative_matrix)
 
 __all__ = [
     "ConformalFactor",
@@ -46,13 +48,14 @@ class ConformalFactor:
     (c, a) = (1, 0), `from_constant(c)` is (c, 0) and `exponential(a)` is
     (1, a); it owns its closed forms for Omega^{1/2} and its derivatives,
     the characteristic foot point and the z-uniform flag (a = 0). The
-    tabulated family interpolates samples with a cubic `spline` and
-    differentiates it.
+    tabulated family interpolates samples with a not-a-knot `CubicSpline`,
+    which carries Omega', Omega'' and the antiderivative that
+    `characteristics_oracle` inverts for the foot point.
     """
 
     constant: float = 1.0
     exponent: float = 0.0
-    spline: Callable | None = None  # tabulated family only
+    spline: CubicSpline | None = None  # tabulated family only
 
     @classmethod
     def identity(cls) -> "ConformalFactor":
@@ -71,12 +74,15 @@ class ConformalFactor:
 
     @classmethod
     def tabulated(cls, z_samples: np.ndarray, values: np.ndarray) -> "ConformalFactor":
-        from scipy.interpolate import CubicSpline
+        """Not-a-knot cubic spline through positive samples of Omega.
 
+        `CubicSpline` rejects fewer than 4 knots, z_samples that are not
+        strictly increasing, non-finite samples and mismatched lengths.
+        """
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
             raise ValueError("tabulated conformal factor must be positive")
-        return cls(spline=CubicSpline(np.asarray(z_samples, dtype=float), values))
+        return cls(spline=CubicSpline(z_samples, values))
 
     @property
     def z_uniform(self) -> bool:
@@ -94,7 +100,7 @@ class ConformalFactor:
         """d/dz ln Omega."""
         z = np.asarray(z, dtype=float)
         if self.spline is not None:
-            return self.spline.derivative()(z) / self.spline(z)
+            return self.spline(z, 1) / self.spline(z)
         return np.full_like(z, self.exponent)
 
     def sqrt_profile(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,9 +117,9 @@ class ConformalFactor:
             return w, 0.5 * self.exponent * w, 0.25 * self.exponent ** 2 * w
         om = self.spline(z)
         w = np.sqrt(om)
-        dlog = self.spline.derivative(1)(z) / om
+        dlog = self.spline(z, 1) / om
         return (w, 0.5 * w * dlog,
-                0.5 * w * (self.spline.derivative(2)(z) / om - 0.5 * dlog ** 2))
+                0.5 * w * (self.spline(z, 2) / om - 0.5 * dlog ** 2))
 
     def foot_point(self, z: np.ndarray, v: float, t: float) -> np.ndarray:
         """Closed-form foot z0 of the characteristic dz/dt = v/Omega(z).

@@ -43,9 +43,10 @@ Arnold q-slot run advances 1 x 1 x n_z profiles, a field with p,q
 structure the full grid, by the same code. Sampling runs on that state.
 
 Resistive runs also carry a diffusive step bound. An accepted resistive
-L is z-only on periodic z; its fastest decay, of the z Nyquist mode, is
-eta (16/(3 dz^2) + lam^2), and RK4 is stable on the negative real axis
-down to -RK4_REAL_AXIS_LIMIT.
+L is z-only on periodic z with a z-uniform Omega; its fastest decay, of
+the z Nyquist mode of Bp (of Bq when lam v < 0), is
+eta (16/(3 dz^2) + lam^2) + |lam| max|w|, and RK4 is stable on the
+negative real axis down to -RK4_REAL_AXIS_LIMIT.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
@@ -53,6 +54,7 @@ Everything with eta = 0 has an exact method-of-characteristics solution
 from __future__ import annotations
 
 import io
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -210,16 +212,22 @@ RK4_REAL_AXIS_LIMIT = 2.785
 
 def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
                 resistivity: float) -> tuple[float, float]:
-    """max |v_eff| and the fastest diffusive decay eta (16/(3 dz^2) + lam^2).
+    """max |v_eff| and, with resistivity > 0, the fastest real decay rate.
 
     A step dt has the advective number dt max|v_eff| / dz and the diffusive
-    number dt times the decay: the 4th-order central dzz stencil takes
-    16/(3 dz^2) at the z Nyquist mode, and the -eta lam^2 shift adds to it.
-    The decay is that of an accepted resistive operator, which is z-only on
-    periodic z (see the module docstring).
+    number dt times the decay eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|.
+    At the z Nyquist mode the 4th-order central dzz stencil takes
+    16/(3 dz^2), the central dz stencil vanishes, and the -eta lam^2 shift
+    and the stretching decay -|lam| v_eff of Bp (of Bq when lam v < 0) add
+    to it. The decay is that of an accepted resistive operator, which is
+    z-only on periodic z with a z-uniform Omega (see the module docstring);
+    ideal runs have none, and the advective bound alone.
     """
     vmax = float(np.max(np.abs(flow_speed / metric.omega.value(grid.z))))
-    decay = resistivity * (16.0 / (3.0 * grid.dz ** 2) + metric.lam ** 2)
+    decay = 0.0
+    if resistivity > 0:
+        decay = (resistivity * (16.0 / (3.0 * grid.dz ** 2) + metric.lam ** 2)
+                 + abs(metric.lam) * vmax)
     return vmax, decay
 
 
@@ -276,7 +284,8 @@ class DynamoScenario:
     initial field exactly constant along p and q on the grid, and then
     only on periodic z, since closed z has no boundary condition for
     eta dzz (see the module docstring), and only with dt within the
-    diffusive bound eta dt (16/(3 dz^2) + lam^2) <= RK4_REAL_AXIS_LIMIT.
+    diffusive bound dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|)
+    <= RK4_REAL_AXIS_LIMIT.
     Anything else raises ValueError.
     """
 
@@ -317,7 +326,8 @@ class DynamoScenario:
             if decay * self.dt > RK4_REAL_AXIS_LIMIT * (1.0 + 1e-12):
                 raise ValueError(
                     f"dt={self.dt:g} violates the diffusive bound "
-                    f"eta*dt*(16/(3 dz^2) + lam^2) <= {RK4_REAL_AXIS_LIMIT} "
+                    f"dt*(eta*(16/(3 dz^2) + lam^2) + |lam|*max|v_eff|) <= "
+                    f"{RK4_REAL_AXIS_LIMIT} "
                     f"(RK4's real-axis limit), dt <= "
                     f"{RK4_REAL_AXIS_LIMIT / decay:g}")
 
@@ -412,7 +422,15 @@ class EvolutionResult:
     dt: float            # step size, t_end / n_steps
     stop_reason: str     # "completed" or "overflow guard"
     cfl_advective: float  # dt max|v_eff| / dz, accepted up to ADVECTIVE_LIMIT
-    cfl_diffusive: float  # eta dt (16/(3 dz^2) + lam^2), up to RK4_REAL_AXIS_LIMIT
+    # dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) with eta > 0, else 0;
+    # accepted up to RK4_REAL_AXIS_LIMIT
+    cfl_diffusive: float
+    # the run's wall time by layer, in seconds: set-up (initial field,
+    # operator and propagators), the propagator matmuls with their finite
+    # checks, and sampling (norms, div_rel, probes)
+    build_s: float
+    advance_s: float
+    sample_s: float
 
 
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
@@ -435,8 +453,10 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 
     The run samples at t = 0, at every `stride` steps and at t_end, and
     stops early with stop_reason "overflow guard" once a sampled norm
-    exceeds `overflow_factor` times the initial one.
+    exceeds `overflow_factor` times the initial one. It reports its wall
+    time split into build_s, advance_s and sample_s.
     """
+    start = time.perf_counter()
     rhs = _RHS(scenario)
     grid = scenario.grid
     b = scenario.initial_field.on_grid(grid).data
@@ -453,8 +473,11 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 
     times, l2s, totals, divs = [], [], [], []
     probes: dict[str, list] = {name: [] for name in probe_w}
+    sample_s = advance_s = 0.0
 
     def record(t, data):
+        nonlocal sample_s
+        begin = time.perf_counter()
         fld = FrameField(grid, data)
         comp = op.component_norms(fld)
         total = float(np.sqrt(np.sum(comp ** 2)))
@@ -466,11 +489,9 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         for name, w in probe_w.items():
             probes[name].append(float(np.sqrt(
                 np.einsum("pqz,pqz,z->", data[1], data[1], w) / pq_points)))
+        sample_s += time.perf_counter() - begin
         return total
 
-    initial_total = record(0.0, b)
-    guard = scenario.overflow_factor * max(initial_total, 1e-300)
-    stop_reason = "completed"
     # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
     # one component at a time keeps the n_z-by-n_z temporaries few
     diag = np.arange(grid.n_z)
@@ -487,8 +508,13 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
             power[comp] = np.linalg.matrix_power(poly, n)
     nxt = np.empty_like(b)
     rows = (3, -1, grid.n_z)
+    build_s = time.perf_counter() - start
+    initial_total = record(0.0, b)
+    guard = scenario.overflow_factor * max(initial_total, 1e-300)
+    stop_reason = "completed"
     step = 0
     while step < nsteps:
+        begin = time.perf_counter()
         end = min(step + stride, nsteps)
         np.matmul(b.reshape(rows), propagators[end - step],
                   out=nxt.reshape(rows))
@@ -497,6 +523,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         if not np.all(np.isfinite(b)):
             raise NumericalError(f"non-finite field at step {step} "
                                  f"(t={step * dt:g})")
+        advance_s += time.perf_counter() - begin
         if record(step * dt, b) > guard:
             stop_reason = "overflow guard"
             break
@@ -511,7 +538,8 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
                               scenario.resistivity)
     return EvolutionResult(field, series, step, dt, stop_reason,
                            cfl_advective=dt * vmax / grid.dz,
-                           cfl_diffusive=dt * decay)
+                           cfl_diffusive=dt * decay, build_s=build_s,
+                           advance_s=advance_s, sample_s=sample_s)
 
 
 # -- method of characteristics -------------------------------------------------
@@ -522,8 +550,10 @@ def _trace_back(scenario: DynamoScenario, z: np.ndarray, t: float) -> np.ndarray
 
     The closed-form family inverts exactly. A tabulated factor solves
     int_{z0}^{z} Omega(u) du = v t for all z at once, with the spline's
-    exact antiderivative: the bracket grows upstream (against sign(v t))
-    by doubling, up to 60 times, and is then bisected to adjacent floats.
+    exact antiderivative (quartic pieces, zero at the first knot, and
+    extrapolated through the end pieces like the spline): the bracket
+    grows upstream (against sign(v t)) by doubling, up to 60 times, and is
+    then bisected to adjacent floats.
     Points with no sign change in the bracket have no finite foot (NaN).
     """
     om = scenario.metric.omega

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from framedynamo.differentiation import (_fourier_matrix, fornberg_weights,
+from framedynamo.differentiation import (CubicSpline, _fourier_matrix,
+                                         fornberg_weights,
                                          spectral_derivative,
                                          z_derivative_matrix)
 
@@ -128,3 +129,65 @@ def test_spectral_matrix_cache_is_read_only():
     assert _fourier_matrix(8, 1, 1.0) is D
     with pytest.raises(ValueError):
         D[0, 0] = 1.0
+
+
+# -- cubic spline ---------------------------------------------------------------
+
+
+def _knots(kind):
+    if kind == "uniform":
+        return np.linspace(-1.0, 2.0, 301)
+    rng = np.random.default_rng(11)
+    return np.cumsum(rng.uniform(0.05, 0.15, 40)) - 1.0
+
+
+@pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+def test_cubic_spline_matches_scipy_including_extrapolation(kind):
+    from scipy.interpolate import CubicSpline as reference
+
+    x = _knots(kind)
+    y = np.exp(np.sin(3 * x)) + 0.3 * np.sin(2 * np.pi * x)
+    got, want = CubicSpline(x, y), reference(x, y)
+    span = x[-1] - x[0]
+    z = np.concatenate([np.linspace(x[0] - 0.2 * span, x[-1] + 0.2 * span,
+                                    2001), x])
+    pairs = [(got(z), want(z)), (got.derivative(1)(z), want.derivative(1)(z)),
+             (got.derivative(2)(z), want.derivative(2)(z)),
+             (got.antiderivative()(z), want.antiderivative()(z))]
+    for mine, ref in pairs:
+        np.testing.assert_allclose(mine, ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+    # the antiderivative starts at zero on the first knot
+    assert got.antiderivative()(x[0]) == 0.0
+
+
+def test_cubic_spline_reproduces_a_cubic():
+    # not-a-knot ends make a cubic its own spline, inside and outside the knots
+    x = np.array([0.0, 0.2, 0.5, 0.6, 1.1, 1.3])
+    p = np.polynomial.Polynomial([1.0, -0.4, 0.7, 0.25])
+    spline = CubicSpline(x, p(x))
+    z = np.linspace(-0.5, 1.8, 501)
+    anti = p.integ(lbnd=x[0])
+    for mine, exact in [(spline(z), p), (spline.derivative(1)(z), p.deriv(1)),
+                        (spline.derivative(2)(z), p.deriv(2)),
+                        (spline.antiderivative()(z), anti)]:
+        np.testing.assert_allclose(mine, exact(z), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("z_samples,values,match", [
+    ([0.0, 0.5, 1.0], [1.0, 2.0, 1.0], "z_samples.*at least 4"),
+    ([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 2.0, 1.0], "z_samples.*strictly increasing"),
+    ([0.0, 0.7, 0.5, 1.0], [1.0, 2.0, 2.0, 1.0], "z_samples.*strictly increasing"),
+    ([0.0, np.nan, 0.5, 1.0], [1.0, 2.0, 2.0, 1.0], "z_samples.*finite"),
+    ([0.0, 0.3, 0.5, 1.0], [1.0, np.inf, 2.0, 1.0], "values.*finite"),
+    ([0.0, 0.3, 0.5, 1.0], [1.0, 2.0, 1.0], "values.*shape"),
+])
+def test_cubic_spline_rejects_bad_samples(z_samples, values, match):
+    with pytest.raises(ValueError, match=match):
+        CubicSpline(np.array(z_samples), np.array(values))
+
+
+def test_cubic_spline_offers_first_and_second_derivatives_only():
+    spline = CubicSpline(np.linspace(0.0, 1.0, 5), np.ones(5))
+    with pytest.raises(ValueError, match="order"):
+        spline.derivative(3)

@@ -68,6 +68,14 @@ def test_exterior_derivative_tabulated_matches_analytic():
     np.testing.assert_allclose(d_s.coeff, d_a.coeff, atol=1e-8)
 
 
+def test_from_samples_rejects_bad_samples():
+    zs = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match="coeff_samples"):
+        CoframeBasis.from_samples(zs, [np.ones(9), np.ones(9)])
+    with pytest.raises(ValueError, match="values has shape"):
+        CoframeBasis.from_samples(zs, [np.ones(9), np.ones(8), np.ones(9)])
+
+
 def test_exterior_derivative_rejects_nonpositive_coefficients():
     bad = CoframeBasis.exponential((1.0, -1.0, 1.0), (0, 0, 0))
     with pytest.raises(ValueError, match="positive"):

@@ -38,8 +38,29 @@ def test_cumulative_trapezoid_matches_scipy_on_nonuniform_grid():
 
 
 def test_import_framedynamo_loads_no_scipy():
-    code = ("import sys, framedynamo; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # importing, and building every tabulated object: a spline factor, a
+    # sampled coframe and the closed-z characteristics oracle on the factor
+    code = """
+import sys
+import numpy as np
+import framedynamo
+from framedynamo.exterior_geometry import CoframeBasis, exterior_derivative
+from framedynamo.frame_calculus import ConformalFactor, FrameMetric
+from framedynamo.induction_dynamo import (DynamoScenario, InitialField,
+                                          characteristics_oracle, stable_dt)
+zs = np.linspace(-1.0, 2.0, 301)
+tab = ConformalFactor.tabulated(zs, 1.0 + 0.3 * np.sin(2 * np.pi * zs))
+coframe = CoframeBasis.from_samples(zs, [np.exp(-zs), np.exp(zs), np.ones_like(zs)])
+exterior_derivative(coframe, np.linspace(0.0, 1.0, 9))
+metric = FrameMetric(1.0, tab)
+grid = metric.grid(2, 2, 32, z_periodic=False)
+sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                    initial_field=InitialField.q_slot(lambda z: 2.0 + np.sin(z)),
+                    t_end=0.1, dt=stable_dt(metric, grid, 1.0))
+_, mask = characteristics_oracle(sc, 0.1)
+assert mask.all()
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
+"""
     src = os.path.dirname(os.path.dirname(framedynamo.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

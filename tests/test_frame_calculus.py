@@ -99,6 +99,16 @@ def test_factor_rejects_nonpositive_values():
                                   np.array([1.0, -0.1, 1.0]))
 
 
+def test_tabulated_factor_rejects_bad_samples_by_name():
+    z = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="values must be finite"):
+        ConformalFactor.tabulated(z, np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="z_samples.*strictly increasing"):
+        ConformalFactor.tabulated(z[::-1], np.ones(5))
+    with pytest.raises(ValueError, match="z_samples.*at least 4"):
+        ConformalFactor.tabulated(z[:3], np.ones(3))
+
+
 # -- metric ---------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -106,7 +107,9 @@ def test_stable_dt_takes_the_smaller_of_advective_and_diffusive_step():
     advective = 0.4 * grid.dz
     assert stable_dt(metric, grid, 1.0, cfl=0.4) == advective
     assert stable_dt(metric, grid, 1.0, 0.4, resistivity=0.0) == advective
-    decay = 0.05 * (16.0 / (3.0 * grid.dz ** 2) + CAT_STRETCH_RATE ** 2)
+    # diffusion, the -eta lam^2 shift and Bp's stretching decay lam v_eff
+    decay = (0.05 * (16.0 / (3.0 * grid.dz ** 2) + CAT_STRETCH_RATE ** 2)
+             + CAT_STRETCH_RATE * 1.0)
     # the same fraction 0.4 / 0.5 of the RK4 real-axis limit
     assert stable_dt(metric, grid, 1.0, cfl=0.4, resistivity=0.05) == \
         pytest.approx(0.8 * RK4_REAL_AXIS_LIMIT / decay, rel=1e-15)
@@ -122,13 +125,37 @@ def test_scenario_rejects_dt_above_the_diffusive_bound():
     metric = FrameMetric(CAT_STRETCH_RATE)
     grid = metric.grid(8, 8, 64, z_periodic=True)
     limit = RK4_REAL_AXIS_LIMIT / (0.05 * (16.0 / (3.0 * grid.dz ** 2)
-                                          + CAT_STRETCH_RATE ** 2))
+                                          + CAT_STRETCH_RATE ** 2)
+                                   + CAT_STRETCH_RATE * 1.0)
     make = lambda dt: DynamoScenario(
         metric=metric, grid=grid, flow_speed=1.0, initial_field=q_sine(),
         t_end=0.5, dt=dt, resistivity=0.05)
     assert make(limit).dt == limit
     with pytest.raises(ValueError, match="diffusive bound"):
         make(1.001 * limit)
+
+
+def test_diffusive_bound_counts_the_stretching_decay_of_bp():
+    # at eta (16/(3 dz^2) + lam^2) dt = 2.785 alone, Bp's decay -lam v_eff
+    # pushed its z Nyquist mode past RK4's real-axis limit and Bp grew from
+    # 2.1 to 4e8 over 2000 steps; that dt is now rejected, and both the
+    # largest accepted dt and stable_dt's let Bp decay monotonically
+    metric = FrameMetric(1.5)
+    grid = metric.grid(2, 2, 16, z_periodic=True)
+    eta, v = 0.05, 0.3
+    make = lambda dt: DynamoScenario(
+        metric=metric, grid=grid, flow_speed=v,
+        initial_field=named_initial_field("pq_mixed"), t_end=2000 * dt,
+        dt=dt, resistivity=eta)
+    diffusion = eta * (16.0 / (3.0 * grid.dz ** 2) + 1.5 ** 2)
+    with pytest.raises(ValueError, match="diffusive bound"):
+        make(RK4_REAL_AXIS_LIMIT / diffusion)
+    for dt in (RK4_REAL_AXIS_LIMIT / (diffusion + 1.5 * v),
+               stable_dt(metric, grid, v, resistivity=eta)):
+        res = evolve(make(dt))
+        bp = res.series.l2[:, 0]
+        assert res.stop_reason == "completed" and res.steps == 2000
+        assert np.all(np.diff(bp) <= 0) and bp[-1] < 1e-12 * bp[0]
 
 
 def test_resistive_q_sine_with_auto_dt_completes_and_matches_closed_form():
@@ -161,8 +188,20 @@ def test_evolution_reports_its_cfl_numbers():
                                               rel=1e-14)
     dz, lam = resistive.grid.dz, resistive.metric.lam
     assert res.cfl_diffusive == pytest.approx(
-        res.dt * 2e-3 * (16.0 / (3.0 * dz ** 2) + lam ** 2), rel=1e-14)
+        res.dt * (2e-3 * (16.0 / (3.0 * dz ** 2) + lam ** 2) + lam * 0.5),
+        rel=1e-14)
     assert 0 < res.cfl_diffusive <= RK4_REAL_AXIS_LIMIT
+
+
+def test_evolution_reports_its_wall_time_split():
+    for sc in (scenario(t_end=0.3, n_z=64),
+               scenario(eta=2e-3, t_end=0.3, n_z=64, v=0.5)):
+        start = time.perf_counter()
+        res = evolve(sc)
+        wall = time.perf_counter() - start
+        parts = (res.build_s, res.advance_s, res.sample_s)
+        assert all(part >= 0.0 for part in parts)
+        assert sum(parts) <= wall
 
 
 def test_periodic_exponential_factor_with_zero_rate_is_identity():
@@ -593,8 +632,11 @@ def test_evolve_overflow_guard_truncates():
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_evolve_nan_raises_numerical_error():
     # a resistive run growing as e^{(lam v - eta lam^2) t} = e^{840} overflows
-    # double; sparse sampling keeps the overflow guard from halting first
+    # double; sparse sampling keeps the overflow guard from halting first.
+    # cfl 0.2 keeps dt within the diffusive bound, which Bp's stretching
+    # decay lam v = 300 dominates here
     sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32, overflow_factor=1e290,
+                  cfl=0.2,
                   sample_stride=10 ** 6,
                   init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
     with pytest.raises(NumericalError):
