@@ -32,7 +32,7 @@ from .frame_calculus import ConformalFactor, FrameMetric
 from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
                                NumericalError, cat_map_eigen, evolve,
                                growth_fit, named_initial_field, stable_dt)
-from .verification import format_summary, run_all
+from .verification import AcceptanceSuite, format_summary
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -260,7 +260,7 @@ def cmd_catmap(cfg: RunConfig) -> int:
 
 
 def cmd_verify_all(cfg: RunConfig) -> int:
-    results = run_all(cfg.out_dir)
+    results = AcceptanceSuite(cfg.out_dir).run_all()
     summary = format_summary(results)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "verify.txt").write_text(

@@ -117,7 +117,7 @@ class CoframeBasis:
     def coefficients(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         a = _stack(self.coeff, z)
-        if np.any(a <= 0):
+        if not np.all(a > 0):  # NaN fails it too
             raise ValueError(f"{self.label}: coframe coefficients must be "
                              "strictly positive on the sample points")
         return a
@@ -142,30 +142,13 @@ def arnold_coframe(lam: float) -> CoframeBasis:
 
 
 def conformal_coframe(metric: FrameMetric, label: str = "conformal") -> CoframeBasis:
-    """Coframe of a FrameMetric, Omega^{1/2}(e^{-lam z}, e^{lam z}, 1)."""
-    lam = metric.lam
-    rates = (-lam, lam, 0.0)
+    """Coframe of a FrameMetric: its scale factors and their derivatives."""
 
-    def make(rate):
-        def a(z):
-            w, _, _ = metric.omega.sqrt_profile(z)
-            return w * np.exp(rate * np.asarray(z, dtype=float))
+    def leg(order, i):
+        return lambda z: metric.scale_factors(z)[order][i]
 
-        def da(z):
-            w, dw, _ = metric.omega.sqrt_profile(z)
-            e = np.exp(rate * np.asarray(z, dtype=float))
-            return (dw + rate * w) * e
-
-        def d2a(z):
-            w, dw, d2w = metric.omega.sqrt_profile(z)
-            e = np.exp(rate * np.asarray(z, dtype=float))
-            return (d2w + 2 * rate * dw + rate * rate * w) * e
-
-        return a, da, d2a
-
-    fs = [make(r) for r in rates]
-    return CoframeBasis(tuple(f[0] for f in fs), tuple(f[1] for f in fs),
-                        tuple(f[2] for f in fs), label)
+    fs = [tuple(leg(order, i) for i in range(3)) for order in range(3)]
+    return CoframeBasis(*fs, label)
 
 
 def stretched_coframe(lam: float) -> CoframeBasis:

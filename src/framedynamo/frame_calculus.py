@@ -4,12 +4,13 @@ The metric family handled here is
 
     ds^2 = Omega(z) [ e^{-2 lam z} dp^2 + e^{2 lam z} dq^2 + dz^2 ]
 
-on p, q periodic in [0, 1) and z in a closed interval, i.e. diagonal
-metrics with scale factors
+on p, q periodic in [0, 1) and z on the interval of a `Grid3D`, i.e.
+diagonal metrics with scale factors
 
-    h_p = w(z) e^{-lam z},   h_q = w(z) e^{lam z},   h_z = w(z),
+    h_i = w(z) e^{r_i z},   r = (-lam, lam, 0),
 
-where w = Omega^{1/2}. Omega comes in two families: the closed form
+where w = Omega^{1/2}; `FrameMetric.scale_factors` is the one place that
+evaluates them. Omega comes in two families: the closed form
 c e^{a z} (identity, constant and exponential factors), which supplies w,
 w', w'' and its characteristic foot points exactly, and a tabulated
 not-a-knot cubic spline (`differentiation.CubicSpline`, plain numpy),
@@ -57,14 +58,17 @@ class ConformalFactor:
     exponent: float = 0.0
     spline: CubicSpline | None = None  # tabulated family only
 
+    def __post_init__(self):
+        if not self.constant > 0:
+            raise ValueError(
+                f"conformal factor must be positive, got {self.constant}")
+
     @classmethod
     def identity(cls) -> "ConformalFactor":
         return cls()
 
     @classmethod
     def from_constant(cls, c: float) -> "ConformalFactor":
-        if c <= 0:
-            raise ValueError(f"conformal factor must be positive, got {c}")
         return cls(constant=float(c))
 
     @classmethod
@@ -90,11 +94,19 @@ class ConformalFactor:
         return self.spline is None and self.exponent == 0.0
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        """Omega(z) > 0."""
+        """Omega(z); raises ValueError unless it is positive at every z.
+
+        A tabulated factor is positive at its knots, but its spline need
+        not be between or beyond them.
+        """
         z = np.asarray(z, dtype=float)
         if self.spline is not None:
-            return self.spline(z)
-        return self.constant * np.exp(self.exponent * z)
+            om = self.spline(z)
+        else:
+            om = self.constant * np.exp(self.exponent * z)
+        if not np.all(om > 0):
+            raise ValueError("conformal factor is not positive on the z points")
+        return om
 
     def log_derivative(self, z: np.ndarray) -> np.ndarray:
         """d/dz ln Omega."""
@@ -115,7 +127,7 @@ class ConformalFactor:
         if self.spline is None:
             w = np.sqrt(self.constant) * np.exp(0.5 * self.exponent * z)
             return w, 0.5 * self.exponent * w, 0.25 * self.exponent ** 2 * w
-        om = self.spline(z)
+        om = self.value(z)
         w = np.sqrt(om)
         dlog = self.spline(z, 1) / om
         return (w, 0.5 * w * dlog,
@@ -145,40 +157,35 @@ class FrameMetric:
 
     lam is the stretching rate per unit z. With the identity factor the scale
     factors are exactly (e^{-lam z}, e^{lam z}, 1); the metric determinant
-    is the squared product of the scale factors, i.e. Omega^3.
+    is the squared product of the scale factors, i.e. Omega^3. The metric
+    has no z range of its own: the `Grid3D` it is sampled on owns it.
     """
 
     lam: float
     omega: ConformalFactor = field(default_factory=ConformalFactor.identity)
-    z_min: float = 0.0
-    z_max: float = 1.0
 
-    def __post_init__(self):
-        if self.z_max <= self.z_min:
-            raise ValueError("z range is empty")
-        zs = np.linspace(self.z_min, self.z_max, 33)
-        if np.any(self.omega.value(zs) <= 0):
-            raise ValueError("conformal factor is not positive on the z range")
+    def scale_factors(self, z: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h_i = w e^{r_i z} with r = (-lam, lam, 0), and h_i', h_i''.
 
-    def scale_factors(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        Each of h, h', h'' has shape (3, *z.shape); w = Omega^{1/2} and its
+        derivatives come from `ConformalFactor.sqrt_profile`, so
+        h' = (w' + r w) e^{r z} and h'' = (w'' + 2 r w' + r^2 w) e^{r z}.
+        """
         z = np.asarray(z, dtype=float)
-        w, _, _ = self.omega.sqrt_profile(z)
-        return w * np.exp(-self.lam * z), w * np.exp(self.lam * z), w
-
-    def scale_factor_derivatives(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """d/dz of each scale factor, from the factor's closed forms."""
-        z = np.asarray(z, dtype=float)
-        w, dw, _ = self.omega.sqrt_profile(z)
-        return ((dw - self.lam * w) * np.exp(-self.lam * z),
-                (dw + self.lam * w) * np.exp(self.lam * z), dw)
+        w, dw, d2w = self.omega.sqrt_profile(z)
+        r = np.array([-self.lam, self.lam, 0.0]).reshape(3, *(1,) * z.ndim)
+        e = np.exp(r * z)
+        return w * e, (dw + r * w) * e, (d2w + 2 * r * dw + r * r * w) * e
 
     def determinant(self, z: np.ndarray) -> np.ndarray:
-        h1, h2, h3 = self.scale_factors(z)
+        h1, h2, h3 = self.scale_factors(z)[0]
         return (h1 * h2 * h3) ** 2
 
     def grid(self, n_p: int = 32, n_q: int = 32, n_z: int = 128,
              z_periodic: bool = False) -> "Grid3D":
-        return Grid3D(n_p, n_q, n_z, self.z_min, self.z_max, z_periodic)
+        """A grid on the default z interval [0, 1]."""
+        return Grid3D(n_p, n_q, n_z, z_periodic=z_periodic)
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,9 @@ class Grid3D:
     z_periodic: bool = False
 
     def __post_init__(self):
+        if not self.z_max > self.z_min:
+            raise ValueError(
+                f"z range [{self.z_min}, {self.z_max}] is empty")
         min_nz = 5 if self.z_periodic else 6
         if self.n_p < 2 or self.n_q < 2 or self.n_z < min_nz:
             raise ValueError(
@@ -303,17 +313,16 @@ class FrameOperators:
     """grad/div/curl/Laplacian on a fixed (metric, grid) pair.
 
     Precomputes the z-differentiation matrices and all metric coefficient
-    profiles. Inputs are never mutated; every result is checked finite.
+    profiles; raises ValueError unless Omega > 0 on grid.z. Inputs are
+    never mutated; every result is checked finite.
     """
 
     def __init__(self, metric: FrameMetric, grid: Grid3D):
         self.metric = metric
         self.grid = grid
-        z = grid.z
         self.d1 = z_derivative_matrix(grid.n_z, grid.dz, 1, grid.z_periodic)
         self.d2 = z_derivative_matrix(grid.n_z, grid.dz, 2, grid.z_periodic)
-        h1, h2, h3 = metric.scale_factors(z)
-        dh1, dh2, dh3 = metric.scale_factor_derivatives(z)
+        (h1, h2, h3), (dh1, dh2, dh3), _ = metric.scale_factors(grid.z)
         self.inv_h = (1.0 / h1, 1.0 / h2, 1.0 / h3)
         G = h1 * h2 * h3
         # div B = (1/h1) dp Bp + (1/h2) dq Bq + (1/h3) dz Bz + c_div Bz

@@ -42,11 +42,12 @@ state at the smallest shape that broadcasts exactly to the initial field,
 Arnold q-slot run advances 1 x 1 x n_z profiles, a field with p,q
 structure the full grid, by the same code. Sampling runs on that state.
 
-Resistive runs also carry a diffusive step bound. An accepted resistive
-L is z-only on periodic z with a z-uniform Omega; its fastest decay, of
-the z Nyquist mode of Bp (of Bq when lam v < 0), is
-eta (16/(3 dz^2) + lam^2) + |lam| max|w|, and RK4 is stable on the
-negative real axis down to -RK4_REAL_AXIS_LIMIT.
+Every run also carries a real-axis step bound. Its fastest real decay,
+of the z Nyquist mode of Bp (of Bq when lam v < 0), is
+eta (16/(3 dz^2) + lam^2) + |lam| max|w|: the stretching decay alone for
+eta = 0, and for eta > 0 that of the accepted resistive L, which is z-only
+on periodic z with a z-uniform Omega. RK4 is stable on the negative real
+axis down to -RK4_REAL_AXIS_LIMIT.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -122,7 +123,7 @@ class InitialField:
 
     Callables must accept broadcast arrays and be defined for every z the
     characteristics can reach; set `z_limited` when they are only valid on
-    the metric's z interval, so the oracle can flag left-behind points.
+    the grid's z interval, so the oracle can flag left-behind points.
     """
 
     bp: Callable = None
@@ -212,34 +213,31 @@ RK4_REAL_AXIS_LIMIT = 2.785
 
 def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
                 resistivity: float) -> tuple[float, float]:
-    """max |v_eff| and, with resistivity > 0, the fastest real decay rate.
+    """max |v_eff| and the fastest real decay rate.
 
-    A step dt has the advective number dt max|v_eff| / dz and the diffusive
+    A step dt has the advective number dt max|v_eff| / dz and the real-axis
     number dt times the decay eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|.
     At the z Nyquist mode the 4th-order central dzz stencil takes
     16/(3 dz^2), the central dz stencil vanishes, and the -eta lam^2 shift
     and the stretching decay -|lam| v_eff of Bp (of Bq when lam v < 0) add
-    to it. The decay is that of an accepted resistive operator, which is
-    z-only on periodic z with a z-uniform Omega (see the module docstring);
-    ideal runs have none, and the advective bound alone.
+    to it (see the module docstring). Raises ValueError unless Omega > 0
+    on grid.z.
     """
     vmax = float(np.max(np.abs(flow_speed / metric.omega.value(grid.z))))
-    decay = 0.0
-    if resistivity > 0:
-        decay = (resistivity * (16.0 / (3.0 * grid.dz ** 2) + metric.lam ** 2)
-                 + abs(metric.lam) * vmax)
+    decay = (resistivity * (16.0 / (3.0 * grid.dz ** 2) + metric.lam ** 2)
+             + abs(metric.lam) * vmax)
     return vmax, decay
 
 
 def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
               cfl: float = 0.4, resistivity: float = 0.0) -> float:
-    """The smaller of the advective and the diffusive time step.
+    """The smaller of the advective and the real-axis time step.
 
     The advective step is cfl * dz / max |v_eff| (cfl * dz with no flow).
-    With resistivity > 0 the diffusive step puts the diffusive number at
-    the same fraction cfl / ADVECTIVE_LIMIT of RK4_REAL_AXIS_LIMIT that the
-    advective number takes of ADVECTIVE_LIMIT, so cfl = 0.4 keeps both at
-    80% of what `DynamoScenario` accepts.
+    The real-axis step puts the real-axis number at the same fraction
+    cfl / ADVECTIVE_LIMIT of RK4_REAL_AXIS_LIMIT that the advective number
+    takes of ADVECTIVE_LIMIT, so cfl = 0.4 keeps both at 80% of what
+    `DynamoScenario` accepts.
     """
     vmax, decay = _step_rates(metric, grid, flow_speed, resistivity)
     dt = cfl * grid.dz / vmax if vmax > 0.0 else cfl * grid.dz
@@ -278,14 +276,13 @@ def _require_constant_along_pq(data: np.ndarray) -> None:
 class DynamoScenario:
     """Everything needed to run one induction evolution.
 
-    Accepted: resistivity >= 0; t_end, dt > 0; grid and metric on one z
-    range; dt within the advective bound 0.5 dz / max|v_eff|; periodic z
-    only with a z-uniform factor. Resistivity > 0 is accepted only with an
-    initial field exactly constant along p and q on the grid, and then
-    only on periodic z, since closed z has no boundary condition for
-    eta dzz (see the module docstring), and only with dt within the
-    diffusive bound dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|)
-    <= RK4_REAL_AXIS_LIMIT.
+    Accepted: resistivity >= 0; t_end, dt > 0; Omega > 0 on grid.z; dt
+    within the advective bound 0.5 dz / max|v_eff| and the real-axis bound
+    dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) <= RK4_REAL_AXIS_LIMIT;
+    periodic z only with a z-uniform factor. Resistivity > 0 is accepted
+    only with an initial field exactly constant along p and q on the grid,
+    and then only on periodic z, since closed z has no boundary condition
+    for eta dzz (see the module docstring).
     Anything else raises ValueError.
     """
 
@@ -300,15 +297,12 @@ class DynamoScenario:
     # matmul. 0: choose automatically (~200 samples); capped at n_steps
     sample_stride: int = 0
     overflow_factor: float = 1e12
-    probe_weights: dict[str, Callable] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.resistivity < 0:
             raise ValueError("resistivity must be non-negative")
         if self.t_end <= 0 or self.dt <= 0:
             raise ValueError("t_end and dt must be positive")
-        if self.grid.z_min != self.metric.z_min or self.grid.z_max != self.metric.z_max:
-            raise ValueError("grid and metric z ranges disagree")
         vmax, decay = _step_rates(self.metric, self.grid, self.flow_speed,
                                   self.resistivity)
         if vmax > 0 and self.dt > ADVECTIVE_LIMIT * self.grid.dz / vmax + 1e-15:
@@ -323,13 +317,13 @@ class DynamoScenario:
                 raise ValueError(
                     "resistivity > 0 requires periodic z: closed z has no "
                     "boundary condition for the diffusion term eta dzz")
-            if decay * self.dt > RK4_REAL_AXIS_LIMIT * (1.0 + 1e-12):
-                raise ValueError(
-                    f"dt={self.dt:g} violates the diffusive bound "
-                    f"dt*(eta*(16/(3 dz^2) + lam^2) + |lam|*max|v_eff|) <= "
-                    f"{RK4_REAL_AXIS_LIMIT} "
-                    f"(RK4's real-axis limit), dt <= "
-                    f"{RK4_REAL_AXIS_LIMIT / decay:g}")
+        if decay * self.dt > RK4_REAL_AXIS_LIMIT * (1.0 + 1e-12):
+            raise ValueError(
+                f"dt={self.dt:g} violates the real-axis bound "
+                f"dt*(eta*(16/(3 dz^2) + lam^2) + |lam|*max|v_eff|) <= "
+                f"{RK4_REAL_AXIS_LIMIT} "
+                f"(RK4's real-axis limit), dt <= "
+                f"{RK4_REAL_AXIS_LIMIT / decay:g}")
 
     @property
     def n_steps(self) -> int:
@@ -399,7 +393,6 @@ class EvolutionSeries:
     l2: np.ndarray        # (n, 3) per component
     total_l2: np.ndarray  # (n,)
     div_rel: np.ndarray   # (n,)
-    probes: dict[str, np.ndarray]
     truncated: bool = False
 
     def to_csv(self) -> str:
@@ -422,12 +415,12 @@ class EvolutionResult:
     dt: float            # step size, t_end / n_steps
     stop_reason: str     # "completed" or "overflow guard"
     cfl_advective: float  # dt max|v_eff| / dz, accepted up to ADVECTIVE_LIMIT
-    # dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) with eta > 0, else 0;
-    # accepted up to RK4_REAL_AXIS_LIMIT
-    cfl_diffusive: float
+    # dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|), accepted up to
+    # RK4_REAL_AXIS_LIMIT
+    cfl_real_axis: float
     # the run's wall time by layer, in seconds: set-up (initial field,
     # operator and propagators), the propagator matmuls with their finite
-    # checks, and sampling (norms, div_rel, probes)
+    # checks, and sampling (norms, div_rel)
     build_s: float
     advance_s: float
     sample_s: float
@@ -447,8 +440,8 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     The state is the initial field at the smallest shape that broadcasts
     exactly to it: a p or q axis along which the field is exactly constant
     has length 1, and since L keeps that constancy exactly, it stays so.
-    The matmuls, the finite checks, the overflow guard, the norms, div_rel
-    and the probes all run on that state; the returned field is broadcast
+    The matmuls, the finite checks, the overflow guard, the norms and
+    div_rel all run on that state; the returned field is broadcast
     to the full grid once, as a fresh array.
 
     The run samples at t = 0, at every `stride` steps and at t_end, and
@@ -463,16 +456,12 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     if not np.all(np.isfinite(b)):
         raise ValueError("initial field contains non-finite values")
     b = _collapse_pq(b).copy()
-    pq_points = b.shape[1] * b.shape[2]
     nsteps = scenario.n_steps
     dt = scenario.t_end / nsteps
     stride = scenario.stride
     op = rhs.op
-    probe_w = {name: np.asarray(fn(grid.z), dtype=float) * op.measure
-               for name, fn in scenario.probe_weights.items()}
 
     times, l2s, totals, divs = [], [], [], []
-    probes: dict[str, list] = {name: [] for name in probe_w}
     sample_s = advance_s = 0.0
 
     def record(t, data):
@@ -486,9 +475,6 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         l2s.append(comp)
         totals.append(total)
         divs.append(divnorm / total if total > 0 else 0.0)
-        for name, w in probe_w.items():
-            probes[name].append(float(np.sqrt(
-                np.einsum("pqz,pqz,z->", data[1], data[1], w) / pq_points)))
         sample_s += time.perf_counter() - begin
         return total
 
@@ -531,14 +517,13 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     series = EvolutionSeries(
         t=np.array(times), l2=np.array(l2s),
         total_l2=np.array(totals), div_rel=np.array(divs),
-        probes={k: np.array(v) for k, v in probes.items()},
         truncated=stop_reason != "completed")
     field = FrameField(grid, np.broadcast_to(b, (3, *grid.shape)).copy())
     vmax, decay = _step_rates(scenario.metric, grid, scenario.flow_speed,
                               scenario.resistivity)
     return EvolutionResult(field, series, step, dt, stop_reason,
                            cfl_advective=dt * vmax / grid.dz,
-                           cfl_diffusive=dt * decay, build_s=build_s,
+                           cfl_real_axis=dt * decay, build_s=build_s,
                            advance_s=advance_s, sample_s=sample_s)
 
 
@@ -601,9 +586,8 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
     z0 = _trace_back(scenario, z, t)
     mask = np.isfinite(z0)
     if scenario.initial_field.z_limited:
-        mask &= (z0 >= scenario.metric.z_min - 1e-12) & \
-                (z0 <= scenario.metric.z_max + 1e-12)
-    z0_safe = np.where(mask, z0, scenario.metric.z_min)
+        mask &= (z0 >= grid.z_min - 1e-12) & (z0 <= grid.z_max + 1e-12)
+    z0_safe = np.where(mask, z0, grid.z_min)
     lam = scenario.metric.lam
     om = scenario.metric.omega
     shift = z - z0_safe
@@ -628,8 +612,6 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
 class GrowthFit:
     """Least-squares exponential rate of a norm series."""
 
-    t: np.ndarray
-    log_norm: np.ndarray
     rate: float
     theory_rate: float
     residual_rms: float
@@ -675,5 +657,5 @@ def growth_fit(t: np.ndarray, norms: np.ndarray, theory_rate: float = 0.0,
     tw, yw = t[lo:hi], np.log(norms[lo:hi])
     slope, intercept = np.polyfit(tw, yw, 1)
     resid = yw - (slope * tw + intercept)
-    return GrowthFit(t, np.log(norms), float(slope), float(theory_rate),
+    return GrowthFit(float(slope), float(theory_rate),
                      float(np.sqrt(np.mean(resid ** 2))), window)

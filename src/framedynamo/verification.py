@@ -26,7 +26,7 @@ from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario, InitialField,
                                characteristics_oracle, evolve, growth_fit,
                                named_initial_field, stable_dt)
 
-__all__ = ["CheckResult", "AcceptanceSuite", "run_all", "format_summary"]
+__all__ = ["CheckResult", "AcceptanceSuite", "format_summary"]
 
 DIV_FLOOR = 1e-12  # roundoff floor for fields whose discrete div is exact
 
@@ -55,8 +55,7 @@ def _coordinate_curl_of_frame_axis(metric: FrameMetric, z: np.ndarray,
     (curl V)^a = eps^{abc} d_b V_c / sqrt(g), converts back to the frame.
     Only z-derivatives survive for constant frame fields.
     """
-    h = np.stack(metric.scale_factors(z))
-    dh = np.stack(metric.scale_factor_derivatives(z))
+    h, dh, _ = metric.scale_factors(z)
     G = h[0] * h[1] * h[2]
     out = np.zeros((3, len(np.atleast_1d(z))))
     # covariant components: V_c = g_cc * (delta_{c,axis}/h_axis) = h_axis delta
@@ -351,10 +350,6 @@ class AcceptanceSuite:
             result.runtime_s = time.perf_counter() - t0
             results.append(result)
         return results
-
-
-def run_all(out_dir=None) -> list[CheckResult]:
-    return AcceptanceSuite(out_dir).run_all()
 
 
 def format_summary(results: list[CheckResult]) -> str:

@@ -77,9 +77,38 @@ def test_from_samples_rejects_bad_samples():
 
 
 def test_exterior_derivative_rejects_nonpositive_coefficients():
-    bad = CoframeBasis.exponential((1.0, -1.0, 1.0), (0, 0, 0))
-    with pytest.raises(ValueError, match="positive"):
-        exterior_derivative(bad, Z)
+    # NaN compares false with everything, so it must fail the check too
+    for scale in (-1.0, 0.0, np.nan):
+        bad = CoframeBasis.exponential((1.0, scale, 1.0), (0, 0, 0))
+        with pytest.raises(ValueError, match="positive"):
+            exterior_derivative(bad, Z)
+
+
+def test_christoffel_oracle_rejects_metric_nonpositive_on_samples():
+    # positive on [0, 1], negative spline extrapolation beyond: the samples
+    # past z = 1 would give NaN coefficients and a NaN report
+    zs = np.linspace(0, 1, 21)
+    tab = ConformalFactor.tabulated(zs, 1.0 - 0.95 * zs)
+    with pytest.raises(ValueError, match="not positive"):
+        christoffel_oracle(FrameMetric(1.0, tab), np.linspace(0, 2, 33))
+
+
+@pytest.mark.parametrize("a", [0.9, -1.3])
+def test_conformal_scale_factors_match_closed_form(a):
+    # Omega = e^{a z}: h_i = e^{k_i z} with k_i = a/2 + r_i, r = (-lam, lam, 0),
+    # so h' = k h and h'' = k^2 h; the Cartan and Christoffel pipelines read
+    # the same (h, h', h''), so they cannot catch an error here
+    lam = 0.7
+    metric = FrameMetric(lam, ConformalFactor.exponential(a))
+    k = a / 2 + np.array([-lam, lam, 0.0])[:, None]
+    h = np.exp(k * Z)
+    basis = conformal_coframe(metric)
+    legs = (basis.coeff, basis.d1, basis.d2)
+    for order, want in enumerate((h, k * h, k ** 2 * h)):
+        np.testing.assert_allclose(metric.scale_factors(Z)[order], want,
+                                   rtol=1e-12)
+        for i in range(3):
+            np.testing.assert_allclose(legs[order][i](Z), want[i], rtol=1e-12)
 
 
 def test_double_exterior_derivative_vanishes():

@@ -115,7 +115,7 @@ def test_tabulated_factor_rejects_bad_samples_by_name():
 def test_trivial_factor_reproduces_exponential_scale_factors():
     m = FrameMetric(2.0)
     z = np.linspace(0, 1, 9)
-    h1, h2, h3 = m.scale_factors(z)
+    h1, h2, h3 = m.scale_factors(z)[0]
     assert np.all(h1 == np.exp(-2.0 * z))
     assert np.all(h2 == np.exp(2.0 * z))
     assert np.all(h3 == 1.0)
@@ -124,18 +124,22 @@ def test_trivial_factor_reproduces_exponential_scale_factors():
 def test_metric_determinant_is_product_of_squares():
     m = FrameMetric(1.3, ConformalFactor.exponential(0.4))
     z = np.linspace(0, 1, 9)
-    h1, h2, h3 = m.scale_factors(z)
+    h1, h2, h3 = m.scale_factors(z)[0]
     np.testing.assert_allclose(m.determinant(z), (h1 * h2 * h3) ** 2, rtol=1e-14)
     np.testing.assert_allclose(m.determinant(z), np.exp(0.4 * z) ** 3, rtol=1e-13)
 
 
 def test_metric_rejects_nonpositive_factor_on_range():
-    # positive at its samples, but the metric z range extends past them
+    # positive at its samples, but the grid's z range extends past them
     # into negative spline extrapolation
     tab = ConformalFactor.tabulated(np.linspace(0, 1, 21),
                                     1.0 - 0.95 * np.linspace(0, 1, 21))
+    metric = FrameMetric(1.0, tab)
     with pytest.raises(ValueError, match="not positive"):
-        FrameMetric(1.0, tab, z_min=0.0, z_max=2.0)
+        FrameOperators(metric, Grid3D(4, 4, 33, z_min=0.0, z_max=2.0))
+    FrameOperators(metric, Grid3D(4, 4, 33))
+    with pytest.raises(ValueError, match="must be positive"):
+        FrameMetric(1.0, ConformalFactor(constant=-1.0))
 
 
 # -- grid -----------------------------------------------------------------------
@@ -146,6 +150,12 @@ def test_grid_rejects_too_few_points():
         Grid3D(4, 4, 4)
     with pytest.raises(ValueError):
         Grid3D(1, 4, 64)
+
+
+@pytest.mark.parametrize("z_max", [0.0, -1.0, np.nan])
+def test_grid_rejects_empty_z_range(z_max):
+    with pytest.raises(ValueError, match="z range.*empty"):
+        Grid3D(4, 4, 16, z_min=0.0, z_max=z_max)
 
 
 def test_grid_spacing_conventions():
@@ -262,8 +272,7 @@ def test_curl_unit_q_sign_against_coordinate_oracle():
     lam = 1.0
     metric, grid, op = make_ops(lam=lam)
     z = grid.z
-    h1, h2, h3 = metric.scale_factors(z)
-    _, dh2, _ = metric.scale_factor_derivatives(z)
+    (h1, h2, h3), (_, dh2, _), _ = metric.scale_factors(z)
     oracle_p = -h1 * dh2 / (h1 * h2 * h3)
     np.testing.assert_allclose(oracle_p, np.full_like(z, -lam), atol=1e-12)
     res = op.curl(FrameField.unit(grid, 1))
