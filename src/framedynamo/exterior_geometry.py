@@ -4,8 +4,9 @@ A coframe here is a triple of 1-forms
 
     omega^p = a_p(z) dp,   omega^q = a_q(z) dq,   omega^z = a_z(z) dz,
 
-with strictly positive coefficients. Two independent curvature pipelines
-are provided:
+with strictly positive coefficients. A coframe is one routine
+z -> (a, a', a'') (`CoframeBasis`); the coframe of a `FrameMetric` is its
+`scale_factors`. Two independent curvature pipelines are provided:
 
   * the structure-equation path: exterior derivatives of the coframe, the
     torsion-free antisymmetric connection solved as a determined linear
@@ -66,34 +67,32 @@ def _pair_coeff(i: int, j: int) -> tuple[int, float]:
     return _PAIR_INDEX[(j, i)], -1.0
 
 
-def _stack(fs: Sequence[Callable], z: np.ndarray) -> np.ndarray:
-    """The three coefficient functions fs evaluated on z, stacked."""
-    return np.stack([np.broadcast_to(np.asarray(f(z), dtype=float), z.shape)
-                     for f in fs])
-
-
 @dataclass(frozen=True)
 class CoframeBasis:
-    """Diagonal coframe with analytic coefficient derivatives."""
+    """Diagonal coframe given by one routine z -> (a, a', a'').
 
-    coeff: tuple[Callable, Callable, Callable]
-    d1: tuple[Callable, Callable, Callable]
-    d2: tuple[Callable, Callable, Callable]
+    `profile` has the contract of `FrameMetric.scale_factors`: each of a,
+    a', a'' has shape (3, *z.shape), legs ordered (p, q, z). A metric's
+    coframe is `conformal_coframe(metric)`, whose profile is
+    `metric.scale_factors`; `scale_factors` is the one checked accessor
+    every pipeline reads.
+    """
+
+    profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     label: str = "coframe"
 
     @classmethod
-    def exponential(cls, scales: Sequence[float], rates: Sequence[float],
+    def exponential(cls, rates: Sequence[float],
                     label: str = "coframe") -> "CoframeBasis":
-        """Coefficients a_i(z) = scale_i * exp(rate_i * z)."""
+        """Coefficients a_i(z) = exp(rate_i z)."""
+        r = np.asarray(rates, dtype=float)
 
-        def make(c, r):
-            return (lambda z: c * np.exp(r * np.asarray(z, dtype=float)),
-                    lambda z: c * r * np.exp(r * np.asarray(z, dtype=float)),
-                    lambda z: c * r * r * np.exp(r * np.asarray(z, dtype=float)))
+        def profile(z):
+            k = r.reshape(3, *(1,) * z.ndim)
+            a = np.exp(k * z)
+            return a, k * a, k * k * a
 
-        fs = [make(float(c), float(r)) for c, r in zip(scales, rates)]
-        return cls(tuple(f[0] for f in fs), tuple(f[1] for f in fs),
-                   tuple(f[2] for f in fs), label)
+        return cls(profile, label)
 
     @classmethod
     def from_samples(cls, z_samples: np.ndarray, coeff_samples: Sequence[np.ndarray],
@@ -110,50 +109,49 @@ class CoframeBasis:
             raise ValueError("coeff_samples must hold the samples of three "
                              f"coefficients, got {len(coeff_samples)}")
         splines = [CubicSpline(z_samples, c) for c in coeff_samples]
-        return cls(tuple(splines),
-                   tuple(s.derivative(1) for s in splines),
-                   tuple(s.derivative(2) for s in splines), label)
 
-    def coefficients(self, z: np.ndarray) -> np.ndarray:
+        def profile(z):
+            return tuple(np.stack([s(z, nu) for s in splines]) for nu in range(3))
+
+        return cls(profile, label)
+
+    def scale_factors(self, z: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, a', a'') on z; raises ValueError unless all three are finite
+        and a > 0 on every sample point."""
         z = np.asarray(z, dtype=float)
-        a = _stack(self.coeff, z)
-        if not np.all(a > 0):  # NaN fails it too
+        a, da, d2a = self.profile(z)
+        if not (np.all(a > 0) and np.all(np.isfinite((a, da, d2a)))):
             raise ValueError(f"{self.label}: coframe coefficients must be "
-                             "strictly positive on the sample points")
-        return a
+                             "finite and strictly positive, and their first "
+                             "two derivatives finite, on the sample points")
+        return a, da, d2a
 
     def structure_rates(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c_i = a_i'/(a_z a_i) and their z-derivatives."""
-        z = np.asarray(z, dtype=float)
-        a = self.coefficients(z)
-        da, d2a = _stack(self.d1, z), _stack(self.d2, z)
+        a, da, d2a = self.scale_factors(z)
         c = da / (a[2] * a)
         dc = d2a / (a[2] * a) - c * (da[2] / a[2] + da / a)
         return c, dc
 
 
+def conformal_coframe(metric: FrameMetric, label: str = "conformal") -> CoframeBasis:
+    """Coframe of a FrameMetric: its `scale_factors` are the profile."""
+    return CoframeBasis(metric.scale_factors, label)
+
+
 def flat_coframe() -> CoframeBasis:
-    return CoframeBasis.exponential((1, 1, 1), (0, 0, 0), "flat")
+    return conformal_coframe(FrameMetric(0.0), "flat")
 
 
 def arnold_coframe(lam: float) -> CoframeBasis:
-    """Scale factors (e^{-lam z}, e^{lam z}, 1)."""
-    return CoframeBasis.exponential((1, 1, 1), (-lam, lam, 0), "arnold")
-
-
-def conformal_coframe(metric: FrameMetric, label: str = "conformal") -> CoframeBasis:
-    """Coframe of a FrameMetric: its scale factors and their derivatives."""
-
-    def leg(order, i):
-        return lambda z: metric.scale_factors(z)[order][i]
-
-    fs = [tuple(leg(order, i) for i in range(3)) for order in range(3)]
-    return CoframeBasis(*fs, label)
+    """Scale factors (e^{-lam z}, e^{lam z}, 1): the coframe of FrameMetric(lam)."""
+    return conformal_coframe(FrameMetric(lam), "arnold")
 
 
 def stretched_coframe(lam: float) -> CoframeBasis:
     """Line element dp^2 + e^{4 lam z} dq^2 + e^{lam z} dz^2."""
-    return CoframeBasis.exponential((1, 1, 1), (0, 2 * lam, lam / 2), "stretched")
+    return CoframeBasis.exponential((0, 2 * lam, lam / 2), "stretched")
 
 
 def stretched_coframe_half(lam: float) -> CoframeBasis:
@@ -162,7 +160,7 @@ def stretched_coframe_half(lam: float) -> CoframeBasis:
     This is the coefficient set whose torsion-free connection has the
     closed form omega^q_z = lam e^{-lam z/2} omega^q.
     """
-    return CoframeBasis.exponential((1, 1, 1), (0, lam, lam / 2), "stretched-half")
+    return CoframeBasis.exponential((0, lam, lam / 2), "stretched-half")
 
 
 def named_coframe(name: str, lam: float) -> CoframeBasis:
@@ -227,23 +225,16 @@ def exterior_derivative_2form(basis: CoframeBasis, forms: TwoForms,
     z-derivatives are finite-differenced unless supplied.
     """
     z = forms.z
-    a = basis.coefficients(z)
+    a, _, _ = basis.scale_factors(z)
     c, _ = basis.structure_rates(z)
     if d_coeff is None:
         d_coeff = np.gradient(forms.coeff, z, axis=0, edge_order=2)
-    out = np.zeros((len(z), forms.coeff.shape[1]))
-    for leg in range(forms.coeff.shape[1]):
-        for pair, (i, j) in enumerate(WEDGE_PAIRS):
-            rho = forms.coeff[:, leg, pair]
-            drho = d_coeff[:, leg, pair]
-            # dz ^ omega^i ^ omega^j: nonzero only for the (p, q) pair
-            if (i, j) == (0, 1):
-                out[:, leg] += drho / a[2]
-                # d omega^p = c_p omega^z^omega^p and d omega^q likewise:
-                # omega^z^omega^p^omega^q = +vol, omega^p^omega^z^omega^q = -vol
-                out[:, leg] += rho * (c[0] + c[1])
-            # pairs containing omega^z: both extra wedges vanish
-    return out
+    # only the (p, q) pair survives: dz ^ omega^i ^ omega^j and both extra
+    # wedges vanish for pairs containing omega^z. d omega^p = c_p
+    # omega^z^omega^p and d omega^q likewise, and omega^z^omega^p^omega^q
+    # = +vol, omega^p^omega^z^omega^q = -vol
+    return (d_coeff[:, :, 0] / a[2][:, None]
+            + forms.coeff[:, :, 0] * (c[0] + c[1])[:, None])
 
 
 @dataclass(frozen=True)
@@ -310,7 +301,7 @@ def solve_connection(basis: CoframeBasis, z: np.ndarray) -> ConnectionForms:
     gamma = _gamma_from_rates(c)
     # the system is linear in c, so c' gives the z-derivative
     gamma_dz = _gamma_from_rates(dc)
-    if not np.all(np.isfinite(gamma)):
+    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(gamma_dz))):
         raise ValueError("structure-equation solve produced non-finite values")
     return ConnectionForms(z, gamma, gamma_dz, basis)
 
@@ -321,7 +312,6 @@ class CurvatureReport:
 
     z: np.ndarray
     riemann: np.ndarray  # (nz, 3, 3, 3, 3)
-    source: str
 
     def component(self, i: int, j: int, k: int, l: int) -> np.ndarray:
         return self.riemann[:, i, j, k, l]
@@ -355,30 +345,24 @@ class CurvatureReport:
 
 
 def curvature(conn: ConnectionForms) -> CurvatureReport:
-    """Second structure equation R^i_j = d omega^i_j + omega^i_l ^ omega^l_j."""
+    """Second structure equation R^i_j = d omega^i_j + omega^i_l ^ omega^l_j.
+
+    With omega^i_j = Gamma^i_{jk} omega^k, the wedge term is
+    Gamma^i_{lm} Gamma^l_{jn} omega^m ^ omega^n and
+    d omega^i_j = (Gamma^i_{jk}'/a_z + Gamma^i_{jk} c_k) omega^z ^ omega^k.
+    """
     z = conn.z
-    nz = len(z)
-    a = conn.basis.coefficients(z)
+    a, _, _ = conn.basis.scale_factors(z)
     c, _ = conn.basis.structure_rates(z)
-    gamma, dgamma = conn.gamma, conn.gamma_dz
-    pair_coeff = np.zeros((nz, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            # d(Gamma^i_{jk} omega^k) = (Gamma'/a_z + Gamma c_k) omega^z^omega^k
-            for k in range(2):
-                pair, sign = _pair_coeff(2, k)
-                pair_coeff[:, i, j, pair] += sign * (
-                    dgamma[:, i, j, k] / a[2] + gamma[:, i, j, k] * c[k])
-            # omega^i_l ^ omega^l_j = Gamma^i_{lm} Gamma^l_{jn} omega^m^omega^n
-            for pidx, (m, n) in enumerate(WEDGE_PAIRS):
-                term = np.einsum("zl,zl->z", gamma[:, i, :, m], gamma[:, :, j, n]) \
-                    - np.einsum("zl,zl->z", gamma[:, i, :, n], gamma[:, :, j, m])
-                pair_coeff[:, i, j, pidx] += term
-    riemann = np.zeros((nz, 3, 3, 3, 3))
-    for pidx, (k, l) in enumerate(WEDGE_PAIRS):
-        riemann[:, :, :, k, l] = pair_coeff[:, :, :, pidx]
-        riemann[:, :, :, l, k] = -pair_coeff[:, :, :, pidx]
-    return CurvatureReport(z, riemann, source="cartan")
+    gamma = conn.gamma
+    quad = np.einsum("zilm,zljn->zijmn", gamma, gamma)
+    riemann = quad - np.swapaxes(quad, 3, 4)
+    # k = p, q only: omega^z ^ omega^z = 0
+    d_gamma = conn.gamma_dz[..., :2] / a[2][:, None, None, None] \
+        + gamma[..., :2] * c[:2].T[:, None, None, :]
+    riemann[:, :, :, 2, :2] += d_gamma
+    riemann[:, :, :, :2, 2] -= d_gamma
+    return CurvatureReport(z, riemann)
 
 
 def _coordinate_christoffel(basis: CoframeBasis, z: np.ndarray
@@ -389,8 +373,7 @@ def _coordinate_christoffel(basis: CoframeBasis, z: np.ndarray
     from the textbook formula, brute-forced over all index combinations.
     """
     z = np.asarray(z, dtype=float)
-    a = basis.coefficients(z)
-    da, d2a = _stack(basis.d1, z), _stack(basis.d2, z)
+    a, da, d2a = basis.scale_factors(z)
     g = a ** 2
     gp = 2 * a * da                    # d_z g_ii
     gpp = 2 * (da ** 2 + a * d2a)      # d_z^2 g_ii
@@ -418,16 +401,13 @@ def _coordinate_christoffel(basis: CoframeBasis, z: np.ndarray
     return a, da, Gam, dGam
 
 
-def christoffel_oracle(basis: CoframeBasis | FrameMetric,
-                       z: np.ndarray) -> CurvatureReport:
+def christoffel_oracle(basis: CoframeBasis, z: np.ndarray) -> CurvatureReport:
     """Coordinate Christoffel/Riemann pipeline converted to the frame.
 
     Independent of the structure-equation path: works on the metric
     components g_ii = a_i(z)^2 with the textbook formulas, brute-forced
     over all index combinations.
     """
-    if isinstance(basis, FrameMetric):
-        basis = conformal_coframe(basis)
     z = np.asarray(z, dtype=float)
     nz = len(z)
     a, _, Gam, dGam = _coordinate_christoffel(basis, z)
@@ -452,7 +432,7 @@ def christoffel_oracle(basis: CoframeBasis | FrameMetric,
             for k in range(3):
                 for l in range(3):
                     frame[:, i, j, k, l] = R[:, i, j, k, l] * a[i] / (a[j] * a[k] * a[l])
-    return CurvatureReport(z, frame, source="christoffel")
+    return CurvatureReport(z, frame)
 
 
 def frame_connection_oracle(basis: CoframeBasis, z: np.ndarray) -> np.ndarray:
@@ -497,26 +477,24 @@ def paper_closed_forms(lam: float) -> dict[str, Callable]:
 
 
 def comparison_table(cartan: CurvatureReport, oracle: CurvatureReport,
-                     paper_forms: dict[str, Callable] | None = None,
-                     components: Sequence[tuple[str, tuple[int, int, int, int]]] = REPORTED_COMPONENTS,
-                     stride: int = 1) -> str:
+                     paper_forms: dict[str, Callable], stride: int = 1) -> str:
     """Plain-text table: z, component, cartan, oracle, paper, |delta|.
 
-    |delta| is the gap between the structure-equation value and the quoted
-    closed form; the cartan-vs-oracle agreement is asserted elsewhere, the
-    closed-form column is report-only.
+    paper_forms holds a closed form for each of REPORTED_COMPONENTS
+    (`paper_closed_forms`). |delta| is the gap between the
+    structure-equation value and the quoted closed form; the
+    cartan-vs-oracle agreement is asserted elsewhere, the closed-form
+    column is report-only.
     """
-    paper_forms = paper_forms or {}
     lines = [f"{'z':>12} {'component':>10} {'cartan':>18} {'oracle':>18} "
              f"{'paper':>18} {'|delta|':>12}"]
-    for name, idx in components:
-        form = paper_forms.get(name)
+    for name, idx in REPORTED_COMPONENTS:
+        form = paper_forms[name]
         for n in range(0, len(cartan.z), stride):
             zv = cartan.z[n]
             cv = cartan.riemann[(n, *idx)]
             ov = oracle.riemann[(n, *idx)]
-            pv = form(zv) if form is not None else float("nan")
-            delta = abs(cv - pv) if form is not None else float("nan")
+            pv = form(zv)
             lines.append(f"{zv:12.6f} {name:>10} {cv:18.10e} {ov:18.10e} "
-                         f"{pv:18.10e} {delta:12.4e}")
+                         f"{pv:18.10e} {abs(cv - pv):12.4e}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ diagonal metrics with scale factors
     h_i = w(z) e^{r_i z},   r = (-lam, lam, 0),
 
 where w = Omega^{1/2}; `FrameMetric.scale_factors` is the one place that
-evaluates them. Omega comes in two families: the closed form
+evaluates them, for the frame operators and, as the metric's coframe
+(`exterior_geometry.conformal_coframe`), for the curvature. Omega comes in two families: the closed form
 c e^{a z} (identity, constant and exponential factors), which supplies w,
 w', w'' and its characteristic foot points exactly, and a tabulated
 not-a-knot cubic spline (`differentiation.CubicSpline`, plain numpy),

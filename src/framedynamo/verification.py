@@ -1,9 +1,9 @@
 """Acceptance matrix: the end-to-end checks behind `verify-all`.
 
 Each check returns a CheckResult with the measured figure and its limit;
-the pytest acceptance module asserts them and the CLI prints them. Long
-evolutions are shared between checks (the growth run also feeds the
-divergence audit, etc.).
+the pytest acceptance module asserts them and the CLI prints them. Every
+evolution is a cached run of the suite, shared between checks: the
+divergence audit reads all of them, whichever checks ran before it.
 """
 from __future__ import annotations
 
@@ -22,13 +22,15 @@ from .flux_rope import (RopeParams, amplification_ratio, btheta_solution,
                         tube_metric_factor)
 from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
                              FrameOperators)
-from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario, InitialField,
+from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
+                               EvolutionResult, InitialField,
                                characteristics_oracle, evolve, growth_fit,
                                named_initial_field, stable_dt)
 
 __all__ = ["CheckResult", "AcceptanceSuite", "format_summary"]
 
 DIV_FLOOR = 1e-12  # roundoff floor for fields whose discrete div is exact
+IDENTITY_PAIR_FACTOR = 4.0  # the constant factor c of the conformal identity
 
 
 @dataclass
@@ -73,7 +75,6 @@ class AcceptanceSuite:
     def __init__(self, out_dir: str | Path | None = None):
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.lam = CAT_STRETCH_RATE
-        self._div_series: list[tuple[str, np.ndarray]] = []
 
     # -- shared scenario builders -------------------------------------------
 
@@ -91,15 +92,12 @@ class AcceptanceSuite:
         t0 = time.perf_counter()
         res = evolve(sc)
         self.arnold_runtime = time.perf_counter() - t0
-        self._div_series.append(("arnold-growth", res.series.div_rel))
         return sc, res
 
     @cached_property
     def conformal_run(self):
         sc = self._growth_scenario(ConformalFactor.from_constant(2.0))
-        res = evolve(sc)
-        self._div_series.append(("conformal-growth", res.series.div_rel))
-        return sc, res
+        return sc, evolve(sc)
 
     def _mixed_scenario(self, n_z: int) -> DynamoScenario:
         metric = FrameMetric(self.lam)
@@ -111,17 +109,23 @@ class AcceptanceSuite:
             initial_field=InitialField.pq_profiles(gp, gq), t_end=2.0,
             dt=stable_dt(metric, grid, 1.0, cfl=0.4))
 
-    def _oracle_error(self, sc: DynamoScenario) -> float:
+    @cached_property
+    def mixed_runs(self) -> list[tuple[EvolutionResult, float]]:
+        """The two-component run at n_z = 128 and 256, with its oracle error."""
+        return [self._oracle_error(self._mixed_scenario(n)) for n in (128, 256)]
+
+    def _oracle_error(self, sc: DynamoScenario
+                      ) -> tuple[EvolutionResult, float]:
+        """evolve(sc) and its relative L2 gap to the characteristics oracle."""
         name = f"mixed-nz{sc.grid.n_z}"
         res = evolve(sc)
-        self._div_series.append((name, res.series.div_rel))
         oracle, mask = characteristics_oracle(sc, sc.t_end)
         if not mask.all():
             raise ValueError(f"{name}: characteristics oracle undefined at "
                              f"{np.sum(~mask)} of {mask.size} z points")
         op = FrameOperators(sc.metric, sc.grid)
         diff = FrameField(sc.grid, res.field.data - oracle.data)
-        return op.l2_norm(diff.data) / op.l2_norm(oracle.data)
+        return res, op.l2_norm(diff.data) / op.l2_norm(oracle.data)
 
     @cached_property
     def closed_solenoidal_run(self):
@@ -131,9 +135,23 @@ class AcceptanceSuite:
             metric=metric, grid=grid, flow_speed=1.0,
             initial_field=named_initial_field("solenoidal", 1.0), t_end=0.25,
             dt=stable_dt(metric, grid, 1.0, cfl=0.4))
-        res = evolve(sc)
-        self._div_series.append(("closed-solenoidal", res.series.div_rel))
-        return sc, res
+        return sc, evolve(sc)
+
+    @cached_property
+    def identity_pair_runs(self) -> tuple[EvolutionResult, EvolutionResult]:
+        """The identity factor at v = 1/c and the constant factor c at v = 1."""
+
+        def run(omega, v):
+            metric = FrameMetric(self.lam, omega)
+            grid = metric.grid(8, 8, 128, z_periodic=True)
+            return evolve(DynamoScenario(
+                metric=metric, grid=grid, flow_speed=v,
+                initial_field=named_initial_field("q_sine"), t_end=1.0,
+                dt=stable_dt(metric, grid, v, cfl=0.4)))
+
+        c = IDENTITY_PAIR_FACTOR
+        return (run(ConformalFactor.identity(), 1.0 / c),
+                run(ConformalFactor.from_constant(c), 1.0))
 
     # -- criteria -------------------------------------------------------------
 
@@ -164,8 +182,7 @@ class AcceptanceSuite:
         op = FrameOperators(sc.metric, sc.grid)
         err_default = op.l2_norm(res.field.data - oracle.data) / op.l2_norm(oracle.data)
         # two-component scenario and one z-refinement step
-        err_base = self._oracle_error(self._mixed_scenario(128))
-        err_fine = self._oracle_error(self._mixed_scenario(256))
+        (_, err_base), (_, err_fine) = self.mixed_runs
         order = float(np.log2(err_base / err_fine))
         passed = err_default <= 0.02 and err_base <= 0.02 and order >= 3.5
         return CheckResult(
@@ -237,21 +254,8 @@ class AcceptanceSuite:
         # a constant factor c at speed v advects at v/c, as the identity at
         # speed v/c does, so the fields agree; the measure c^{3/2} scales
         # the norms by c^{3/4}, and div carries c^{-1/2}
-        c = 4.0
-
-        def run(omega, v):
-            metric = FrameMetric(self.lam, omega)
-            grid = metric.grid(8, 8, 128, z_periodic=True)
-            sc = DynamoScenario(
-                metric=metric, grid=grid, flow_speed=v,
-                initial_field=named_initial_field("q_sine"), t_end=1.0,
-                dt=stable_dt(metric, grid, v, cfl=0.4))
-            res = evolve(sc)
-            self._div_series.append(("identity-pair", res.series.div_rel))
-            return res.series
-
-        s_base = run(ConformalFactor.identity(), 1.0 / c)
-        s_c = run(ConformalFactor.from_constant(c), 1.0)
+        c = IDENTITY_PAIR_FACTOR
+        s_base, s_c = (res.series for res in self.identity_pair_runs)
         norm_scale = c ** 0.75
         gap = max(
             float(np.max(np.abs(s_base.l2 - s_c.l2 / norm_scale))),
@@ -314,13 +318,16 @@ class AcceptanceSuite:
             f"thin-tube devs={['%.3e' % d for d in devs]}")
 
     def check_divergence_preservation(self) -> CheckResult:
-        # make sure every ideal run of the suite is present
-        self.arnold_run, self.conformal_run, self.closed_solenoidal_run
-        if not any(n.startswith("mixed") for n, _ in self._div_series):
-            self._oracle_error(self._mixed_scenario(128))
+        (mixed_base, _), (mixed_fine, _) = self.mixed_runs
+        runs = [("arnold-growth", self.arnold_run[1]),
+                ("conformal-growth", self.conformal_run[1]),
+                ("mixed-nz128", mixed_base), ("mixed-nz256", mixed_fine),
+                *(("identity-pair", res) for res in self.identity_pair_runs),
+                ("closed-solenoidal", self.closed_solenoidal_run[1])]
         worst_ratio = 0.0
         rows = []
-        for name, series in self._div_series:
+        for name, res in runs:
+            series = res.series.div_rel
             limit = 10.0 * series[0] + DIV_FLOOR
             ratio = float(np.max(series)) / limit
             worst_ratio = max(worst_ratio, ratio)

@@ -8,11 +8,13 @@ from framedynamo.exterior_geometry import (CoframeBasis, arnold_coframe,
                                            exterior_derivative_2form,
                                            flat_coframe,
                                            frame_connection_oracle,
+                                           paper_closed_forms,
                                            solve_connection, stretched_coframe,
                                            stretched_coframe_half)
 from framedynamo.frame_calculus import ConformalFactor, FrameMetric
 
 Z = np.linspace(0.0, 1.0, 65)
+ZS_WIDE = np.linspace(-1.0, 2.0, 301)  # spline knots that cover Z
 LAM = 1.0
 
 # expected frame curvature of the plain stretch metric (e^{-lam z}, e^{lam z}, 1),
@@ -61,8 +63,7 @@ def test_exterior_derivative_tabulated_matches_analytic():
     # spline-differentiated coefficients against the closed-form basis
     zs = np.linspace(-0.1, 1.1, 601)
     analytic = arnold_coframe(LAM)
-    sampled = CoframeBasis.from_samples(
-        zs, [f(zs) for f in analytic.coeff])
+    sampled = CoframeBasis.from_samples(zs, analytic.scale_factors(zs)[0])
     d_a = exterior_derivative(analytic, Z)
     d_s = exterior_derivative(sampled, Z)
     np.testing.assert_allclose(d_s.coeff, d_a.coeff, atol=1e-8)
@@ -78,10 +79,27 @@ def test_from_samples_rejects_bad_samples():
 
 def test_exterior_derivative_rejects_nonpositive_coefficients():
     # NaN compares false with everything, so it must fail the check too
-    for scale in (-1.0, 0.0, np.nan):
-        bad = CoframeBasis.exponential((1.0, scale, 1.0), (0, 0, 0))
+    for value in (-1.0, 0.0, np.nan):
+        def profile(z, value=value):
+            a = np.ones((3, *z.shape))
+            a[1] = value
+            return a, np.zeros_like(a), np.zeros_like(a)
+
         with pytest.raises(ValueError, match="positive"):
-            exterior_derivative(bad, Z)
+            exterior_derivative(CoframeBasis(profile), Z)
+
+
+@pytest.mark.parametrize("rate", [800.0, 700.0])
+def test_overflowing_coframe_is_rejected_by_both_pipelines(rate):
+    # rate 800: a = +inf passes a > 0; rate 700: a is finite but a'' is not.
+    # Either used to give a NaN curvature report instead of an error.
+    basis = CoframeBasis.exponential((0, rate, 0))
+    zs = np.linspace(0, 1, 9)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            curvature(solve_connection(basis, zs))
+        with pytest.raises(ValueError, match="finite"):
+            christoffel_oracle(basis, zs)
 
 
 def test_christoffel_oracle_rejects_metric_nonpositive_on_samples():
@@ -90,7 +108,8 @@ def test_christoffel_oracle_rejects_metric_nonpositive_on_samples():
     zs = np.linspace(0, 1, 21)
     tab = ConformalFactor.tabulated(zs, 1.0 - 0.95 * zs)
     with pytest.raises(ValueError, match="not positive"):
-        christoffel_oracle(FrameMetric(1.0, tab), np.linspace(0, 2, 33))
+        christoffel_oracle(conformal_coframe(FrameMetric(1.0, tab)),
+                           np.linspace(0, 2, 33))
 
 
 @pytest.mark.parametrize("a", [0.9, -1.3])
@@ -102,13 +121,23 @@ def test_conformal_scale_factors_match_closed_form(a):
     metric = FrameMetric(lam, ConformalFactor.exponential(a))
     k = a / 2 + np.array([-lam, lam, 0.0])[:, None]
     h = np.exp(k * Z)
-    basis = conformal_coframe(metric)
-    legs = (basis.coeff, basis.d1, basis.d2)
+    legs = conformal_coframe(metric).scale_factors(Z)
     for order, want in enumerate((h, k * h, k ** 2 * h)):
         np.testing.assert_allclose(metric.scale_factors(Z)[order], want,
                                    rtol=1e-12)
-        for i in range(3):
-            np.testing.assert_allclose(legs[order][i](Z), want[i], rtol=1e-12)
+        np.testing.assert_allclose(legs[order], want, rtol=1e-12)
+
+
+def test_sampled_coframe_curvature_matches_closed_form():
+    # the sampled legs of the stretched coframe (1, e^{2z}, e^{z/2}): both
+    # pipelines read the same spline a'', so only a closed form shows a
+    # second derivative wired to the wrong spline order
+    zs = np.linspace(-0.1, 1.1, 601)
+    sampled = CoframeBasis.from_samples(
+        zs, [np.ones_like(zs), np.exp(2 * zs), np.exp(zs / 2)])
+    want = curvature(solve_connection(stretched_coframe(1.0), Z))
+    got = curvature(solve_connection(sampled, Z))
+    assert got.max_difference(want) <= 1e-4 * want.max_abs()
 
 
 def test_double_exterior_derivative_vanishes():
@@ -127,7 +156,7 @@ def test_double_derivative_nontrivial_2form_is_exercised():
     from framedynamo.exterior_geometry import TwoForms
 
     forms = TwoForms(Z, coeff)
-    a = basis.coefficients(Z)
+    a = basis.scale_factors(Z)[0]
     c, _ = basis.structure_rates(Z)
     analytic = (2 * np.pi * np.cos(2 * np.pi * Z) / a[2]
                 + np.sin(2 * np.pi * Z) * (c[0] + c[1]))
@@ -216,6 +245,10 @@ def test_curvature_stretched_doubled_closed_form():
     ("stretched", stretched_coframe(LAM)),
     ("exp-omega", conformal_coframe(
         FrameMetric(0.8, ConformalFactor.exponential(1.2)))),
+    ("tabulated-omega", conformal_coframe(FrameMetric(0.8, ConformalFactor.tabulated(
+        ZS_WIDE, 1.0 + 0.3 * np.sin(2 * np.pi * ZS_WIDE))))),
+    ("sampled", CoframeBasis.from_samples(
+        ZS_WIDE, [np.ones_like(ZS_WIDE), 2.0 + np.sin(ZS_WIDE), np.exp(ZS_WIDE / 3)])),
 ])
 def test_pipeline_equivalence(label, basis):
     cart = curvature(solve_connection(basis, Z))
@@ -245,7 +278,7 @@ def test_christoffel_oracle_euclidean():
 
 
 def test_christoffel_oracle_accepts_metric():
-    rep = christoffel_oracle(FrameMetric(LAM), Z)
+    rep = christoffel_oracle(conformal_coframe(FrameMetric(LAM)), Z)
     np.testing.assert_allclose(rep.component(0, 1, 0, 1),
                                np.full_like(Z, 1.0), atol=1e-12)
 
@@ -254,8 +287,7 @@ def test_comparison_table_format():
     basis = stretched_coframe_half(LAM)
     cart = curvature(solve_connection(basis, Z))
     orac = christoffel_oracle(basis, Z)
-    forms = {"R^q_zqz": lambda z: 0.5 * LAM ** 2 * np.exp(-LAM * z)}
-    text = comparison_table(cart, orac, forms, stride=16)
+    text = comparison_table(cart, orac, paper_closed_forms(LAM), stride=16)
     lines = text.strip().split("\n")
     assert lines[0].split() == ["z", "component", "cartan", "oracle", "paper",
                                 "|delta|"]
