@@ -224,13 +224,12 @@ def cmd_fluxrope(cfg: RunConfig) -> int:
         b_amplitude=cfg.get_float("b_amplitude"))
     s_max, ds = cfg.get_float("s_max"), cfg.get_float("ds")
     curve = frenet_integrate(params.kappa, params.tau, s_max, ds)
-    tube = tube_metric_factor(params, params.kappa, params.tau, curve.s)
-    v_theta = continuity_solution(curve.s, params.r, params.kappa, params.tau,
-                                  cfg.get_float("v_theta0"))
+    tube = tube_metric_factor(params, curve.s)
+    v_theta = continuity_solution(params, curve.s, cfg.get_float("v_theta0"))
     b_theta = btheta_solution(params, tube, cfg.get_float("t"))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "rope.csv").write_text(
-        rope_csv(tube, params.kappa, params.tau, v_theta, b_theta))
+        rope_csv(params, tube, v_theta, b_theta))
     print(f"wrote {cfg.out_dir / 'rope.csv'}")
     print(f"triad orthonormality drift : {curve.orthonormality_drift():.3e}")
     print(f"amplification ratio        : {amplification_ratio(params):.12g}")

@@ -200,12 +200,6 @@ class CubicSpline:
         return self._evaluate(self._pieces[nu].take(i, axis=1),
                               z - self.x.take(i))
 
-    def derivative(self, nu: int = 1) -> Callable[[np.ndarray], np.ndarray]:
-        """The derivative of order nu = 1 or 2, as a callable of z."""
-        if nu not in (1, 2):
-            raise ValueError(f"derivative order must be 1 or 2, got {nu}")
-        return functools.partial(self, nu=nu)
-
     def antiderivative(self) -> Callable[[np.ndarray], np.ndarray]:
         """The antiderivative, zero at the first knot, as a callable of z."""
         return functools.partial(self, nu=-1)

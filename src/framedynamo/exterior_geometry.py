@@ -120,7 +120,8 @@ class CoframeBasis:
         """(a, a', a'') on z; raises ValueError unless all three are finite
         and a > 0 on every sample point."""
         z = np.asarray(z, dtype=float)
-        a, da, d2a = self.profile(z)
+        with np.errstate(over="ignore"):
+            a, da, d2a = self.profile(z)
         if not (np.all(a > 0) and np.all(np.isfinite((a, da, d2a)))):
             raise ValueError(f"{self.label}: coframe coefficients must be "
                              "finite and strictly positive, and their first "

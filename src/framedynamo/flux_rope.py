@@ -11,8 +11,13 @@ stays orthonormal to round-off without renormalisation (Iserles,
 Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000; Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 2009).
 
-The tube cross-section angle winds as theta(s) = theta0 - int tau ds.
-The tube metric deviates from flat by K(s) = 1 - r kappa(s) cos theta(s).
+The rope has one owner: `RopeParams` carries its radius r and the
+constant curvature kappa and torsion tau of its axis, and the tube, B_theta,
+continuity and CSV functions read them from there. Only `frenet_integrate`
+takes kappa(s) and tau(s) as profiles of s (floats or callables).
+
+The tube cross-section angle winds as theta(s) = theta0 - tau s.
+The tube metric deviates from flat by K(s) = 1 - r kappa cos theta(s).
 The endpoint dynamo quantities are the poloidal/toroidal amplification
 ratio tau*omega*r/gamma^2, the radius bound r > gamma^2/(omega tau), and
 the poloidal amplitude B_theta = B0 exp(gamma t - int (1 - K) dtheta).
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -63,9 +67,6 @@ class FrenetCurve:
     t: np.ndarray       # (m, 3) tangents
     n: np.ndarray       # (m, 3) normals
     b: np.ndarray       # (m, 3) binormals
-    kappa: np.ndarray
-    tau: np.ndarray
-    ds: float
 
     def orthonormality_drift(self) -> float:
         """Worst deviation of the triad from orthonormality."""
@@ -85,9 +86,7 @@ class FrenetCurve:
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
 
-def frenet_integrate(kappa, tau, s_max: float, ds: float,
-                     x0=(0.0, 0.0, 0.0),
-                     t0=(1.0, 0.0, 0.0), n0=(0.0, 1.0, 0.0)) -> FrenetCurve:
+def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
     """Integrate the frame equations with a 4th-order Magnus method.
 
     With F the matrix of rows (t, n, b), F' = -[w]x F for the body-frame
@@ -100,9 +99,8 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float,
     rotate the frame exactly.
 
     kappa and tau may be floats or callables of s; kappa must be
-    non-negative and kappa*ds <= 0.1 everywhere (step-size guard).
-    t0 and n0 set the initial triad: t0 must be non-zero and n0 not
-    parallel to it (n0 is projected orthogonal to t0).
+    non-negative and kappa*ds <= 0.1 everywhere (step-size guard). The
+    curve starts at the origin with the triad (t, n, b) = (e_x, e_y, e_z).
     """
     if not 0.0 < ds < np.inf:
         raise ValueError(f"ds must be positive and finite, got {ds}")
@@ -111,23 +109,10 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float,
     m = int(round(s_max / ds)) + 1
     s = np.arange(m) * ds
     kap = _as_profile(kappa, s)
-    tor = _as_profile(tau, s)
     if np.any(kap < 0):
         raise ValueError("curvature profile must be non-negative")
     if np.max(kap) * ds > 0.1:
         raise ValueError(f"step too large: max kappa*ds = {np.max(kap) * ds:.3g} > 0.1")
-
-    t0 = np.asarray(t0, dtype=float)
-    n0 = np.asarray(n0, dtype=float)
-    t_len = np.linalg.norm(t0)
-    if not t_len > 0.0:
-        raise ValueError(f"t0 must be a non-zero vector, got {t0}")
-    t0 = t0 / t_len
-    n_perp = n0 - np.dot(n0, t0) * t0
-    n_len = np.linalg.norm(n_perp)
-    if not n_len > 1e-12 * np.linalg.norm(n0):
-        raise ValueError(f"n0 must not be parallel to t0, got n0 = {n0}")
-    n0 = n_perp / n_len
 
     # per-step rotation vectors theta, shape (m - 1, 3)
     w1, w2 = (np.stack([_as_profile(tau, s[:-1] + c * ds),
@@ -146,27 +131,28 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float,
     rot_t = np.eye(3) + a[:, None, None] * K + b[:, None, None] * (K @ K)
 
     frames = np.empty((m, 3, 3))
-    frames[0] = t0, n0, np.cross(t0, n0)
+    frames[0] = np.eye(3)
     for i in range(m - 1):
         np.matmul(rot_t[i], frames[i], out=frames[i + 1])
     ts, ns, bs = frames[:, 0], frames[:, 1], frames[:, 2]
 
     kn = kap[:, None] * ns
-    xs = np.empty((m, 3))
-    xs[0] = x0
-    xs[1:] = xs[0] + np.cumsum(0.5 * ds * (ts[:-1] + ts[1:])
-                               + (ds ** 2 / 12.0) * (kn[:-1] - kn[1:]), axis=0)
-    return FrenetCurve(s, xs, ts, ns, bs, kap, tor, ds)
+    xs = np.zeros((m, 3))
+    xs[1:] = np.cumsum(0.5 * ds * (ts[:-1] + ts[1:])
+                       + (ds ** 2 / 12.0) * (kn[:-1] - kn[1:]), axis=0)
+    return FrenetCurve(s, xs, ts, ns, bs)
 
 
 @dataclass(frozen=True)
 class RopeParams:
-    """Scalar rope parameters.
+    """The rope: the only source of its radius, curvature and torsion.
 
-    gamma is the exponential growth rate of the poloidal amplitude (the
-    exponent in e^{gamma t}); omega is the cross-section rotation rate;
-    tau/kappa the (scalar) torsion and curvature entering the endpoint
-    formulas; theta0 the reference angle.
+    r is the tube radius and kappa/tau the constant curvature and torsion
+    of its axis; the tube winding, B_theta, the continuity profile, the
+    CSV and the endpoint formulas all read them from here. gamma is the
+    exponential growth rate of the poloidal amplitude (the exponent in
+    e^{gamma t}); omega is the cross-section rotation rate; theta0 the
+    reference angle.
     """
 
     r: float
@@ -184,7 +170,7 @@ class RopeParams:
 
 @dataclass(frozen=True)
 class TubeMetric:
-    """Tube stretch factor K(s) = 1 - r kappa(s) cos theta(s)."""
+    """Tube stretch factor K(s) = 1 - r kappa cos theta(s)."""
 
     s: np.ndarray
     K: np.ndarray
@@ -199,17 +185,14 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tube_metric_factor(params: RopeParams, kappa_profile, tau_profile,
-                       s: np.ndarray) -> TubeMetric:
+def tube_metric_factor(params: RopeParams, s: np.ndarray) -> TubeMetric:
     """K(s) along the rope; rejects self-intersecting tubes (K <= 0)."""
     s = np.asarray(s, dtype=float)
-    kap = _as_profile(kappa_profile, s)
-    tor = _as_profile(tau_profile, s)
-    if params.r * np.max(kap, initial=0.0) >= 1.0:
-        raise ValueError("tube radius exceeds 1/max(kappa): metric factor "
+    if params.r * max(params.kappa, 0.0) >= 1.0:
+        raise ValueError("tube radius exceeds 1/kappa: metric factor "
                          "would vanish")
-    theta = params.theta0 - cumulative_trapezoid(tor, s)
-    K = 1.0 - params.r * kap * np.cos(theta)
+    theta = params.theta0 - cumulative_trapezoid(np.full_like(s, params.tau), s)
+    K = 1.0 - params.r * params.kappa * np.cos(theta)
     if np.any(K <= 0):
         raise ValueError("tube metric factor is non-positive somewhere")
     return TubeMetric(s, K, theta, thin=bool(np.max(np.abs(1.0 - K)) < 0.05))
@@ -231,13 +214,12 @@ def dynamo_radius_bound(params: RopeParams) -> float:
     return params.gamma ** 2 / ot
 
 
-def is_dynamo(params: RopeParams, r: float | None = None) -> bool:
+def is_dynamo(params: RopeParams) -> bool:
     """Radius predicate r > gamma^2/(omega tau); False when no bound exists."""
     try:
-        bound = dynamo_radius_bound(params)
+        return params.r > dynamo_radius_bound(params)
     except NoDynamoBoundError:
         return False
-    return (params.r if r is None else r) > bound
 
 
 def btheta_solution(params: RopeParams, tube: TubeMetric,
@@ -253,8 +235,7 @@ def btheta_solution(params: RopeParams, tube: TubeMetric,
     return params.b_amplitude * np.exp(params.gamma * t_arr - integral)
 
 
-def continuity_residual(s: np.ndarray, v_theta: np.ndarray, r: float,
-                        kappa_profile, tau_profile,
+def continuity_residual(params: RopeParams, s: np.ndarray, v_theta: np.ndarray,
                         dv_theta: np.ndarray | None = None) -> np.ndarray:
     """Residual of ds(v_theta) + v_theta r tau kappa = 0.
 
@@ -263,33 +244,27 @@ def continuity_residual(s: np.ndarray, v_theta: np.ndarray, r: float,
     """
     s = np.asarray(s, dtype=float)
     v = np.asarray(v_theta, dtype=float)
-    kap = _as_profile(kappa_profile, s)
-    tor = _as_profile(tau_profile, s)
     if dv_theta is None:
         D = z_derivative_matrix(len(s), float(s[1] - s[0]), 1)
         dv_theta = D @ v
-    return dv_theta + v * r * tor * kap
+    return dv_theta + v * params.r * params.tau * params.kappa
 
 
-def continuity_solution(s: np.ndarray, r: float, kappa_profile, tau_profile,
+def continuity_solution(params: RopeParams, s: np.ndarray,
                         v0: float = 1.0) -> np.ndarray:
     """Exact angular-flow profile v_theta(s) = v0 exp(-r int tau kappa ds)."""
     s = np.asarray(s, dtype=float)
-    kap = _as_profile(kappa_profile, s)
-    tor = _as_profile(tau_profile, s)
-    return v0 * np.exp(-r * cumulative_trapezoid(tor * kap, s))
+    integrand = np.full_like(s, params.tau * params.kappa)
+    return v0 * np.exp(-params.r * cumulative_trapezoid(integrand, s))
 
 
-def rope_csv(tube: TubeMetric, kappa_profile, tau_profile,
-             v_theta: np.ndarray, b_theta: np.ndarray) -> str:
+def rope_csv(params: RopeParams, tube: TubeMetric, v_theta: np.ndarray,
+             b_theta: np.ndarray) -> str:
     """CSV block (s, kappa, tau, K, theta, v_theta, B_theta)."""
-    s = tube.s
-    kap = _as_profile(kappa_profile, s)
-    tor = _as_profile(tau_profile, s)
     buf = io.StringIO()
     buf.write("s,kappa,tau,K,theta,v_theta,B_theta\n")
-    for i in range(len(s)):
+    for i in range(len(tube.s)):
         buf.write("%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g\n" % (
-            s[i], kap[i], tor[i], tube.K[i], tube.theta[i], v_theta[i],
-            b_theta[i]))
+            tube.s[i], params.kappa, params.tau, tube.K[i], tube.theta[i],
+            v_theta[i], b_theta[i]))
     return buf.getvalue()

@@ -95,18 +95,22 @@ class ConformalFactor:
         return self.spline is None and self.exponent == 0.0
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        """Omega(z); raises ValueError unless it is positive at every z.
+        """Omega(z); raises ValueError unless it is finite and positive at
+        every z.
 
         A tabulated factor is positive at its knots, but its spline need
-        not be between or beyond them.
+        not be between or beyond them; the closed form c e^{a z} can
+        overflow to +inf.
         """
         z = np.asarray(z, dtype=float)
         if self.spline is not None:
             om = self.spline(z)
         else:
-            om = self.constant * np.exp(self.exponent * z)
-        if not np.all(om > 0):
-            raise ValueError("conformal factor is not positive on the z points")
+            with np.errstate(over="ignore"):
+                om = self.constant * np.exp(self.exponent * z)
+        if not np.all(np.isfinite(om) & (om > 0)):
+            raise ValueError("conformal factor is not finite and positive on "
+                             "the z points")
         return om
 
     def log_derivative(self, z: np.ndarray) -> np.ndarray:

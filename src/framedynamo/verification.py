@@ -303,7 +303,7 @@ class AcceptanceSuite:
         devs = []
         for r in (0.2, 0.1, 0.05, 0.025):
             params = RopeParams(r=r, gamma=0.7, tau=1.0, kappa=1.0)
-            tube = tube_metric_factor(params, 1.0, 1.0, s)
+            tube = tube_metric_factor(params, s)
             bt = btheta_solution(params, tube, 1.3)
             devs.append(float(np.max(np.abs(
                 bt / (params.b_amplitude * np.exp(params.gamma * 1.3)) - 1.0))))

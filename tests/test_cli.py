@@ -236,6 +236,28 @@ def test_fluxrope_command_writes_csv(tmp_path, capsys):
     assert "dynamo radius bound" in out
 
 
+def test_fluxrope_one_torsion_end_to_end(tmp_path, capsys):
+    # the CSV winds, and the printed ratio is computed, at the same kappa,
+    # tau and r: those of the configured rope
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[fluxrope]\nkappa = 0.7\ntau = -0.4\nr = 0.3\n"
+                   "theta0 = 0.2\n")
+    code, out, err = run_cli(capsys, "fluxrope", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    csv = tmp_path / "o" / "rope.csv"
+    assert csv.read_text().split("\n")[0] == "s,kappa,tau,K,theta,v_theta,B_theta"
+    s, kappa, tau, K, theta, _, _ = np.loadtxt(csv, delimiter=",", skiprows=1).T
+    assert len(s) > 100
+    assert np.all(kappa == 0.7) and np.all(tau == -0.4)
+    np.testing.assert_allclose(theta, 0.2 + 0.4 * s, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(K, 1.0 - 0.21 * np.cos(theta), rtol=0, atol=1e-13)
+    lines = out.splitlines()
+    assert "amplification ratio        : -0.12" in lines
+    assert any(line.startswith("dynamo radius bound        : none (")
+               for line in lines)
+
+
 def test_fluxrope_no_bound_signaled(tmp_path, capsys):
     cfg = tmp_path / "f.ini"
     cfg.write_text("[fluxrope]\nomega = -1.0\n")

@@ -95,11 +95,10 @@ def test_overflowing_coframe_is_rejected_by_both_pipelines(rate):
     # Either used to give a NaN curvature report instead of an error.
     basis = CoframeBasis.exponential((0, rate, 0))
     zs = np.linspace(0, 1, 9)
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="finite"):
-            curvature(solve_connection(basis, zs))
-        with pytest.raises(ValueError, match="finite"):
-            christoffel_oracle(basis, zs)
+    with pytest.raises(ValueError, match="finite"):
+        curvature(solve_connection(basis, zs))
+    with pytest.raises(ValueError, match="finite"):
+        christoffel_oracle(basis, zs)
 
 
 def test_christoffel_oracle_rejects_metric_nonpositive_on_samples():
@@ -107,7 +106,7 @@ def test_christoffel_oracle_rejects_metric_nonpositive_on_samples():
     # past z = 1 would give NaN coefficients and a NaN report
     zs = np.linspace(0, 1, 21)
     tab = ConformalFactor.tabulated(zs, 1.0 - 0.95 * zs)
-    with pytest.raises(ValueError, match="not positive"):
+    with pytest.raises(ValueError, match="not finite and positive"):
         christoffel_oracle(conformal_coframe(FrameMetric(1.0, tab)),
                            np.linspace(0, 2, 33))
 

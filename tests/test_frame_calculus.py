@@ -135,7 +135,7 @@ def test_metric_rejects_nonpositive_factor_on_range():
     tab = ConformalFactor.tabulated(np.linspace(0, 1, 21),
                                     1.0 - 0.95 * np.linspace(0, 1, 21))
     metric = FrameMetric(1.0, tab)
-    with pytest.raises(ValueError, match="not positive"):
+    with pytest.raises(ValueError, match="not finite and positive"):
         FrameOperators(metric, Grid3D(4, 4, 33, z_min=0.0, z_max=2.0))
     FrameOperators(metric, Grid3D(4, 4, 33))
     with pytest.raises(ValueError, match="must be positive"):

@@ -182,9 +182,21 @@ def test_scenario_rejects_nonpositive_factor_on_the_grid():
     zs = np.linspace(0, 1, 21)
     metric = FrameMetric(1.0, ConformalFactor.tabulated(zs, 1.0 - 0.95 * zs))
     grid = Grid3D(4, 4, 33, z_min=0.0, z_max=2.0)
-    with pytest.raises(ValueError, match="not positive"):
+    with pytest.raises(ValueError, match="not finite and positive"):
         stable_dt(metric, grid, 1.0)
-    with pytest.raises(ValueError, match="not positive"):
+    with pytest.raises(ValueError, match="not finite and positive"):
+        DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                       initial_field=q_sine(), t_end=0.1, dt=1e-3)
+
+
+def test_scenario_rejects_overflowing_factor():
+    # Omega(1) = e^800 = +inf used to pass the positivity check; the run was
+    # accepted and failed only in evolve with a non-finite divergence
+    metric = FrameMetric(1.0, ConformalFactor.exponential(800.0))
+    grid = Grid3D(2, 2, 32)
+    with pytest.raises(ValueError, match="finite"):
+        stable_dt(metric, grid, 1.0)
+    with pytest.raises(ValueError, match="finite"):
         DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
                        initial_field=q_sine(), t_end=0.1, dt=1e-3)
 
