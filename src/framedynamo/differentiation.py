@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -199,7 +198,3 @@ class CubicSpline:
         i = np.searchsorted(self.x[1:-1], z, side="right")
         return self._evaluate(self._pieces[nu].take(i, axis=1),
                               z - self.x.take(i))
-
-    def antiderivative(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The antiderivative, zero at the first knot, as a callable of z."""
-        return functools.partial(self, nu=-1)

@@ -9,8 +9,11 @@ z -> (a, a', a'') (`CoframeBasis`); the coframe of a `FrameMetric` is its
 `scale_factors`. Two independent curvature pipelines are provided:
 
   * the structure-equation path: exterior derivatives of the coframe, the
-    torsion-free antisymmetric connection solved as a determined linear
-    system, then the curvature 2-forms
+    torsion-free antisymmetric connection in closed form,
+    omega^i_z = c_i omega^i for i = p, q with c_i = a_i'/(a_z a_i)
+    (Flanders, Differential Forms with Applications to the Physical
+    Sciences, 1963, ch. 4), whose structure-equation residual is
+    reported, then the curvature 2-forms
     R^i_j = d omega^i_j + omega^i_l ^ omega^l_j;
 
   * a coordinate Christoffel-symbol oracle: Gamma^a_{bc} from the metric
@@ -40,7 +43,6 @@ __all__ = [
     "ConnectionForms",
     "CurvatureReport",
     "exterior_derivative",
-    "exterior_derivative_2form",
     "solve_connection",
     "curvature",
     "christoffel_oracle",
@@ -201,41 +203,18 @@ class TwoForms:
         return sign * self.coeff[:, leg, pair]
 
 
-def _z_wedge(c: np.ndarray) -> np.ndarray:
-    """c_i omega^z ^ omega^i for legs p, q on the wedge basis, (nz, 3, 3)."""
-    coeff = np.zeros((c.shape[1], 3, 3))
-    for i in range(2):  # d omega^z = 0 for diagonal z-dependent coframes
-        pair, sign = _pair_coeff(2, i)
-        coeff[:, i, pair] = sign * c[i]
-    return coeff
-
-
 def exterior_derivative(basis: CoframeBasis, z: np.ndarray) -> TwoForms:
-    """d omega^i = (a_i'/(a_z a_i)) omega^z ^ omega^i on the wedge basis."""
+    """d omega^i = (a_i'/(a_z a_i)) omega^z ^ omega^i on the wedge basis.
+
+    d omega^z = 0 for diagonal z-dependent coframes.
+    """
     z = np.asarray(z, dtype=float)
     c, _ = basis.structure_rates(z)
-    return TwoForms(z, _z_wedge(c))
-
-
-def exterior_derivative_2form(basis: CoframeBasis, forms: TwoForms,
-                              d_coeff: np.ndarray | None = None) -> np.ndarray:
-    """d of a 2-form family; returns the omega^p^omega^q^omega^z coefficient.
-
-    d(rho omega^a ^ omega^b) = rho' dz ^ omega^a ^ omega^b
-    + rho (d omega^a ^ omega^b - omega^a ^ d omega^b). Coefficient
-    z-derivatives are finite-differenced unless supplied.
-    """
-    z = forms.z
-    a, _, _ = basis.scale_factors(z)
-    c, _ = basis.structure_rates(z)
-    if d_coeff is None:
-        d_coeff = np.gradient(forms.coeff, z, axis=0, edge_order=2)
-    # only the (p, q) pair survives: dz ^ omega^i ^ omega^j and both extra
-    # wedges vanish for pairs containing omega^z. d omega^p = c_p
-    # omega^z^omega^p and d omega^q likewise, and omega^z^omega^p^omega^q
-    # = +vol, omega^p^omega^z^omega^q = -vol
-    return (d_coeff[:, :, 0] / a[2][:, None]
-            + forms.coeff[:, :, 0] * (c[0] + c[1])[:, None])
+    coeff = np.zeros((c.shape[1], 3, 3))
+    for i in range(2):
+        pair, sign = _pair_coeff(2, i)
+        coeff[:, i, pair] = sign * c[i]
+    return TwoForms(z, coeff)
 
 
 @dataclass(frozen=True)
@@ -263,35 +242,18 @@ class ConnectionForms:
         return float(np.max(np.abs(res)))
 
 
-def _connection_system() -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Constant 9x9 system; unknown 3 n + k is Gamma^i_{jk}, (i, j) = WEDGE_PAIRS[n]."""
-    M = np.zeros((9, 9))
-    rows = []
-    for i in range(3):
-        for row_pair, (a, b) in enumerate(WEDGE_PAIRS):
-            # Gamma^i_{ba} - Gamma^i_{ab} = -D^i_{ab}
-            for (j, k), s in (((b, a), 1.0), ((a, b), -1.0)):
-                pair, sign = _pair_coeff(i, j)
-                if sign:
-                    M[len(rows), 3 * pair + k] += s * sign
-            rows.append((i, row_pair))
-    return M, rows
-
-
-_M_CONN, _ROWS_CONN = _connection_system()
-_M_CONN_INV = np.linalg.inv(_M_CONN)
-
-
 def _gamma_from_rates(c: np.ndarray) -> np.ndarray:
-    """Solve the structure system with d omega^i = c_i omega^z ^ omega^i."""
-    d = _z_wedge(c)
-    u = np.stack([-d[:, i, pair] for (i, pair) in _ROWS_CONN],
-                 axis=1) @ _M_CONN_INV.T
-    gamma = np.zeros((len(u), 3, 3, 3))
-    for n, (i, j) in enumerate(WEDGE_PAIRS):
-        for k in range(3):
-            gamma[:, i, j, k] = u[:, 3 * n + k]
-            gamma[:, j, i, k] = -u[:, 3 * n + k]
+    """Gamma^i_{jk} of the connection omega^i_z = c_i omega^i, i = p, q.
+
+    This is the unique solution of d omega^i = -omega^i_j ^ omega^j with
+    d omega^i = c_i omega^z ^ omega^i for i = p, q, d omega^z = 0 and
+    omega^i_j = -omega^j_i: Gamma^i_{zi} = c_i, Gamma^z_{ii} = -c_i, and
+    every other entry is zero.
+    """
+    gamma = np.zeros((c.shape[1], 3, 3, 3))
+    for i in range(2):
+        gamma[:, i, 2, i] = c[i]
+        gamma[:, 2, i, i] = -c[i]
     return gamma
 
 
@@ -300,10 +262,10 @@ def solve_connection(basis: CoframeBasis, z: np.ndarray) -> ConnectionForms:
     z = np.asarray(z, dtype=float)
     c, dc = basis.structure_rates(z)
     gamma = _gamma_from_rates(c)
-    # the system is linear in c, so c' gives the z-derivative
+    # Gamma is linear in c, so c' gives its z-derivative
     gamma_dz = _gamma_from_rates(dc)
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(gamma_dz))):
-        raise ValueError("structure-equation solve produced non-finite values")
+        raise ValueError("connection has non-finite values")
     return ConnectionForms(z, gamma, gamma_dz, basis)
 
 

@@ -152,7 +152,8 @@ class RopeParams:
     CSV and the endpoint formulas all read them from here. gamma is the
     exponential growth rate of the poloidal amplitude (the exponent in
     e^{gamma t}); omega is the cross-section rotation rate; theta0 the
-    reference angle.
+    reference angle. Every field must be finite, r and kappa
+    non-negative; gamma = 0 and negative omega and tau are accepted.
     """
 
     r: float
@@ -164,8 +165,14 @@ class RopeParams:
     b_amplitude: float = 1.0  # B0 of the poloidal solution
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.r < 0:
-            raise ValueError("tube radius must be non-negative")
+            raise ValueError(f"tube radius r must be non-negative, got {self.r}")
+        if self.kappa < 0:
+            raise ValueError(f"curvature kappa must be non-negative, "
+                             f"got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def tube_metric_factor(params: RopeParams, s: np.ndarray) -> TubeMetric:
     """K(s) along the rope; rejects self-intersecting tubes (K <= 0)."""
     s = np.asarray(s, dtype=float)
-    if params.r * max(params.kappa, 0.0) >= 1.0:
+    if params.r * params.kappa >= 1.0:
         raise ValueError("tube radius exceeds 1/kappa: metric factor "
                          "would vanish")
     theta = params.theta0 - cumulative_trapezoid(np.full_like(s, params.tau), s)

@@ -160,14 +160,19 @@ class ConformalFactor:
 class FrameMetric:
     """Stretched metric with optional conformal factor.
 
-    lam is the stretching rate per unit z. With the identity factor the scale
-    factors are exactly (e^{-lam z}, e^{lam z}, 1); the metric determinant
-    is the squared product of the scale factors, i.e. Omega^3. The metric
-    has no z range of its own: the `Grid3D` it is sampled on owns it.
+    lam is the stretching rate per unit z and must be finite. With the
+    identity factor the scale factors are exactly (e^{-lam z}, e^{lam z},
+    1); the metric determinant is the squared product of the scale factors,
+    i.e. Omega^3. The metric has no z range of its own: the `Grid3D` it is
+    sampled on owns it.
     """
 
     lam: float
     omega: ConformalFactor = field(default_factory=ConformalFactor.identity)
+
+    def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
 
     def scale_factors(self, z: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

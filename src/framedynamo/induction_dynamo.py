@@ -276,8 +276,9 @@ def _require_constant_along_pq(data: np.ndarray) -> None:
 class DynamoScenario:
     """Everything needed to run one induction evolution.
 
-    Accepted: resistivity >= 0; t_end, dt > 0; Omega > 0 on grid.z; dt
-    within the advective bound 0.5 dz / max|v_eff| and the real-axis bound
+    Accepted: finite resistivity >= 0; finite flow_speed; finite t_end,
+    dt > 0; Omega > 0 on grid.z; dt within the advective bound
+    0.5 dz / max|v_eff| and the real-axis bound
     dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) <= RK4_REAL_AXIS_LIMIT;
     periodic z only with a z-uniform factor. Resistivity > 0 is accepted
     only with an initial field exactly constant along p and q on the grid,
@@ -299,10 +300,16 @@ class DynamoScenario:
     overflow_factor: float = 1e12
 
     def __post_init__(self):
-        if self.resistivity < 0:
-            raise ValueError("resistivity must be non-negative")
-        if self.t_end <= 0 or self.dt <= 0:
-            raise ValueError("t_end and dt must be positive")
+        if not 0.0 <= self.resistivity < np.inf:
+            raise ValueError("resistivity must be finite and non-negative, "
+                             f"got {self.resistivity}")
+        if not np.isfinite(self.flow_speed):
+            raise ValueError(f"flow_speed must be finite, got {self.flow_speed}")
+        for name in ("t_end", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         vmax, decay = _step_rates(self.metric, self.grid, self.flow_speed,
                                   self.resistivity)
         if vmax > 0 and self.dt > ADVECTIVE_LIMIT * self.grid.dz / vmax + 1e-15:
@@ -535,10 +542,10 @@ def _trace_back(scenario: DynamoScenario, z: np.ndarray, t: float) -> np.ndarray
 
     The closed-form family inverts exactly. A tabulated factor solves
     int_{z0}^{z} Omega(u) du = v t for all z at once, with the spline's
-    exact antiderivative (quartic pieces, zero at the first knot, and
-    extrapolated through the end pieces like the spline): the bracket
-    grows upstream (against sign(v t)) by doubling, up to 60 times, and is
-    then bisected to adjacent floats.
+    exact antiderivative F = spline(z, -1) (quartic pieces, zero at the
+    first knot, and extrapolated through the end pieces like the spline):
+    the bracket grows upstream (against sign(v t)) by doubling, up to 60
+    times, and is then bisected to adjacent floats.
     Points with no sign change in the bracket have no finite foot (NaN).
     """
     om = scenario.metric.omega
@@ -547,11 +554,10 @@ def _trace_back(scenario: DynamoScenario, z: np.ndarray, t: float) -> np.ndarray
         return om.foot_point(z, v, t)
     z = np.array(z, dtype=float, ndmin=1)
     d = np.sign(v * t)  # 0 leaves every foot at z
-    antiderivative = om.spline.antiderivative()
     # z0 is reached once d (F(z) - F(z0)) >= |v t|; F increases, so this
     # holds from the foot point upstream and fails at z0 = z
-    target = d * antiderivative(z) - abs(v * t)
-    reached = lambda z0, goal: d * antiderivative(z0) <= goal
+    target = d * om.spline(z, -1) - abs(v * t)
+    reached = lambda z0, goal: d * om.spline(z0, -1) <= goal
     span = abs(v * t) / max(1e-12, float(np.min(om.value(scenario.grid.z))))
     trials = z - d * span * 2.0 ** np.arange(60)[:, None]  # (60, len(z))
     hit = reached(trials, target)

@@ -176,6 +176,17 @@ def test_config_resistive_closed_z_rejected(tmp_path, capsys):
     assert "error:" in err and "periodic z" in err
 
 
+def test_config_infinite_end_time_rejected(tmp_path, capsys):
+    # used to end in an OverflowError traceback from n_steps
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nn_p = 4\nn_q = 4\nn_z = 32\nt_end = inf\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "error: t_end must be positive and finite, got inf" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("section, text", [
     ("evolve", "omega: expected exponential:<a> with a number a, "
                "got 'exponential:abc'"),
@@ -283,6 +294,16 @@ def test_fluxrope_zero_step_rejected(tmp_path, capsys):
                            "--out", str(tmp_path / "o"))
     assert code == 1
     assert "error: ds must be positive" in err
+
+
+def test_fluxrope_non_finite_radius_rejected(tmp_path, capsys):
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[fluxrope]\nr = nan\n")
+    code, _, err = run_cli(capsys, "fluxrope", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "error: r must be finite" in err
+    assert not (tmp_path / "o" / "rope.csv").exists()
 
 
 def test_verify_all_writes_json_matrix(tmp_path, capsys, monkeypatch):

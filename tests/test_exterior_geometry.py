@@ -5,7 +5,6 @@ from framedynamo.exterior_geometry import (CoframeBasis, arnold_coframe,
                                            christoffel_oracle,
                                            comparison_table, conformal_coframe,
                                            curvature, exterior_derivative,
-                                           exterior_derivative_2form,
                                            flat_coframe,
                                            frame_connection_oracle,
                                            paper_closed_forms,
@@ -137,32 +136,6 @@ def test_sampled_coframe_curvature_matches_closed_form():
     want = curvature(solve_connection(stretched_coframe(1.0), Z))
     got = curvature(solve_connection(sampled, Z))
     assert got.max_difference(want) <= 1e-4 * want.max_abs()
-
-
-def test_double_exterior_derivative_vanishes():
-    for basis in (arnold_coframe(LAM), stretched_coframe(LAM)):
-        d = exterior_derivative(basis, Z)
-        dd = exterior_derivative_2form(basis, d)
-        assert np.max(np.abs(dd)) <= 1e-10
-
-
-def test_double_derivative_nontrivial_2form_is_exercised():
-    # a generic 2-form with z-dependent (p, q) coefficient picks up all the
-    # Leibniz terms; the numeric path must stay consistent with itself
-    basis = stretched_coframe(LAM)
-    coeff = np.zeros((len(Z), 1, 3))
-    coeff[:, 0, 0] = np.sin(2 * np.pi * Z)  # rho(z) omega^p ^ omega^q
-    from framedynamo.exterior_geometry import TwoForms
-
-    forms = TwoForms(Z, coeff)
-    a = basis.scale_factors(Z)[0]
-    c, _ = basis.structure_rates(Z)
-    analytic = (2 * np.pi * np.cos(2 * np.pi * Z) / a[2]
-                + np.sin(2 * np.pi * Z) * (c[0] + c[1]))
-    d_coeff = np.zeros_like(coeff)
-    d_coeff[:, 0, 0] = 2 * np.pi * np.cos(2 * np.pi * Z)
-    out = exterior_derivative_2form(basis, forms, d_coeff)
-    np.testing.assert_allclose(out[:, 0], analytic, rtol=1e-12)
 
 
 # -- connection ------------------------------------------------------------------

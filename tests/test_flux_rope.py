@@ -193,6 +193,23 @@ def test_negative_curvature_rejected():
         frenet_integrate(lambda s: -0.5 + 0 * s, 0.0, 1.0, 0.01)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"r": np.nan}, "^r must be finite"),
+    ({"r": 0.5, "kappa": -1.5}, "^curvature kappa must be non-negative"),
+    ({"r": -0.1}, "^tube radius r must be non-negative"),
+    ({"r": 0.1, "tau": np.inf}, "^tau must be finite"),
+    ({"r": 0.1, "omega": -np.inf}, "^omega must be finite"),
+    ({"r": 0.1, "gamma": np.nan}, "^gamma must be finite"),
+    ({"r": 0.1, "theta0": np.nan}, "^theta0 must be finite"),
+    ({"r": 0.1, "b_amplitude": np.inf}, "^b_amplitude must be finite"),
+])
+def test_rope_params_reject_non_finite_and_negative_inputs(kwargs, match):
+    # r = nan used to give a NaN rope.csv, and kappa = -1.5 a tube factor
+    # up to 1.75; only frenet_integrate rejected a negative kappa
+    with pytest.raises(ValueError, match=match):
+        RopeParams(**kwargs)
+
+
 # -- tube metric -----------------------------------------------------------------
 
 

@@ -66,6 +66,32 @@ def test_scenario_rejects_negative_resistivity():
         scenario(eta=-1e-3)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"v": np.nan}, "flow_speed must be finite"),
+    ({"v": np.inf}, "flow_speed must be finite"),
+    ({"eta": np.nan}, "resistivity must be finite and non-negative"),
+    ({"eta": np.inf}, "resistivity must be finite and non-negative"),
+    ({"t_end": np.inf}, "t_end must be positive and finite"),
+    ({"t_end": np.nan}, "t_end must be positive and finite"),
+    ({"dt": np.inf}, "dt must be positive and finite"),
+    ({"dt": np.nan}, "dt must be positive and finite"),
+    ({"lam": np.nan}, "lam must be finite"),
+    ({"lam": np.inf}, "lam must be finite"),
+])
+def test_scenario_rejects_non_finite_inputs(kwargs, match):
+    # NaN fails every < and <= check: v or eta = nan ran into a numerical
+    # failure, t_end = inf overflowed in n_steps, and lam = nan failed in
+    # evolve with a misleading divergence message
+    args = {"lam": 1.0, "v": 1.0, "eta": 0.0, "t_end": 0.5, "dt": 1e-3,
+            **kwargs}
+    with pytest.raises(ValueError, match=match):
+        metric = FrameMetric(args["lam"])
+        DynamoScenario(metric=metric, grid=metric.grid(4, 4, 32),
+                       flow_speed=args["v"], initial_field=q_sine(),
+                       t_end=args["t_end"], dt=args["dt"],
+                       resistivity=args["eta"])
+
+
 def test_scenario_rejects_periodic_with_varying_factor():
     with pytest.raises(ValueError, match="z-uniform"):
         scenario(omega=ConformalFactor.exponential(1.0))
