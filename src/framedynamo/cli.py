@@ -5,10 +5,12 @@
 Commands: evolve, curvature, fluxrope, catmap, verify-all. Configuration is
 an INI-style file with one section per command and key = value entries;
 unknown keys are rejected. Artifacts are CSV/plain-text files written under
---out with at least 15 significant digits per number; verify-all also writes
-its matrix as verify.json (name, passed, measured, limit and runtime_s per
-check). Exit codes: 0 on success, 1 on configuration or validation errors,
-2 on numerical failure.
+--out with at least 15 significant digits per number; evolve also writes
+what the run did as run.json (steps, dt, CFL numbers, stop reason and wall
+time by layer), and verify-all writes its matrix as verify.json (name,
+passed, measured, limit and runtime_s per check). Exit codes: 0 on
+success, 1 on configuration or validation errors, 2 on numerical failure
+or a run stopped early.
 """
 from __future__ import annotations
 
@@ -155,6 +157,11 @@ def _parse_lam(spec: str) -> float:
     return float(spec)
 
 
+# what an evolve run reports in run.json, read from its EvolutionResult
+_RUN_KEYS = ("steps", "dt", "cfl_advective", "cfl_real_axis", "stop_reason",
+             "build_s", "advance_s", "sample_s")
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     lam = _parse_lam(cfg.get("lam"))
     omega = _parse_omega(cfg.get("omega"))
@@ -172,10 +179,14 @@ def cmd_evolve(cfg: RunConfig) -> int:
     result = evolve(scenario)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "series.csv").write_text(result.series.to_csv())
-    if result.series.truncated:
+    run = {key: getattr(result, key) for key in _RUN_KEYS}
+    (cfg.out_dir / "run.json").write_text(json.dumps(run, indent=2) + "\n")
+    print(f"wrote {cfg.out_dir / 'series.csv'} and run.json")
+    print(" ".join(f"{key}={value:.6g}" if isinstance(value, float)
+                   else f"{key}={value}" for key, value in run.items()))
+    if result.stop_reason != "completed":
         # a halted run may keep too few samples for a growth fit
-        print(f"wrote {cfg.out_dir / 'series.csv'}")
-        print("WARNING: evolution halted at the overflow guard; "
+        print(f"WARNING: evolution stopped early ({result.stop_reason}); "
               "series.csv holds the partial run", file=sys.stderr)
         return 2
     window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
@@ -185,7 +196,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     fit = growth_fit(result.series.t, result.series.l2[:, 1],
                      theory_rate=theory, window=window)
     (cfg.out_dir / "growth.txt").write_text(fit.report())
-    print(f"wrote {cfg.out_dir / 'series.csv'} and growth.txt")
+    print(f"wrote {cfg.out_dir / 'growth.txt'}")
     print(fit.report(), end="")
     return 0
 

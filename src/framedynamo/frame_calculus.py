@@ -297,7 +297,15 @@ class FrameField:
 
     @classmethod
     def from_callables(cls, grid: Grid3D, fp, fq, fz) -> "FrameField":
-        P, Q, Z = grid.mesh()
+        """The field of three component callables of (p, q, z).
+
+        Each callable is called once on the open mesh
+        `np.ix_(grid.p, grid.q, grid.z)`, shaped (n_p, 1, 1), (1, n_q, 1)
+        and (1, 1, n_z), and must return an array that broadcasts to the
+        grid, so a z-profile is evaluated on n_z points only. The field is
+        full-shape, contiguous and writeable, as from `from_components`.
+        """
+        P, Q, Z = np.ix_(grid.p, grid.q, grid.z)
         return cls.from_components(grid, fp(P, Q, Z), fq(P, Q, Z), fz(P, Q, Z))
 
     @classmethod
@@ -363,10 +371,10 @@ class FrameOperators:
         return spectral_derivative(f, axis=1, order=1)
 
     def dz(self, f: np.ndarray) -> np.ndarray:
-        return np.tensordot(f, self.d1, axes=(f.ndim - 1, 1))
+        return (f.reshape(-1, f.shape[-1]) @ self.d1.T).reshape(f.shape)
 
     def dzz(self, f: np.ndarray) -> np.ndarray:
-        return np.tensordot(f, self.d2, axes=(f.ndim - 1, 1))
+        return (f.reshape(-1, f.shape[-1]) @ self.d2.T).reshape(f.shape)
 
     # -- operators ----------------------------------------------------------
 

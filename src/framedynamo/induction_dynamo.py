@@ -117,13 +117,24 @@ CAT_STRETCH_RATE = float(np.log((3.0 + np.sqrt(5.0)) / 2.0))
 # -- scenario -----------------------------------------------------------------
 
 
+def _z_profile(g: Callable) -> Callable:
+    """The component callable of z-profile g: g(z) broadcast to (p, q, z)."""
+    return lambda p, q, z: np.broadcast_to(g(z), np.broadcast(p, q, z).shape)
+
+
 @dataclass(frozen=True)
 class InitialField:
     """Initial magnetic field as per-component callables of (p, q, z).
 
-    Callables must accept broadcast arrays and be defined for every z the
+    `on_grid` and `characteristics_oracle` call each callable once on an
+    open mesh, p shaped (n_p, 1, 1), q (1, n_q, 1) and z (1, 1, n_z), so
+    a callable must return an array that broadcasts to the shape of its
+    broadcast arguments. Callables must be defined for every z the
     characteristics can reach; set `z_limited` when they are only valid on
     the grid's z interval, so the oracle can flag left-behind points.
+    The zero default and the slot constructors (`q_slot`, `z_slot`,
+    `pq_profiles`) evaluate their z-profile on the z argument alone and
+    return a read-only broadcast view of it.
     """
 
     bp: Callable = None
@@ -132,24 +143,23 @@ class InitialField:
     z_limited: bool = False
 
     def __post_init__(self):
-        zero = lambda p, q, z: np.zeros(np.broadcast(p, q, z).shape)
+        zero = _z_profile(lambda z: np.zeros(np.shape(z)))
         object.__setattr__(self, "bp", self.bp or zero)
         object.__setattr__(self, "bq", self.bq or zero)
         object.__setattr__(self, "bz", self.bz or zero)
 
     @classmethod
     def q_slot(cls, g: Callable) -> "InitialField":
-        return cls(bq=lambda p, q, z: g(z) * np.ones(np.broadcast(p, q, z).shape))
+        return cls(bq=_z_profile(g))
 
     @classmethod
     def z_slot(cls, g: Callable) -> "InitialField":
-        return cls(bz=lambda p, q, z: g(z) * np.ones(np.broadcast(p, q, z).shape))
+        return cls(bz=_z_profile(g))
 
     @classmethod
     def pq_profiles(cls, gp: Callable, gq: Callable) -> "InitialField":
         """z-profiles in the p and q slots; exactly divergence-free."""
-        return cls(bp=lambda p, q, z: gp(z) * np.ones(np.broadcast(p, q, z).shape),
-                   bq=lambda p, q, z: gq(z) * np.ones(np.broadcast(p, q, z).shape))
+        return cls(bp=_z_profile(gp), bq=_z_profile(gq))
 
     @classmethod
     def solenoidal_pz(cls, lam: float, h: Callable, dh: Callable) -> "InitialField":
@@ -237,8 +247,13 @@ def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
     The real-axis step puts the real-axis number at the same fraction
     cfl / ADVECTIVE_LIMIT of RK4_REAL_AXIS_LIMIT that the advective number
     takes of ADVECTIVE_LIMIT, so cfl = 0.4 keeps both at 80% of what
-    `DynamoScenario` accepts.
+    `DynamoScenario` accepts. Raises ValueError for a non-finite
+    flow_speed and unless 0 < cfl < inf.
     """
+    if not np.isfinite(flow_speed):
+        raise ValueError(f"flow_speed must be finite, got {flow_speed}")
+    if not 0.0 < cfl < np.inf:
+        raise ValueError(f"cfl must be positive and finite, got {cfl}")
     vmax, decay = _step_rates(metric, grid, flow_speed, resistivity)
     dt = cfl * grid.dz / vmax if vmax > 0.0 else cfl * grid.dz
     if decay > 0.0:
@@ -597,17 +612,16 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
     lam = scenario.metric.lam
     om = scenario.metric.omega
     shift = z - z0_safe
-    fac_p = np.exp(-lam * shift)
-    fac_q = np.exp(+lam * shift)
-    fac_z = om.value(z) / om.value(z0_safe)
-    P, Q, _ = grid.mesh()
-    Z0 = np.broadcast_to(z0_safe, grid.shape)
+    # per-z factors with the mask folded in: x * (f * 1) = x * f exactly,
+    # and x * (f * nan) = nan, so each point is one product
+    factors = np.stack([np.exp(-lam * shift), np.exp(+lam * shift),
+                        om.value(z) / om.value(z0_safe)]
+                       ) * np.where(mask, 1.0, np.nan)
+    P, Q, Z0 = np.ix_(grid.p, grid.q, z0_safe)
     init = scenario.initial_field
-    data = np.stack([
-        init.bp(P, Q, Z0) * fac_p,
-        init.bq(P, Q, Z0) * fac_q,
-        init.bz(P, Q, Z0) * fac_z,
-    ]) * np.where(mask, 1.0, np.nan)
+    data = np.empty((3, *grid.shape))
+    for out, comp, factor in zip(data, (init.bp, init.bq, init.bz), factors):
+        np.multiply(comp(P, Q, Z0), factor, out=out)
     return FrameField(grid, data), mask
 
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from framedynamo.cli import main
+from framedynamo.frame_calculus import FrameMetric
+from framedynamo.induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
+                                          evolve, named_initial_field,
+                                          stable_dt)
 
 
 def run_cli(capsys, *args):
@@ -85,6 +89,38 @@ def test_evolve_overflow_guard_reported_as_truncation(tmp_path, capsys):
     rows = (tmp_path / "o" / "series.csv").read_text().strip().split("\n")
     assert 2 <= len(rows) - 1 < 20
     assert not (tmp_path / "o" / "growth.txt").exists()
+    run = json.loads((tmp_path / "o" / "run.json").read_text())
+    assert run["stop_reason"] == "overflow guard"
+    # the run stopped at the sample that tripped the guard
+    assert run["steps"] * run["dt"] == pytest.approx(float(rows[-1].split(",")[0]))
+    assert "stop_reason=overflow guard" in out
+
+
+def test_evolve_writes_what_the_run_did(tmp_path, capsys):
+    # run.json holds the EvolutionResult figures of the same scenario
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nn_p = 4\nn_q = 4\nn_z = 64\nt_end = 0.5\n")
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    run = json.loads((tmp_path / "o" / "run.json").read_text())
+    assert list(run) == ["steps", "dt", "cfl_advective", "cfl_real_axis",
+                         "stop_reason", "build_s", "advance_s", "sample_s"]
+    metric = FrameMetric(CAT_STRETCH_RATE)
+    grid = metric.grid(4, 4, 64, z_periodic=True)
+    ref = evolve(DynamoScenario(
+        metric=metric, grid=grid, flow_speed=1.0,
+        initial_field=named_initial_field("q_sine"), t_end=0.5,
+        dt=stable_dt(metric, grid, 1.0)))
+    for key in ("steps", "dt", "cfl_advective", "cfl_real_axis",
+                "stop_reason"):
+        assert run[key] == getattr(ref, key), key
+    assert run["steps"] == 80 and run["stop_reason"] == "completed"
+    assert run["cfl_advective"] == pytest.approx(0.4, rel=1e-12)
+    assert all(run[k] >= 0.0 for k in ("build_s", "advance_s", "sample_s"))
+    line = next(l for l in out.splitlines() if l.startswith("steps="))
+    assert "steps=80 " in line and "stop_reason=completed" in line
+    assert all(f"{key}=" in line for key in run)
 
 
 def test_evolve_auto_dt_includes_diffusive_bound(tmp_path, capsys):
@@ -144,6 +180,17 @@ def test_config_cfl_violation_rejected(tmp_path, capsys):
                            "--out", str(tmp_path / "o"))
     assert code == 1
     assert "advective bound" in err
+
+
+def test_config_negative_cfl_rejected_by_name(tmp_path, capsys):
+    # the auto step used to come out negative and be reported as a bad dt
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\ncfl = -1\nn_p = 4\nn_q = 4\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error:") and "cfl must be positive" in err
+    assert "dt must be" not in err
 
 
 def test_config_fit_window_past_series_rejected(tmp_path, capsys):

@@ -462,3 +462,16 @@ def test_norms_reject_pq_axes_of_another_length():
         op.l2_norm(np.ones((3, 6, 2, 33)))
     with pytest.raises(ValueError, match="grid"):
         FrameField(grid, np.ones((3, 3, 4, 33)))
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+@pytest.mark.parametrize("lead", [(), (1, 1), (8, 8), (3, 1, 1), (3, 8, 8),
+                                  (3, 4, 1)],
+                         ids=lambda s: "x".join(map(str, s)) or "1d")
+def test_dz_dzz_equal_tensordot_bit_for_bit(lead, periodic):
+    _, grid, op = make_ops(n_z=64, periodic=periodic)
+    f = np.random.default_rng(3).normal(size=(*lead, grid.n_z))
+    for deriv, d in ((op.dz, op.d1), (op.dzz, op.d2)):
+        out = deriv(f)
+        assert out.shape == f.shape
+        assert np.array_equal(out, np.tensordot(f, d, axes=(f.ndim - 1, 1)))

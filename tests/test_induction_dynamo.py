@@ -144,6 +144,22 @@ def test_stable_dt_takes_the_smaller_of_advective_and_diffusive_step():
     assert stable_dt(metric, grid, 0.0, resistivity=0.05) < advective
 
 
+@pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+def test_stable_dt_rejects_non_finite_flow_speed(v):
+    # a NaN speed used to give the step of v = 0
+    metric = FrameMetric(1.0)
+    with pytest.raises(ValueError, match="flow_speed must be finite"):
+        stable_dt(metric, Grid3D(4, 4, 32), v)
+
+
+@pytest.mark.parametrize("cfl", [-1.0, 0.0, np.nan, np.inf])
+def test_stable_dt_rejects_cfl_outside_zero_to_infinity(cfl):
+    # cfl = -1 or NaN used to give a negative or NaN step
+    metric = FrameMetric(1.0)
+    with pytest.raises(ValueError, match="cfl must be positive and finite"):
+        stable_dt(metric, Grid3D(4, 4, 32), 1.0, cfl)
+
+
 def test_scenario_rejects_dt_above_the_diffusive_bound():
     # the advective step alone would run into the overflow guard
     with pytest.raises(ValueError, match="real-axis bound.*2.785"):
@@ -932,3 +948,53 @@ def test_growth_fit_report_text():
     t = np.linspace(0, 4, 100)
     rep = growth_fit(t, np.exp(0.5 * t), theory_rate=0.5).report()
     assert "fitted rate" in rep and "0.5" in rep
+
+
+# -- evaluation contract ---------------------------------------------------------
+
+
+def counted(g, sizes):
+    """g, recording the number of z points of every call in `sizes`."""
+    def wrapped(z):
+        sizes.append(np.size(z))
+        return g(z)
+    return wrapped
+
+
+@pytest.mark.parametrize("slot", ["q_slot", "z_slot", "pq_profiles"])
+def test_z_profiles_are_evaluated_on_n_z_points(slot):
+    # the open mesh: a z-profile costs n_z evaluations, not n_p n_q n_z
+    sizes = []
+    g = counted(lambda z: 2.0 + np.sin(2 * np.pi * z), sizes)
+    init = (InitialField.pq_profiles(g, g) if slot == "pq_profiles"
+            else getattr(InitialField, slot)(g))
+    sc = scenario(n_pq=32, n_z=128, init=init, t_end=0.1)
+    n_calls = 2 if slot == "pq_profiles" else 1
+    for run in (lambda: init.on_grid(sc.grid),
+                lambda: characteristics_oracle(sc, 0.1)):
+        sizes.clear()
+        run()
+        assert sizes == [128] * n_calls
+
+
+@pytest.mark.parametrize("name", ["q_sine", "q_random", "pq_mixed",
+                                  "solenoidal"])
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+def test_on_grid_matches_the_full_mesh_evaluation(name, periodic):
+    init = named_initial_field(name, CAT_STRETCH_RATE, seed=5)
+    grid = Grid3D(32, 32, 128, z_periodic=periodic)
+    P, Q, Z = grid.mesh()
+    ref = np.stack([np.broadcast_to(c(P, Q, Z), grid.shape)
+                    for c in (init.bp, init.bq, init.bz)])
+    data = init.on_grid(grid).data
+    assert np.array_equal(data, ref)
+    assert data.shape == (3, *grid.shape)
+    assert data.flags.c_contiguous and data.flags.writeable
+
+
+def test_slot_constructors_return_read_only_broadcast_views():
+    grid = Grid3D(4, 4, 16)
+    P, Q, Z = np.ix_(grid.p, grid.q, grid.z)
+    out = InitialField.q_slot(lambda z: 1.0 + z).bq(P, Q, Z)
+    assert out.shape == grid.shape and not out.flags.writeable
+    assert np.array_equal(out, np.broadcast_to(1.0 + grid.z, grid.shape))
