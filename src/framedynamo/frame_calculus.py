@@ -365,10 +365,10 @@ class FrameOperators:
     # -- derivative helpers -------------------------------------------------
 
     def dp(self, f: np.ndarray) -> np.ndarray:
-        return spectral_derivative(f, axis=0, order=1)
+        return spectral_derivative(f, axis=-3, order=1)
 
     def dq(self, f: np.ndarray) -> np.ndarray:
-        return spectral_derivative(f, axis=1, order=1)
+        return spectral_derivative(f, axis=-2, order=1)
 
     def dz(self, f: np.ndarray) -> np.ndarray:
         return (f.reshape(-1, f.shape[-1]) @ self.d1.T).reshape(f.shape)
@@ -389,12 +389,27 @@ class FrameOperators:
         _require_finite(out, "grad output")
         return FrameField(self.grid, out)
 
-    def div(self, B: FrameField) -> np.ndarray:
-        _require_finite(B.data, "div input")
-        out = (self.inv_h[0] * self.dp(B.bp)
-               + self.inv_h[1] * self.dq(B.bq)
-               + self.inv_h[2] * self.dz(B.bz)
-               + self.c_div * B.bz)
+    def div(self, B: FrameField | np.ndarray) -> np.ndarray:
+        """Divergence of a field, or of fields stacked on leading axes.
+
+        B is a FrameField or an array (..., 3, n_p', n_q', n_z); the result
+        drops the component axis. The z-derivative is one matmul with a
+        batch per field, so each field of a stack gets exactly the figures
+        of a call on it alone.
+        """
+        data = B.data if isinstance(B, FrameField) else B
+        if data.ndim < 4 or data.shape[-4] != 3:
+            raise ValueError(f"div: shape {data.shape} is not (..., 3, n_p, "
+                             "n_q, n_z)")
+        self._pq_points(data)
+        _require_finite(data, "div input")
+        bp, bq, bz = (data[..., c, :, :, :] for c in range(3))
+        per_field = (-1, bz.shape[-3] * bz.shape[-2], bz.shape[-1])
+        out = (self.inv_h[0] * self.dp(bp)
+               + self.inv_h[1] * self.dq(bq)
+               + self.inv_h[2] * np.matmul(bz.reshape(per_field),
+                                           self.d1.T).reshape(bz.shape)
+               + self.c_div * bz)
         _require_finite(out, "div output")
         return out
 
@@ -449,7 +464,16 @@ class FrameOperators:
         return float(np.sqrt(np.einsum("iz,iz->z", rows, rows) @ self.measure
                              / self._pq_points(a)))
 
-    def component_norms(self, B: FrameField) -> np.ndarray:
-        """Per-component L2 norms, each the p,q mean as in `l2_norm`."""
-        per_z = np.einsum("cpqz,cpqz->cz", B.data, B.data)
-        return np.sqrt(per_z @ self.measure / self._pq_points(B.data))
+    def component_norms(self, B: FrameField | np.ndarray) -> np.ndarray:
+        """Per-component L2 norms, each the p,q mean as in `l2_norm`.
+
+        B is a FrameField or an array (..., C, n_p', n_q', n_z) of fields of
+        C components stacked on leading axes; the result has shape (..., C).
+        Each field's norms are one matrix-vector product over its
+        components, so a field of a stack gets exactly the figures of a
+        call on it alone, and a one-component field (C = 1) those of
+        `l2_norm`.
+        """
+        data = B.data if isinstance(B, FrameField) else B
+        per_z = np.einsum("...pqz,...pqz->...z", data, data)
+        return np.sqrt(per_z @ self.measure / self._pq_points(data))

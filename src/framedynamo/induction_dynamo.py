@@ -36,11 +36,14 @@ interval between two samples is one precomputed n_z-by-n_z propagator per
 component; the fields inside an interval are never formed.
 
 Because L couples z points only, it also keeps a field that is constant
-along p or q exactly constant along it. `evolve` therefore holds its
-state at the smallest shape that broadcasts exactly to the initial field,
-(3, n_p', n_q', n_z) with n_p' in {1, n_p} and n_q' in {1, n_q}: the
-Arnold q-slot run advances 1 x 1 x n_z profiles, a field with p,q
-structure the full grid, by the same code. Sampling runs on that state.
+along p or q exactly constant along it. `evolve` therefore builds and
+holds its state at the smallest shape that broadcasts exactly to the
+initial field, (3, n_p', n_q', n_z) with n_p' in {1, n_p} and n_q' in
+{1, n_q}: the Arnold q-slot run advances 1 x 1 x n_z profiles, a field
+with p,q structure the full grid, by the same code. Each interval checks
+its state for finite values and against the overflow guard; the sampled
+states are kept, and their norms and div_rel are computed afterwards in
+batched passes over the stacked states.
 
 Every run also carries a real-axis step bound. Its fastest real decay,
 of the z Nyquist mode of Bp (of Bq when lam v < 0), is
@@ -126,12 +129,13 @@ def _z_profile(g: Callable) -> Callable:
 class InitialField:
     """Initial magnetic field as per-component callables of (p, q, z).
 
-    `on_grid` and `characteristics_oracle` call each callable once on an
-    open mesh, p shaped (n_p, 1, 1), q (1, n_q, 1) and z (1, 1, n_z), so
-    a callable must return an array that broadcasts to the shape of its
-    broadcast arguments. Callables must be defined for every z the
-    characteristics can reach; set `z_limited` when they are only valid on
-    the grid's z interval, so the oracle can flag left-behind points.
+    `on_grid`, `evolve` and `characteristics_oracle` call each callable
+    once on an open mesh, p shaped (n_p, 1, 1), q (1, n_q, 1) and z
+    (1, 1, n_z), so a callable must return an array that broadcasts to
+    the shape of its broadcast arguments. Callables must be defined for
+    every z the characteristics can reach; set `z_limited` when they are
+    only valid on the grid's z interval, so the oracle can flag
+    left-behind points.
     The zero default and the slot constructors (`q_slot`, `z_slot`,
     `pq_profiles`) evaluate their z-profile on the z argument alone and
     return a read-only broadcast view of it.
@@ -262,25 +266,49 @@ def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
 
 
 def _collapse_pq(data: np.ndarray) -> np.ndarray:
-    """The field at the smallest shape that broadcasts exactly to it.
+    """An array (..., n_p, n_q, n_z) at the smallest shape that broadcasts
+    exactly to it.
 
-    A (3, n_p, n_q, n_z) field comes back as a view (3, n_p', n_q', n_z),
-    with the p or q axis cut to length 1 where every component is exactly
-    constant along it; there is no tolerance, and a NaN equals nothing.
+    It comes back as a view (..., n_p', n_q', n_z), with the p or q axis cut
+    to length 1 where the whole array is exactly constant along it. An axis
+    of stride 0, as in a broadcast view, is constant without any
+    comparison; any other is compared exactly: there is no tolerance, and a
+    NaN equals nothing.
     """
-    if (data == data[:, :1]).all():
-        data = data[:, :1]
-    if (data == data[:, :, :1]).all():
-        data = data[:, :, :1]
+    if data.strides[-3] == 0 or (data == data[..., :1, :, :]).all():
+        data = data[..., :1, :, :]
+    if data.strides[-2] == 0 or (data == data[..., :1, :]).all():
+        data = data[..., :1, :]
     return data
 
 
+def _initial_state(initial: InitialField, grid: Grid3D) -> np.ndarray:
+    """The initial field at the smallest shape that broadcasts exactly to it.
+
+    Each component callable is called once on the open mesh, as in
+    `InitialField.on_grid`, and its result is cut by `_collapse_pq` before
+    anything is broadcast or stacked, so a z-profile never fills the grid.
+    Returns a fresh contiguous (3, n_p', n_q', n_z) array; raises ValueError
+    if the initial field has a non-finite value.
+    """
+    P, Q, Z = np.ix_(grid.p, grid.q, grid.z)
+    comps = [_collapse_pq(np.broadcast_to(np.asarray(c(P, Q, Z), dtype=float),
+                                          grid.shape))
+             for c in (initial.bp, initial.bq, initial.bz)]
+    shape = np.broadcast_shapes(*(c.shape for c in comps))
+    state = np.stack([np.broadcast_to(c, shape) for c in comps])
+    if not np.all(np.isfinite(state)):
+        raise ValueError("initial field contains non-finite values")
+    return state
+
+
 def _require_constant_along_pq(data: np.ndarray) -> None:
-    """Raise unless every component of the field is constant along p and q.
+    """Raise unless a field, at the shape `_collapse_pq` or `_initial_state`
+    gives it, is constant along p and q.
 
     Shared by `DynamoScenario` and `induction_rhs` for resistivity > 0.
     """
-    if _collapse_pq(data).shape[1:3] != (1, 1):
+    if data.shape[1:3] != (1, 1):
         raise ValueError(
             "resistivity > 0 requires a field constant along p and q: the "
             "resistive p, q terms carry e^{+-lam z}, which is not "
@@ -334,7 +362,8 @@ class DynamoScenario:
         if self.grid.z_periodic and not self.metric.omega.z_uniform:
             raise ValueError("periodic z requires a z-uniform conformal factor")
         if self.resistivity > 0:
-            _require_constant_along_pq(self.initial_field.on_grid(self.grid).data)
+            _require_constant_along_pq(_initial_state(self.initial_field,
+                                                      self.grid))
             if not self.grid.z_periodic:
                 raise ValueError(
                     "resistivity > 0 requires periodic z: closed z has no "
@@ -394,7 +423,7 @@ def induction_rhs(scenario: DynamoScenario, B: FrameField) -> FrameField:
     if not np.all(np.isfinite(B.data)):
         raise ValueError("induction_rhs: field contains non-finite values")
     if scenario.resistivity > 0:
-        _require_constant_along_pq(B.data)
+        _require_constant_along_pq(_collapse_pq(B.data))
     return FrameField(scenario.grid, _RHS(scenario)(B.data))
 
 
@@ -441,11 +470,31 @@ class EvolutionResult:
     # RK4_REAL_AXIS_LIMIT
     cfl_real_axis: float
     # the run's wall time by layer, in seconds: set-up (initial field,
-    # operator and propagators), the propagator matmuls with their finite
-    # checks, and sampling (norms, div_rel)
+    # operator and propagators), the propagator matmuls with the
+    # per-interval finite check and overflow-guard norm, and the batched
+    # diagnostics passes (norms, total L2, div_rel)
     build_s: float
     advance_s: float
     sample_s: float
+
+
+# bytes of sampled states `evolve` holds before one batched diagnostics pass
+_HISTORY_BYTES = 1 << 20
+
+
+def _diagnostics(op: FrameOperators, states: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component norms, total L2 and div_rel of states stacked on axis 0.
+
+    One batched pass; every state gets exactly the figures of
+    `component_norms` and `l2_norm(div)` / total on it alone.
+    """
+    l2 = op.component_norms(states)
+    total = np.sqrt(np.sum(l2 ** 2, axis=1))
+    div_l2 = op.component_norms(op.div(states)[:, None])[:, 0]
+    div_rel = np.divide(div_l2, total, out=np.zeros_like(total),
+                        where=total > 0)
+    return l2, total, div_rel
 
 
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
@@ -460,45 +509,31 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     reported at the end of its sample interval, for eta > 0 as for eta = 0.
 
     The state is the initial field at the smallest shape that broadcasts
-    exactly to it: a p or q axis along which the field is exactly constant
-    has length 1, and since L keeps that constancy exactly, it stays so.
-    The matmuls, the finite checks, the overflow guard, the norms and
-    div_rel all run on that state; the returned field is broadcast
-    to the full grid once, as a fresh array.
+    exactly to it (`_initial_state`): a p or q axis along which the field
+    is exactly constant has length 1, and since L keeps that constancy
+    exactly, it stays so. The returned field is broadcast to the full grid
+    once, as a fresh array.
 
-    The run samples at t = 0, at every `stride` steps and at t_end, and
-    stops early with stop_reason "overflow guard" once a sampled norm
-    exceeds `overflow_factor` times the initial one. It reports its wall
-    time split into build_s, advance_s and sample_s.
+    The run samples at t = 0, at every `stride` steps and at t_end. Each
+    interval's matmul writes its sampled state into a ring that keeps up
+    to _HISTORY_BYTES of states (two states at least); the run then checks
+    that state for finite values and applies the overflow guard: it stops
+    early with stop_reason "overflow guard" once the state's `l2_norm`
+    exceeds `overflow_factor` times the initial one. The series (norms,
+    total L2, div_rel) comes from `_diagnostics`, one batched pass over the
+    kept states whenever they fill _HISTORY_BYTES (or hold one state larger
+    than that) and one at the end, with exactly the figures of a pass per
+    sample. The run reports its wall time split into build_s, advance_s
+    and sample_s.
     """
     start = time.perf_counter()
     rhs = _RHS(scenario)
     grid = scenario.grid
-    b = scenario.initial_field.on_grid(grid).data
-    if not np.all(np.isfinite(b)):
-        raise ValueError("initial field contains non-finite values")
-    b = _collapse_pq(b).copy()
+    b = _initial_state(scenario.initial_field, grid)
     nsteps = scenario.n_steps
     dt = scenario.t_end / nsteps
     stride = scenario.stride
     op = rhs.op
-
-    times, l2s, totals, divs = [], [], [], []
-    sample_s = advance_s = 0.0
-
-    def record(t, data):
-        nonlocal sample_s
-        begin = time.perf_counter()
-        fld = FrameField(grid, data)
-        comp = op.component_norms(fld)
-        total = float(np.sqrt(np.sum(comp ** 2)))
-        divnorm = op.l2_norm(op.div(fld))
-        times.append(t)
-        l2s.append(comp)
-        totals.append(total)
-        divs.append(divnorm / total if total > 0 else 0.0)
-        sample_s += time.perf_counter() - begin
-        return total
 
     # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
     # one component at a time keeps the n_z-by-n_z temporaries few
@@ -514,32 +549,50 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         poly[diag, diag] += 1.0
         for n, power in propagators.items():
             power[comp] = np.linalg.matrix_power(poly, n)
-    nxt = np.empty_like(b)
+    # states per diagnostics pass; the ring has at least two slots, so each
+    # matmul reads one slot and writes another
+    samples = 1 + -(-nsteps // stride)
+    per_pass = min(max(1, _HISTORY_BYTES // b.nbytes), samples)
+    history = np.empty((max(2, per_pass), *b.shape))
+    history[0] = b
+    b = history[0]  # the history holds the only copy of the initial state
     rows = (3, -1, grid.n_z)
     build_s = time.perf_counter() - start
-    initial_total = record(0.0, b)
-    guard = scenario.overflow_factor * max(initial_total, 1e-300)
+
+    times, parts = [0.0], []
+    sample_s = advance_s = 0.0
+    first = last = 0  # history[first:last + 1] awaits its diagnostics
+    guard = scenario.overflow_factor * max(op.l2_norm(b), 1e-300)
     stop_reason = "completed"
     step = 0
-    while step < nsteps:
+    while True:
+        done = step == nsteps or stop_reason != "completed"
+        if done or last - first + 1 == per_pass:
+            begin = time.perf_counter()
+            parts.append(_diagnostics(op, history[first:last + 1]))
+            sample_s += time.perf_counter() - begin
+            first = (last + 1) % len(history)
+        if done:
+            break
         begin = time.perf_counter()
         end = min(step + stride, nsteps)
-        np.matmul(b.reshape(rows), propagators[end - step],
-                  out=nxt.reshape(rows))
-        b, nxt = nxt, b
-        step = end
-        if not np.all(np.isfinite(b)):
+        nxt = (last + 1) % len(history)
+        np.matmul(history[last].reshape(rows), propagators[end - step],
+                  out=history[nxt].reshape(rows))
+        last, step = nxt, end
+        b = history[last]
+        if not np.isfinite(b).all():
             raise NumericalError(f"non-finite field at step {step} "
                                  f"(t={step * dt:g})")
-        advance_s += time.perf_counter() - begin
-        if record(step * dt, b) > guard:
+        times.append(step * dt)
+        if op.l2_norm(b) > guard:
             stop_reason = "overflow guard"
-            break
+        advance_s += time.perf_counter() - begin
 
-    series = EvolutionSeries(
-        t=np.array(times), l2=np.array(l2s),
-        total_l2=np.array(totals), div_rel=np.array(divs),
-        truncated=stop_reason != "completed")
+    l2, total, div_rel = (np.concatenate(x) for x in zip(*parts))
+    series = EvolutionSeries(t=np.array(times), l2=l2, total_l2=total,
+                             div_rel=div_rel,
+                             truncated=stop_reason != "completed")
     field = FrameField(grid, np.broadcast_to(b, (3, *grid.shape)).copy())
     vmax, decay = _step_rates(scenario.metric, grid, scenario.flow_speed,
                               scenario.resistivity)

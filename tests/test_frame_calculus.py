@@ -475,3 +475,35 @@ def test_dz_dzz_equal_tensordot_bit_for_bit(lead, periodic):
         out = deriv(f)
         assert out.shape == f.shape
         assert np.array_equal(out, np.tensordot(f, d, axes=(f.ndim - 1, 1)))
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+@pytest.mark.parametrize("keep", [(1, 1), (1, None), (None, 1), (None, None)],
+                         ids=["p-and-q", "p", "q", "neither"])
+@pytest.mark.parametrize("size", [(6, 4, 33), (32, 32, 128)],
+                         ids=["6x4x33", "32x32x128"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_div_and_norms_equal_single_calls_bit_for_bit(k, size, keep,
+                                                              periodic):
+    # fields stacked on a leading axis, at collapsed and full-grid shapes,
+    # get exactly the figures of one call per field
+    _, grid, op = make_ops(n_p=size[0], n_q=size[1], n_z=size[2],
+                           periodic=periodic)
+    n_p, n_q = (kept or n for kept, n in zip(keep, size))
+    stack = np.random.default_rng(k).normal(size=(k, 3, n_p, n_q, grid.n_z))
+    fields = [FrameField(grid, data) for data in stack]
+    div = op.div(stack)
+    assert div.shape == (k, n_p, n_q, grid.n_z)
+    assert np.array_equal(div, np.stack([op.div(f) for f in fields]))
+    assert np.array_equal(op.component_norms(stack),
+                          np.stack([op.component_norms(f) for f in fields]))
+    # a stack of one-component fields: the figures of l2_norm
+    assert np.array_equal(op.component_norms(div[:, None])[:, 0],
+                          [op.l2_norm(d) for d in div])
+
+
+def test_div_rejects_arrays_that_are_not_three_component_fields():
+    _, grid, op = make_ops(n_p=6, n_q=4, n_z=33)
+    for shape in [(2, 6, 4, 33), (6, 4, 33), (2, 3, 6, 2, 33)]:
+        with pytest.raises(ValueError):
+            op.div(np.ones(shape))

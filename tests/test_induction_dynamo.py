@@ -1,17 +1,20 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framedynamo import induction_dynamo
 from framedynamo.differentiation import spectral_derivative
 from framedynamo.frame_calculus import (ConformalFactor, FrameField,
                                         FrameMetric, FrameOperators, Grid3D)
 from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
                                           RK4_REAL_AXIS_LIMIT, DynamoScenario,
                                           InitialField, NumericalError,
-                                          _collapse_pq, cat_map_eigen,
+                                          _collapse_pq, _initial_state,
+                                          cat_map_eigen,
                                           characteristics_oracle, evolve,
                                           growth_fit, induction_rhs,
                                           named_initial_field, stable_dt)
@@ -743,6 +746,179 @@ def test_ideal_overflow_inside_one_interval_raises_numerical_error():
                   sample_stride=10 ** 6)
     with pytest.raises(NumericalError, match=f"step {sc.n_steps} "):
         evolve(sc)
+
+
+# -- batched diagnostics ---------------------------------------------------------
+
+
+def per_sample_series(sc, states):
+    """The series of a pass per sample: `component_norms`, their total and
+    `l2_norm(div)` / total, on each state alone."""
+    op = FrameOperators(sc.metric, sc.grid)
+    l2, totals, divs = [], [], []
+    for data in states:
+        fld = FrameField(sc.grid, data)
+        comp = op.component_norms(fld)
+        total = float(np.sqrt(np.sum(comp ** 2)))
+        l2.append(comp)
+        totals.append(total)
+        divs.append(op.l2_norm(op.div(fld)) / total if total > 0 else 0.0)
+    return np.array(l2), np.array(totals), np.array(divs)
+
+
+def evolve_keeping_states(sc, monkeypatch):
+    """evolve(sc), a copy of every state its diagnostics passes see, and the
+    number of states in each pass."""
+    states, passes = [], []
+    batched = induction_dynamo._diagnostics
+
+    def spy(op, stacked):
+        states.extend(stacked.copy())
+        passes.append(len(stacked))
+        return batched(op, stacked)
+
+    monkeypatch.setattr(induction_dynamo, "_diagnostics", spy)
+    return evolve(sc), states, passes
+
+
+def assert_series_is_per_sample(sc, res, states):
+    stride, n = sc.stride, sc.n_steps
+    steps = [*range(0, n, stride), n][:len(states)]
+    assert len(res.series.t) == len(states)
+    assert np.array_equal(res.series.t, np.array(steps) * res.dt)
+    # every pass sees new states: no slot of the ring is diagnosed twice
+    assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
+    l2, totals, divs = per_sample_series(sc, states)
+    assert np.array_equal(res.series.l2, l2)
+    assert np.array_equal(res.series.total_l2, totals)
+    assert np.array_equal(res.series.div_rel, divs)
+    assert np.array_equal(res.field.data,
+                          np.broadcast_to(states[-1], res.field.data.shape))
+
+
+# the Arnold and resistive runs are those of the benchmark; the closed-z
+# tabulated, the solenoidal (p, z) and the 32 x 32 x 128 p, q, z runs have
+# non-zero div_rel
+@pytest.mark.parametrize("case", ["arnold", "resistive", "closed-tabulated",
+                                  "solenoidal", "full-grid"])
+def test_evolve_series_matches_per_sample_reference(case, monkeypatch):
+    sc = {
+        "arnold": lambda: scenario(n_pq=32, n_z=128, t_end=2.0),
+        "resistive": lambda: scenario(eta=1e-3, n_pq=32, n_z=128,
+                                      t_end=0.25),
+        "closed-tabulated": lambda: scenario(
+            omega=OMEGAS["tabulated"](), periodic=False, n_z=64,
+            t_end=0.25, init=pqz_field()),
+        "solenoidal": lambda: scenario(
+            n_pq=32, n_z=128, t_end=0.5,
+            init=named_initial_field("solenoidal", CAT_STRETCH_RATE)),
+        "full-grid": lambda: scenario(n_pq=32, n_z=128, t_end=0.05,
+                                      init=pqz_field(), sample_stride=4),
+    }[case]()
+    res, states, _ = evolve_keeping_states(sc, monkeypatch)
+    assert res.stop_reason == "completed" and res.steps == sc.n_steps
+    assert_series_is_per_sample(sc, res, states)
+    if case == "arnold":
+        # and they are the states at their sample times: ||Bq|| = e^{lam v t}
+        np.testing.assert_allclose(
+            res.series.l2[:, 1],
+            res.series.l2[0, 1] * np.exp(CAT_STRETCH_RATE * res.series.t),
+            rtol=1e-8)
+    if case not in ("arnold", "resistive"):
+        assert np.all(res.series.div_rel[1:] > 0)
+
+
+def test_diagnostics_passes_fill_the_byte_cap(monkeypatch):
+    cap = induction_dynamo._HISTORY_BYTES
+    # Arnold: 215 states of 3 x 1 x 1 x 128 doubles, 0.66 MB, in one pass
+    sc = scenario(n_pq=32, n_z=128, t_end=2.0)
+    res, states, passes = evolve_keeping_states(sc, monkeypatch)
+    assert passes == [215] and len(states) * states[0].nbytes < cap
+    # solenoidal: 3 x 32 x 1 x 128 doubles, ten states per pass
+    sc = scenario(n_pq=32, n_z=128, t_end=2.0,
+                  init=named_initial_field("solenoidal", CAT_STRETCH_RATE))
+    res, states, passes = evolve_keeping_states(sc, monkeypatch)
+    per_pass = cap // states[0].nbytes
+    assert per_pass == 10 and len(passes) == 22
+    assert passes[:-1] == [per_pass] * 21 and sum(passes) == 215
+    assert_series_is_per_sample(sc, res, states)
+
+
+def test_full_grid_history_flushes_each_state_within_the_memory_of_one(
+        monkeypatch):
+    # a 3 x 32 x 32 x 128 state is 3 MB, over the history's byte cap
+    sc = scenario(n_pq=32, n_z=128, t_end=0.05, init=pqz_field(),
+                  sample_stride=1)
+    evolve(sc)  # warm the caches tracemalloc would count
+    tracemalloc.start()
+    try:
+        evolve(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    res, states, passes = evolve_keeping_states(sc, monkeypatch)
+    state_bytes = states[0].nbytes
+    assert state_bytes > induction_dynamo._HISTORY_BYTES
+    assert passes == [1] * (sc.n_steps + 1) and sc.n_steps >= 10
+    assert_series_is_per_sample(sc, res, states)
+    # a pass per sample peaked at 3.44 states (10.3 MB) on this run: two
+    # states, the returned field and the div temporaries; the batched
+    # passes may hold at most one state more
+    assert peak <= 4.44 * state_bytes
+
+
+def test_overflow_guard_stops_where_a_pass_per_sample_stops(monkeypatch):
+    sc = scenario(t_end=20.0, n_z=64, overflow_factor=1e3, sample_stride=50)
+    res, states, _ = evolve_keeping_states(sc, monkeypatch)
+    _, totals, _ = per_sample_series(sc, states)
+    # a pass per sample stopped after the first sample whose total L2
+    # exceeded overflow_factor times the initial one
+    tripped = np.flatnonzero(totals > sc.overflow_factor * max(totals[0],
+                                                               1e-300))
+    assert len(tripped) > 0 and tripped[0] == len(states) - 1
+    stop = int(tripped[0]) * 50
+    assert (res.steps, res.stop_reason) == (stop, "overflow guard")
+    assert res.series.t[-1] == stop * res.dt
+    assert_series_is_per_sample(sc, res, states)
+
+
+NON_FINITE_ABOVE_HALF = {
+    "z-profile": InitialField.q_slot(lambda z: np.where(z > 0.5, np.nan, 1.0)),
+    "full-array": InitialField(bq=lambda p, q, z: np.where(
+        z + 0 * p + 0 * q > 0.5, np.nan, 1.0)),
+    "inf": InitialField.z_slot(lambda z: np.where(z > 0.5, np.inf, 1.0)),
+}
+
+
+@pytest.mark.parametrize("init", NON_FINITE_ABOVE_HALF.values(),
+                         ids=NON_FINITE_ABOVE_HALF.keys())
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_non_finite_initial_field_is_reported_as_non_finite(init, eta):
+    # with eta > 0 the scenario itself rejects it, before asking whether
+    # the field is constant along p and q; with eta = 0 evolve does
+    with pytest.raises(ValueError,
+                       match="^initial field contains non-finite values$"):
+        evolve(scenario(eta=eta, init=init, t_end=0.1))
+
+
+@pytest.mark.parametrize("init,shape", [
+    (q_sine(), (1, 1)), (named_initial_field("pq_mixed"), (1, 1)),
+    (named_initial_field("q_random", seed=4), (1, 1)),
+    (named_initial_field("solenoidal", CAT_STRETCH_RATE), (8, 1)),
+    (z_field(), (1, 1)), (pqz_field(), (8, 6)),
+    (pq_field(True, False), (1, 6)), (pq_field(False, True), (8, 1)),
+    (pq_field(True, True, bump=True), (8, 6)),
+], ids=["q_sine", "pq_mixed", "q_random", "solenoidal", "z_field", "pqz",
+        "const-p", "const-q", "ulp"])
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+def test_initial_state_is_the_collapsed_field_on_the_grid(init, shape,
+                                                          periodic):
+    grid = Grid3D(8, 6, 32, z_periodic=periodic)
+    state = _initial_state(init, grid)
+    full = init.on_grid(grid).data
+    assert state.shape == (3, *shape, 32) == _collapse_pq(full).shape
+    assert np.array_equal(state, _collapse_pq(full))
+    assert state.flags.c_contiguous and state.flags.writeable
 
 
 def test_resistive_damping_is_monotonic_in_eta():
