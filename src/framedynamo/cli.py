@@ -23,9 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior_geometry import (christoffel_oracle, comparison_table,
-                                curvature, named_coframe, paper_closed_forms,
-                                solve_connection)
+from .exterior_geometry import curvature_comparison
 from .flux_rope import (NoDynamoBoundError, RopeParams, amplification_ratio,
                         btheta_solution, continuity_solution,
                         dynamo_radius_bound, frenet_integrate, is_dynamo,
@@ -151,27 +149,21 @@ def _parse_omega(spec: str) -> ConformalFactor:
                       f"exponential:<a>, got {spec!r}")
 
 
-def _parse_lam(spec: str) -> float:
-    if spec == "catmap":
-        return CAT_STRETCH_RATE
-    return float(spec)
-
-
 # what an evolve run reports in run.json, read from its EvolutionResult
 _RUN_KEYS = ("steps", "dt", "cfl_advective", "cfl_real_axis", "stop_reason",
              "build_s", "advance_s", "sample_s")
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    lam = _parse_lam(cfg.get("lam"))
+    lam = CAT_STRETCH_RATE if cfg.get("lam") == "catmap" \
+        else cfg.get_float("lam")
     omega = _parse_omega(cfg.get("omega"))
     metric = FrameMetric(lam, omega)
     grid = metric.grid(cfg.get_int("n_p"), cfg.get_int("n_q"),
                        cfg.get_int("n_z"), z_periodic=cfg.get_bool("z_periodic"))
     v, eta = cfg.get_float("v"), cfg.get_float("eta")
-    dt_spec = cfg.get("dt")
     dt = stable_dt(metric, grid, v, cfg.get_float("cfl"), resistivity=eta) \
-        if dt_spec == "auto" else float(dt_spec)
+        if cfg.get("dt") == "auto" else cfg.get_float("dt")
     scenario = DynamoScenario(
         metric=metric, grid=grid, flow_speed=v,
         initial_field=named_initial_field(cfg.get("init"), lam, cfg.seed),
@@ -189,12 +181,17 @@ def cmd_evolve(cfg: RunConfig) -> int:
         print(f"WARNING: evolution stopped early ({result.stop_reason}); "
               "series.csv holds the partial run", file=sys.stderr)
         return 2
+    bq_norms = result.series.l2[:, 1]
+    if not np.any(bq_norms):
+        print("note: the Bq norm is identically 0, so there is no growth "
+              "rate to fit; growth.txt not written")
+        return 0
     window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
     # mean-field (k = 0) rate of the operator: growth minus resistive decay
     omega_mean = float(np.mean(1.0 / omega.value(grid.z)))
     theory = lam * v * omega_mean - scenario.resistivity * lam ** 2
-    fit = growth_fit(result.series.t, result.series.l2[:, 1],
-                     theory_rate=theory, window=window)
+    fit = growth_fit(result.series.t, bq_norms, theory_rate=theory,
+                     window=window)
     (cfg.out_dir / "growth.txt").write_text(fit.report())
     print(f"wrote {cfg.out_dir / 'growth.txt'}")
     print(fit.report(), end="")
@@ -205,21 +202,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
     lam = cfg.get_float("lam")
     z = np.linspace(cfg.get_float("z_min"), cfg.get_float("z_max"),
                     cfg.get_int("n_z"))
-    basis = named_coframe(cfg.get("metric"), lam)
-    conn = solve_connection(basis, z)
-    cart = curvature(conn)
-    orac = christoffel_oracle(basis, z)
-    header = (
-        f"metric: {basis.label} (lam={lam:g})\n"
-        f"cartan-vs-oracle max difference : {cart.max_difference(orac):.6e}\n"
-        f"structure-equation residual     : {conn.structure_residual():.6e}\n"
-        f"antisymmetry residual           : {cart.antisymmetry_residual():.6e}\n"
-        f"first-bianchi residual          : {cart.bianchi_residual():.6e}\n"
-        f"pair-symmetry residual          : {cart.pair_symmetry_residual():.6e}\n"
-        "closed-form columns are report-only; the oracle column is the "
-        "reference\n\n")
-    table = comparison_table(cart, orac, paper_closed_forms(lam),
-                             stride=max(1, len(z) // 9))
+    header, table = curvature_comparison(cfg.get("metric"), lam, z)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "curvature.txt").write_text(header + table)
     print(f"wrote {cfg.out_dir / 'curvature.txt'}")

@@ -14,11 +14,23 @@ z -> (a, a', a'') (`CoframeBasis`); the coframe of a `FrameMetric` is its
     (Flanders, Differential Forms with Applications to the Physical
     Sciences, 1963, ch. 4), whose structure-equation residual is
     reported, then the curvature 2-forms
-    R^i_j = d omega^i_j + omega^i_l ^ omega^l_j;
+    R^i_j = d omega^i_j + omega^i_l ^ omega^l_j, which for these coframes
+    are R^i_j = K_ij omega^i ^ omega^j with the three sectional
+    curvatures K_pq = -c_p c_q and K_iz = -(c_i'/a_z + c_i^2): the
+    Riemann array is built from them;
 
   * a coordinate Christoffel-symbol oracle: Gamma^a_{bc} from the metric
     components, the coordinate Riemann tensor, converted to the
     orthonormal frame.
+
+`curvature_comparison` builds the one curvature report, the header and
+table of `framedynamo curvature`'s and `verify-all`'s curvature.txt. Its
+paper column quotes the paper's curvature table for
+`stretched_half`; that table is not this coframe's curvature. The quoted
+R^p_qpq = lam e^{-lam z/2} is the connection coefficient c_q, with the
+dimension of lam, not lam^2 (the computed R^p_qpq is 0), and the quoted
+R^q_zqz = (1/2) lam^2 e^{-lam z} is minus the computed value, i.e. the
+other order of the last index pair, R^q_zzq.
 
 2-forms are stored on the ordered wedge basis
 (omega^p^omega^q, omega^p^omega^z, omega^q^omega^z); R^i_j expands as
@@ -53,6 +65,7 @@ __all__ = [
     "stretched_coframe_half",
     "named_coframe",
     "paper_closed_forms",
+    "curvature_comparison",
 ]
 
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -131,10 +144,14 @@ class CoframeBasis:
         return a, da, d2a
 
     def structure_rates(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """c_i = a_i'/(a_z a_i) and their z-derivatives."""
+        """c_i = a_i'/(a_z a_i) and their z-derivatives.
+
+        They may overflow; the connection and the curvature check them.
+        """
         a, da, d2a = self.scale_factors(z)
-        c = da / (a[2] * a)
-        dc = d2a / (a[2] * a) - c * (da[2] / a[2] + da / a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = da / (a[2] * a)
+            dc = d2a / (a[2] * a) - c * (da[2] / a[2] + da / a)
         return c, dc
 
 
@@ -222,8 +239,7 @@ class ConnectionForms:
     """Levi-Civita connection omega^i_j = Gamma^i_{jk} omega^k on z samples."""
 
     z: np.ndarray
-    gamma: np.ndarray     # (nz, 3, 3, 3), antisymmetric in the first two slots
-    gamma_dz: np.ndarray  # analytic z-derivative of gamma
+    gamma: np.ndarray  # (nz, 3, 3, 3), antisymmetric in the first two slots
     basis: CoframeBasis
 
     def antisymmetry_residual(self) -> float:
@@ -242,31 +258,22 @@ class ConnectionForms:
         return float(np.max(np.abs(res)))
 
 
-def _gamma_from_rates(c: np.ndarray) -> np.ndarray:
-    """Gamma^i_{jk} of the connection omega^i_z = c_i omega^i, i = p, q.
+def solve_connection(basis: CoframeBasis, z: np.ndarray) -> ConnectionForms:
+    """Unique antisymmetric solution of d omega^i = -omega^i_j ^ omega^j.
 
-    This is the unique solution of d omega^i = -omega^i_j ^ omega^j with
-    d omega^i = c_i omega^z ^ omega^i for i = p, q, d omega^z = 0 and
-    omega^i_j = -omega^j_i: Gamma^i_{zi} = c_i, Gamma^z_{ii} = -c_i, and
-    every other entry is zero.
+    With d omega^i = c_i omega^z ^ omega^i for i = p, q and d omega^z = 0,
+    it is the connection omega^i_z = c_i omega^i: Gamma^i_{zi} = c_i,
+    Gamma^z_{ii} = -c_i, and every other entry is zero.
     """
+    z = np.asarray(z, dtype=float)
+    c, _ = basis.structure_rates(z)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("connection has non-finite values")
     gamma = np.zeros((c.shape[1], 3, 3, 3))
     for i in range(2):
         gamma[:, i, 2, i] = c[i]
         gamma[:, 2, i, i] = -c[i]
-    return gamma
-
-
-def solve_connection(basis: CoframeBasis, z: np.ndarray) -> ConnectionForms:
-    """Unique antisymmetric solution of d omega^i = -omega^i_j ^ omega^j."""
-    z = np.asarray(z, dtype=float)
-    c, dc = basis.structure_rates(z)
-    gamma = _gamma_from_rates(c)
-    # Gamma is linear in c, so c' gives its z-derivative
-    gamma_dz = _gamma_from_rates(dc)
-    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(gamma_dz))):
-        raise ValueError("connection has non-finite values")
-    return ConnectionForms(z, gamma, gamma_dz, basis)
+    return ConnectionForms(z, gamma, basis)
 
 
 @dataclass(frozen=True)
@@ -308,23 +315,35 @@ class CurvatureReport:
 
 
 def curvature(conn: ConnectionForms) -> CurvatureReport:
-    """Second structure equation R^i_j = d omega^i_j + omega^i_l ^ omega^l_j.
+    """Frame Riemann components from the three sectional curvatures.
 
-    With omega^i_j = Gamma^i_{jk} omega^k, the wedge term is
-    Gamma^i_{lm} Gamma^l_{jn} omega^m ^ omega^n and
-    d omega^i_j = (Gamma^i_{jk}'/a_z + Gamma^i_{jk} c_k) omega^z ^ omega^k.
+    For a diagonal coframe in z alone the curvature 2-forms
+    R^i_j = d omega^i_j + omega^i_l ^ omega^l_j of omega^i_z = c_i omega^i
+    reduce to R^i_j = K_ij omega^i ^ omega^j (Flanders, ch. 4), with
+
+        K_pq = -c_p c_q,   K_iz = -(c_i'/a_z + c_i^2)   (i = p, q),
+
+    so R^i_{jij} = -R^i_{jji} = K_ij, and the pair symmetries of the
+    orthonormal frame place the rest; every other component is zero.
+    Raises ValueError when c' or a curvature is not finite.
     """
     z = conn.z
     a, _, _ = conn.basis.scale_factors(z)
-    c, _ = conn.basis.structure_rates(z)
-    gamma = conn.gamma
-    quad = np.einsum("zilm,zljn->zijmn", gamma, gamma)
-    riemann = quad - np.swapaxes(quad, 3, 4)
-    # k = p, q only: omega^z ^ omega^z = 0
-    d_gamma = conn.gamma_dz[..., :2] / a[2][:, None, None, None] \
-        + gamma[..., :2] * c[:2].T[:, None, None, :]
-    riemann[:, :, :, 2, :2] += d_gamma
-    riemann[:, :, :, :2, 2] -= d_gamma
+    c, dc = conn.basis.structure_rates(z)
+    if not np.all(np.isfinite(dc)):
+        raise ValueError("curvature: the z-derivative c' of the connection "
+                         "coefficients is not finite")
+    riemann = np.zeros((len(z), 3, 3, 3, 3))
+    # 0.0 - x keeps a zero component +0.0 where -x would give -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sectional = (((0, 1), 0.0 - c[0] * c[1]),
+                     ((0, 2), 0.0 - (dc[0] / a[2] + c[0] * c[0])),
+                     ((1, 2), 0.0 - (dc[1] / a[2] + c[1] * c[1])))
+    for (i, j), k in sectional:
+        if not np.all(np.isfinite(k)):
+            raise ValueError("curvature: a sectional curvature is not finite")
+        riemann[:, i, j, i, j] = riemann[:, j, i, j, i] = k
+        riemann[:, i, j, j, i] = riemann[:, j, i, i, j] = 0.0 - k
     return CurvatureReport(z, riemann)
 
 
@@ -430,7 +449,8 @@ def paper_closed_forms(lam: float) -> dict[str, Callable]:
     """The paper's closed forms of REPORTED_COMPONENTS, as functions of z.
 
     They are quoted for comparison only: the oracle, not these forms, is
-    the reference for the computed curvature.
+    the reference for the computed curvature. The module docstring says
+    what they are for `stretched_half`.
     """
     return {
         "R^p_qpq": lambda zz: lam * np.exp(-lam * zz / 2),
@@ -461,3 +481,34 @@ def comparison_table(cartan: CurvatureReport, oracle: CurvatureReport,
             lines.append(f"{zv:12.6f} {name:>10} {cv:18.10e} {ov:18.10e} "
                          f"{pv:18.10e} {abs(cv - pv):12.4e}")
     return "\n".join(lines) + "\n"
+
+
+def curvature_comparison(metric: str, lam: float, z: np.ndarray
+                         ) -> tuple[str, str]:
+    """Header and comparison table of the named coframe's curvature.txt.
+
+    Runs the connection, the curvature and the Christoffel oracle on z;
+    the header carries their agreement and residuals and says what the
+    columns are, the table samples about ten z per component.
+    """
+    basis = named_coframe(metric, lam)
+    conn = solve_connection(basis, z)
+    cart = curvature(conn)
+    orac = christoffel_oracle(basis, z)
+    header = (
+        f"metric: {basis.label} (lam={lam:g})\n"
+        f"cartan-vs-oracle max difference : {cart.max_difference(orac):.6e}\n"
+        f"structure-equation residual     : {conn.structure_residual():.6e}\n"
+        f"antisymmetry residual           : {cart.antisymmetry_residual():.6e}\n"
+        f"first-bianchi residual          : {cart.bianchi_residual():.6e}\n"
+        f"pair-symmetry residual          : {cart.pair_symmetry_residual():.6e}\n"
+        "cartan: built from the three sectional curvatures\n"
+        "oracle: the coordinate Christoffel pipeline, the reference\n"
+        "paper : the closed forms quoted for stretched_half, report-only:\n"
+        "  R^p_qpq = lam e^{-lam z/2} is its connection coefficient c_q "
+        "(dimension lam, not lam^2)\n"
+        "  R^q_zqz = (1/2) lam^2 e^{-lam z} is minus its computed R^q_zqz "
+        "(the last index pair reversed)\n\n")
+    table = comparison_table(cart, orac, paper_closed_forms(lam),
+                             stride=max(1, len(z) // 9))
+    return header, table

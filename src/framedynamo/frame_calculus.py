@@ -15,7 +15,8 @@ evaluates them, for the frame operators and, as the metric's coframe
 c e^{a z} (identity, constant and exponential factors), which supplies w,
 w', w'' and its characteristic foot points exactly, and a tabulated
 not-a-knot cubic spline (`differentiation.CubicSpline`, plain numpy),
-whose derivatives and antiderivative are those of its cubic pieces. All
+whose derivatives and antiderivative are those of its cubic pieces; its
+foot points bisect that antiderivative. All
 differential operators (grad, div, curl, scalar and vector Laplacian) are
 the general orthogonal-coordinates expressions in these scale factors,
 evaluated with spectral derivatives in p, q and 4th-order finite
@@ -51,8 +52,8 @@ class ConformalFactor:
     (1, a); it owns its closed forms for Omega^{1/2} and its derivatives,
     the characteristic foot point and the z-uniform flag (a = 0). The
     tabulated family interpolates samples with a not-a-knot `CubicSpline`,
-    which carries Omega', Omega'' and the antiderivative that
-    `characteristics_oracle` inverts for the foot point.
+    which carries Omega', Omega'' and the antiderivative that `foot_point`
+    inverts.
     """
 
     constant: float = 1.0
@@ -139,21 +140,50 @@ class ConformalFactor:
                 0.5 * w * (self.spline(z, 2) / om - 0.5 * dlog ** 2))
 
     def foot_point(self, z: np.ndarray, v: float, t: float) -> np.ndarray:
-        """Closed-form foot z0 of the characteristic dz/dt = v/Omega(z).
+        """Foot z0 of the characteristic dz/dt = v/Omega(z) through z at t.
 
-        z0 = z - (v/c) t for a = 0, else ln(e^{a z} - a (v/c) t)/a, NaN
-        where that logarithm is undefined (the characteristic escapes).
-        Closed-form family only.
+        The closed form inverts exactly: z0 = z - (v/c) t for a = 0, else
+        ln(e^{a z} - a (v/c) t)/a, NaN where that logarithm is undefined
+        (the characteristic escapes). A tabulated factor solves
+        int_{z0}^{z} Omega(u) du = v t for all z at once, with the spline's
+        exact antiderivative F = spline(z, -1) (quartic pieces, zero at the
+        first knot, and extrapolated through the end pieces like the
+        spline): the bracket, sized from min Omega over z, grows upstream
+        (against sign(v t)) by doubling, up to 60 times, and is then
+        bisected to adjacent floats. Points with no sign change in the
+        bracket have no finite foot (NaN).
         """
-        if self.spline is not None:
-            raise ValueError("a tabulated factor has no closed-form foot point")
         z = np.asarray(z, dtype=float)
-        a = self.exponent
-        if a == 0.0:
-            return z - (v / self.constant) * t
-        arg = np.exp(a * z) - a * (v / self.constant) * t
-        with np.errstate(invalid="ignore"):
-            return np.where(arg > 0, np.log(np.maximum(arg, 1e-300)) / a, np.nan)
+        if self.spline is None:
+            a = self.exponent
+            if a == 0.0:
+                return z - (v / self.constant) * t
+            arg = np.exp(a * z) - a * (v / self.constant) * t
+            with np.errstate(invalid="ignore"):
+                return np.where(arg > 0, np.log(np.maximum(arg, 1e-300)) / a,
+                                np.nan)
+        z = np.atleast_1d(z)
+        d = np.sign(v * t)  # 0 leaves every foot at z
+        # z0 is reached once d (F(z) - F(z0)) >= |v t|; F increases, so this
+        # holds from the foot point upstream and fails at z0 = z
+        target = d * self.spline(z, -1) - abs(v * t)
+        reached = lambda z0, goal: d * self.spline(z0, -1) <= goal
+        span = abs(v * t) / max(1e-12, float(np.min(self.value(z))))
+        trials = z - d * span * 2.0 ** np.arange(60)[:, None]  # (60, len(z))
+        hit = reached(trials, target)
+        found = hit.any(axis=0)
+        lo, target = z[found], target[found]  # lo not reached, hi reached
+        hi = trials[np.argmax(hit, axis=0), np.arange(z.size)][found]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            up = reached(mid, target)
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        z0 = np.full_like(z, np.nan)
+        z0[found] = hi
+        return z0
 
 
 @dataclass(frozen=True)

@@ -605,45 +605,6 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 # -- method of characteristics -------------------------------------------------
 
 
-def _trace_back(scenario: DynamoScenario, z: np.ndarray, t: float) -> np.ndarray:
-    """Characteristic foot points z0 with dz/dt = v_eff(z) = v/Omega(z).
-
-    The closed-form family inverts exactly. A tabulated factor solves
-    int_{z0}^{z} Omega(u) du = v t for all z at once, with the spline's
-    exact antiderivative F = spline(z, -1) (quartic pieces, zero at the
-    first knot, and extrapolated through the end pieces like the spline):
-    the bracket grows upstream (against sign(v t)) by doubling, up to 60
-    times, and is then bisected to adjacent floats.
-    Points with no sign change in the bracket have no finite foot (NaN).
-    """
-    om = scenario.metric.omega
-    v = scenario.flow_speed
-    if om.spline is None:
-        return om.foot_point(z, v, t)
-    z = np.array(z, dtype=float, ndmin=1)
-    d = np.sign(v * t)  # 0 leaves every foot at z
-    # z0 is reached once d (F(z) - F(z0)) >= |v t|; F increases, so this
-    # holds from the foot point upstream and fails at z0 = z
-    target = d * om.spline(z, -1) - abs(v * t)
-    reached = lambda z0, goal: d * om.spline(z0, -1) <= goal
-    span = abs(v * t) / max(1e-12, float(np.min(om.value(scenario.grid.z))))
-    trials = z - d * span * 2.0 ** np.arange(60)[:, None]  # (60, len(z))
-    hit = reached(trials, target)
-    found = hit.any(axis=0)
-    lo, target = z[found], target[found]  # lo not reached, hi reached
-    hi = trials[np.argmax(hit, axis=0), np.arange(z.size)][found]
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        up = reached(mid, target)
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    z0 = np.full_like(z, np.nan)
-    z0[found] = hi
-    return z0
-
-
 def characteristics_oracle(scenario: DynamoScenario, t: float
                            ) -> tuple[FrameField, np.ndarray]:
     """Exact ideal solution at time t, and a validity mask over z.
@@ -657,7 +618,7 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
         raise ValueError("characteristics oracle requires zero resistivity")
     grid = scenario.grid
     z = grid.z
-    z0 = _trace_back(scenario, z, t)
+    z0 = scenario.metric.omega.foot_point(z, scenario.flow_speed, t)
     mask = np.isfinite(z0)
     if scenario.initial_field.z_limited:
         mask &= (z0 >= grid.z_min - 1e-12) & (z0 <= grid.z_max + 1e-12)

@@ -264,6 +264,46 @@ def test_config_unknown_name_rejected(tmp_path, capsys, section, text):
     assert f"error: {text}" in err
 
 
+@pytest.mark.parametrize("key", ["lam", "dt"])
+def test_config_bad_number_rejected_by_name(tmp_path, capsys, key):
+    # lam and dt also take a word (catmap, auto); anything else is a number
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[evolve]\n{key} = abc\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"error: [evolve] {key}: expected a number, got 'abc'" in err
+
+
+def test_evolve_solenoidal_skips_the_growth_fit(tmp_path, capsys):
+    # Bq is identically 0, so there is no Bq growth rate to fit
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\ninit = solenoidal\nn_p = 4\nn_q = 4\n"
+                   "n_z = 64\nt_end = 0.2\n")
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(out_dir))
+    assert code == 0, err
+    assert "note: the Bq norm is identically 0" in out
+    assert (out_dir / "series.csv").exists() and (out_dir / "run.json").exists()
+    assert not (out_dir / "growth.txt").exists()
+
+
+def test_verify_all_and_curvature_command_write_the_same_report(tmp_path,
+                                                                capsys):
+    from framedynamo.verification import AcceptanceSuite
+
+    assert AcceptanceSuite(tmp_path / "verify").check_curvature_pipeline().passed
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[curvature]\nmetric = stretched_half\nn_z = 65\n"
+                   "lam = 1\n")
+    code, _, err = run_cli(capsys, "curvature", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    assert (tmp_path / "verify" / "curvature.txt").read_bytes() \
+        == (tmp_path / "o" / "curvature.txt").read_bytes()
+
+
 def test_curvature_command_writes_table(tmp_path, capsys):
     code, out, err = run_cli(capsys, "curvature", "--out", str(tmp_path / "o"))
     assert code == 0, err

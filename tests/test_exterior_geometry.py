@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedynamo.exterior_geometry import (CoframeBasis, arnold_coframe,
                                            christoffel_oracle,
@@ -234,6 +235,52 @@ def test_pipeline_equivalence(label, basis):
     # brute-force oracle
     assert cart.last_pair_antisymmetry_residual() == 0.0
     assert orac.last_pair_antisymmetry_residual() <= 1e-14
+
+
+_RATES = st.floats(-3.0, 3.0, allow_nan=False)
+_KNOTS = np.linspace(-0.5, 1.5, 9)
+
+
+@st.composite
+def random_coframes(draw):
+    """Exponential coframes with random rates, and sampled coframes through
+    random positive values on _KNOTS."""
+    if draw(st.booleans()):
+        return CoframeBasis.exponential([draw(_RATES) for _ in range(3)])
+    values = st.lists(st.floats(1.0, 1.5), min_size=len(_KNOTS),
+                      max_size=len(_KNOTS))
+    return CoframeBasis.from_samples(
+        _KNOTS, [np.array(draw(values)) for _ in range(3)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_coframes())
+def test_sectional_curvature_build_matches_oracle(basis):
+    z = np.linspace(0.0, 1.0, 17)
+    cart = curvature(solve_connection(basis, z))
+    orac = christoffel_oracle(basis, z)
+    assert cart.max_difference(orac) <= 1e-12 * max(1.0, cart.max_abs())
+    # the build places each sectional curvature by the pair symmetries
+    assert cart.antisymmetry_residual() == 0.0
+    assert cart.bianchi_residual() == 0.0
+    assert cart.pair_symmetry_residual() == 0.0
+
+
+def test_curvature_rejects_non_finite_sectional_curvatures():
+    # c' overflows in the first coframe; c_p = 1e160 is finite in the
+    # second, but K_pz = -(c_p'/a_z + c_p^2) is not
+    def profile(a, da, d2a):
+        return lambda z: tuple(np.broadcast_to(np.array(x, float)[:, None],
+                                               (3, len(z))).copy()
+                               for x in (a, da, d2a))
+
+    cases = [(profile((1, 1, 1), (1e200, 0, 0), (0, 0, 0)), "c'"),
+             (profile((1, 1, 1e-150), (1e10, 0, 0), (1e20, 0, 0)),
+              "sectional curvature")]
+    for prof, reason in cases:
+        conn = solve_connection(CoframeBasis(prof), Z)
+        with pytest.raises(ValueError, match=reason):
+            curvature(conn)
 
 
 def test_constant_conformal_scaling_law():

@@ -51,12 +51,16 @@ def test_identity_factor_is_exact():
     assert f == ConformalFactor.from_constant(1.0)
 
 
-def test_tabulated_factor_has_no_closed_form_foot_point():
-    zs = np.linspace(-1, 2, 31)
+def test_tabulated_factor_foot_point_matches_closed_form():
+    # both families answer foot_point; v t = 0 leaves every foot at z
+    zs = np.linspace(-1, 2, 301)
     f = ConformalFactor.tabulated(zs, np.exp(zs))
     assert not f.z_uniform
-    with pytest.raises(ValueError, match="tabulated"):
-        f.foot_point(zs, 1.0, 0.1)
+    z = np.linspace(0, 1, 17)
+    want = ConformalFactor.exponential(1.0).foot_point(z, 1.0, 0.1)
+    np.testing.assert_allclose(f.foot_point(z, 1.0, 0.1), want, rtol=0,
+                               atol=1e-9)
+    assert np.array_equal(f.foot_point(z, 0.0, 0.1), z)
 
 
 def test_exponential_factor_log_derivative_is_constant():

@@ -995,14 +995,9 @@ def test_oracle_tabulated_factor_matches_exponential():
     # the foot lies upstream: below z for v > 0, above it for v < 0
     zs = np.linspace(-2.0, 2.0, 801)
     tab = ConformalFactor.tabulated(zs, np.exp(zs))
-    metric = FrameMetric(1.0, tab)
-    grid = metric.grid(2, 2, 9, z_periodic=False)
-    from framedynamo.induction_dynamo import _trace_back
+    grid = FrameMetric(1.0, tab).grid(2, 2, 9, z_periodic=False)
     for v in (1.0, -1.0):
-        sc = DynamoScenario(metric=metric, grid=grid, flow_speed=v,
-                            initial_field=q_sine(), t_end=0.2,
-                            dt=stable_dt(metric, grid, v))
-        z0 = _trace_back(sc, grid.z, 0.2)
+        z0 = tab.foot_point(grid.z, v, 0.2)
         want = ConformalFactor.exponential(1.0).foot_point(grid.z, v, 0.2)
         np.testing.assert_allclose(z0, want, rtol=0, atol=1e-9)
 
@@ -1011,16 +1006,10 @@ def test_tabulated_trace_back_matches_quadrature_root_finding():
     from scipy.integrate import quad
     from scipy.optimize import brentq
 
-    from framedynamo.induction_dynamo import _trace_back
-
     zs = np.linspace(-1.0, 2.0, 301)
     tab = ConformalFactor.tabulated(zs, 1.0 + 0.3 * np.sin(2 * np.pi * zs))
-    metric = FrameMetric(1.0, tab)
-    grid = metric.grid(2, 2, 128, z_periodic=False)
+    grid = FrameMetric(1.0, tab).grid(2, 2, 128, z_periodic=False)
     t = 0.25
-    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
-                        initial_field=q_sine(), t_end=t,
-                        dt=stable_dt(metric, grid, 1.0))
 
     def foot(zi):
         # the spline's knots split the integral into exact cubic pieces
@@ -1031,7 +1020,8 @@ def test_tabulated_trace_back_matches_quadrature_root_finding():
 
     z = grid.z[::8]
     want = np.array([foot(zi) for zi in z])
-    np.testing.assert_allclose(_trace_back(sc, z, t), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tab.foot_point(z, 1.0, t), want, rtol=0,
+                               atol=1e-12)
 
 
 def test_oracle_domain_restriction_flagged():
