@@ -7,7 +7,9 @@ here that beats an rFFT/irFFT pair per call. z is differentiated with
 4th-order finite differences, either on a closed interval (one-sided
 stencils of the same order at the ends) or on a periodic interval (central
 stencils throughout). Stencil weights come from Fornberg's recursion, so
-the boundary closures keep full order.
+the boundary closures keep full order; the recursion runs once per
+distinct stencil (one central stencil, two one-sided ones at each closed
+end), not once per row.
 
 Tabulated z-profiles are interpolated by `CubicSpline`, a not-a-knot
 cubic spline that carries its first two derivatives and its exact
@@ -67,7 +69,8 @@ def z_derivative_matrix(n: int, dz: float, order: int = 1,
 
     Closed interval: 5-point central stencils inside, one-sided 5-point
     (order 1) or 6-point (order 2) stencils at the ends. Periodic interval:
-    central stencils with wraparound.
+    central stencils with wraparound. Each distinct stencil is computed
+    once, from its node offsets to the row's own point.
     """
     if order not in (1, 2):
         raise ValueError("only first and second derivatives are provided")
@@ -76,21 +79,14 @@ def z_derivative_matrix(n: int, dz: float, order: int = 1,
         raise ValueError(f"need at least {width} z points for order-{order} "
                          f"stencils, got {n}")
     D = np.zeros((n, n))
-    if periodic:
-        offsets = np.arange(-2, 3)
-        w = fornberg_weights(0.0, offsets * dz, order)
-        for off, wk in zip(offsets, w):
-            D[np.arange(n), (np.arange(n) + off) % n] += wk
-        return D
-    half = 2
-    for i in range(n):
-        if half <= i < n - half:
-            idx = np.arange(i - half, i + half + 1)
-        elif i < half:
-            idx = np.arange(0, width)
-        else:
-            idx = np.arange(n - width, n)
-        D[i, idx] = fornberg_weights(i * dz, idx * dz, order)
+    offsets = np.arange(-2, 3)
+    rows = np.arange(n) if periodic else np.arange(2, n - 2)
+    D[rows[:, None], (rows[:, None] + offsets) % n] = \
+        fornberg_weights(0.0, offsets * dz, order)
+    if not periodic:
+        for i in (0, 1, n - 2, n - 1):
+            idx = np.arange(width) if i < 2 else np.arange(n - width, n)
+            D[i, idx] = fornberg_weights(0.0, (idx - i) * dz, order)
     return D
 
 

@@ -143,16 +143,18 @@ class CoframeBasis:
                              "two derivatives finite, on the sample points")
         return a, da, d2a
 
-    def structure_rates(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """c_i = a_i'/(a_z a_i) and their z-derivatives.
+    def structure_rates(self, z: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, c, c') on z: the coefficients, c_i = a_i'/(a_z a_i) and
+        their z-derivatives, from one evaluation of the profile.
 
-        They may overflow; the connection and the curvature check them.
+        c and c' may overflow; the connection and the curvature check them.
         """
         a, da, d2a = self.scale_factors(z)
         with np.errstate(over="ignore", invalid="ignore"):
             c = da / (a[2] * a)
             dc = d2a / (a[2] * a) - c * (da[2] / a[2] + da / a)
-        return c, dc
+        return a, c, dc
 
 
 def conformal_coframe(metric: FrameMetric, label: str = "conformal") -> CoframeBasis:
@@ -226,7 +228,7 @@ def exterior_derivative(basis: CoframeBasis, z: np.ndarray) -> TwoForms:
     d omega^z = 0 for diagonal z-dependent coframes.
     """
     z = np.asarray(z, dtype=float)
-    c, _ = basis.structure_rates(z)
+    _, c, _ = basis.structure_rates(z)
     coeff = np.zeros((c.shape[1], 3, 3))
     for i in range(2):
         pair, sign = _pair_coeff(2, i)
@@ -266,7 +268,7 @@ def solve_connection(basis: CoframeBasis, z: np.ndarray) -> ConnectionForms:
     Gamma^z_{ii} = -c_i, and every other entry is zero.
     """
     z = np.asarray(z, dtype=float)
-    c, _ = basis.structure_rates(z)
+    _, c, _ = basis.structure_rates(z)
     if not np.all(np.isfinite(c)):
         raise ValueError("connection has non-finite values")
     gamma = np.zeros((c.shape[1], 3, 3, 3))
@@ -328,8 +330,7 @@ def curvature(conn: ConnectionForms) -> CurvatureReport:
     Raises ValueError when c' or a curvature is not finite.
     """
     z = conn.z
-    a, _, _ = conn.basis.scale_factors(z)
-    c, dc = conn.basis.structure_rates(z)
+    a, c, dc = conn.basis.structure_rates(z)
     if not np.all(np.isfinite(dc)):
         raise ValueError("curvature: the z-derivative c' of the connection "
                          "coefficients is not finite")

@@ -9,7 +9,8 @@ kappa(s) and torsion tau(s). The tangent/normal/binormal triad satisfies
 step is one rotation about the step's averaged Darboux vector, so the triad
 stays orthonormal to round-off without renormalisation (Iserles,
 Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000; Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 2009).
+Ros, Phys. Rep. 470, 2009). The triads are the prefix products of those
+rotations, formed by a doubling scan rather than one step at a time.
 
 The rope has one owner: `RopeParams` carries its radius r and the
 constant curvature kappa and torsion tau of its axis, and the tube, B_theta,
@@ -25,6 +26,7 @@ the poloidal amplitude B_theta = B0 exp(gamma t - int (1 - K) dtheta).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,31 +97,42 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
     F <- R(theta)^T F with theta = (h/2)(w1 + w2) + (sqrt(3) h^2/12) w1 x w2
     (Rodrigues), so the triad stays orthonormal to round-off. Positions
     integrate t by the corrected trapezoid rule, whose h^2/12 end terms
-    use t' = kappa n. Both are 4th order in ds; constant kappa and tau
+    use t' = kappa n. Both are 4th order in h; constant kappa and tau
     rotate the frame exactly.
 
+    The curve ends at s_max: it takes n = ceil(s_max/ds) steps of equal
+    size h = s_max/n <= ds, so s = 0, h, ..., n h (a ratio s_max/ds at
+    most a relative 1e-12 above a whole number, as round-off leaves it,
+    rounds down to that number); s_max = 0 gives the starting point
+    alone. The frame after step k is the product R_k^T ... R_1^T of the
+    step rotations, formed by a doubling prefix scan (Hillis & Steele,
+    CACM 29, 1986): ceil(log2(n)) batched matmuls, each combining every
+    partial product with the one d steps before it, for d = 1, 2, 4, ...
+
     kappa and tau may be floats or callables of s; kappa must be
-    non-negative and kappa*ds <= 0.1 everywhere (step-size guard). The
+    non-negative and kappa*h <= 0.1 everywhere (step-size guard). The
     curve starts at the origin with the triad (t, n, b) = (e_x, e_y, e_z).
     """
     if not 0.0 < ds < np.inf:
         raise ValueError(f"ds must be positive and finite, got {ds}")
     if not 0.0 <= s_max < np.inf:
         raise ValueError(f"s_max must be non-negative and finite, got {s_max}")
-    m = int(round(s_max / ds)) + 1
-    s = np.arange(m) * ds
+    steps = math.ceil(s_max / ds * (1.0 - 1e-12))
+    h = s_max / steps if steps else ds
+    m = steps + 1
+    s = np.arange(m) * h
     kap = _as_profile(kappa, s)
     if np.any(kap < 0):
         raise ValueError("curvature profile must be non-negative")
-    if np.max(kap) * ds > 0.1:
-        raise ValueError(f"step too large: max kappa*ds = {np.max(kap) * ds:.3g} > 0.1")
+    if np.max(kap) * h > 0.1:
+        raise ValueError(f"step too large: max kappa*h = {np.max(kap) * h:.3g} > 0.1")
 
     # per-step rotation vectors theta, shape (m - 1, 3)
-    w1, w2 = (np.stack([_as_profile(tau, s[:-1] + c * ds),
+    w1, w2 = (np.stack([_as_profile(tau, s[:-1] + c * h),
                         np.zeros(m - 1),
-                        _as_profile(kappa, s[:-1] + c * ds)], axis=1)
+                        _as_profile(kappa, s[:-1] + c * h)], axis=1)
               for c in _GAUSS)
-    theta = 0.5 * ds * (w1 + w2) + (np.sqrt(3.0) * ds ** 2 / 12.0) * np.cross(w1, w2)
+    theta = 0.5 * h * (w1 + w2) + (np.sqrt(3.0) * h ** 2 / 12.0) * np.cross(w1, w2)
     # R = I + a [theta]x + b [theta]x^2, a = sin|theta|/|theta|,
     # b = 2 sin^2(|theta|/2)/|theta|^2 (no 1 - cos cancellation)
     ang = np.linalg.norm(theta, axis=1)
@@ -130,16 +143,21 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
     K = np.cross(theta[:, None, :], np.eye(3))
     rot_t = np.eye(3) + a[:, None, None] * K + b[:, None, None] * (K @ K)
 
+    # frames[k] = R_k^T ... R_1^T: after the pass with stride d, frames[k]
+    # holds the product of the 2d rotations up to step k (fewer near k = 0)
     frames = np.empty((m, 3, 3))
     frames[0] = np.eye(3)
-    for i in range(m - 1):
-        np.matmul(rot_t[i], frames[i], out=frames[i + 1])
+    frames[1:] = rot_t
+    d = 1
+    while d < m - 1:
+        frames[d + 1:] = frames[d + 1:] @ frames[1:m - d]
+        d *= 2
     ts, ns, bs = frames[:, 0], frames[:, 1], frames[:, 2]
 
     kn = kap[:, None] * ns
     xs = np.zeros((m, 3))
-    xs[1:] = np.cumsum(0.5 * ds * (ts[:-1] + ts[1:])
-                       + (ds ** 2 / 12.0) * (kn[:-1] - kn[1:]), axis=0)
+    xs[1:] = np.cumsum(0.5 * h * (ts[:-1] + ts[1:])
+                       + (h ** 2 / 12.0) * (kn[:-1] - kn[1:]), axis=0)
     return FrenetCurve(s, xs, ts, ns, bs)
 
 
@@ -247,11 +265,20 @@ def continuity_residual(params: RopeParams, s: np.ndarray, v_theta: np.ndarray,
     """Residual of ds(v_theta) + v_theta r tau kappa = 0.
 
     The derivative is 4th-order finite-differenced unless supplied
-    analytically.
+    analytically; differencing needs s strictly increasing and uniformly
+    spaced (to a relative 1e-9) with at least 5 points, and raises
+    ValueError otherwise.
     """
     s = np.asarray(s, dtype=float)
     v = np.asarray(v_theta, dtype=float)
     if dv_theta is None:
+        if s.ndim != 1 or s.size < 5:
+            raise ValueError(f"s must be a 1-D array of at least 5 points, "
+                             f"got shape {s.shape}")
+        step = np.diff(s)
+        if not (np.all(step > 0) and np.ptp(step) <= 1e-9 * step[0]):
+            raise ValueError("s must be strictly increasing and uniformly "
+                             "spaced to finite-difference v_theta")
         D = z_derivative_matrix(len(s), float(s[1] - s[0]), 1)
         dv_theta = D @ v
     return dv_theta + v * params.r * params.tau * params.kappa

@@ -19,17 +19,73 @@ def test_fornberg_rejects_short_stencils():
         fornberg_weights(0.0, np.array([0.0, 1.0]), 2)
 
 
+SIZES = [5, 6, 7, 8, 65, 128, 513]
+SPACINGS = [0.1, 1.0 / 127, 0.37]
+
+
+def stencil_cases():
+    """(n, dz, order) for every size that carries the order's stencils."""
+    return [(n, dz, order) for n in SIZES for dz in SPACINGS
+            for order in (1, 2) if n >= (5 if order == 1 else 6)]
+
+
+def periodic_reference(n, dz, order):
+    """Periodic matrix built one stencil offset at a time."""
+    offsets = np.arange(-2, 3)
+    D = np.zeros((n, n))
+    for off, wk in zip(offsets, fornberg_weights(0.0, offsets * dz, order)):
+        D[np.arange(n), (np.arange(n) + off) % n] += wk
+    return D
+
+
+def closed_reference(n, dz, order):
+    """Closed matrix built one row at a time, each row's stencil from its
+    node offsets to the row's own point."""
+    width = 5 if order == 1 else 6
+    D = np.zeros((n, n))
+    for i in range(n):
+        if 2 <= i < n - 2:
+            idx = np.arange(i - 2, i + 3)
+        elif i < 2:
+            idx = np.arange(width)
+        else:
+            idx = np.arange(n - width, n)
+        D[i, idx] = fornberg_weights(0.0, (idx - i) * dz, order)
+    return D
+
+
+@pytest.mark.parametrize("n, dz, order", stencil_cases())
+def test_periodic_matrix_equals_per_offset_reference(n, dz, order):
+    np.testing.assert_array_equal(z_derivative_matrix(n, dz, order, True),
+                                  periodic_reference(n, dz, order))
+
+
+@pytest.mark.parametrize("n, dz, order", stencil_cases())
+def test_closed_matrix_matches_per_row_reference(n, dz, order):
+    D = z_derivative_matrix(n, dz, order)
+    ref = closed_reference(n, dz, order)
+    np.testing.assert_allclose(D, ref, rtol=0,
+                               atol=1e-14 * np.max(np.abs(ref)))
+    # away from the ends a closed row is the periodic row, bit for bit
+    np.testing.assert_array_equal(
+        D[2:n - 2], z_derivative_matrix(n, dz, order, True)[2:n - 2])
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_closed_matrix_exact_on_quartics(order):
     # 4th-order stencils differentiate polynomials up to degree 4 exactly,
     # including the one-sided boundary rows
-    n, dz = 41, 0.025
-    z = np.arange(n) * dz
-    D = z_derivative_matrix(n, dz, order)
-    f = 1.0 + z - 2 * z**2 + 0.5 * z**3 + 0.25 * z**4
-    exact = (1 - 4 * z + 1.5 * z**2 + z**3 if order == 1
-             else -4 + 3 * z + 3 * z**2)
-    np.testing.assert_allclose(D @ f, exact, atol=1e-9)
+    for n in (6, 7, 8, 41, 128):
+        dz = 1.0 / (n - 1)
+        z = np.arange(n) * dz
+        D = z_derivative_matrix(n, dz, order)
+        for f, exact in [
+            (1.0 + z - 2 * z**2 + 0.5 * z**3 + 0.25 * z**4,
+             (1 - 4 * z + 1.5 * z**2 + z**3 if order == 1
+              else -4 + 3 * z + 3 * z**2)),
+            (z**4, 4 * z**3 if order == 1 else 12 * z**2),
+        ]:
+            np.testing.assert_allclose(D @ f, exact, atol=1e-13 * n**order)
 
 
 def test_closed_matrix_convergence_order():

@@ -171,6 +171,69 @@ def test_lancret_helix_keeps_tangent_angle_with_axis():
                                rtol=0, atol=1e-12)
 
 
+def sequential_magnus(kappa, tau, s):
+    """Frames on the uniform samples s by one Magnus rotation per step,
+    multiplied in one at a time: the reference for the prefix scan."""
+    h = s[1] - s[0] if len(s) > 1 else 0.0
+    frames = [np.eye(3)]
+    for s0 in s[:-1]:
+        w1, w2 = (np.array([tau(s0 + c * h), 0.0, kappa(s0 + c * h)])
+                  for c in (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6))
+        theta = 0.5 * h * (w1 + w2) + np.sqrt(3) * h ** 2 / 12 * np.cross(w1, w2)
+        angle = np.linalg.norm(theta)
+        # F <- exp(-[theta]x) F, the frame equation F' = -[w]x F over one step
+        step = rodrigues(theta / angle, -angle) if angle > 0 else np.eye(3)
+        frames.append(step @ frames[-1])
+    return np.array(frames)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 1024, 1025])
+def test_scan_frames_match_sequential_product(m):
+    kappa = lambda s: 0.5 + 0.3 * np.sin(s)
+    tau = lambda s: 0.2 * np.cos(1.7 * s) - 0.1
+    ds = 0.01
+    c = frenet_integrate(kappa, tau, (m - 1) * ds, ds)
+    assert len(c.s) == m
+    ref = sequential_magnus(kappa, tau, c.s)
+    got = np.stack([c.t, c.n, c.b], axis=1)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("s_max, ds, steps", [
+    (1.0, 0.15, 7),             # not a whole number of steps: h = 1/7
+    (1.0, 0.3, 4),              # 3.33 steps round to 3, but h must be <= ds
+    (2 * np.pi, 0.002, 3142),   # the fluxrope command's default
+    (0.3, 0.1, 3),              # 0.3/0.1 = 2.9999999999999996
+    (2.1, 0.3, 7),              # 2.1/0.3 = 7.000000000000001
+    (20.0, 0.004, 5000),        # check_flux_rope's helix
+])
+def test_curve_ends_at_s_max(s_max, ds, steps):
+    c = frenet_integrate(0.3, 0.2, s_max, ds)
+    assert len(c.s) == steps + 1
+    h = c.s[1] - c.s[0]
+    assert h <= ds * (1 + 1e-12)
+    assert abs(c.s[-1] - s_max) <= 1e-12 * s_max
+    np.testing.assert_allclose(np.diff(c.s), h, rtol=1e-9)
+
+
+@pytest.mark.parametrize("s_max, ds", [
+    (2 * np.pi, 2 * np.pi / 4096), (20.0, 0.004), (12.0, 0.004),
+    (8.0, 0.0025), (100.0, 0.01),
+])
+def test_whole_number_of_steps_keeps_the_samples(s_max, ds):
+    c = frenet_integrate(0.5, 0.2, s_max, ds)
+    m = int(round(s_max / ds)) + 1
+    np.testing.assert_array_equal(c.s, np.arange(m) * ds)
+
+
+def test_zero_length_curve_is_the_starting_point():
+    c = frenet_integrate(0.5, 0.2, 0.0, 0.01)
+    np.testing.assert_array_equal(c.s, [0.0])
+    np.testing.assert_array_equal(c.x, np.zeros((1, 3)))
+    np.testing.assert_array_equal(np.stack([c.t, c.n, c.b], axis=1)[0],
+                                  np.eye(3))
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"ds": 0.0}, "ds"),
     ({"ds": -0.01}, "ds"),
@@ -381,6 +444,25 @@ def test_continuity_exact_solution_has_zero_residual():
     # finite-difference derivative: residual at discretization level
     res_fd = continuity_residual(params, s, v)
     assert np.max(np.abs(res_fd)) <= 1e-8
+
+
+@pytest.mark.parametrize("s, match", [
+    (np.linspace(0, 2, 200) ** 2, "uniformly spaced"),
+    (np.linspace(0, 1, 4), "at least 5 points"),
+    (np.linspace(1, 0, 9), "strictly increasing"),
+    (np.array([0.0, 1.0, 2.0, 2.0, 3.0]), "strictly increasing"),
+    (np.array([0.0, 1.0, np.nan, 3.0, 4.0]), "strictly increasing"),
+    (np.linspace(0, 1, 10).reshape(2, 5), "1-D"),
+])
+def test_continuity_residual_rejects_unusable_s(s, match):
+    # a non-uniform s was differenced with spacing s[1] - s[0]: the exact
+    # solution on linspace(0, 2, 200)**2 read a residual of 33
+    params = RopeParams(r=0.1, kappa=1.0, tau=1.0)
+    v = np.ones(s.shape)
+    with pytest.raises(ValueError, match=rf"^s must .*{match}"):
+        continuity_residual(params, s, v)
+    # an analytic derivative needs no differencing, so any s is accepted
+    continuity_residual(params, s, v, dv_theta=np.zeros(s.shape))
 
 
 def test_continuity_constant_profile_without_twist():
