@@ -39,6 +39,7 @@ __all__ = [
     "TubeMetric",
     "NoDynamoBoundError",
     "frenet_integrate",
+    "MAX_FRENET_STEPS",
     "tube_metric_factor",
     "amplification_ratio",
     "dynamo_radius_bound",
@@ -84,6 +85,9 @@ class FrenetCurve:
         return float(np.max(np.abs(self.b - np.cross(self.t, self.n))))
 
 
+# the most steps `frenet_integrate` takes: about 0.45 GB of working arrays
+MAX_FRENET_STEPS = 10 ** 6
+
 # Gauss-Legendre nodes of [0, 1] for the two-point Magnus step
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
@@ -104,7 +108,8 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
     size h = s_max/n <= ds, so s = 0, h, ..., n h (a ratio s_max/ds at
     most a relative 1e-12 above a whole number, as round-off leaves it,
     rounds down to that number); s_max = 0 gives the starting point
-    alone. The frame after step k is the product R_k^T ... R_1^T of the
+    alone, and more than MAX_FRENET_STEPS steps (an infinite s_max/ds
+    among them) raise ValueError before anything is allocated. The frame after step k is the product R_k^T ... R_1^T of the
     step rotations, formed by a doubling prefix scan (Hillis & Steele,
     CACM 29, 1986): ceil(log2(n)) batched matmuls, each combining every
     partial product with the one d steps before it, for d = 1, 2, 4, ...
@@ -117,7 +122,12 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
         raise ValueError(f"ds must be positive and finite, got {ds}")
     if not 0.0 <= s_max < np.inf:
         raise ValueError(f"s_max must be non-negative and finite, got {s_max}")
-    steps = math.ceil(s_max / ds * (1.0 - 1e-12))
+    ratio = s_max / ds * (1.0 - 1e-12)
+    if not ratio <= MAX_FRENET_STEPS:
+        raise ValueError(f"ds={ds:g} is too small for s_max={s_max:g}: it "
+                         f"takes {s_max / ds:.7g} steps, more than "
+                         f"MAX_FRENET_STEPS={MAX_FRENET_STEPS}")
+    steps = math.ceil(ratio)
     h = s_max / steps if steps else ds
     m = steps + 1
     s = np.arange(m) * h

@@ -27,23 +27,31 @@ c = 0. What remains couples z points only:
     dt Bq = eta dzz Bq - w dz Bq + (lam w - eta lam^2) Bq
     dt Bz = eta dzz Bz - (w + 2 eta lam) dz Bz + v (ln Omega)'/Omega Bz
 
-It is one n_z-by-n_z matrix per component, applied in one batched matmul.
+Each component's right-hand side is one n_z-by-n_z matrix L.
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
-and s steps are B <- P(h L)^s B. Since L couples z points only, the whole
-interval between two samples is one precomputed n_z-by-n_z propagator per
-component; the fields inside an interval are never formed.
+and s steps are B <- P(h L)^s B. Since L couples z points only, `evolve`
+forms each sampled state from the initial one, or from the sample before
+it, in one go; the fields between two samples are never formed.
+- On periodic z, Omega is z-uniform, so L has constant coefficients on a
+  wrap-around stencil: it is circulant, diagonal in the z Fourier modes,
+  with eigenvalues mu_k the discrete Fourier transform of its first
+  column. The state n steps on is irfft(rfft(B0) P(h mu)^n); no
+  n_z-by-n_z matrix is applied.
+- On closed z the one-sided end rows make L non-circulant. Each interval
+  of s steps is one batched matmul with the dense n_z-by-n_z propagator
+  P(h L)^s, built once per run.
 
 Because L couples z points only, it also keeps a field that is constant
 along p or q exactly constant along it. `evolve` therefore builds and
 holds its state at the smallest shape that broadcasts exactly to the
 initial field, (3, n_p', n_q', n_z) with n_p' in {1, n_p} and n_q' in
 {1, n_q}: the Arnold q-slot run advances 1 x 1 x n_z profiles, a field
-with p,q structure the full grid, by the same code. Each interval checks
-its state for finite values and against the overflow guard; the sampled
-states are kept, and their norms and div_rel are computed afterwards in
-batched passes over the stacked states.
+with p,q structure the full grid, by the same code. The sampled states
+are formed in chunks; each chunk is checked for finite values and
+against the overflow guard, and the norms and div_rel of its states are
+computed in one batched pass.
 
 Every run also carries a real-axis step bound. Its fastest real decay,
 of the z Nyquist mode of Bp (of Bq when lam v < 0), is
@@ -319,8 +327,9 @@ def _require_constant_along_pq(data: np.ndarray) -> None:
 class DynamoScenario:
     """Everything needed to run one induction evolution.
 
-    Accepted: finite resistivity >= 0; finite flow_speed; finite t_end,
-    dt > 0; Omega > 0 on grid.z; dt within the advective bound
+    Accepted: an int sample_stride >= 0; overflow_factor > 0 (inf turns
+    the guard off); finite resistivity >= 0; finite flow_speed; finite
+    t_end, dt > 0; Omega > 0 on grid.z; dt within the advective bound
     0.5 dz / max|v_eff| and the real-axis bound
     dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) <= RK4_REAL_AXIS_LIMIT;
     periodic z only with a z-uniform factor. Resistivity > 0 is accepted
@@ -337,12 +346,22 @@ class DynamoScenario:
     t_end: float
     dt: float
     resistivity: float = 0.0
-    # steps per sample interval; every run advances a whole interval per
-    # matmul. 0: choose automatically (~200 samples); capped at n_steps
+    # steps per sample interval; a run forms only the sampled states
+    # (see `evolve`). 0: choose automatically (~200 samples); capped at
+    # n_steps
     sample_stride: int = 0
     overflow_factor: float = 1e12
 
     def __post_init__(self):
+        stride = self.sample_stride
+        if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
+                or stride < 0):
+            raise ValueError("sample_stride must be an int >= 0 (0: choose "
+                             f"automatically), got {stride!r}")
+        if not self.overflow_factor > 0:
+            raise ValueError("overflow_factor must be positive and not NaN "
+                             f"(inf turns the guard off), got "
+                             f"{self.overflow_factor}")
         if not 0.0 <= self.resistivity < np.inf:
             raise ValueError("resistivity must be finite and non-negative, "
                              f"got {self.resistivity}")
@@ -390,23 +409,36 @@ class DynamoScenario:
 # -- right-hand side ----------------------------------------------------------
 
 
+def _z_operators(scenario: DynamoScenario, op: FrameOperators,
+                 cols: slice = slice(None)) -> np.ndarray:
+    """Columns `cols` of each component's z-operator L, shape (3, n_z, n).
+
+    L is the fused z-only operator of the module docstring,
+    eta d2 - w d1 + rate, with -2 eta lam d1 more for Bz.
+    """
+    m, g = scenario.metric, scenario.grid
+    lam, v, eta = m.lam, scenario.flow_speed, scenario.resistivity
+    om = m.omega.value(g.z)
+    w = v / om                            # effective advection speed
+    rate = np.stack([-lam * w - eta * lam ** 2,
+                     lam * w - eta * lam ** 2,
+                     v * m.omega.log_derivative(g.z) / om])
+    d1, d2 = op.d1[:, cols], op.d2[:, cols]
+    base = eta * d2 - w[:, None] * d1
+    mats = np.stack([base, base, base - 2.0 * eta * lam * d1])
+    diag = np.arange(g.n_z)[cols]
+    mats[:, diag, np.arange(len(diag))] += rate[:, diag]
+    return mats
+
+
 class _RHS:
     """Fused right-hand side; `zmat_t` holds each component's z-operator."""
 
-    def __init__(self, scenario: DynamoScenario):
-        m, g = scenario.metric, scenario.grid
-        self.op = FrameOperators(m, g)
-        lam, v, eta = m.lam, scenario.flow_speed, scenario.resistivity
-        om = m.omega.value(g.z)
-        w = v / om                            # effective advection speed
-        rate = np.stack([-lam * w - eta * lam ** 2,
-                         lam * w - eta * lam ** 2,
-                         v * m.omega.log_derivative(g.z) / om])
-        d1, d2 = self.op.d1, self.op.d2
-        base = eta * d2 - w[:, None] * d1
-        mats = np.stack([base, base, base - 2.0 * eta * lam * d1])
-        mats[:, np.arange(g.n_z), np.arange(g.n_z)] += rate
-        self.zmat_t = np.ascontiguousarray(mats.transpose(0, 2, 1))
+    def __init__(self, scenario: DynamoScenario,
+                 op: FrameOperators | None = None):
+        self.op = op or FrameOperators(scenario.metric, scenario.grid)
+        self.zmat_t = np.ascontiguousarray(
+            _z_operators(scenario, self.op).transpose(0, 2, 1))
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         n_z = data.shape[-1]
@@ -470,9 +502,11 @@ class EvolutionResult:
     # RK4_REAL_AXIS_LIMIT
     cfl_real_axis: float
     # the run's wall time by layer, in seconds: set-up (initial field,
-    # operator and propagators), the propagator matmuls with the
-    # per-interval finite check and overflow-guard norm, and the batched
-    # diagnostics passes (norms, total L2, div_rel)
+    # operators, and the RK4 symbol and initial spectrum on periodic z or
+    # the dense propagators on closed z); forming the sampled states (the
+    # spectral products and irfft on periodic z, the propagator matmuls on
+    # closed z) with their finite check and overflow-guard norms; and the
+    # batched diagnostics passes (norms, total L2, div_rel)
     build_s: float
     advance_s: float
     sample_s: float
@@ -480,6 +514,11 @@ class EvolutionResult:
 
 # bytes of sampled states `evolve` holds before one batched diagnostics pass
 _HISTORY_BYTES = 1 << 20
+
+
+def _totals(op: FrameOperators, states: np.ndarray) -> np.ndarray:
+    """Total L2 of each state stacked on axis 0, as in the series."""
+    return np.sqrt(np.sum(op.component_norms(states) ** 2, axis=1))
 
 
 def _diagnostics(op: FrameOperators, states: np.ndarray
@@ -497,50 +536,21 @@ def _diagnostics(op: FrameOperators, states: np.ndarray
     return l2, total, div_rel
 
 
-def evolve(scenario: DynamoScenario) -> EvolutionResult:
-    """Classical 4-stage Runge-Kutta integration of the induction system.
+def _dense_fill(scenario: DynamoScenario, op: FrameOperators, dt: float,
+                intervals: set[int], b: np.ndarray) -> Callable:
+    """The closed-z advance by dense propagators P(h L)^n.
 
-    A step applies P(h L). Every accepted L couples z points only (see
-    `DynamoScenario`), so P(h L) is an n_z-by-n_z matrix per component,
-    built by Horner's rule from the fused z-operators, and the run advances
-    one sample interval of `stride` steps per batched matmul with
-    P(h L)^stride (the last interval with P(h L)^(n_steps mod stride)). The
-    fields between two samples are never formed, so a non-finite field is
-    reported at the end of its sample interval, for eta > 0 as for eta = 0.
-
-    The state is the initial field at the smallest shape that broadcasts
-    exactly to it (`_initial_state`): a p or q axis along which the field
-    is exactly constant has length 1, and since L keeps that constancy
-    exactly, it stays so. The returned field is broadcast to the full grid
-    once, as a fresh array.
-
-    The run samples at t = 0, at every `stride` steps and at t_end. Each
-    interval's matmul writes its sampled state into a ring that keeps up
-    to _HISTORY_BYTES of states (two states at least); the run then checks
-    that state for finite values and applies the overflow guard: it stops
-    early with stop_reason "overflow guard" once the state's `l2_norm`
-    exceeds `overflow_factor` times the initial one. The series (norms,
-    total L2, div_rel) comes from `_diagnostics`, one batched pass over the
-    kept states whenever they fill _HISTORY_BYTES (or hold one state larger
-    than that) and one at the end, with exactly the figures of a pass per
-    sample. The run reports its wall time split into build_s, advance_s
-    and sample_s.
+    The returned fill(lengths, out) writes into out[i] the state lengths[i]
+    steps after the one before it (b at first), one batched matmul each;
+    the caller keeps the last state written until the next call reads it.
     """
-    start = time.perf_counter()
-    rhs = _RHS(scenario)
-    grid = scenario.grid
-    b = _initial_state(scenario.initial_field, grid)
-    nsteps = scenario.n_steps
-    dt = scenario.t_end / nsteps
-    stride = scenario.stride
-    op = rhs.op
-
+    zmat_t = _RHS(scenario, op).zmat_t
+    n_z = zmat_t.shape[-1]
     # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
     # one component at a time keeps the n_z-by-n_z temporaries few
-    diag = np.arange(grid.n_z)
-    propagators = {n: np.empty_like(rhs.zmat_t)
-                   for n in {stride, nsteps % stride} - {0}}
-    for comp, zmat in enumerate(rhs.zmat_t):
+    diag = np.arange(n_z)
+    propagators = {n: np.empty_like(zmat_t) for n in intervals}
+    for comp, zmat in enumerate(zmat_t):
         a = dt * zmat
         poly = a / 4.0
         for c in (3.0, 2.0, 1.0):
@@ -549,55 +559,143 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         poly[diag, diag] += 1.0
         for n, power in propagators.items():
             power[comp] = np.linalg.matrix_power(poly, n)
-    # states per diagnostics pass; the ring has at least two slots, so each
-    # matmul reads one slot and writes another
-    samples = 1 + -(-nsteps // stride)
-    per_pass = min(max(1, _HISTORY_BYTES // b.nbytes), samples)
-    history = np.empty((max(2, per_pass), *b.shape))
-    history[0] = b
-    b = history[0]  # the history holds the only copy of the initial state
-    rows = (3, -1, grid.n_z)
+    rows = (3, -1, n_z)
+    last = b
+
+    def fill(lengths, out):
+        nonlocal last
+        for n, state in zip(lengths, out):
+            np.matmul(last.reshape(rows), propagators[n],
+                      out=state.reshape(rows))
+            last = state
+
+    return fill
+
+
+def _spectral_fill(scenario: DynamoScenario, op: FrameOperators, dt: float,
+                   intervals: set[int], b: np.ndarray,
+                   per_pass: int) -> Callable:
+    """The periodic-z advance: every state straight from rfft(b).
+
+    The eigenvalues mu of each circulant L are the rfft of its first
+    column. The returned fill(lengths, out), for at most `per_pass`
+    states, writes into out[i] the state n = lengths[0] + ... + lengths[i]
+    steps after the last one written before (b at first) as
+    irfft(rfft(b) P(h mu)^n_b), n_b its step count from b, a running
+    product of the interval symbols. Overflow is left to the caller's
+    finite check.
+    """
+    x = dt * np.fft.rfft(_z_operators(scenario, op, slice(0, 1))[..., 0])
+    symbol = 1.0 + x / 4.0
+    for c in (3.0, 2.0, 1.0):
+        symbol = 1.0 + x / c * symbol
+    with np.errstate(over="ignore", invalid="ignore"):
+        symbols = {n: symbol ** n for n in intervals}
+    spectrum = np.fft.rfft(b)
+    products = np.empty((per_pass, *spectrum.shape), dtype=complex)
+    lead = np.ones_like(symbol)  # P(h mu)^n at the last state written
+
+    def fill(lengths, out):
+        nonlocal lead
+        product = products[:len(out)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.cumprod(np.stack([lead, *map(symbols.get, lengths)]),
+                                axis=0)[1:]
+            np.multiply(spectrum, powers[:, :, None, None, :], out=product)
+            np.fft.irfft(product, n=out.shape[-1], axis=-1, out=out)
+        lead = powers[-1]
+
+    return fill
+
+
+def evolve(scenario: DynamoScenario) -> EvolutionResult:
+    """Classical 4-stage Runge-Kutta integration of the induction system.
+
+    A step applies P(h L). The run samples at t = 0, at every `stride`
+    steps and at t_end, and forms only the sampled states (see the module
+    docstring): on periodic z each as irfft(rfft(B0) P(h mu)^n)
+    (`_spectral_fill`), on closed z by one matmul per interval with the
+    dense P(h L)^stride, the last with P(h L)^(n_steps mod stride)
+    (`_dense_fill`). A non-finite field is therefore reported at the end
+    of its sample interval.
+
+    The state is the initial field at the smallest shape that broadcasts
+    exactly to it (`_initial_state`): a p or q axis along which the field
+    is exactly constant has length 1, and since L keeps that constancy
+    exactly, it stays so. The returned field is broadcast to the full grid
+    once, as a fresh array.
+
+    The sampled states go in chunks into a ring that keeps up to
+    _HISTORY_BYTES of states (one state at least; two on closed z, where
+    each matmul reads one slot and writes another). The ring's first slot
+    holds the only copy of the initial state. Each chunk is checked for
+    finite values, and the overflow guard stops the run with stop_reason
+    "overflow guard" at the first sample whose total L2 exceeds
+    `overflow_factor` times the initial one; a non-finite sample before
+    that raises NumericalError. The series (norms, total L2, div_rel)
+    comes from `_diagnostics`, one batched pass per chunk up to the stop,
+    with exactly the figures of a pass per sample. The run reports its
+    wall time split into build_s, advance_s and sample_s.
+    """
+    start = time.perf_counter()
+    grid = scenario.grid
+    op = FrameOperators(scenario.metric, grid)
+    b = _initial_state(scenario.initial_field, grid)
+    nsteps = scenario.n_steps
+    dt = scenario.t_end / nsteps
+    stride = scenario.stride
+    steps = np.append(np.arange(0, nsteps, stride), nsteps)
+    per_pass = min(max(1, _HISTORY_BYTES // b.nbytes), len(steps))
+    ring = np.empty((per_pass if grid.z_periodic else max(2, per_pass),
+                     *b.shape))
+    ring[0] = b
+    b = ring[0]  # the ring holds the only copy of the initial state
+    intervals = {stride, nsteps % stride} - {0}
+    if grid.z_periodic:
+        fill = _spectral_fill(scenario, op, dt, intervals, b, per_pass)
+    else:
+        fill = _dense_fill(scenario, op, dt, intervals, b)
+    guard = scenario.overflow_factor * max(_totals(op, b[None])[0], 1e-300)
     build_s = time.perf_counter() - start
 
-    times, parts = [0.0], []
+    parts, stop_reason = [], "completed"
     sample_s = advance_s = 0.0
-    first = last = 0  # history[first:last + 1] awaits its diagnostics
-    guard = scenario.overflow_factor * max(op.l2_norm(b), 1e-300)
-    stop_reason = "completed"
-    step = 0
-    while True:
-        done = step == nsteps or stop_reason != "completed"
-        if done or last - first + 1 == per_pass:
-            begin = time.perf_counter()
-            parts.append(_diagnostics(op, history[first:last + 1]))
-            sample_s += time.perf_counter() - begin
-            first = (last + 1) % len(history)
-        if done:
-            break
+    for k, first in enumerate(range(0, len(steps), per_pass)):
         begin = time.perf_counter()
-        end = min(step + stride, nsteps)
-        nxt = (last + 1) % len(history)
-        np.matmul(history[last].reshape(rows), propagators[end - step],
-                  out=history[nxt].reshape(rows))
-        last, step = nxt, end
-        b = history[last]
-        if not np.isfinite(b).all():
-            raise NumericalError(f"non-finite field at step {step} "
-                                 f"(t={step * dt:g})")
-        times.append(step * dt)
-        if op.l2_norm(b) > guard:
-            stop_reason = "overflow guard"
-        advance_s += time.perf_counter() - begin
+        at = k * per_pass % len(ring)
+        chunk = ring[at:at + min(per_pass, len(steps) - first)]
+        new = max(first, 1)  # the first sample this chunk computes
+        states = chunk[new - first:]
+        if len(states):
+            fill(np.diff(steps[new - 1:first + len(chunk)]), states)
+            finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
+            ok = len(states) if finite.all() else int(np.argmin(finite))
+            over = np.flatnonzero(_totals(op, states[:ok]) > guard)
+            if len(over):
+                stop_reason = "overflow guard"
+                chunk = chunk[:new - first + over[0] + 1]
+            elif ok < len(states):
+                step = int(steps[new + ok])
+                raise NumericalError(f"non-finite field at step {step} "
+                                     f"(t={step * dt:g})")
+        sampled = time.perf_counter()
+        advance_s += sampled - begin
+        parts.append(_diagnostics(op, chunk))
+        sample_s += time.perf_counter() - sampled
+        if stop_reason != "completed":
+            break
 
+    b = chunk[-1]
+    kept = first + len(chunk)
     l2, total, div_rel = (np.concatenate(x) for x in zip(*parts))
-    series = EvolutionSeries(t=np.array(times), l2=l2, total_l2=total,
+    series = EvolutionSeries(t=steps[:kept] * dt, l2=l2, total_l2=total,
                              div_rel=div_rel,
                              truncated=stop_reason != "completed")
     field = FrameField(grid, np.broadcast_to(b, (3, *grid.shape)).copy())
     vmax, decay = _step_rates(scenario.metric, grid, scenario.flow_speed,
                               scenario.resistivity)
-    return EvolutionResult(field, series, step, dt, stop_reason,
-                           cfl_advective=dt * vmax / grid.dz,
+    return EvolutionResult(field, series, int(steps[kept - 1]), dt,
+                           stop_reason, cfl_advective=dt * vmax / grid.dz,
                            cfl_real_axis=dt * decay, build_s=build_s,
                            advance_s=advance_s, sample_s=sample_s)
 

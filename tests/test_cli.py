@@ -383,6 +383,17 @@ def test_fluxrope_zero_step_rejected(tmp_path, capsys):
     assert "error: ds must be positive" in err
 
 
+def test_fluxrope_subnormal_step_rejected(tmp_path, capsys):
+    # s_max/ds overflows to inf: an error line and exit 1, not a traceback
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[fluxrope]\nds = 1e-320\n")
+    code, _, err = run_cli(capsys, "fluxrope", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error: ds=") and "inf steps" in err
+    assert not (tmp_path / "o" / "rope.csv").exists()
+
+
 def test_fluxrope_non_finite_radius_rejected(tmp_path, capsys):
     cfg = tmp_path / "f.ini"
     cfg.write_text("[fluxrope]\nr = nan\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import framedynamo
+from framedynamo import flux_rope
 from framedynamo.flux_rope import (NoDynamoBoundError, RopeParams,
                                    amplification_ratio, btheta_solution,
                                    continuity_residual, continuity_solution,
@@ -244,6 +245,24 @@ def test_degenerate_input_rejected(kwargs, name):
     args = {"s_max": 1.0, "ds": 0.01, **kwargs}
     with pytest.raises(ValueError, match=rf"^{name} "):
         frenet_integrate(0.5, 0.2, **args)
+
+
+@pytest.mark.parametrize("s_max, ds", [
+    (2 * np.pi, 1e-320),  # s_max/ds overflows to inf
+    (1.0, 1.0 / 101),     # 101 steps, one over the cap
+    (1.0, 0.0099999),     # 100.001 steps round up to 101
+])
+def test_step_count_over_the_cap_is_rejected(s_max, ds, monkeypatch):
+    # a cap of 100 keeps every array small even if the check were missing
+    monkeypatch.setattr(flux_rope, "MAX_FRENET_STEPS", 100)
+    with pytest.raises(ValueError, match=r"^ds=.* more than "
+                       r"MAX_FRENET_STEPS=100$"):
+        frenet_integrate(0.5, 0.2, s_max, ds)
+
+
+def test_step_count_at_the_cap_is_accepted(monkeypatch):
+    monkeypatch.setattr(flux_rope, "MAX_FRENET_STEPS", 100)
+    assert len(frenet_integrate(0.5, 0.2, 1.0, 0.01).s) == 101
 
 
 def test_step_size_guard():

@@ -95,6 +95,32 @@ def test_scenario_rejects_non_finite_inputs(kwargs, match):
                        resistivity=args["eta"])
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    # -5 was read as "choose automatically", 2.5 failed inside evolve
+    ({"sample_stride": -5}, "^sample_stride must be an int >= 0"),
+    ({"sample_stride": 2.5}, "^sample_stride must be an int >= 0"),
+    ({"sample_stride": 3.0}, "^sample_stride must be an int >= 0"),
+    ({"sample_stride": True}, "^sample_stride must be an int >= 0"),
+    # NaN switched the guard off, <= 0 stopped every run after one interval
+    ({"overflow_factor": np.nan}, "^overflow_factor must be positive"),
+    ({"overflow_factor": 0.0}, "^overflow_factor must be positive"),
+    ({"overflow_factor": -1e3}, "^overflow_factor must be positive"),
+    ({"overflow_factor": -np.inf}, "^overflow_factor must be positive"),
+])
+def test_scenario_rejects_ill_posed_knobs(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        scenario(n_z=32, t_end=0.1, **kwargs)
+
+
+def test_scenario_accepts_integer_strides_and_an_infinite_guard():
+    for stride in (0, 3, np.int64(3)):
+        assert scenario(n_z=32, t_end=0.1, sample_stride=stride).stride \
+            == (1 if stride == 0 else 3)
+    # lam v t = 38.5: the default factor 1e12 would stop this run
+    res = evolve(scenario(n_z=32, t_end=40.0, overflow_factor=np.inf))
+    assert res.stop_reason == "completed" and res.series.t[-1] == 40.0
+
+
 def test_scenario_rejects_periodic_with_varying_factor():
     with pytest.raises(ValueError, match="z-uniform"):
         scenario(omega=ConformalFactor.exponential(1.0))
@@ -880,6 +906,147 @@ def test_overflow_guard_stops_where_a_pass_per_sample_stops(monkeypatch):
     assert (res.steps, res.stop_reason) == (stop, "overflow guard")
     assert res.series.t[-1] == stop * res.dt
     assert_series_is_per_sample(sc, res, states)
+
+
+# -- periodic z in Fourier space against the dense propagators -------------------
+
+
+def dense_reference(sc):
+    """The sample steps and sampled states of `sc` by dense propagation.
+
+    Each component's P(h L) is built by Horner's rule from `_RHS`'s
+    z-operators and raised to each interval length by `matrix_power`; the
+    collapsed initial state is advanced one interval per matmul, up to the
+    end of the run or the first non-finite state.
+    """
+    zmat_t = induction_dynamo._RHS(sc).zmat_t
+    n, stride = sc.n_steps, sc.stride
+    dt = sc.t_end / n
+    n_z = zmat_t.shape[-1]
+    diag = np.arange(n_z)
+    propagators = {k: np.empty_like(zmat_t) for k in {stride, n % stride} - {0}}
+    for comp, zmat in enumerate(zmat_t):
+        a = dt * zmat
+        poly = a / 4.0
+        for c in (3.0, 2.0, 1.0):
+            poly[diag, diag] += 1.0
+            poly = (a / c) @ poly
+        poly[diag, diag] += 1.0
+        for k, power in propagators.items():
+            power[comp] = np.linalg.matrix_power(poly, k)
+    steps = [*range(0, n, stride), n]
+    states = [_initial_state(sc.initial_field, sc.grid)]
+    for prev, step in zip(steps, steps[1:]):
+        if not np.isfinite(states[-1]).all():
+            break
+        nxt = np.empty_like(states[-1])
+        np.matmul(states[-1].reshape(3, -1, n_z), propagators[step - prev],
+                  out=nxt.reshape(3, -1, n_z))
+        states.append(nxt)
+    return steps[:len(states)], states
+
+
+def cap_history(monkeypatch, sc, states):
+    """Cap the ring at `states` sampled states of `sc` (None: leave it)."""
+    if states is not None:
+        state_bytes = _initial_state(sc.initial_field, sc.grid).nbytes
+        monkeypatch.setattr(induction_dynamo, "_HISTORY_BYTES",
+                            states * state_bytes)
+
+
+# 80 steps: a stride of 8 divides them, 7 leaves a last interval of 3, and
+# 1000 is capped at 80; a cap of 3 states spreads the run over many chunks
+@pytest.mark.parametrize("chunk", [None, 3], ids=["one-pass", "chunks-of-3"])
+@pytest.mark.parametrize("stride", [8, 7, 1000],
+                         ids=["dividing", "partial", "beyond"])
+@pytest.mark.parametrize("eta,init", [
+    pytest.param(0.0, z_field, id="ideal-collapsed"),
+    pytest.param(1e-2, z_field, id="resistive-collapsed"),
+    pytest.param(0.0, pqz_field, id="ideal-full-grid"),
+])
+def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
+                                                    monkeypatch):
+    sc = scenario(eta=eta, n_z=32, n_pq=4, t_end=1.0, init=init(),
+                  sample_stride=stride)
+    assert sc.n_steps == 80
+    cap_history(monkeypatch, sc, chunk)
+    steps, states = dense_reference(sc)
+    res, kept, passes = evolve_keeping_states(sc, monkeypatch)
+    assert (res.steps, res.stop_reason) == (80, "completed")
+    assert res.dt == sc.t_end / 80
+    assert np.array_equal(res.series.t, np.array(steps) * res.dt)
+    assert res.series.t[-1] == 80 * res.dt
+    if chunk:
+        assert passes == [3] * (len(steps) // 3) + [len(steps) % 3] * (
+            len(steps) % 3 > 0)
+    assert_series_is_per_sample(sc, res, kept)
+    b = np.broadcast_to(states[-1], res.field.data.shape)
+    assert np.max(np.abs(b)) > 1.0
+    tol = 1e-12 * np.max(np.abs(b))
+    np.testing.assert_allclose(res.field.data, b, rtol=0, atol=tol)
+    for got, want in zip(kept, states):
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    l2, totals, divs = per_sample_series(sc, states)
+    np.testing.assert_allclose(res.series.l2, l2, rtol=0, atol=tol)
+    np.testing.assert_allclose(res.series.total_l2, totals, rtol=0, atol=tol)
+    np.testing.assert_allclose(res.series.div_rel, divs, rtol=0, atol=1e-12)
+
+
+# the closed-z path is the dense propagation itself, bit for bit; a cap of
+# one or two states makes each interval's matmul read the other ring slot
+@pytest.mark.parametrize("chunk", [None, 1, 2],
+                         ids=["one-pass", "chunks-of-1", "chunks-of-2"])
+@pytest.mark.parametrize("omega", ["exponential", "tabulated"])
+def test_closed_run_is_the_dense_propagation(omega, chunk, monkeypatch):
+    sc = scenario(omega=OMEGAS[omega](), periodic=False, n_z=32, t_end=0.25,
+                  init=pqz_field(), sample_stride=3)
+    assert sc.n_steps % 3 != 0
+    cap_history(monkeypatch, sc, chunk)
+    steps, states = dense_reference(sc)
+    res = evolve(sc)
+    assert res.steps == sc.n_steps
+    assert np.array_equal(res.series.t, np.array(steps) * res.dt)
+    assert np.array_equal(res.field.data,
+                          np.broadcast_to(states[-1], res.field.data.shape))
+    l2, totals, divs = per_sample_series(sc, states)
+    assert np.array_equal(res.series.l2, l2)
+    assert np.array_equal(res.series.total_l2, totals)
+    assert np.array_equal(res.series.div_rel, divs)
+
+
+@pytest.mark.parametrize("chunk", [None, 10], ids=["one-pass", "chunks-of-10"])
+def test_overflow_guard_inside_a_chunk_stops_at_the_dense_step(chunk,
+                                                             monkeypatch):
+    sc = scenario(t_end=20.0, n_z=64, overflow_factor=1e3, sample_stride=50)
+    cap_history(monkeypatch, sc, chunk)
+    steps, states = dense_reference(sc)
+    _, totals, _ = per_sample_series(sc, states)
+    stop = int(np.flatnonzero(totals > 1e3 * totals[0])[0])
+    # the guard trips inside a chunk, not at its last sample
+    assert 0 < stop < len(steps) - 1 and (stop + 1) % (chunk or 65) != 0
+    res, kept, _ = evolve_keeping_states(sc, monkeypatch)
+    assert (res.steps, res.stop_reason) == (steps[stop], "overflow guard")
+    # no later sample is diagnosed
+    assert len(kept) == len(res.series.t) == stop + 1
+    assert res.series.t[-1] == steps[stop] * res.dt
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("stride", [250, 10 ** 6])
+def test_overflow_to_inf_raises_at_the_dense_step(stride):
+    # growth e^{(lam v - eta lam^2) t} = e^{210 t} overflows double near
+    # t = 3.4; the guard is off, since a finite guard trips on a sample past
+    # 1e154, whose squares overflow the norm
+    sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32,
+                  overflow_factor=np.inf, cfl=0.2, sample_stride=stride,
+                  init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
+    steps, states = dense_reference(sc)
+    assert not np.isfinite(states[-1]).all()
+    step = steps[len(states) - 1]
+    assert step == (1000 if stride == 250 else sc.n_steps)
+    with pytest.raises(NumericalError,
+                       match=f"^non-finite field at step {step} "):
+        evolve(sc)
 
 
 NON_FINITE_ABOVE_HALF = {
