@@ -29,6 +29,7 @@ Orientation convention: (e_p, e_q, e_z) is right-handed, e_p x e_q = e_z.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -292,6 +293,30 @@ class Grid3D:
         return slice(self.n_z // 3, 2 * self.n_z // 3)
 
 
+def overflow_safe_norms(norm: Callable[[np.ndarray], np.ndarray],
+                        fields: np.ndarray) -> np.ndarray:
+    """norm(fields), normed again where its squares overflowed.
+
+    norm maps fields stacked on leading axes, (*lead, ...), to their norms,
+    shape lead, each the square root of a weighted sum of squares of the
+    field's entries; a field with entries above ~1.3e154 overflows the
+    squares and reads inf. Only such fields are normed again, scaled by
+    2^-e with e the binary exponent of their max |entry|, and their norms
+    scaled back by 2^e. A power of two scales exactly, so every finite
+    norm keeps its bits and costs no extra pass; a field holding inf, or
+    whose norm exceeds the double range, keeps the norm inf.
+    """
+    with np.errstate(over="ignore"):
+        out = np.asarray(norm(fields))
+        over = np.isinf(out)
+        if over.any():
+            big = fields[over]
+            e = np.frexp(np.abs(big).reshape(len(big), -1).max(axis=1))[1]
+            scaled = np.ldexp(big, -e.reshape(-1, *(1,) * (big.ndim - 1)))
+            out[over] = np.ldexp(norm(scaled), e)
+    return out
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         bad = int(np.size(a) - np.count_nonzero(np.isfinite(a)))
@@ -488,11 +513,16 @@ class FrameOperators:
         sqrt(det g) dz, so a p or q axis of length 1 (a field constant
         along it) gives the same figure as the full grid. Closed-interval
         grids integrate over the interior third only (the measurement
-        region); periodic grids integrate over the full domain.
+        region); periodic grids integrate over the full domain. A field
+        whose squares overflow is normed scaled by a power of two
+        (`overflow_safe_norms`), so its norm is finite while the field's
+        is.
         """
-        rows = a.reshape(-1, a.shape[-1])
-        return float(np.sqrt(np.einsum("iz,iz->z", rows, rows) @ self.measure
-                             / self._pq_points(a)))
+        n = self._pq_points(a)
+        return float(overflow_safe_norms(
+            lambda r: np.sqrt(np.einsum("...iz,...iz->...z", r, r)
+                              @ self.measure / n),
+            a.reshape(-1, a.shape[-1])))
 
     def component_norms(self, B: FrameField | np.ndarray) -> np.ndarray:
         """Per-component L2 norms, each the p,q mean as in `l2_norm`.
@@ -502,8 +532,10 @@ class FrameOperators:
         Each field's norms are one matrix-vector product over its
         components, so a field of a stack gets exactly the figures of a
         call on it alone, and a one-component field (C = 1) those of
-        `l2_norm`.
+        `l2_norm`. Fields whose squares overflow are normed as in `l2_norm`.
         """
         data = B.data if isinstance(B, FrameField) else B
-        per_z = np.einsum("...pqz,...pqz->...z", data, data)
-        return np.sqrt(per_z @ self.measure / self._pq_points(data))
+        n = self._pq_points(data)
+        return overflow_safe_norms(
+            lambda d: np.sqrt(np.einsum("...pqz,...pqz->...z", d, d)
+                              @ self.measure / n), data)

@@ -51,7 +51,11 @@ initial field, (3, n_p', n_q', n_z) with n_p' in {1, n_p} and n_q' in
 with p,q structure the full grid, by the same code. The sampled states
 are formed in chunks; each chunk is checked for finite values and
 against the overflow guard, and the norms and div_rel of its states are
-computed in one batched pass.
+computed in one batched pass. The run returns its final state at that
+shape, and `characteristics_oracle` its solution likewise: a `FrameField`
+takes p and q axes of length 1 as constant along them, and its norms are
+p,q means, so comparing the two touches n_z points per component for a
+z-profile, never the full grid.
 
 Every run also carries a real-axis step bound. Its fastest real decay,
 of the z Nyquist mode of Bp (of Bq when lam v < 0), is
@@ -73,7 +77,7 @@ from typing import Callable
 import numpy as np
 
 from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
-                             FrameOperators, Grid3D)
+                             FrameOperators, Grid3D, overflow_safe_norms)
 
 __all__ = [
     "CatMap",
@@ -290,21 +294,32 @@ def _collapse_pq(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _initial_state(initial: InitialField, grid: Grid3D) -> np.ndarray:
-    """The initial field at the smallest shape that broadcasts exactly to it.
+def _collapsed_on_mesh(initial: InitialField, grid: Grid3D,
+                       z: np.ndarray) -> np.ndarray:
+    """The field of `initial` on the grid's p, q and the n_z points z, at the
+    smallest shape that broadcasts exactly to it.
 
-    Each component callable is called once on the open mesh, as in
-    `InitialField.on_grid`, and its result is cut by `_collapse_pq` before
-    anything is broadcast or stacked, so a z-profile never fills the grid.
-    Returns a fresh contiguous (3, n_p', n_q', n_z) array; raises ValueError
-    if the initial field has a non-finite value.
+    Each component callable is called once on the open mesh
+    `np.ix_(grid.p, grid.q, z)`, as in `InitialField.on_grid`, and its
+    result is cut by `_collapse_pq` before anything is broadcast or
+    stacked, so a z-profile never fills the grid. Returns a fresh
+    contiguous (3, n_p', n_q', n_z) array.
     """
-    P, Q, Z = np.ix_(grid.p, grid.q, grid.z)
+    P, Q, Z = np.ix_(grid.p, grid.q, z)
     comps = [_collapse_pq(np.broadcast_to(np.asarray(c(P, Q, Z), dtype=float),
                                           grid.shape))
              for c in (initial.bp, initial.bq, initial.bz)]
     shape = np.broadcast_shapes(*(c.shape for c in comps))
-    state = np.stack([np.broadcast_to(c, shape) for c in comps])
+    return np.stack([np.broadcast_to(c, shape) for c in comps])
+
+
+def _initial_state(initial: InitialField, grid: Grid3D) -> np.ndarray:
+    """The initial field at the smallest shape that broadcasts exactly to it
+    (`_collapsed_on_mesh` on grid.z).
+
+    Raises ValueError if the initial field has a non-finite value.
+    """
+    state = _collapsed_on_mesh(initial, grid, grid.z)
     if not np.all(np.isfinite(state)):
         raise ValueError("initial field contains non-finite values")
     return state
@@ -492,7 +507,7 @@ class EvolutionSeries:
 class EvolutionResult:
     """Final field, sampled series, and what the run did and why it stopped."""
 
-    field: FrameField
+    field: FrameField    # final state, (3, n_p', n_q', n_z) as in `evolve`
     series: EvolutionSeries
     steps: int           # RK4 steps taken
     dt: float            # step size, t_end / n_steps
@@ -516,9 +531,14 @@ class EvolutionResult:
 _HISTORY_BYTES = 1 << 20
 
 
+def _total(l2: np.ndarray) -> np.ndarray:
+    """Total L2 of component norms l2 (..., 3), as in the series."""
+    return overflow_safe_norms(lambda c: np.sqrt(np.sum(c ** 2, axis=-1)), l2)
+
+
 def _totals(op: FrameOperators, states: np.ndarray) -> np.ndarray:
     """Total L2 of each state stacked on axis 0, as in the series."""
-    return np.sqrt(np.sum(op.component_norms(states) ** 2, axis=1))
+    return _total(op.component_norms(states))
 
 
 def _diagnostics(op: FrameOperators, states: np.ndarray
@@ -529,7 +549,7 @@ def _diagnostics(op: FrameOperators, states: np.ndarray
     `component_norms` and `l2_norm(div)` / total on it alone.
     """
     l2 = op.component_norms(states)
-    total = np.sqrt(np.sum(l2 ** 2, axis=1))
+    total = _total(l2)
     div_l2 = op.component_norms(op.div(states)[:, None])[:, 0]
     div_rel = np.divide(div_l2, total, out=np.zeros_like(total),
                         where=total > 0)
@@ -622,8 +642,9 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     The state is the initial field at the smallest shape that broadcasts
     exactly to it (`_initial_state`): a p or q axis along which the field
     is exactly constant has length 1, and since L keeps that constancy
-    exactly, it stays so. The returned field is broadcast to the full grid
-    once, as a fresh array.
+    exactly, it stays so. The returned field is a fresh contiguous copy of
+    the final state at that shape, (3, n_p', n_q', n_z); broadcast to
+    (3, *grid.shape) it is the field on the full grid.
 
     The sampled states go in chunks into a ring that keeps up to
     _HISTORY_BYTES of states (one state at least; two on closed z, where
@@ -691,7 +712,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     series = EvolutionSeries(t=steps[:kept] * dt, l2=l2, total_l2=total,
                              div_rel=div_rel,
                              truncated=stop_reason != "completed")
-    field = FrameField(grid, np.broadcast_to(b, (3, *grid.shape)).copy())
+    field = FrameField(grid, b.copy())
     vmax, decay = _step_rates(scenario.metric, grid, scenario.flow_speed,
                               scenario.resistivity)
     return EvolutionResult(field, series, int(steps[kept - 1]), dt,
@@ -710,7 +731,13 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
     Requires eta = 0. Components translate along z-characteristics and pick
     up exp(-lam (z - z0)), exp(+lam (z - z0)), Omega(z)/Omega(z0)
     respectively. Points whose foot leaves a z-limited initial condition's
-    domain are masked out and flagged by the mask.
+    domain are masked out (NaN) and flagged by the mask.
+
+    The initial field is evaluated on the foot points z0 by
+    `_collapsed_on_mesh`, so the solution comes back, like `evolve`'s field,
+    as a fresh contiguous (3, n_p', n_q', n_z) array at the smallest shape
+    that broadcasts exactly to it: a z-profile costs n_z points, not the
+    grid.
     """
     if scenario.resistivity != 0.0:
         raise ValueError("characteristics oracle requires zero resistivity")
@@ -729,11 +756,8 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
     factors = np.stack([np.exp(-lam * shift), np.exp(+lam * shift),
                         om.value(z) / om.value(z0_safe)]
                        ) * np.where(mask, 1.0, np.nan)
-    P, Q, Z0 = np.ix_(grid.p, grid.q, z0_safe)
-    init = scenario.initial_field
-    data = np.empty((3, *grid.shape))
-    for out, comp, factor in zip(data, (init.bp, init.bq, init.bz), factors):
-        np.multiply(comp(P, Q, Z0), factor, out=out)
+    data = _collapsed_on_mesh(scenario.initial_field, grid, z0_safe)
+    data *= factors[:, None, None, :]
     return FrameField(grid, data), mask
 
 

@@ -286,8 +286,8 @@ def test_resistive_q_sine_with_auto_dt_completes_and_matches_closed_form():
     bq = np.exp((lam - eta * lam ** 2) * t_end) * (
         2.0 + np.exp(-4 * np.pi ** 2 * eta * t_end)
         * np.sin(2 * np.pi * (z - t_end)))
-    np.testing.assert_allclose(res.field.bq, np.broadcast_to(bq, grid.shape),
-                               rtol=1e-5)
+    np.testing.assert_allclose(np.broadcast_to(res.field.bq, grid.shape),
+                               np.broadcast_to(bq, grid.shape), rtol=1e-5)
 
 
 def test_evolution_reports_its_cfl_numbers():
@@ -555,8 +555,8 @@ def test_evolve_matches_textbook_rk4(eta, omega, periodic):
     before = init.data.copy()
     b = textbook_rk4(sc)
     first, second = evolve(sc), evolve(sc)
-    np.testing.assert_allclose(first.field.data, b, rtol=0,
-                               atol=1e-13 * np.max(np.abs(b)))
+    np.testing.assert_allclose(np.broadcast_to(first.field.data, b.shape), b,
+                               rtol=0, atol=1e-13 * np.max(np.abs(b)))
     np.testing.assert_array_equal(first.field.data, second.field.data)
     assert not np.shares_memory(first.field.data, second.field.data)
     np.testing.assert_array_equal(init.data, before)
@@ -638,8 +638,8 @@ def one_step_scenarios(draw, resistive=False):
 def assert_one_textbook_rk4_step(sc):
     assert sc.n_steps == 1
     b = textbook_rk4(sc)
-    np.testing.assert_allclose(evolve(sc).field.data, b, rtol=0,
-                               atol=1e-13 * np.max(np.abs(b)))
+    np.testing.assert_allclose(np.broadcast_to(evolve(sc).field.data, b.shape),
+                               b, rtol=0, atol=1e-13 * np.max(np.abs(b)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -659,7 +659,9 @@ def pq_field(const_p, const_q, bump=False):
     it is constant along that axis; `bump` raises one cell of a field
     constant along p and q by one ulp."""
     tau = 2 * np.pi
-    along_p = (lambda p: 0.0 * p) if const_p else (lambda p: 0.3 * np.sin(tau * p))
+    # the phase keeps p = 0 and p = 1/2 apart: 1 + 0.3 sin(pi) rounds to 1
+    along_p = ((lambda p: 0.0 * p) if const_p
+               else (lambda p: 0.3 * np.sin(tau * p + 1.0)))
     along_q = (lambda q: 0.0 * q) if const_q else (lambda q: 0.4 * np.cos(tau * q))
 
     def slot(k):
@@ -710,14 +712,17 @@ def test_collapsed_state_matches_full_grid_rk4(case):
     fields = textbook_rk4_fields(sc)
     res = evolve(sc)
     b = fields[-1]
-    assert res.field.data.shape == b.shape and res.field.data.flags.c_contiguous
+    # the run returns its state at the collapsed shape
+    assert res.field.data.shape == collapsed_shape
+    assert res.field.data.flags.c_contiguous
+    got = np.broadcast_to(res.field.data, b.shape)
     tol = 1e-13 * np.max(np.abs(b))
     # closed z: the one-sided rows at z_min round differently, as in
     # test_ideal_sample_intervals_match_step_by_step_rk4
     inflow = 0 if sc.grid.z_periodic else 2
-    np.testing.assert_allclose(res.field.data[..., inflow:], b[..., inflow:],
+    np.testing.assert_allclose(got[..., inflow:], b[..., inflow:],
                                rtol=0, atol=tol)
-    np.testing.assert_allclose(res.field.data, b, rtol=0, atol=3 * tol)
+    np.testing.assert_allclose(got, b, rtol=0, atol=3 * tol)
     op = FrameOperators(sc.metric, sc.grid)
     steps = np.rint(res.series.t / res.dt).astype(int)
     for i, step in enumerate(steps):
@@ -734,7 +739,7 @@ def test_q_sine_arnold_run_has_exactly_zero_div_rel():
     first, second = evolve(sc), evolve(sc)
     assert len(first.series.div_rel) > 200
     assert np.all(first.series.div_rel == 0.0)
-    assert first.field.data.shape == (3, 32, 32, 128)
+    assert first.field.data.shape == (3, 1, 1, 128)
     assert first.field.data.flags.c_contiguous
     assert not np.shares_memory(first.field.data, second.field.data)
 
@@ -1035,8 +1040,9 @@ def test_overflow_guard_inside_a_chunk_stops_at_the_dense_step(chunk,
 @pytest.mark.parametrize("stride", [250, 10 ** 6])
 def test_overflow_to_inf_raises_at_the_dense_step(stride):
     # growth e^{(lam v - eta lam^2) t} = e^{210 t} overflows double near
-    # t = 3.4; the guard is off, since a finite guard trips on a sample past
-    # 1e154, whose squares overflow the norm
+    # t = 3.4; the guard is off, so the run goes on until the field itself
+    # is non-finite (a finite guard stops at the first sample past its
+    # factor, as in test_guard_and_norms_hold_up_to_the_double_range)
     sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32,
                   overflow_factor=np.inf, cfl=0.2, sample_stride=stride,
                   init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
@@ -1047,6 +1053,64 @@ def test_overflow_to_inf_raises_at_the_dense_step(stride):
     with pytest.raises(NumericalError,
                        match=f"^non-finite field at step {step} "):
         evolve(sc)
+
+
+def scaled_totals(sc, states):
+    """Total L2 of each state, normed divided by its max |entry|, so that
+    no square overflows, and multiplied back."""
+    totals = []
+    for data in states:
+        top = np.max(np.abs(data))
+        totals.append(top * per_sample_series(sc, [data / top])[1][0])
+    return np.array(totals)
+
+
+def test_guard_and_norms_hold_up_to_the_double_range(monkeypatch):
+    # e^{210 t}, as above, passes 1.3e154, where the squares in the norms
+    # overflow, near t = 1.7, and the double range near t = 3.4
+    def run(t_end, factor):
+        sc = scenario(lam=300.0, eta=1e-3, t_end=t_end, n_z=32,
+                      overflow_factor=factor, cfl=0.2, sample_stride=50,
+                      init=InitialField.q_slot(
+                          lambda z: np.sin(8 * np.pi * z)))
+        return (sc, *evolve_keeping_states(sc, monkeypatch)[:2])
+
+    # without a guard the series stays finite to the end of the run
+    sc, res, states = run(3.0, np.inf)
+    assert (res.steps, res.stop_reason) == (sc.n_steps, "completed")
+    totals = scaled_totals(sc, states)
+    assert totals[-1] > 1e270
+    np.testing.assert_allclose(res.series.total_l2, totals, rtol=1e-14)
+    np.testing.assert_allclose(res.series.l2[:, 1], totals, rtol=1e-14)
+    # a guard at 1e300 stops at the first sample past 1e300 times the
+    # initial norm, step 900 of 916, whose field is finite; at step 916 the
+    # field itself overflows
+    sc, res, states = run(3.4, 1e300)
+    totals = scaled_totals(sc, states)
+    tripped = np.flatnonzero(totals > 1e300 * totals[0])
+    assert list(tripped) == [len(states) - 1]
+    assert (res.steps, res.stop_reason) == (900, "overflow guard")
+    assert 50 * tripped[0] == 900 and sc.n_steps == 916
+    assert np.isfinite(res.series.total_l2).all()
+    np.testing.assert_allclose(res.series.total_l2, totals, rtol=1e-14)
+
+
+def test_norms_of_fields_past_1e154_are_the_scaled_norms():
+    # a power of two scales the squares exactly; a field holding inf, or
+    # whose norm passes the double range, reads inf
+    grid = Grid3D(4, 3, 16, z_periodic=True)
+    op = FrameOperators(FrameMetric(0.7), grid)
+    data = np.random.default_rng(2).normal(size=(2, 3, *grid.shape))
+    norms, total = op.component_norms(data), op.l2_norm(data)
+    for k in (600, 1000):
+        big = data * 2.0 ** k
+        assert np.array_equal(op.component_norms(big), norms * 2.0 ** k)
+        assert op.l2_norm(big) == total * 2.0 ** k
+    data[1, 2, 0, 0, 0] = np.inf
+    norms = op.component_norms(data * 2.0 ** 1000)
+    assert np.isinf(norms[1, 2])
+    assert np.isfinite(np.delete(norms.ravel(), 5)).all()
+    assert op.l2_norm(np.full((3, *grid.shape), 1.5e308)) == np.inf
 
 
 NON_FINITE_ABOVE_HALF = {
@@ -1123,7 +1187,7 @@ def test_oracle_pure_advection():
     oracle, _ = characteristics_oracle(sc, 0.25)
     z = sc.grid.z
     expect = np.sin(2 * np.pi * (z - 0.25))
-    np.testing.assert_allclose(oracle.bq,
+    np.testing.assert_allclose(np.broadcast_to(oracle.bq, sc.grid.shape),
                                np.broadcast_to(expect, sc.grid.shape),
                                atol=1e-13)
 
@@ -1135,8 +1199,8 @@ def test_oracle_growth_factor_at_unit_time():
     oracle, _ = characteristics_oracle(sc, 1.0)
     z = sc.grid.z
     np.testing.assert_allclose(
-        oracle.bq, np.broadcast_to(np.e * g(z - 1.0), sc.grid.shape),
-        rtol=1e-12)
+        np.broadcast_to(oracle.bq, sc.grid.shape),
+        np.broadcast_to(np.e * g(z - 1.0), sc.grid.shape), rtol=1e-12)
 
 
 def test_oracle_exponential_factor_foot_points():
@@ -1154,8 +1218,8 @@ def test_oracle_exponential_factor_foot_points():
     z = grid.z
     z0 = np.log(np.exp(z) - t)
     expect = g(z0) * np.exp(z - z0)
-    np.testing.assert_allclose(oracle.bq, np.broadcast_to(expect, grid.shape),
-                               rtol=1e-12)
+    np.testing.assert_allclose(np.broadcast_to(oracle.bq, grid.shape),
+                               np.broadcast_to(expect, grid.shape), rtol=1e-12)
 
 
 def test_oracle_tabulated_factor_matches_exponential():
@@ -1331,3 +1395,69 @@ def test_slot_constructors_return_read_only_broadcast_views():
     out = InitialField.q_slot(lambda z: 1.0 + z).bq(P, Q, Z)
     assert out.shape == grid.shape and not out.flags.writeable
     assert np.array_equal(out, np.broadcast_to(1.0 + grid.z, grid.shape))
+
+
+def full_grid_oracle(sc, t):
+    """The oracle's solution filled into a full (3, n_p, n_q, n_z) array:
+    each component callable on the open mesh of the foot points, times its
+    per-z factor with the mask folded in as NaN."""
+    grid, metric = sc.grid, sc.metric
+    z = grid.z
+    z0 = metric.omega.foot_point(z, sc.flow_speed, t)
+    mask = np.isfinite(z0)
+    if sc.initial_field.z_limited:
+        mask &= (z0 >= grid.z_min - 1e-12) & (z0 <= grid.z_max + 1e-12)
+    z0 = np.where(mask, z0, grid.z_min)
+    shift = z - z0
+    om = metric.omega
+    factors = np.stack([np.exp(-metric.lam * shift),
+                        np.exp(+metric.lam * shift),
+                        om.value(z) / om.value(z0)]
+                       ) * np.where(mask, 1.0, np.nan)
+    P, Q, Z0 = np.ix_(grid.p, grid.q, z0)
+    init = sc.initial_field
+    data = np.empty((3, *grid.shape))
+    for out, comp, factor in zip(data, (init.bp, init.bq, init.bz), factors):
+        np.multiply(comp(P, Q, Z0), factor, out=out)
+    return data
+
+
+COLLAPSED_RESULT_FIELDS = {
+    "q_slot": lambda: q_sine(),
+    "z_slot": lambda: InitialField.z_slot(lambda z: 1.5 + np.cos(2 * np.pi * z)),
+    "pq_profiles": lambda: named_initial_field("pq_mixed"),
+    "random_fourier": lambda: InitialField.random_fourier(3),
+    # a full-size q slot constant along p and q, and p structure in Bz
+    "z_limited": lambda: InitialField(
+        bq=lambda p, q, z: (2.0 + np.sin(2 * np.pi * z))
+        * np.ones(np.broadcast(p, q, z).shape),
+        bz=lambda p, q, z: np.cos(2 * np.pi * p) * (1.0 + z) + 0.0 * q,
+        z_limited=True),
+}
+
+
+@pytest.mark.parametrize("name", COLLAPSED_RESULT_FIELDS)
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+def test_evolve_and_oracle_return_the_collapsed_field(name, periodic,
+                                                      monkeypatch):
+    # both results come at the initial state's collapsed shape, as fresh
+    # contiguous arrays whose broadcast is the full-grid field bit for bit
+    init = COLLAPSED_RESULT_FIELDS[name]()
+    sc = scenario(n_z=32, n_pq=4, t_end=0.25, periodic=periodic, init=init)
+    grid = sc.grid
+    shape = _initial_state(init, grid).shape
+    assert shape[1:3] == ((4, 1) if name == "z_limited" else (1, 1))
+    first, states, _ = evolve_keeping_states(sc, monkeypatch)
+    second = evolve(sc)
+    # the final state broadcast to the grid and copied once
+    full = np.broadcast_to(states[-1], (3, *grid.shape)).copy()
+    (oracle, mask), (oracle_again, _) = (characteristics_oracle(sc, sc.t_end)
+                                         for _ in range(2))
+    assert mask.all() != (name == "z_limited")
+    for got, again, want in ((first.field.data, second.field.data, full),
+                             (oracle.data, oracle_again.data,
+                              full_grid_oracle(sc, sc.t_end))):
+        assert got.shape == shape and got.flags.c_contiguous
+        assert not np.shares_memory(got, again)
+        assert np.array_equal(np.broadcast_to(got, want.shape), want,
+                              equal_nan=True)
