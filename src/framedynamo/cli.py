@@ -187,13 +187,17 @@ def cmd_evolve(cfg: RunConfig) -> int:
               "rate to fit; growth.txt not written")
         return 0
     window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
-    # mean-field (k = 0) rate of the operator: growth minus resistive decay
-    omega_mean = float(np.mean(1.0 / omega.value(grid.z)))
-    theory = lam * v * omega_mean - scenario.resistivity * lam ** 2
+    # for Omega = c the mean-field (k = 0) mode grows at lam v / c minus the
+    # resistive decay; a z-dependent Omega has no closed-form rate
+    theory = (lam * v / omega.constant - eta * lam ** 2
+              if omega.z_uniform else None)
     fit = growth_fit(result.series.t, bq_norms, theory_rate=theory,
                      window=window)
     (cfg.out_dir / "growth.txt").write_text(fit.report())
     print(f"wrote {cfg.out_dir / 'growth.txt'}")
+    if theory is None:
+        print("note: Omega depends on z, so the Bq growth has no closed-form "
+              "rate to compare the fit with")
     print(fit.report(), end="")
     return 0
 

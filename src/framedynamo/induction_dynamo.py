@@ -31,17 +31,20 @@ Each component's right-hand side is one n_z-by-n_z matrix L.
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
-and s steps are B <- P(h L)^s B. Since L couples z points only, `evolve`
-forms each sampled state from the initial one, or from the sample before
-it, in one go; the fields between two samples are never formed.
+and s steps are B <- P(h L)^s B. `_propagators` builds P(h L)^s once per
+run for each sample interval length s, by one Horner loop on a stack of
+matrices, and `_advance` forms a chunk of sampled states from the last
+state of the chunk before it; the fields between two samples are never
+formed.
 - On periodic z, Omega is z-uniform, so L has constant coefficients on a
   wrap-around stencil: it is circulant, diagonal in the z Fourier modes,
   with eigenvalues mu_k the discrete Fourier transform of its first
-  column. The state n steps on is irfft(rfft(B0) P(h mu)^n); no
-  n_z-by-n_z matrix is applied.
-- On closed z the one-sided end rows make L non-circulant. Each interval
-  of s steps is one batched matmul with the dense n_z-by-n_z propagator
-  P(h L)^s, built once per run.
+  column. The stack is one 1 x 1 matrix h mu_k per component and mode,
+  and the state n steps after a chunk's start B is
+  irfft(rfft(B) P(h mu)^n); no n_z-by-n_z matrix is applied.
+- On closed z the one-sided end rows make L non-circulant. The stack is
+  each component's dense n_z-by-n_z h L, and each interval of s steps is
+  one batched matmul with P(h L)^s.
 
 Because L couples z points only, it also keeps a field that is constant
 along p or q exactly constant along it. `evolve` therefore builds and
@@ -517,8 +520,8 @@ class EvolutionResult:
     # RK4_REAL_AXIS_LIMIT
     cfl_real_axis: float
     # the run's wall time by layer, in seconds: set-up (initial field,
-    # operators, and the RK4 symbol and initial spectrum on periodic z or
-    # the dense propagators on closed z); forming the sampled states (the
+    # operators, and the propagators: the RK4 symbol powers on periodic z,
+    # the dense ones on closed z); forming the sampled states (the rfft,
     # spectral products and irfft on periodic z, the propagator matmuls on
     # closed z) with their finite check and overflow-guard norms; and the
     # batched diagnostics passes (norms, total L2, div_rel)
@@ -556,76 +559,54 @@ def _diagnostics(op: FrameOperators, states: np.ndarray
     return l2, total, div_rel
 
 
-def _dense_fill(scenario: DynamoScenario, op: FrameOperators, dt: float,
-                intervals: set[int], b: np.ndarray) -> Callable:
-    """The closed-z advance by dense propagators P(h L)^n.
+def _propagators(scenario: DynamoScenario, op: FrameOperators, dt: float,
+                 intervals: set[int]) -> dict[int, np.ndarray]:
+    """P(h L)^n for each interval length n, on a stack of matrices.
 
-    The returned fill(lengths, out) writes into out[i] the state lengths[i]
-    steps after the one before it (b at first), one batched matmul each;
-    the caller keeps the last state written until the next call reads it.
+    On closed z the stack is each component's transposed z-operator
+    `_RHS.zmat_t`; P(A)^T = P(A^T), so P(h L)^n comes back transposed for a
+    row-vector matmul. On periodic z each circulant L is diagonal in the z
+    Fourier modes, with eigenvalues mu the rfft of its first column; the
+    stack is then one 1 x 1 matrix h mu per component and mode, and
+    P(h mu)^n comes back as an array (3, n_z // 2 + 1). Overflow to inf or
+    NaN is left to the caller's finite check.
     """
-    zmat_t = _RHS(scenario, op).zmat_t
-    n_z = zmat_t.shape[-1]
-    # P(A)^T = P(A^T), so Horner applies to the transposed layout as is;
-    # one component at a time keeps the n_z-by-n_z temporaries few
-    diag = np.arange(n_z)
-    propagators = {n: np.empty_like(zmat_t) for n in intervals}
-    for comp, zmat in enumerate(zmat_t):
-        a = dt * zmat
-        poly = a / 4.0
-        for c in (3.0, 2.0, 1.0):
-            poly[diag, diag] += 1.0
-            poly = (a / c) @ poly
-        poly[diag, diag] += 1.0
-        for n, power in propagators.items():
-            power[comp] = np.linalg.matrix_power(poly, n)
-    rows = (3, -1, n_z)
-    last = b
+    if scenario.grid.z_periodic:
+        column = _z_operators(scenario, op, slice(0, 1))[..., 0]
+        a = (dt * np.fft.rfft(column))[..., None, None]
+    else:
+        a = dt * _RHS(scenario, op).zmat_t
+    eye = np.eye(a.shape[-1])
+    poly = eye + a / 4.0
+    for c in (3.0, 2.0, 1.0):
+        poly = eye + (a / c) @ poly
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {n: np.linalg.matrix_power(poly, n) for n in intervals}
+    if scenario.grid.z_periodic:
+        return {n: power[..., 0, 0] for n, power in powers.items()}
+    return powers
 
-    def fill(lengths, out):
-        nonlocal last
+
+def _advance(last: np.ndarray, lengths: np.ndarray, z_periodic: bool,
+             propagators: dict[int, np.ndarray], out: np.ndarray) -> None:
+    """Write into out[i] the state lengths[0] + ... + lengths[i] steps after
+    `last`, with `propagators` from `_propagators`.
+
+    On periodic z each is irfft(rfft(last) P(h mu)^n), a running product of
+    the interval symbols; on closed z each is one batched matmul of the
+    state before it with the dense P(h L)^n.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if z_periodic:
+            powers = np.cumprod([propagators[n] for n in lengths], axis=0)
+            spectrum = np.fft.rfft(last) * powers[:, :, None, None, :]
+            np.fft.irfft(spectrum, n=last.shape[-1], axis=-1, out=out)
+            return
+        rows = (3, -1, last.shape[-1])
         for n, state in zip(lengths, out):
             np.matmul(last.reshape(rows), propagators[n],
                       out=state.reshape(rows))
             last = state
-
-    return fill
-
-
-def _spectral_fill(scenario: DynamoScenario, op: FrameOperators, dt: float,
-                   intervals: set[int], b: np.ndarray,
-                   per_pass: int) -> Callable:
-    """The periodic-z advance: every state straight from rfft(b).
-
-    The eigenvalues mu of each circulant L are the rfft of its first
-    column. The returned fill(lengths, out), for at most `per_pass`
-    states, writes into out[i] the state n = lengths[0] + ... + lengths[i]
-    steps after the last one written before (b at first) as
-    irfft(rfft(b) P(h mu)^n_b), n_b its step count from b, a running
-    product of the interval symbols. Overflow is left to the caller's
-    finite check.
-    """
-    x = dt * np.fft.rfft(_z_operators(scenario, op, slice(0, 1))[..., 0])
-    symbol = 1.0 + x / 4.0
-    for c in (3.0, 2.0, 1.0):
-        symbol = 1.0 + x / c * symbol
-    with np.errstate(over="ignore", invalid="ignore"):
-        symbols = {n: symbol ** n for n in intervals}
-    spectrum = np.fft.rfft(b)
-    products = np.empty((per_pass, *spectrum.shape), dtype=complex)
-    lead = np.ones_like(symbol)  # P(h mu)^n at the last state written
-
-    def fill(lengths, out):
-        nonlocal lead
-        product = products[:len(out)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = np.cumprod(np.stack([lead, *map(symbols.get, lengths)]),
-                                axis=0)[1:]
-            np.multiply(spectrum, powers[:, :, None, None, :], out=product)
-            np.fft.irfft(product, n=out.shape[-1], axis=-1, out=out)
-        lead = powers[-1]
-
-    return fill
 
 
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
@@ -633,11 +614,12 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 
     A step applies P(h L). The run samples at t = 0, at every `stride`
     steps and at t_end, and forms only the sampled states (see the module
-    docstring): on periodic z each as irfft(rfft(B0) P(h mu)^n)
-    (`_spectral_fill`), on closed z by one matmul per interval with the
-    dense P(h L)^stride, the last with P(h L)^(n_steps mod stride)
-    (`_dense_fill`). A non-finite field is therefore reported at the end
-    of its sample interval.
+    docstring) with the propagators P(h L)^stride and
+    P(h L)^(n_steps mod stride) of `_propagators`: on periodic z each
+    state of a chunk as irfft(rfft(B) P(h mu)^n) from the chunk's start B,
+    the last state of the chunk before; on closed z one matmul per
+    interval (`_advance`). A non-finite field is therefore reported at the
+    end of its sample interval.
 
     The state is the initial field at the smallest shape that broadcasts
     exactly to it (`_initial_state`): a p or q axis along which the field
@@ -646,17 +628,16 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     the final state at that shape, (3, n_p', n_q', n_z); broadcast to
     (3, *grid.shape) it is the field on the full grid.
 
-    The sampled states go in chunks into a ring that keeps up to
-    _HISTORY_BYTES of states (one state at least; two on closed z, where
-    each matmul reads one slot and writes another). The ring's first slot
-    holds the only copy of the initial state. Each chunk is checked for
-    finite values, and the overflow guard stops the run with stop_reason
-    "overflow guard" at the first sample whose total L2 exceeds
-    `overflow_factor` times the initial one; a non-finite sample before
-    that raises NumericalError. The series (norms, total L2, div_rel)
-    comes from `_diagnostics`, one batched pass per chunk up to the stop,
-    with exactly the figures of a pass per sample. The run reports its
-    wall time split into build_s, advance_s and sample_s.
+    The sampled states are formed in chunks of up to _HISTORY_BYTES (one
+    state at least); the first chunk's slot 0 holds the only copy of the
+    initial state. Each chunk is checked for finite values, and the
+    overflow guard stops the run with stop_reason "overflow guard" at the
+    first sample whose total L2 exceeds `overflow_factor` times the initial
+    one; a non-finite sample before that raises NumericalError. The series
+    (norms, total L2, div_rel) comes from `_diagnostics`, one batched pass
+    per chunk up to the stop, with exactly the figures of a pass per
+    sample. The run reports its wall time split into build_s, advance_s
+    and sample_s.
     """
     start = time.perf_counter()
     grid = scenario.grid
@@ -666,29 +647,27 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     dt = scenario.t_end / nsteps
     stride = scenario.stride
     steps = np.append(np.arange(0, nsteps, stride), nsteps)
-    per_pass = min(max(1, _HISTORY_BYTES // b.nbytes), len(steps))
-    ring = np.empty((per_pass if grid.z_periodic else max(2, per_pass),
-                     *b.shape))
-    ring[0] = b
-    b = ring[0]  # the ring holds the only copy of the initial state
-    intervals = {stride, nsteps % stride} - {0}
-    if grid.z_periodic:
-        fill = _spectral_fill(scenario, op, dt, intervals, b, per_pass)
-    else:
-        fill = _dense_fill(scenario, op, dt, intervals, b)
+    per_pass = max(1, _HISTORY_BYTES // b.nbytes)
+    propagators = _propagators(scenario, op, dt,
+                               {stride, nsteps % stride} - {0})
     guard = scenario.overflow_factor * max(_totals(op, b[None])[0], 1e-300)
     build_s = time.perf_counter() - start
 
     parts, stop_reason = [], "completed"
     sample_s = advance_s = 0.0
-    for k, first in enumerate(range(0, len(steps), per_pass)):
+    for first in range(0, len(steps), per_pass):
         begin = time.perf_counter()
-        at = k * per_pass % len(ring)
-        chunk = ring[at:at + min(per_pass, len(steps) - first)]
-        new = max(first, 1)  # the first sample this chunk computes
-        states = chunk[new - first:]
+        end = min(first + per_pass, len(steps))
+        chunk = np.empty((end - first, *b.shape))
+        states = chunk  # the states to form
+        if first == 0:
+            # slot 0 takes the initial state and holds its only copy
+            chunk[0] = b
+            b, states = chunk[0], chunk[1:]
         if len(states):
-            fill(np.diff(steps[new - 1:first + len(chunk)]), states)
+            new = end - len(states)  # the sample index of states[0]
+            _advance(b, np.diff(steps[new - 1:end]), grid.z_periodic,
+                     propagators, states)
             finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
             ok = len(states) if finite.all() else int(np.argmin(finite))
             over = np.flatnonzero(_totals(op, states[:ok]) > guard)
@@ -699,6 +678,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
                 step = int(steps[new + ok])
                 raise NumericalError(f"non-finite field at step {step} "
                                      f"(t={step * dt:g})")
+        b = chunk[-1]
         sampled = time.perf_counter()
         advance_s += sampled - begin
         parts.append(_diagnostics(op, chunk))
@@ -706,7 +686,6 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         if stop_reason != "completed":
             break
 
-    b = chunk[-1]
     kept = first + len(chunk)
     l2, total, div_rel = (np.concatenate(x) for x in zip(*parts))
     series = EvolutionSeries(t=steps[:kept] * dt, l2=l2, total_l2=total,
@@ -766,30 +745,38 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
 
 @dataclass(frozen=True)
 class GrowthFit:
-    """Least-squares exponential rate of a norm series."""
+    """Least-squares exponential rate of a norm series, and the rate it is
+    compared with (None: no comparison)."""
 
     rate: float
-    theory_rate: float
+    theory_rate: float | None
     residual_rms: float
     window: tuple[float, float]
 
     @property
     def relative_error(self) -> float:
+        """|rate - theory| / |theory|, |rate| for theory 0, NaN for None."""
+        if self.theory_rate is None:
+            return float("nan")
         if self.theory_rate == 0.0:
             return abs(self.rate)
         return abs(self.rate - self.theory_rate) / abs(self.theory_rate)
 
     def report(self) -> str:
+        """The fit as text; the theory lines only with a theory rate."""
+        theory = "" if self.theory_rate is None else (
+            f"  theory rate   : {self.theory_rate:.12g}\n"
+            f"  relative error: {self.relative_error:.6g}\n")
         return ("growth rate fit\n"
                 f"  fitted rate   : {self.rate:.12g}\n"
-                f"  theory rate   : {self.theory_rate:.12g}\n"
-                f"  relative error: {self.relative_error:.6g}\n"
+                + theory +
                 f"  fit residual  : {self.residual_rms:.6g}\n"
                 f"  window        : [{self.window[0]:.3g}, {self.window[1]:.3g}] "
                 "of the series\n")
 
 
-def growth_fit(t: np.ndarray, norms: np.ndarray, theory_rate: float = 0.0,
+def growth_fit(t: np.ndarray, norms: np.ndarray,
+               theory_rate: float | None = 0.0,
                window: tuple[float, float] = (0.4, 1.0)) -> GrowthFit:
     """Fit log||B|| against t over a trailing fraction of the series.
 
@@ -813,5 +800,6 @@ def growth_fit(t: np.ndarray, norms: np.ndarray, theory_rate: float = 0.0,
     tw, yw = t[lo:hi], np.log(norms[lo:hi])
     slope, intercept = np.polyfit(tw, yw, 1)
     resid = yw - (slope * tw + intercept)
-    return GrowthFit(float(slope), float(theory_rate),
+    theory = None if theory_rate is None else float(theory_rate)
+    return GrowthFit(float(slope), theory,
                      float(np.sqrt(np.mean(resid ** 2))), window)

@@ -146,6 +146,35 @@ def test_evolve_theory_rate_includes_resistive_decay(tmp_path, capsys):
                                                       rel=0, abs=1e-9)
 
 
+@pytest.mark.parametrize("omega,theory", [("identity", 1.0),
+                                          ("constant:2", 0.5),
+                                          ("exponential:0.5", None)])
+def test_evolve_theory_rate_only_for_a_z_uniform_omega(omega, theory,
+                                                       tmp_path, capsys):
+    # Omega = c grows Bq at lam v / c; Omega = e^{0.5 z} on closed z has no
+    # closed-form rate, so the run reports the fitted rate alone
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[evolve]\nomega = {omega}\nn_p = 4\nn_q = 4\n"
+                   + ("z_periodic = false\nt_end = 0.25\n" if theory is None
+                      else ""))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(out_dir))
+    assert code == 0, err
+    report = (out_dir / "growth.txt").read_text()
+    assert "fitted rate" in report and report in out
+    if theory is None:
+        assert "no closed-form rate" in out
+        for text in (out, report):
+            assert "theory rate" not in text and "relative error" not in text
+        return
+    lam = np.log((3.0 + np.sqrt(5.0)) / 2.0)
+    rate = next(l for l in out.splitlines() if "theory rate" in l)
+    assert float(rate.split(":")[1]) == pytest.approx(theory * lam, rel=1e-9)
+    error = next(l for l in out.splitlines() if "relative error" in l)
+    assert float(error.split(":")[1]) < 0.01
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[evolve]\nvelocity = 1.0\n")

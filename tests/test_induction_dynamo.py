@@ -448,6 +448,51 @@ def test_fused_rhs_matches_termwise_formula(omega, periodic, eta):
                                atol=1e-12 * np.max(np.abs(ref)))
 
 
+def curl_gaps(omega, periodic, n_z):
+    """Max relative gap over z between the Bp, Bq rows of `_RHS` and the
+    frame calculus's curl(u x B), u = (0, 0, v / sqrt(Omega)), on the
+    p,q-constant pq_mixed field; closed z leaves out 4 points at each end,
+    where the one-sided stencils differ."""
+    metric = FrameMetric(0.7, omega)
+    grid = metric.grid(4, 4, n_z, z_periodic=periodic)
+    init = named_initial_field("pq_mixed")
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.3,
+                        initial_field=init, t_end=0.1,
+                        dt=stable_dt(metric, grid, 1.3))
+    B = init.on_grid(grid)
+    u = 1.3 / np.sqrt(omega.value(grid.z))
+    u_cross_b = FrameField.from_components(grid, -u * B.bq, u * B.bp, 0.0)
+    ref = FrameOperators(metric, grid).curl(u_cross_b).data
+    got = induction_dynamo._RHS(sc)(B.data)
+    keep = slice(None) if periodic else slice(4, -4)
+    return [np.max(np.abs(got[c, ..., keep] - ref[c, ..., keep]))
+            / np.max(np.abs(ref[c, ..., keep])) for c in (0, 1)]
+
+
+# Bz is left out: for a field constant along p and q the z component of
+# any curl vanishes, so curl(u x B) leaves Bz unchanged, while the Bz row
+# advects it and adds v (ln Omega)'/Omega Bz; the two differ by O(1) even
+# for a z-uniform Omega on a non-solenoidal Bz, and which Bz equation is
+# meant is still open
+def test_rhs_bp_bq_rows_are_the_frame_curl_of_u_cross_b():
+    # Omega = e^{0.5 z}: the 4th-order stencils' truncation, order 4
+    coarse, fine = (curl_gaps(ConformalFactor.exponential(0.5), False, n)
+                    for n in (129, 257))
+    assert max(coarse) <= 6e-8 and max(fine) <= 4e-9
+    assert min(np.log2(np.divide(coarse, fine))) >= 3.5
+    # Omega = 2 on periodic z: both are the same stencil, to round-off
+    for n in (129, 257):
+        assert max(curl_gaps(ConformalFactor.from_constant(2.0), True,
+                             n)) <= 1e-13
+    # a 61-knot spline: its (ln Omega)' is only as smooth as the spline, so
+    # a bound, not an order
+    knots = np.linspace(-1.0, 2.0, 61)
+    tab = ConformalFactor.tabulated(knots,
+                                    1.0 + 0.3 * np.sin(2 * np.pi * knots))
+    assert max(curl_gaps(tab, False, 129)) <= 3e-5
+    assert max(curl_gaps(tab, False, 257)) <= 6e-6
+
+
 def test_rhs_rejects_resistive_field_with_pq_structure():
     sc = scenario(eta=1e-3, init=z_field())
     with pytest.raises(ValueError, match="constant along p and q.*"
@@ -817,7 +862,7 @@ def assert_series_is_per_sample(sc, res, states):
     steps = [*range(0, n, stride), n][:len(states)]
     assert len(res.series.t) == len(states)
     assert np.array_equal(res.series.t, np.array(steps) * res.dt)
-    # every pass sees new states: no slot of the ring is diagnosed twice
+    # every pass sees new states: no state is diagnosed twice
     assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
     l2, totals, divs = per_sample_series(sc, states)
     assert np.array_equal(res.series.l2, l2)
@@ -892,9 +937,9 @@ def test_full_grid_history_flushes_each_state_within_the_memory_of_one(
     assert state_bytes > induction_dynamo._HISTORY_BYTES
     assert passes == [1] * (sc.n_steps + 1) and sc.n_steps >= 10
     assert_series_is_per_sample(sc, res, states)
-    # a pass per sample peaked at 3.44 states (10.3 MB) on this run: two
-    # states, the returned field and the div temporaries; the batched
-    # passes may hold at most one state more
+    # the spectral advance of one sample peaks at about 4.17 states: the
+    # state before, the new one, and the rfft of the first with its
+    # product by the symbol powers, about 1.08 states each
     assert peak <= 4.44 * state_bytes
 
 
@@ -952,7 +997,7 @@ def dense_reference(sc):
 
 
 def cap_history(monkeypatch, sc, states):
-    """Cap the ring at `states` sampled states of `sc` (None: leave it)."""
+    """Cap a chunk at `states` sampled states of `sc` (None: leave it)."""
     if states is not None:
         state_bytes = _initial_state(sc.initial_field, sc.grid).nbytes
         monkeypatch.setattr(induction_dynamo, "_HISTORY_BYTES",
@@ -998,7 +1043,8 @@ def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
 
 
 # the closed-z path is the dense propagation itself, bit for bit; a cap of
-# one or two states makes each interval's matmul read the other ring slot
+# one or two states makes each chunk start from the last state of the one
+# before
 @pytest.mark.parametrize("chunk", [None, 1, 2],
                          ids=["one-pass", "chunks-of-1", "chunks-of-2"])
 @pytest.mark.parametrize("omega", ["exponential", "tabulated"])
