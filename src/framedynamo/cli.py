@@ -133,22 +133,6 @@ def load_config(command: str, config_path: str | None, out_dir: str,
 # -- command implementations ----------------------------------------------------
 
 
-def _parse_omega(spec: str) -> ConformalFactor:
-    if spec == "identity":
-        return ConformalFactor.identity()
-    for kind, arg, build in (("constant", "c", ConformalFactor.from_constant),
-                             ("exponential", "a", ConformalFactor.exponential)):
-        if spec.startswith(kind + ":"):
-            try:
-                value = float(spec.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"omega: expected {kind}:<{arg}> with a "
-                                  f"number {arg}, got {spec!r}") from None
-            return build(value)
-    raise ConfigError(f"omega: expected identity, constant:<c> or "
-                      f"exponential:<a>, got {spec!r}")
-
-
 # what an evolve run reports in run.json, read from its EvolutionResult
 _RUN_KEYS = ("steps", "dt", "cfl_advective", "cfl_real_axis", "stop_reason",
              "build_s", "advance_s", "sample_s")
@@ -157,7 +141,7 @@ _RUN_KEYS = ("steps", "dt", "cfl_advective", "cfl_real_axis", "stop_reason",
 def cmd_evolve(cfg: RunConfig) -> int:
     lam = CAT_STRETCH_RATE if cfg.get("lam") == "catmap" \
         else cfg.get_float("lam")
-    omega = _parse_omega(cfg.get("omega"))
+    omega = ConformalFactor.from_spec(cfg.get("omega"), "omega")
     metric = FrameMetric(lam, omega)
     grid = metric.grid(cfg.get_int("n_p"), cfg.get_int("n_q"),
                        cfg.get_int("n_z"), z_periodic=cfg.get_bool("z_periodic"))

@@ -6,7 +6,8 @@ A coframe here is a triple of 1-forms
 
 with strictly positive coefficients. A coframe is one routine
 z -> (a, a', a'') (`CoframeBasis`); the coframe of a `FrameMetric` is its
-`scale_factors`. Two independent curvature pipelines are provided:
+`scale_factors`, and `named_coframe` builds the five named coframes.
+Two independent curvature pipelines are provided:
 
   * the structure-equation path: exterior derivatives of the coframe, the
     torsion-free antisymmetric connection in closed form,
@@ -25,7 +26,7 @@ z -> (a, a', a'') (`CoframeBasis`); the coframe of a `FrameMetric` is its
 
 `curvature_comparison` builds the one curvature report, the header and
 table of `framedynamo curvature`'s and `verify-all`'s curvature.txt. Its
-paper column quotes the paper's curvature table for
+paper column quotes the paper's curvature table (`PAPER_CURVATURE`) for
 `stretched_half`; that table is not this coframe's curvature. The quoted
 R^p_qpq = lam e^{-lam z/2} is the connection coefficient c_q, with the
 dimension of lam, not lam^2 (the computed R^p_qpq is 0), and the quoted
@@ -58,13 +59,8 @@ __all__ = [
     "solve_connection",
     "curvature",
     "christoffel_oracle",
-    "flat_coframe",
-    "arnold_coframe",
     "conformal_coframe",
-    "stretched_coframe",
-    "stretched_coframe_half",
     "named_coframe",
-    "paper_closed_forms",
     "curvature_comparison",
 ]
 
@@ -162,51 +158,30 @@ def conformal_coframe(metric: FrameMetric, label: str = "conformal") -> CoframeB
     return CoframeBasis(metric.scale_factors, label)
 
 
-def flat_coframe() -> CoframeBasis:
-    return conformal_coframe(FrameMetric(0.0), "flat")
-
-
-def arnold_coframe(lam: float) -> CoframeBasis:
-    """Scale factors (e^{-lam z}, e^{lam z}, 1): the coframe of FrameMetric(lam)."""
-    return conformal_coframe(FrameMetric(lam), "arnold")
-
-
-def stretched_coframe(lam: float) -> CoframeBasis:
-    """Line element dp^2 + e^{4 lam z} dq^2 + e^{lam z} dz^2."""
-    return CoframeBasis.exponential((0, 2 * lam, lam / 2), "stretched")
-
-
-def stretched_coframe_half(lam: float) -> CoframeBasis:
-    """Variant with the q stretching halved: (1, e^{lam z}, e^{lam z/2}).
-
-    This is the coefficient set whose torsion-free connection has the
-    closed form omega^q_z = lam e^{-lam z/2} omega^q.
-    """
-    return CoframeBasis.exponential((0, lam, lam / 2), "stretched-half")
-
-
 def named_coframe(name: str, lam: float) -> CoframeBasis:
-    """The named coframes: flat, arnold, constant:<c>, stretched, stretched_half.
+    """The named coframes, by their line elements:
 
-    constant:<c> is the coframe of the FrameMetric with the constant
-    conformal factor c.
+      flat            dp^2 + dq^2 + dz^2;
+      arnold          e^{-2 lam z} dp^2 + e^{2 lam z} dq^2 + dz^2, the
+                      coframe of FrameMetric(lam);
+      constant:<c>    the coframe of the FrameMetric with the constant
+                      conformal factor c (`ConformalFactor.from_spec`);
+      stretched       dp^2 + e^{4 lam z} dq^2 + e^{lam z} dz^2;
+      stretched_half  dp^2 + e^{2 lam z} dq^2 + e^{lam z} dz^2, the q
+                      stretching halved, whose torsion-free connection
+                      has the closed form omega^q_z = lam e^{-lam z/2} omega^q.
     """
     if name == "flat":
-        return flat_coframe()
+        return conformal_coframe(FrameMetric(0.0), "flat")
     if name == "arnold":
-        return arnold_coframe(lam)
+        return conformal_coframe(FrameMetric(lam), "arnold")
     if name.startswith("constant:"):
-        try:
-            c = float(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"metric: expected constant:<c> with a number c, "
-                             f"got {name!r}") from None
         return conformal_coframe(
-            FrameMetric(lam, ConformalFactor.from_constant(c)), name)
+            FrameMetric(lam, ConformalFactor.from_spec(name, "metric")), name)
     if name == "stretched":
-        return stretched_coframe(lam)
+        return CoframeBasis.exponential((0, 2 * lam, lam / 2), "stretched")
     if name == "stretched_half":
-        return stretched_coframe_half(lam)
+        return CoframeBasis.exponential((0, lam, lam / 2), "stretched-half")
     raise ValueError(f"metric: unknown metric {name!r}")
 
 
@@ -439,46 +414,34 @@ def frame_connection_oracle(basis: CoframeBasis, z: np.ndarray) -> np.ndarray:
 
 # -- report serialization -----------------------------------------------------
 
-REPORTED_COMPONENTS = (
-    ("R^p_qpq", (0, 1, 0, 1)),
-    ("R^q_zqz", (1, 2, 1, 2)),
-    ("R^p_zpq", (0, 2, 0, 1)),
+# the paper's curvature table: name, frame index and quoted form(lam, z).
+# The forms are quoted for comparison only; the oracle is the reference
+# for the computed curvature. The module docstring says what they are for
+# `stretched_half`.
+PAPER_CURVATURE = (
+    ("R^p_qpq", (0, 1, 0, 1), lambda lam, z: lam * np.exp(-lam * z / 2)),
+    ("R^q_zqz", (1, 2, 1, 2), lambda lam, z: 0.5 * lam ** 2 * np.exp(-lam * z)),
+    ("R^p_zpq", (0, 2, 0, 1), lambda lam, z: 0.0),
 )
 
 
-def paper_closed_forms(lam: float) -> dict[str, Callable]:
-    """The paper's closed forms of REPORTED_COMPONENTS, as functions of z.
-
-    They are quoted for comparison only: the oracle, not these forms, is
-    the reference for the computed curvature. The module docstring says
-    what they are for `stretched_half`.
-    """
-    return {
-        "R^p_qpq": lambda zz: lam * np.exp(-lam * zz / 2),
-        "R^q_zqz": lambda zz: 0.5 * lam ** 2 * np.exp(-lam * zz),
-        "R^p_zpq": lambda zz: 0.0,
-    }
-
-
 def comparison_table(cartan: CurvatureReport, oracle: CurvatureReport,
-                     paper_forms: dict[str, Callable], stride: int = 1) -> str:
+                     lam: float, stride: int = 1) -> str:
     """Plain-text table: z, component, cartan, oracle, paper, |delta|.
 
-    paper_forms holds a closed form for each of REPORTED_COMPONENTS
-    (`paper_closed_forms`). |delta| is the gap between the
-    structure-equation value and the quoted closed form; the
-    cartan-vs-oracle agreement is asserted elsewhere, the closed-form
-    column is report-only.
+    One block per component of PAPER_CURVATURE, its form taken at lam.
+    |delta| is the gap between the structure-equation value and the quoted
+    closed form; the cartan-vs-oracle agreement is asserted elsewhere, the
+    closed-form column is report-only.
     """
     lines = [f"{'z':>12} {'component':>10} {'cartan':>18} {'oracle':>18} "
              f"{'paper':>18} {'|delta|':>12}"]
-    for name, idx in REPORTED_COMPONENTS:
-        form = paper_forms[name]
+    for name, idx, form in PAPER_CURVATURE:
         for n in range(0, len(cartan.z), stride):
             zv = cartan.z[n]
             cv = cartan.riemann[(n, *idx)]
             ov = oracle.riemann[(n, *idx)]
-            pv = form(zv)
+            pv = form(lam, zv)
             lines.append(f"{zv:12.6f} {name:>10} {cv:18.10e} {ov:18.10e} "
                          f"{pv:18.10e} {abs(cv - pv):12.4e}")
     return "\n".join(lines) + "\n"
@@ -510,6 +473,5 @@ def curvature_comparison(metric: str, lam: float, z: np.ndarray
         "(dimension lam, not lam^2)\n"
         "  R^q_zqz = (1/2) lam^2 e^{-lam z} is minus its computed R^q_zqz "
         "(the last index pair reversed)\n\n")
-    table = comparison_table(cart, orac, paper_closed_forms(lam),
-                             stride=max(1, len(z) // 9))
+    table = comparison_table(cart, orac, lam, stride=max(1, len(z) // 9))
     return header, table

@@ -306,9 +306,8 @@ def rope_csv(params: RopeParams, tube: TubeMetric, v_theta: np.ndarray,
              b_theta: np.ndarray) -> str:
     """CSV block (s, kappa, tau, K, theta, v_theta, B_theta)."""
     buf = io.StringIO()
-    buf.write("s,kappa,tau,K,theta,v_theta,B_theta\n")
-    for i in range(len(tube.s)):
-        buf.write("%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g\n" % (
-            tube.s[i], params.kappa, params.tau, tube.K[i], tube.theta[i],
-            v_theta[i], b_theta[i]))
+    columns = np.broadcast_arrays(tube.s, params.kappa, params.tau, tube.K,
+                                  tube.theta, v_theta, b_theta)
+    np.savetxt(buf, np.column_stack(columns), fmt="%.15g", delimiter=",",
+               header="s,kappa,tau,K,theta,v_theta,B_theta", comments="")
     return buf.getvalue()

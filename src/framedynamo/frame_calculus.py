@@ -80,6 +80,24 @@ class ConformalFactor:
         return cls(exponent=float(a))
 
     @classmethod
+    def from_spec(cls, spec: str, key: str) -> "ConformalFactor":
+        """identity, constant:<c> or exponential:<a>; the ValueError names
+        the config key the spec came from."""
+        if spec == "identity":
+            return cls.identity()
+        for kind, arg, build in (("constant", "c", cls.from_constant),
+                                 ("exponential", "a", cls.exponential)):
+            if spec.startswith(kind + ":"):
+                try:
+                    value = float(spec.split(":", 1)[1])
+                except ValueError:
+                    raise ValueError(f"{key}: expected {kind}:<{arg}> with a "
+                                     f"number {arg}, got {spec!r}") from None
+                return build(value)
+        raise ValueError(f"{key}: expected identity, constant:<c> or "
+                         f"exponential:<a>, got {spec!r}")
+
+    @classmethod
     def tabulated(cls, z_samples: np.ndarray, values: np.ndarray) -> "ConformalFactor":
         """Not-a-knot cubic spline through positive samples of Omega.
 

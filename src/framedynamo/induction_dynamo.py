@@ -498,11 +498,9 @@ class EvolutionSeries:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("t,norm_bp,norm_bq,norm_bz,div_residual\n")
-        for n in range(len(self.t)):
-            buf.write("%.15g,%.15g,%.15g,%.15g,%.15g\n" % (
-                self.t[n], self.l2[n, 0], self.l2[n, 1], self.l2[n, 2],
-                self.div_rel[n]))
+        np.savetxt(buf, np.column_stack([self.t, self.l2, self.div_rel]),
+                   fmt="%.15g", delimiter=",", comments="",
+                   header="t,norm_bp,norm_bq,norm_bz,div_residual")
         return buf.getvalue()
 
 
@@ -523,8 +521,8 @@ class EvolutionResult:
     # operators, and the propagators: the RK4 symbol powers on periodic z,
     # the dense ones on closed z); forming the sampled states (the rfft,
     # spectral products and irfft on periodic z, the propagator matmuls on
-    # closed z) with their finite check and overflow-guard norms; and the
-    # batched diagnostics passes (norms, total L2, div_rel)
+    # closed z) with their finite check and norms (component and total L2,
+    # which the overflow guard reads); and the batched div passes (div_rel)
     build_s: float
     advance_s: float
     sample_s: float
@@ -539,24 +537,17 @@ def _total(l2: np.ndarray) -> np.ndarray:
     return overflow_safe_norms(lambda c: np.sqrt(np.sum(c ** 2, axis=-1)), l2)
 
 
-def _totals(op: FrameOperators, states: np.ndarray) -> np.ndarray:
-    """Total L2 of each state stacked on axis 0, as in the series."""
-    return _total(op.component_norms(states))
+def _diagnostics(op: FrameOperators, states: np.ndarray,
+                 total: np.ndarray) -> np.ndarray:
+    """div_rel of states stacked on axis 0, given their total L2 (`_total`
+    of their `component_norms`).
 
-
-def _diagnostics(op: FrameOperators, states: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Component norms, total L2 and div_rel of states stacked on axis 0.
-
-    One batched pass; every state gets exactly the figures of
-    `component_norms` and `l2_norm(div)` / total on it alone.
+    One batched pass; every state gets exactly the figure of
+    `l2_norm(div)` / total on it alone.
     """
-    l2 = op.component_norms(states)
-    total = _total(l2)
     div_l2 = op.component_norms(op.div(states)[:, None])[:, 0]
-    div_rel = np.divide(div_l2, total, out=np.zeros_like(total),
-                        where=total > 0)
-    return l2, total, div_rel
+    return np.divide(div_l2, total, out=np.zeros_like(total),
+                     where=total > 0)
 
 
 def _propagators(scenario: DynamoScenario, op: FrameOperators, dt: float,
@@ -630,14 +621,14 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 
     The sampled states are formed in chunks of up to _HISTORY_BYTES (one
     state at least); the first chunk's slot 0 holds the only copy of the
-    initial state. Each chunk is checked for finite values, and the
-    overflow guard stops the run with stop_reason "overflow guard" at the
-    first sample whose total L2 exceeds `overflow_factor` times the initial
-    one; a non-finite sample before that raises NumericalError. The series
-    (norms, total L2, div_rel) comes from `_diagnostics`, one batched pass
-    per chunk up to the stop, with exactly the figures of a pass per
-    sample. The run reports its wall time split into build_s, advance_s
-    and sample_s.
+    initial state. Each chunk is checked for finite values and its finite
+    prefix normed once; the overflow guard stops the run with stop_reason
+    "overflow guard" at the first sample whose total L2 exceeds
+    `overflow_factor` times sample 0's, and a non-finite sample before
+    that raises NumericalError. The series keeps those norms, and
+    `_diagnostics` adds div_rel, one batched pass per chunk up to the
+    stop; every figure equals that of a pass per sample. The run reports
+    its wall time split into build_s, advance_s and sample_s.
     """
     start = time.perf_counter()
     grid = scenario.grid
@@ -650,7 +641,6 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     per_pass = max(1, _HISTORY_BYTES // b.nbytes)
     propagators = _propagators(scenario, op, dt,
                                {stride, nsteps % stride} - {0})
-    guard = scenario.overflow_factor * max(_totals(op, b[None])[0], 1e-300)
     build_s = time.perf_counter() - start
 
     parts, stop_reason = [], "completed"
@@ -664,24 +654,29 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
             # slot 0 takes the initial state and holds its only copy
             chunk[0] = b
             b, states = chunk[0], chunk[1:]
+        lead = len(chunk) - len(states)  # the chunk index of states[0]
         if len(states):
-            new = end - len(states)  # the sample index of states[0]
-            _advance(b, np.diff(steps[new - 1:end]), grid.z_periodic,
+            _advance(b, np.diff(steps[first + lead - 1:end]), grid.z_periodic,
                      propagators, states)
-            finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
-            ok = len(states) if finite.all() else int(np.argmin(finite))
-            over = np.flatnonzero(_totals(op, states[:ok]) > guard)
-            if len(over):
-                stop_reason = "overflow guard"
-                chunk = chunk[:new - first + over[0] + 1]
-            elif ok < len(states):
-                step = int(steps[new + ok])
-                raise NumericalError(f"non-finite field at step {step} "
-                                     f"(t={step * dt:g})")
+        finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
+        ok = len(chunk) if finite.all() else lead + int(np.argmin(finite))
+        l2 = op.component_norms(chunk[:ok])
+        total = _total(l2)
+        if first == 0:
+            guard = scenario.overflow_factor * max(total[0], 1e-300)
+        over = np.flatnonzero(total[lead:] > guard)
+        if len(over):
+            stop_reason = "overflow guard"
+            ok = lead + over[0] + 1
+        elif ok < len(chunk):
+            step = int(steps[first + ok])
+            raise NumericalError(f"non-finite field at step {step} "
+                                 f"(t={step * dt:g})")
+        chunk, l2, total = chunk[:ok], l2[:ok], total[:ok]
         b = chunk[-1]
         sampled = time.perf_counter()
         advance_s += sampled - begin
-        parts.append(_diagnostics(op, chunk))
+        parts.append((l2, total, _diagnostics(op, chunk, total)))
         sample_s += time.perf_counter() - sampled
         if stop_reason != "completed":
             break
@@ -755,18 +750,19 @@ class GrowthFit:
 
     @property
     def relative_error(self) -> float:
-        """|rate - theory| / |theory|, |rate| for theory 0, NaN for None."""
-        if self.theory_rate is None:
+        """|rate - theory| / |theory|; NaN for theory None or 0, which
+        have no relative error."""
+        if not self.theory_rate:
             return float("nan")
-        if self.theory_rate == 0.0:
-            return abs(self.rate)
         return abs(self.rate - self.theory_rate) / abs(self.theory_rate)
 
     def report(self) -> str:
-        """The fit as text; the theory lines only with a theory rate."""
+        """The fit as text; the theory rate only with one, the relative
+        error only where it is defined."""
         theory = "" if self.theory_rate is None else (
-            f"  theory rate   : {self.theory_rate:.12g}\n"
-            f"  relative error: {self.relative_error:.6g}\n")
+            f"  theory rate   : {self.theory_rate:.12g}\n")
+        if not np.isnan(self.relative_error):
+            theory += f"  relative error: {self.relative_error:.6g}\n"
         return ("growth rate fit\n"
                 f"  fitted rate   : {self.rate:.12g}\n"
                 + theory +
@@ -776,7 +772,7 @@ class GrowthFit:
 
 
 def growth_fit(t: np.ndarray, norms: np.ndarray,
-               theory_rate: float | None = 0.0,
+               theory_rate: float | None = None,
                window: tuple[float, float] = (0.4, 1.0)) -> GrowthFit:
     """Fit log||B|| against t over a trailing fraction of the series.
 

@@ -48,6 +48,22 @@ def test_evolve_zero_flow_constant_norms(tmp_path, capsys):
     assert (tmp_path / "o" / "growth.txt").exists()
 
 
+def test_evolve_zero_flow_reports_no_relative_error(tmp_path, capsys):
+    # the theory rate lam v / c is 0 at v = 0, and a rate of 0 has no
+    # relative error: the fitted rate is compared with it by eye only
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nv = 0.0\nn_p = 4\nn_q = 4\n")
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(out_dir))
+    assert code == 0, err
+    report = (out_dir / "growth.txt").read_text()
+    assert report in out
+    for text in (out, report):
+        assert "  theory rate   : 0\n" in text
+        assert "relative error" not in text
+
+
 def test_evolve_is_deterministic(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

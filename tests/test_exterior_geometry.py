@@ -1,16 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framedynamo.exterior_geometry import (CoframeBasis, arnold_coframe,
-                                           christoffel_oracle,
+from framedynamo.exterior_geometry import (CoframeBasis, christoffel_oracle,
                                            comparison_table, conformal_coframe,
                                            curvature, exterior_derivative,
-                                           flat_coframe,
                                            frame_connection_oracle,
-                                           paper_closed_forms,
-                                           solve_connection, stretched_coframe,
-                                           stretched_coframe_half)
+                                           named_coframe, solve_connection)
 from framedynamo.frame_calculus import ConformalFactor, FrameMetric
 
 Z = np.linspace(0.0, 1.0, 65)
@@ -34,14 +32,14 @@ ARNOLD_COMPONENTS = {
 
 
 def test_exterior_derivative_flat_vanishes():
-    d = exterior_derivative(flat_coframe(), Z)
+    d = exterior_derivative(named_coframe("flat", LAM), Z)
     assert np.max(np.abs(d.coeff)) == 0.0
 
 
 def test_exterior_derivative_stretched_half_coefficient():
     # d omega^q = lam e^{-lam z/2} omega^z ^ omega^q; the coefficient is 1
     # at lam = 1, z = 0
-    d = exterior_derivative(stretched_coframe_half(LAM), Z)
+    d = exterior_derivative(named_coframe("stretched_half", LAM), Z)
     on_zq = d.on_wedge(1, 2, 1)
     np.testing.assert_allclose(on_zq, LAM * np.exp(-LAM * Z / 2), rtol=1e-13)
     assert on_zq[0] == pytest.approx(1.0, abs=1e-14)
@@ -52,7 +50,7 @@ def test_exterior_derivative_stretched_half_coefficient():
 
 def test_exterior_derivative_arnold_wedge_coefficients():
     # d phi_p = -lam phi_z ^ phi_p, d phi_q = +lam phi_z ^ phi_q
-    d = exterior_derivative(arnold_coframe(LAM), Z)
+    d = exterior_derivative(named_coframe("arnold", LAM), Z)
     np.testing.assert_allclose(d.on_wedge(0, 2, 0), -LAM * np.ones_like(Z),
                                atol=1e-14)
     np.testing.assert_allclose(d.on_wedge(1, 2, 1), LAM * np.ones_like(Z),
@@ -62,7 +60,7 @@ def test_exterior_derivative_arnold_wedge_coefficients():
 def test_exterior_derivative_tabulated_matches_analytic():
     # spline-differentiated coefficients against the closed-form basis
     zs = np.linspace(-0.1, 1.1, 601)
-    analytic = arnold_coframe(LAM)
+    analytic = named_coframe("arnold", LAM)
     sampled = CoframeBasis.from_samples(zs, analytic.scale_factors(zs)[0])
     d_a = exterior_derivative(analytic, Z)
     d_s = exterior_derivative(sampled, Z)
@@ -134,7 +132,7 @@ def test_sampled_coframe_curvature_matches_closed_form():
     zs = np.linspace(-0.1, 1.1, 601)
     sampled = CoframeBasis.from_samples(
         zs, [np.ones_like(zs), np.exp(2 * zs), np.exp(zs / 2)])
-    want = curvature(solve_connection(stretched_coframe(1.0), Z))
+    want = curvature(solve_connection(named_coframe("stretched", 1.0), Z))
     got = curvature(solve_connection(sampled, Z))
     assert got.max_difference(want) <= 1e-4 * want.max_abs()
 
@@ -143,13 +141,13 @@ def test_sampled_coframe_curvature_matches_closed_form():
 
 
 def test_connection_flat_vanishes():
-    conn = solve_connection(flat_coframe(), Z)
+    conn = solve_connection(named_coframe("flat", LAM), Z)
     assert np.max(np.abs(conn.gamma)) == 0.0
 
 
 def test_connection_stretched_half_closed_form():
     # omega^q_z = lam e^{-lam z/2} omega^q
-    conn = solve_connection(stretched_coframe_half(LAM), Z)
+    conn = solve_connection(named_coframe("stretched_half", LAM), Z)
     np.testing.assert_allclose(conn.gamma[:, 1, 2, 1],
                                LAM * np.exp(-LAM * Z / 2), rtol=1e-13)
     # omega^p_q = -alpha omega^p and omega^z_p = beta omega^p with alpha = beta = 0
@@ -158,7 +156,8 @@ def test_connection_stretched_half_closed_form():
 
 
 def test_connection_antisymmetry_and_structure_residual():
-    for basis in (arnold_coframe(LAM), stretched_coframe(LAM),
+    for basis in (named_coframe("arnold", LAM),
+                  named_coframe("stretched", LAM),
                   conformal_coframe(FrameMetric(0.6, ConformalFactor.exponential(0.9)))):
         conn = solve_connection(basis, Z)
         assert conn.antisymmetry_residual() <= 1e-14
@@ -168,7 +167,8 @@ def test_connection_antisymmetry_and_structure_residual():
 def test_connection_matches_christoffel_conversion():
     # frame connection from coordinate Christoffel symbols, sampled at 16 z
     zs = np.linspace(0.0, 1.0, 16)
-    for basis in (arnold_coframe(LAM), stretched_coframe_half(2.0)):
+    for basis in (named_coframe("arnold", LAM),
+                  named_coframe("stretched_half", 2.0)):
         conn = solve_connection(basis, zs)
         oracle = frame_connection_oracle(basis, zs)
         np.testing.assert_allclose(conn.gamma, oracle, atol=1e-12)
@@ -178,12 +178,12 @@ def test_connection_matches_christoffel_conversion():
 
 
 def test_curvature_flat_is_zero():
-    rep = curvature(solve_connection(flat_coframe(), Z))
+    rep = curvature(solve_connection(named_coframe("flat", LAM), Z))
     assert rep.max_abs() <= 1e-10
 
 
 def test_curvature_arnold_matches_tabulated_values():
-    rep = curvature(solve_connection(arnold_coframe(LAM), Z))
+    rep = curvature(solve_connection(named_coframe("arnold", LAM), Z))
     for idx, value in ARNOLD_COMPONENTS.items():
         np.testing.assert_allclose(rep.component(*idx),
                                    np.full_like(Z, value), atol=1e-12)
@@ -193,8 +193,8 @@ def test_curvature_stretched_half_against_closed_form():
     """R^q_zqz = -(1/2) lam^2 e^{-lam z}: magnitude matches the quoted
     (1/2) lam^2 e^{-lam z} closed form, sign comes out negative; the
     Christoffel oracle arbitrates."""
-    rep = curvature(solve_connection(stretched_coframe_half(LAM), Z))
-    orac = christoffel_oracle(stretched_coframe_half(LAM), Z)
+    rep = curvature(solve_connection(named_coframe("stretched_half", LAM), Z))
+    orac = christoffel_oracle(named_coframe("stretched_half", LAM), Z)
     expect = -0.5 * LAM ** 2 * np.exp(-LAM * Z)
     np.testing.assert_allclose(rep.component(1, 2, 1, 2), expect, rtol=1e-12)
     np.testing.assert_allclose(orac.component(1, 2, 1, 2), expect, rtol=1e-12)
@@ -205,17 +205,47 @@ def test_curvature_stretched_half_against_closed_form():
 
 
 def test_curvature_stretched_doubled_closed_form():
-    rep = curvature(solve_connection(stretched_coframe(LAM), Z))
+    rep = curvature(solve_connection(named_coframe("stretched", LAM), Z))
     np.testing.assert_allclose(rep.component(1, 2, 1, 2),
                                -3.0 * LAM ** 2 * np.exp(-LAM * Z), rtol=1e-12)
 
 
+@pytest.mark.parametrize("name, label, legs", [
+    ("flat", "flat", lambda z: (1.0, 1.0, 1.0)),
+    ("arnold", "arnold", lambda z: (np.exp(-LAM * z), np.exp(LAM * z), 1.0)),
+    ("constant:4", "constant:4",
+     lambda z: (2 * np.exp(-LAM * z), 2 * np.exp(LAM * z), 2.0)),
+    ("stretched", "stretched",
+     lambda z: (1.0, np.exp(2 * LAM * z), np.exp(LAM * z / 2))),
+    ("stretched_half", "stretched-half",
+     lambda z: (1.0, np.exp(LAM * z), np.exp(LAM * z / 2))),
+])
+def test_named_coframe_labels_and_scale_factors(name, label, legs):
+    basis = named_coframe(name, LAM)
+    assert basis.label == label
+    a = basis.scale_factors(Z)[0]
+    want = np.stack([np.broadcast_to(leg, Z.shape) for leg in legs(Z)])
+    np.testing.assert_allclose(a, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("bogus", "metric: unknown metric 'bogus'"),
+    ("stretched-half", "metric: unknown metric 'stretched-half'"),
+    ("exponential:1", "metric: unknown metric 'exponential:1'"),
+    ("constant:x", "metric: expected constant:<c> with a number c, "
+                   "got 'constant:x'"),
+])
+def test_named_coframe_rejects_unknown_names(name, text):
+    with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
+        named_coframe(name, LAM)
+
+
 @pytest.mark.parametrize("label,basis", [
-    ("flat", flat_coframe()),
-    ("arnold", arnold_coframe(LAM)),
+    ("flat", named_coframe("flat", LAM)),
+    ("arnold", named_coframe("arnold", LAM)),
     ("const-omega", conformal_coframe(
         FrameMetric(LAM, ConformalFactor.from_constant(4.0)))),
-    ("stretched", stretched_coframe(LAM)),
+    ("stretched", named_coframe("stretched", LAM)),
     ("exp-omega", conformal_coframe(
         FrameMetric(0.8, ConformalFactor.exponential(1.2)))),
     ("tabulated-omega", conformal_coframe(FrameMetric(0.8, ConformalFactor.tabulated(
@@ -292,7 +322,7 @@ def test_constant_conformal_scaling_law():
 
 
 def test_christoffel_oracle_euclidean():
-    rep = christoffel_oracle(flat_coframe(), Z)
+    rep = christoffel_oracle(named_coframe("flat", LAM), Z)
     assert rep.max_abs() == 0.0
 
 
@@ -303,10 +333,10 @@ def test_christoffel_oracle_accepts_metric():
 
 
 def test_comparison_table_format():
-    basis = stretched_coframe_half(LAM)
+    basis = named_coframe("stretched_half", LAM)
     cart = curvature(solve_connection(basis, Z))
     orac = christoffel_oracle(basis, Z)
-    text = comparison_table(cart, orac, paper_closed_forms(LAM), stride=16)
+    text = comparison_table(cart, orac, LAM, stride=16)
     lines = text.strip().split("\n")
     assert lines[0].split() == ["z", "component", "cartan", "oracle", "paper",
                                 "|delta|"]

@@ -515,3 +515,17 @@ def test_rope_csv_columns():
     row = lines[5].split(",")
     assert len(row) == 7
     assert float(row[1]) == 1.0
+
+
+def test_rope_csv_equals_row_by_row_formatting():
+    # reference: one "%.15g" row per sample, as the CSV was first written
+    s = np.linspace(0, 2 * np.pi, 37)
+    params = RopeParams(r=0.3, gamma=1.5, kappa=0.7, tau=-0.2, theta0=0.4)
+    tube = tube_metric_factor(params, s)
+    v = continuity_solution(params, s, 1.0 / 3.0)
+    b = btheta_solution(params, tube, 2.5)
+    want = "s,kappa,tau,K,theta,v_theta,B_theta\n" + "".join(
+        ",".join("%.15g" % x for x in (tube.s[i], params.kappa, params.tau,
+                                        tube.K[i], tube.theta[i], v[i], b[i]))
+        + "\n" for i in range(len(s)))
+    assert rope_csv(params, tube, v, b) == want

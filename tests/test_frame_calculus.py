@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,37 @@ def test_tabulated_factor_rejects_bad_samples_by_name():
         ConformalFactor.tabulated(z[::-1], np.ones(5))
     with pytest.raises(ValueError, match="z_samples.*at least 4"):
         ConformalFactor.tabulated(z[:3], np.ones(3))
+
+
+@pytest.mark.parametrize("spec, built", [
+    ("identity", ConformalFactor.identity()),
+    ("constant:4", ConformalFactor.from_constant(4.0)),
+    ("constant:0.25", ConformalFactor.from_constant(0.25)),
+    ("exponential:0.5", ConformalFactor.exponential(0.5)),
+    ("exponential:-1.2", ConformalFactor.exponential(-1.2)),
+])
+def test_factor_from_spec_equals_its_classmethod(spec, built):
+    z = np.linspace(-1.0, 2.0, 13)
+    for key in ("omega", "metric"):
+        got = ConformalFactor.from_spec(spec, key)
+        assert got == built
+        assert np.array_equal(got.value(z), built.value(z))
+        assert np.array_equal(got.log_derivative(z), built.log_derivative(z))
+
+
+@pytest.mark.parametrize("key", ["omega", "metric"])
+@pytest.mark.parametrize("spec, text", [
+    ("constant:abc", "expected constant:<c> with a number c"),
+    ("constant:", "expected constant:<c> with a number c"),
+    ("exponential:1e", "expected exponential:<a> with a number a"),
+    ("bogus", "expected identity, constant:<c> or exponential:<a>"),
+    ("Identity", "expected identity, constant:<c> or exponential:<a>"),
+    ("tabulated:1", "expected identity, constant:<c> or exponential:<a>"),
+])
+def test_factor_from_spec_names_the_key(key, spec, text):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{key}: {text}, got {spec!r}") + "$"):
+        ConformalFactor.from_spec(spec, key)
 
 
 # -- metric ---------------------------------------------------------------------

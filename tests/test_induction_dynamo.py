@@ -12,6 +12,7 @@ from framedynamo.frame_calculus import (ConformalFactor, FrameField,
                                         FrameMetric, FrameOperators, Grid3D)
 from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
                                           RK4_REAL_AXIS_LIMIT, DynamoScenario,
+                                          EvolutionSeries, GrowthFit,
                                           InitialField, NumericalError,
                                           _collapse_pq, _initial_state,
                                           cat_map_eigen,
@@ -848,10 +849,10 @@ def evolve_keeping_states(sc, monkeypatch):
     states, passes = [], []
     batched = induction_dynamo._diagnostics
 
-    def spy(op, stacked):
+    def spy(op, stacked, *norms):
         states.extend(stacked.copy())
         passes.append(len(stacked))
-        return batched(op, stacked)
+        return batched(op, stacked, *norms)
 
     monkeypatch.setattr(induction_dynamo, "_diagnostics", spy)
     return evolve(sc), states, passes
@@ -1198,6 +1199,22 @@ def test_initial_state_is_the_collapsed_field_on_the_grid(init, shape,
     assert state.flags.c_contiguous and state.flags.writeable
 
 
+def test_series_csv_equals_row_by_row_formatting():
+    # reference: one "%.15g" row per sample, as the CSV was first written;
+    # -0.0, nan, inf and the ends of the double range print as before
+    t = np.array([0.0, 1.0 / 3.0, 2.5e-7, 1e300])
+    l2 = np.array([[1.0, -0.0, 5e-324],
+                   [np.pi, 1e-300, 1.7976931348623157e308],
+                   [np.nan, np.inf, 2.0 / 3.0],
+                   [123456789.123456789, 0.1, 7.0]])
+    div_rel = np.array([0.0, 1e-17, 0.25, -np.inf])
+    series = EvolutionSeries(t=t, l2=l2, total_l2=np.ones(4), div_rel=div_rel)
+    want = "t,norm_bp,norm_bq,norm_bz,div_residual\n" + "".join(
+        ",".join("%.15g" % x for x in (t[n], *l2[n], div_rel[n])) + "\n"
+        for n in range(4))
+    assert series.to_csv() == want
+
+
 def test_resistive_damping_is_monotonic_in_eta():
     rates = []
     for eta in (0.0, 2e-3, 5e-3):
@@ -1391,6 +1408,32 @@ def test_growth_fit_report_text():
     t = np.linspace(0, 4, 100)
     rep = growth_fit(t, np.exp(0.5 * t), theory_rate=0.5).report()
     assert "fitted rate" in rep and "0.5" in rep
+
+
+def test_growth_fit_default_has_no_theory_rate():
+    t = np.linspace(0, 4, 100)
+    fit = growth_fit(t, np.exp(0.5 * t))
+    assert fit.theory_rate is None and np.isnan(fit.relative_error)
+    rep = fit.report()
+    assert "theory rate" not in rep and "relative error" not in rep
+
+
+@pytest.mark.parametrize("theory", [0.0, -0.0])
+def test_growth_fit_zero_theory_rate_has_no_relative_error(theory):
+    # |rate| is an absolute error, not a relative one
+    fit = GrowthFit(rate=1.7e-16, theory_rate=theory, residual_rms=0.0,
+                    window=(0.4, 1.0))
+    assert np.isnan(fit.relative_error)
+    rep = fit.report()
+    assert "  theory rate   : 0\n" in rep or "  theory rate   : -0\n" in rep
+    assert "relative error" not in rep
+
+
+def test_growth_fit_relative_error_and_its_report_line():
+    fit = GrowthFit(rate=0.55, theory_rate=-0.5, residual_rms=0.0,
+                    window=(0.4, 1.0))
+    assert fit.relative_error == pytest.approx(2.1, rel=1e-15)
+    assert "  relative error: 2.1\n" in fit.report()
 
 
 # -- evaluation contract ---------------------------------------------------------
