@@ -4,13 +4,14 @@
 
 Commands: evolve, curvature, fluxrope, catmap, verify-all. Configuration is
 an INI-style file with one section per command and key = value entries;
-unknown keys are rejected. Artifacts are CSV/plain-text files written under
---out with at least 15 significant digits per number; evolve also writes
-what the run did as run.json (steps, dt, CFL numbers, stop reason and wall
-time by layer), and verify-all writes its matrix as verify.json (name,
-passed, measured, limit and runtime_s per check). Exit codes: 0 on
-success, 1 on configuration or validation errors, 2 on numerical failure
-or a run stopped early.
+unknown keys are rejected. --seed alone sets the seed of synthetic
+initial fields (`init = q_random`); no config key sets it. Artifacts are
+CSV/plain-text files written under --out with at least 15 significant
+digits per number; evolve also writes what the run did as run.json (steps,
+dt, CFL numbers, stop reason and wall time by layer), and verify-all writes
+its matrix as verify.json (name, passed, measured, limit and runtime_s per
+check). Exit codes: 0 on success, 1 on configuration or validation errors,
+2 on numerical failure or a run stopped early.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "lam": "catmap", "v": "1.0", "eta": "0.0", "omega": "identity",
         "n_p": "32", "n_q": "32", "n_z": "128", "z_periodic": "true",
         "t_end": "2.0", "cfl": "0.4", "dt": "auto", "init": "q_sine",
-        "fit_start": "0.4", "fit_end": "1.0", "seed": "0",
+        "fit_start": "0.4", "fit_end": "1.0",
     },
     "curvature": {
         "metric": "stretched", "lam": "1.0", "n_z": "65",
@@ -101,7 +102,7 @@ class RunConfig:
 
 
 def load_config(command: str, config_path: str | None, out_dir: str,
-                seed: int | None) -> RunConfig:
+                seed: int) -> RunConfig:
     """Merge file values over defaults; reject unknown keys strictly."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; "
@@ -123,11 +124,7 @@ def load_config(command: str, config_path: str | None, out_dir: str,
                         f"[{command}] unknown key {key!r}; allowed: "
                         f"{', '.join(sorted(values)) or '(none)'}")
                 values[key] = val
-    cfg = RunConfig(command, Path(out_dir), seed if seed is not None else 0,
-                    values)
-    if seed is None and "seed" in values:
-        cfg.seed = cfg.get_int("seed")
-    return cfg
+    return RunConfig(command, Path(out_dir), seed, values)
 
 
 # -- command implementations ----------------------------------------------------
@@ -263,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed for synthetic initial fields")
     args = parser.parse_args(argv)
     try:

@@ -62,9 +62,12 @@ class ConformalFactor:
     spline: CubicSpline | None = None  # tabulated family only
 
     def __post_init__(self):
-        if not self.constant > 0:
+        if not 0 < self.constant < np.inf:
+            raise ValueError("conformal factor must be positive and finite, "
+                             f"got {self.constant}")
+        if not np.isfinite(self.exponent):
             raise ValueError(
-                f"conformal factor must be positive, got {self.constant}")
+                f"conformal exponent must be finite, got {self.exponent}")
 
     @classmethod
     def identity(cls) -> "ConformalFactor":
@@ -367,19 +370,6 @@ class FrameField:
         data = np.stack([np.broadcast_to(np.asarray(c, dtype=float), grid.shape)
                          for c in (bp, bq, bz)])
         return cls(grid, np.ascontiguousarray(data))
-
-    @classmethod
-    def from_callables(cls, grid: Grid3D, fp, fq, fz) -> "FrameField":
-        """The field of three component callables of (p, q, z).
-
-        Each callable is called once on the open mesh
-        `np.ix_(grid.p, grid.q, grid.z)`, shaped (n_p, 1, 1), (1, n_q, 1)
-        and (1, 1, n_z), and must return an array that broadcasts to the
-        grid, so a z-profile is evaluated on n_z points only. The field is
-        full-shape, contiguous and writeable, as from `from_components`.
-        """
-        P, Q, Z = np.ix_(grid.p, grid.q, grid.z)
-        return cls.from_components(grid, fp(P, Q, Z), fq(P, Q, Z), fz(P, Q, Z))
 
     @classmethod
     def unit(cls, grid: Grid3D, axis: int) -> "FrameField":

@@ -208,7 +208,10 @@ class InitialField:
         return cls.q_slot(g)
 
     def on_grid(self, grid: Grid3D) -> FrameField:
-        return FrameField.from_callables(grid, self.bp, self.bq, self.bz)
+        """The full-shape, contiguous and writeable field on the grid."""
+        P, Q, Z = np.ix_(grid.p, grid.q, grid.z)
+        return FrameField.from_components(grid, self.bp(P, Q, Z),
+                                          self.bq(P, Q, Z), self.bz(P, Q, Z))
 
 
 def named_initial_field(name: str, lam: float = 0.0, seed: int = 0) -> InitialField:

@@ -2,14 +2,14 @@
 
 Each check returns a CheckResult with the measured figure and its limit;
 the pytest acceptance module asserts them and the CLI prints them. Every
-evolution is a cached run of the suite, shared between checks: the
-divergence audit reads all of them, whichever checks ran before it.
+evolution is an entry of `_RUNS`, evolved once per suite and shared
+between checks; the divergence audit reads every entry, whichever checks
+ran before it.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,30 @@ __all__ = ["CheckResult", "AcceptanceSuite", "format_summary"]
 
 DIV_FLOOR = 1e-12  # roundoff floor for fields whose discrete div is exact
 IDENTITY_PAIR_FACTOR = 4.0  # the constant factor c of the conformal identity
+
+_Q_SINE = named_initial_field("q_sine")
+# the mixed runs' q profile carries a second harmonic; it is not pq_mixed
+_MIXED = InitialField.pq_profiles(
+    lambda z: 2.0 + np.sin(2 * np.pi * z),
+    lambda z: 2.0 + np.cos(2 * np.pi * z) + 0.5 * np.sin(4 * np.pi * z))
+# every evolution of the suite: name -> (lam, Omega spec, (n_p, n_q, n_z),
+# periodic z, v, initial field, t_end); dt is stable_dt at cfl 0.4
+_RUNS = {
+    "arnold-growth": (CAT_STRETCH_RATE, "identity", (32, 32, 128), True,
+                      1.0, _Q_SINE, 2.0),
+    "conformal-growth": (CAT_STRETCH_RATE, "constant:2", (32, 32, 128), True,
+                         1.0, _Q_SINE, 2.0),
+    **{f"mixed-nz{n}": (CAT_STRETCH_RATE, "identity", (4, 4, n), True,
+                        1.0, _MIXED, 2.0) for n in (128, 256)},
+    # the identity factor at v = 1/c and the constant factor c at v = 1
+    "identity-pair": (CAT_STRETCH_RATE, "identity", (8, 8, 128), True,
+                      1.0 / IDENTITY_PAIR_FACTOR, _Q_SINE, 1.0),
+    "identity-pair-constant": (CAT_STRETCH_RATE,
+                               f"constant:{IDENTITY_PAIR_FACTOR}",
+                               (8, 8, 128), True, 1.0, _Q_SINE, 1.0),
+    "closed-solenoidal": (1.0, "identity", (16, 16, 128), False, 1.0,
+                          named_initial_field("solenoidal", 1.0), 0.25),
+}
 
 
 @dataclass
@@ -70,96 +94,41 @@ def _coordinate_curl_of_frame_axis(metric: FrameMetric, z: np.ndarray,
 
 
 class AcceptanceSuite:
-    """Runs the acceptance matrix; expensive evolutions are cached."""
+    """Runs the acceptance matrix; each run of `_RUNS` is evolved once."""
 
     def __init__(self, out_dir: str | Path | None = None):
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.lam = CAT_STRETCH_RATE
+        self._runs: dict[str, tuple[DynamoScenario, EvolutionResult]] = {}
 
-    # -- shared scenario builders -------------------------------------------
+    def _run(self, name: str) -> tuple[DynamoScenario, EvolutionResult]:
+        """The scenario of `_RUNS[name]` and its evolution, built on first use."""
+        if name not in self._runs:
+            lam, omega, shape, z_periodic, v, initial, t_end = _RUNS[name]
+            metric = FrameMetric(lam, ConformalFactor.from_spec(omega, name))
+            grid = metric.grid(*shape, z_periodic=z_periodic)
+            sc = DynamoScenario(
+                metric=metric, grid=grid, flow_speed=v, initial_field=initial,
+                t_end=t_end, dt=stable_dt(metric, grid, v, cfl=0.4))
+            self._runs[name] = sc, evolve(sc)
+        return self._runs[name]
 
-    def _growth_scenario(self, omega: ConformalFactor) -> DynamoScenario:
-        metric = FrameMetric(self.lam, omega)
-        grid = metric.grid(32, 32, 128, z_periodic=True)
-        return DynamoScenario(
-            metric=metric, grid=grid, flow_speed=1.0,
-            initial_field=named_initial_field("q_sine"), t_end=2.0,
-            dt=stable_dt(metric, grid, 1.0, cfl=0.4))
-
-    @cached_property
-    def arnold_run(self):
-        sc = self._growth_scenario(ConformalFactor.identity())
-        t0 = time.perf_counter()
-        res = evolve(sc)
-        self.arnold_runtime = time.perf_counter() - t0
-        return sc, res
-
-    @cached_property
-    def conformal_run(self):
-        sc = self._growth_scenario(ConformalFactor.from_constant(2.0))
-        return sc, evolve(sc)
-
-    def _mixed_scenario(self, n_z: int) -> DynamoScenario:
-        metric = FrameMetric(self.lam)
-        grid = metric.grid(4, 4, n_z, z_periodic=True)
-        gp = lambda z: 2.0 + np.sin(2 * np.pi * z)
-        gq = lambda z: 2.0 + np.cos(2 * np.pi * z) + 0.5 * np.sin(4 * np.pi * z)
-        return DynamoScenario(
-            metric=metric, grid=grid, flow_speed=1.0,
-            initial_field=InitialField.pq_profiles(gp, gq), t_end=2.0,
-            dt=stable_dt(metric, grid, 1.0, cfl=0.4))
-
-    @cached_property
-    def mixed_runs(self) -> list[tuple[EvolutionResult, float]]:
-        """The two-component run at n_z = 128 and 256, with its oracle error."""
-        return [self._oracle_error(self._mixed_scenario(n)) for n in (128, 256)]
-
-    def _oracle_error(self, sc: DynamoScenario
-                      ) -> tuple[EvolutionResult, float]:
-        """evolve(sc) and its relative L2 gap to the characteristics oracle."""
-        name = f"mixed-nz{sc.grid.n_z}"
-        res = evolve(sc)
+    def _oracle_error(self, name: str) -> float:
+        """The relative L2 gap of run `name` to the characteristics oracle."""
+        sc, res = self._run(name)
         oracle, mask = characteristics_oracle(sc, sc.t_end)
         if not mask.all():
             raise ValueError(f"{name}: characteristics oracle undefined at "
                              f"{np.sum(~mask)} of {mask.size} z points")
         op = FrameOperators(sc.metric, sc.grid)
-        return res, (op.l2_norm(res.field.data - oracle.data)
-                     / op.l2_norm(oracle.data))
-
-    @cached_property
-    def closed_solenoidal_run(self):
-        metric = FrameMetric(1.0)
-        grid = metric.grid(16, 16, 128, z_periodic=False)
-        sc = DynamoScenario(
-            metric=metric, grid=grid, flow_speed=1.0,
-            initial_field=named_initial_field("solenoidal", 1.0), t_end=0.25,
-            dt=stable_dt(metric, grid, 1.0, cfl=0.4))
-        return sc, evolve(sc)
-
-    @cached_property
-    def identity_pair_runs(self) -> tuple[EvolutionResult, EvolutionResult]:
-        """The identity factor at v = 1/c and the constant factor c at v = 1."""
-
-        def run(omega, v):
-            metric = FrameMetric(self.lam, omega)
-            grid = metric.grid(8, 8, 128, z_periodic=True)
-            return evolve(DynamoScenario(
-                metric=metric, grid=grid, flow_speed=v,
-                initial_field=named_initial_field("q_sine"), t_end=1.0,
-                dt=stable_dt(metric, grid, v, cfl=0.4)))
-
-        c = IDENTITY_PAIR_FACTOR
-        return (run(ConformalFactor.identity(), 1.0 / c),
-                run(ConformalFactor.from_constant(c), 1.0))
+        return op.l2_norm(res.field.data - oracle.data) / op.l2_norm(oracle.data)
 
     # -- criteria -------------------------------------------------------------
 
     def check_arnold_growth(self) -> CheckResult:
-        sc, res = self.arnold_run
+        sc, res = self._run("arnold-growth")
         fit = growth_fit(res.series.t, res.series.l2[:, 1],
-                         theory_rate=self.lam * sc.flow_speed)
-        runtime = self.arnold_runtime
+                         theory_rate=sc.metric.lam * sc.flow_speed)
+        runtime = res.build_s + res.advance_s + res.sample_s
         return CheckResult(
             "arnold-fast-dynamo-growth", fit.relative_error <= 0.01
             and runtime < 120.0, fit.relative_error, 0.01,
@@ -167,8 +136,8 @@ class AcceptanceSuite:
             f"runtime {runtime:.1f}s (budget 120s)")
 
     def check_conformal_speed(self) -> CheckResult:
-        sc, res = self.conformal_run
-        theory = self.lam * sc.flow_speed / 2.0
+        sc, res = self._run("conformal-growth")
+        theory = sc.metric.lam * sc.flow_speed / 2.0
         fit = growth_fit(res.series.t, res.series.l2[:, 1], theory_rate=theory)
         return CheckResult(
             "conformal-speed-change", fit.relative_error <= 0.01,
@@ -176,13 +145,11 @@ class AcceptanceSuite:
             f"fitted {fit.rate:.8f} vs lam*v/2 = {theory:.8f}")
 
     def check_solver_vs_oracle(self) -> CheckResult:
-        # default-resolution error on the growth run
-        sc, res = self.arnold_run
-        oracle, _ = characteristics_oracle(sc, sc.t_end)
-        op = FrameOperators(sc.metric, sc.grid)
-        err_default = op.l2_norm(res.field.data - oracle.data) / op.l2_norm(oracle.data)
-        # two-component scenario and one z-refinement step
-        (_, err_base), (_, err_fine) = self.mixed_runs
+        # default-resolution error on the growth run, then the two-component
+        # scenario and one z-refinement step
+        err_default = self._oracle_error("arnold-growth")
+        err_base, err_fine = (self._oracle_error(f"mixed-nz{n}")
+                              for n in (128, 256))
         order = float(np.log2(err_base / err_fine))
         passed = err_default <= 0.02 and err_base <= 0.02 and order >= 3.5
         return CheckResult(
@@ -252,7 +219,8 @@ class AcceptanceSuite:
         # speed v/c does, so the fields agree; the measure c^{3/2} scales
         # the norms by c^{3/4}, and div carries c^{-1/2}
         c = IDENTITY_PAIR_FACTOR
-        s_base, s_c = (res.series for res in self.identity_pair_runs)
+        s_base, s_c = (self._run(name)[1].series
+                       for name in ("identity-pair", "identity-pair-constant"))
         norm_scale = c ** 0.75
         gap = max(
             float(np.max(np.abs(s_base.l2 - s_c.l2 / norm_scale))),
@@ -315,16 +283,10 @@ class AcceptanceSuite:
             f"thin-tube devs={['%.3e' % d for d in devs]}")
 
     def check_divergence_preservation(self) -> CheckResult:
-        (mixed_base, _), (mixed_fine, _) = self.mixed_runs
-        runs = [("arnold-growth", self.arnold_run[1]),
-                ("conformal-growth", self.conformal_run[1]),
-                ("mixed-nz128", mixed_base), ("mixed-nz256", mixed_fine),
-                *(("identity-pair", res) for res in self.identity_pair_runs),
-                ("closed-solenoidal", self.closed_solenoidal_run[1])]
         worst_ratio = 0.0
         rows = []
-        for name, res in runs:
-            series = res.series.div_rel
+        for name in _RUNS:
+            series = self._run(name)[1].series.div_rel
             limit = 10.0 * series[0] + DIV_FLOOR
             ratio = float(np.max(series)) / limit
             worst_ratio = max(worst_ratio, ratio)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from framedynamo import verification
-from framedynamo.frame_calculus import ConformalFactor, FrameMetric
-from framedynamo.induction_dynamo import (DynamoScenario, InitialField,
-                                          stable_dt)
+from framedynamo.frame_calculus import ConformalFactor
+from framedynamo.induction_dynamo import (InitialField, evolve,
+                                          named_initial_field)
 from framedynamo.verification import AcceptanceSuite
 
 
@@ -118,16 +118,39 @@ def test_verify_all_cli_matches(tmp_path, capsys):
     assert all(e["passed"] is True and e["runtime_s"] > 0 for e in entries)
 
 
-def test_oracle_error_rejects_undefined_oracle_points():
+def test_oracle_error_rejects_undefined_oracle_points(monkeypatch):
     # on closed z, inflow points trace back past z_min, where a z-limited
     # initial field is undefined
-    metric = FrameMetric(1.0)
-    grid = metric.grid(2, 2, 32, z_periodic=False)
     init = InitialField(
         bq=lambda p, q, z: np.full(np.broadcast(p, q, z).shape, 2.0),
         z_limited=True)
-    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
-                        initial_field=init, t_end=0.1,
-                        dt=stable_dt(metric, grid, 1.0))
+    monkeypatch.setitem(verification._RUNS, "mixed-nz32",
+                        (1.0, "identity", (2, 2, 32), False, 1.0, init, 0.1))
     with pytest.raises(ValueError, match="mixed-nz32: characteristics oracle"):
-        AcceptanceSuite()._oracle_error(sc)
+        AcceptanceSuite()._oracle_error("mixed-nz32")
+
+
+def test_run_all_evolves_each_run_once(monkeypatch):
+    scenarios = []
+
+    def spy(sc):
+        scenarios.append(sc)
+        return evolve(sc)
+
+    monkeypatch.setattr(verification, "evolve", spy)
+    suite = AcceptanceSuite()
+    assert all(r.passed for r in suite.run_all())
+    runs = [suite._run(name)[0] for name in verification._RUNS]  # cached
+    assert len(scenarios) == len(verification._RUNS) == 7
+    assert {id(sc) for sc in runs} == {id(sc) for sc in scenarios}
+
+
+def test_divergence_audit_has_one_row_per_run(monkeypatch):
+    # a run added to the table is audited without being listed anywhere else
+    monkeypatch.setitem(verification._RUNS, "added-run",
+                        (1.0, "identity", (2, 2, 32), True, 1.0,
+                         named_initial_field("q_sine"), 0.1))
+    result = AcceptanceSuite().check_divergence_preservation()
+    rows = result.details.split("; ")
+    assert [row.split(":")[0] for row in rows] == list(verification._RUNS)
+    assert result.passed

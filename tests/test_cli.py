@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,38 @@ def test_config_bad_numeric_suffix_rejected(tmp_path, capsys, section, text):
                            "--out", str(tmp_path / "o"))
     assert code == 1
     assert f"error: {text}" in err
+
+
+@pytest.mark.parametrize("section, setting, text", [
+    ("evolve", "omega = exponential:inf\nn_p = 4\nn_q = 4",
+     "conformal exponent must be finite, got inf"),
+    ("curvature", "metric = constant:inf",
+     "conformal factor must be positive and finite, got inf"),
+])
+def test_config_non_finite_factor_rejected(tmp_path, capsys, section,
+                                           setting, text):
+    # used to warn on inf * 0 before the error line, and to end in a
+    # RuntimeWarning traceback under python -W error
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{setting}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, section, "--config", str(cfg),
+                               "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err == f"error: {text}\n"
+
+
+def test_config_seed_key_rejected(tmp_path, capsys):
+    # --seed is the only way to set the seed
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\ninit = q_random\nseed = 3\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err == ("error: [evolve] unknown key 'seed'; allowed: cfl, dt, "
+                   "eta, fit_end, fit_start, init, lam, n_p, n_q, n_z, omega, "
+                   "t_end, v, z_periodic\n")
 
 
 @pytest.mark.parametrize("section, text", [

@@ -146,6 +146,23 @@ def test_factor_from_spec_names_the_key(key, spec, text):
         ConformalFactor.from_spec(spec, key)
 
 
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_factor_rejects_non_finite_parameters(bad):
+    # inf used to construct, and evaluation then warned on inf * 0
+    with pytest.raises(ValueError, match="factor must be positive and finite"):
+        ConformalFactor.from_constant(bad)
+    with pytest.raises(ValueError, match="exponent must be finite, got"):
+        ConformalFactor.exponential(bad)
+
+
+@pytest.mark.parametrize("spec", ["exponential:inf", "exponential:-inf",
+                                  "exponential:nan", "constant:inf",
+                                  "constant:nan"])
+def test_factor_from_spec_rejects_non_finite_numbers(spec):
+    with pytest.raises(ValueError, match="must be (positive and )?finite"):
+        ConformalFactor.from_spec(spec, "omega")
+
 # -- metric ---------------------------------------------------------------------
 
 
