@@ -1,6 +1,6 @@
 """Numerical workbench for stretched-metric kinematic dynamos.
 
-Subpackages:
+The package re-exports nothing; import each name from its module:
 
 * frame_calculus: diagonal frame metrics and grad/div/curl/Laplacian in the
   orthonormal frame;
@@ -12,29 +12,3 @@ Subpackages:
 * verification: the end-to-end acceptance matrix behind `verify-all`;
 * cli: the command-line front end.
 """
-from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
-                             FrameOperators, Grid3D)
-from .exterior_geometry import (CoframeBasis, ConnectionForms, CurvatureReport,
-                                christoffel_oracle, curvature,
-                                exterior_derivative, solve_connection)
-from .induction_dynamo import (CatMap, DynamoScenario, GrowthFit, InitialField,
-                               cat_map_eigen, characteristics_oracle, evolve,
-                               growth_fit, induction_rhs)
-from .flux_rope import (FrenetCurve, RopeParams, TubeMetric,
-                        amplification_ratio, btheta_solution,
-                        dynamo_radius_bound, frenet_integrate,
-                        tube_metric_factor)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConformalFactor", "FrameField", "FrameMetric", "FrameOperators", "Grid3D",
-    "CoframeBasis", "ConnectionForms", "CurvatureReport", "christoffel_oracle",
-    "curvature", "exterior_derivative", "solve_connection",
-    "CatMap", "DynamoScenario", "GrowthFit", "InitialField", "cat_map_eigen",
-    "characteristics_oracle", "evolve", "growth_fit", "induction_rhs",
-    "FrenetCurve", "RopeParams", "TubeMetric", "amplification_ratio",
-    "btheta_solution", "dynamo_radius_bound", "frenet_integrate",
-    "tube_metric_factor",
-    "__version__",
-]

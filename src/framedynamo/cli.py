@@ -2,7 +2,8 @@
 
     framedynamo <command> [--config FILE] [--out DIR] [--seed N]
 
-Commands: evolve, curvature, fluxrope, catmap, verify-all. Configuration is
+Commands: evolve, curvature, fluxrope, catmap, verify-all, each with its
+handler and config defaults in the one table `COMMANDS`. Configuration is
 an INI-style file with one section per command and key = value entries;
 unknown keys are rejected. --seed alone sets the seed of synthetic
 initial fields (`init = q_random`); no config key sets it. Artifacts are
@@ -19,7 +20,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,32 +38,9 @@ from .verification import AcceptanceSuite, format_summary
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
-COMMANDS = ("evolve", "curvature", "fluxrope", "catmap", "verify-all")
-
 
 class ConfigError(ValueError):
     pass
-
-
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "evolve": {
-        "lam": "catmap", "v": "1.0", "eta": "0.0", "omega": "identity",
-        "n_p": "32", "n_q": "32", "n_z": "128", "z_periodic": "true",
-        "t_end": "2.0", "cfl": "0.4", "dt": "auto", "init": "q_sine",
-        "fit_start": "0.4", "fit_end": "1.0",
-    },
-    "curvature": {
-        "metric": "stretched", "lam": "1.0", "n_z": "65",
-        "z_min": "0.0", "z_max": "1.0",
-    },
-    "fluxrope": {
-        "kappa": "1.0", "tau": "1.0", "s_max": "6.283185307179586",
-        "ds": "0.002", "r": "0.1", "omega": "1.0", "gamma": "1.0",
-        "theta0": "0.0", "b_amplitude": "1.0", "t": "1.0", "v_theta0": "1.0",
-    },
-    "catmap": {},
-    "verify-all": {},
-}
 
 
 @dataclass
@@ -77,28 +55,25 @@ class RunConfig:
     def get(self, key: str) -> str:
         return self.values[key]
 
-    def get_float(self, key: str) -> float:
+    def _parse(self, key: str, parse, expected: str):
+        text = self.values[key]
         try:
-            return float(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"[{self.command}] {key}: expected a number, "
-                              f"got {self.values[key]!r}") from exc
+            return parse(text)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"[{self.command}] {key}: expected {expected}, "
+                              f"got {text!r}") from exc
+
+    def get_float(self, key: str) -> float:
+        return self._parse(key, float, "a number")
 
     def get_int(self, key: str) -> int:
-        try:
-            return int(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"[{self.command}] {key}: expected an integer, "
-                              f"got {self.values[key]!r}") from exc
+        return self._parse(key, int, "an integer")
 
     def get_bool(self, key: str) -> bool:
-        v = self.values[key].strip().lower()
-        if v in ("true", "yes", "1", "on"):
-            return True
-        if v in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.command}] {key}: expected a boolean, "
-                          f"got {self.values[key]!r}")
+        words = {"true": True, "yes": True, "1": True, "on": True,
+                 "false": False, "no": False, "0": False, "off": False}
+        return self._parse(key, lambda text: words[text.strip().lower()],
+                           "a boolean")
 
 
 def load_config(command: str, config_path: str | None, out_dir: str,
@@ -107,7 +82,7 @@ def load_config(command: str, config_path: str | None, out_dir: str,
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose from {', '.join(COMMANDS)}")
-    values = dict(_DEFAULTS[command])
+    values = dict(COMMANDS[command][1])
     if config_path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -196,11 +171,8 @@ def cmd_curvature(cfg: RunConfig) -> int:
 
 
 def cmd_fluxrope(cfg: RunConfig) -> int:
-    params = RopeParams(
-        r=cfg.get_float("r"), omega=cfg.get_float("omega"),
-        gamma=cfg.get_float("gamma"), tau=cfg.get_float("tau"),
-        kappa=cfg.get_float("kappa"), theta0=cfg.get_float("theta0"),
-        b_amplitude=cfg.get_float("b_amplitude"))
+    params = RopeParams(**{f.name: cfg.get_float(f.name)
+                           for f in fields(RopeParams)})
     s_max, ds = cfg.get_float("s_max"), cfg.get_float("ds")
     curve = frenet_integrate(params.kappa, params.tau, s_max, ds)
     tube = tube_metric_factor(params, curve.s)
@@ -253,6 +225,29 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+# name -> (handler, default config values), in the order of the usage text;
+# the defaults' keys are the only keys a config file may set for the command
+COMMANDS = {
+    "evolve": (cmd_evolve, {
+        "lam": "catmap", "v": "1.0", "eta": "0.0", "omega": "identity",
+        "n_p": "32", "n_q": "32", "n_z": "128", "z_periodic": "true",
+        "t_end": "2.0", "cfl": "0.4", "dt": "auto", "init": "q_sine",
+        "fit_start": "0.4", "fit_end": "1.0",
+    }),
+    "curvature": (cmd_curvature, {
+        "metric": "stretched", "lam": "1.0", "n_z": "65",
+        "z_min": "0.0", "z_max": "1.0",
+    }),
+    "fluxrope": (cmd_fluxrope, {
+        "kappa": "1.0", "tau": "1.0", "s_max": "6.283185307179586",
+        "ds": "0.002", "r": "0.1", "omega": "1.0", "gamma": "1.0",
+        "theta0": "0.0", "b_amplitude": "1.0", "t": "1.0", "v_theta0": "1.0",
+    }),
+    "catmap": (cmd_catmap, {}),
+    "verify-all": (cmd_verify_all, {}),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="framedynamo",
@@ -265,14 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.command, args.config, args.out, args.seed)
-        handler = {
-            "evolve": cmd_evolve,
-            "curvature": cmd_curvature,
-            "fluxrope": cmd_fluxrope,
-            "catmap": cmd_catmap,
-            "verify-all": cmd_verify_all,
-        }[args.command]
-        return handler(cfg)
+        return COMMANDS[args.command][0](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

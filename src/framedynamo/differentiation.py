@@ -68,13 +68,14 @@ def z_derivative_matrix(n: int, dz: float, order: int = 1,
     """Dense n-by-n matrix applying d^order/dz^order at 4th order.
 
     Closed interval: 5-point central stencils inside, one-sided 5-point
-    (order 1) or 6-point (order 2) stencils at the ends. Periodic interval:
-    central stencils with wraparound. Each distinct stencil is computed
-    once, from its node offsets to the row's own point.
+    (order 1) or 6-point (order 2) stencils at the ends, so n >= 5 or 6.
+    Periodic interval: 5-point central stencils with wraparound, so n >= 5.
+    Each distinct stencil is computed once, from its node offsets to the
+    row's own point.
     """
     if order not in (1, 2):
         raise ValueError("only first and second derivatives are provided")
-    width = 5 if order == 1 else 6
+    width = 5 if order == 1 or periodic else 6
     if n < width:
         raise ValueError(f"need at least {width} z points for order-{order} "
                          f"stencils, got {n}")

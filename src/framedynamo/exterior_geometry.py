@@ -95,8 +95,10 @@ class CoframeBasis:
     @classmethod
     def exponential(cls, rates: Sequence[float],
                     label: str = "coframe") -> "CoframeBasis":
-        """Coefficients a_i(z) = exp(rate_i z)."""
+        """Coefficients a_i(z) = exp(rate_i z); the rates must be finite."""
         r = np.asarray(rates, dtype=float)
+        if not np.all(np.isfinite(r)):
+            raise ValueError(f"rates must be finite, got {tuple(r.tolist())}")
 
         def profile(z):
             k = r.reshape(3, *(1,) * z.ndim)
@@ -170,7 +172,10 @@ def named_coframe(name: str, lam: float) -> CoframeBasis:
       stretched_half  dp^2 + e^{2 lam z} dq^2 + e^{lam z} dz^2, the q
                       stretching halved, whose torsion-free connection
                       has the closed form omega^q_z = lam e^{-lam z/2} omega^q.
+    Every name rejects a non-finite lam, flat included.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if name == "flat":
         return conformal_coframe(FrameMetric(0.0), "flat")
     if name == "arnold":

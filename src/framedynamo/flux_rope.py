@@ -263,8 +263,10 @@ def btheta_solution(params: RopeParams, tube: TubeMetric,
 
     The angle integral accumulates along the stored theta(s) (dtheta =
     -tau ds), evaluated with the trapezoid rule. Returns shape (len(s),)
-    for scalar t, else (len(t), len(s)).
+    for scalar t, else (len(t), len(s)); t must be finite.
     """
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
     integral = cumulative_trapezoid(1.0 - tube.K, tube.theta)
     t_arr = np.expand_dims(np.asarray(t, dtype=float), -1)
     return params.b_amplitude * np.exp(params.gamma * t_arr - integral)
@@ -297,6 +299,8 @@ def continuity_residual(params: RopeParams, s: np.ndarray, v_theta: np.ndarray,
 def continuity_solution(params: RopeParams, s: np.ndarray,
                         v0: float = 1.0) -> np.ndarray:
     """Exact angular-flow profile v_theta(s) = v0 exp(-r int tau kappa ds)."""
+    if not np.isfinite(v0):
+        raise ValueError(f"v0 = v_theta(0) must be finite, got {v0}")
     s = np.asarray(s, dtype=float)
     integrand = np.full_like(s, params.tau * params.kappa)
     return v0 * np.exp(-params.r * cumulative_trapezoid(integrand, s))

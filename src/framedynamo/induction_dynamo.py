@@ -100,6 +100,7 @@ __all__ = [
     "stable_dt",
     "ADVECTIVE_LIMIT",
     "RK4_REAL_AXIS_LIMIT",
+    "MAX_STEPS",
 ]
 
 
@@ -241,6 +242,8 @@ def named_initial_field(name: str, lam: float = 0.0, seed: int = 0) -> InitialFi
 ADVECTIVE_LIMIT = 0.5
 # RK4 is stable for real decay rates |mu| dt up to this
 RK4_REAL_AXIS_LIMIT = 2.785
+# the most steps a scenario takes: step indices up to it are exact in float64
+MAX_STEPS = 2 ** 53
 
 
 def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
@@ -350,8 +353,8 @@ class DynamoScenario:
 
     Accepted: an int sample_stride >= 0; overflow_factor > 0 (inf turns
     the guard off); finite resistivity >= 0; finite flow_speed; finite
-    t_end, dt > 0; Omega > 0 on grid.z; dt within the advective bound
-    0.5 dz / max|v_eff| and the real-axis bound
+    t_end, dt > 0 with t_end/dt <= MAX_STEPS; Omega > 0 on grid.z; dt
+    within the advective bound 0.5 dz / max|v_eff| and the real-axis bound
     dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) <= RK4_REAL_AXIS_LIMIT;
     periodic z only with a z-uniform factor. Resistivity > 0 is accepted
     only with an initial field exactly constant along p and q on the grid,
@@ -393,6 +396,10 @@ class DynamoScenario:
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value}")
+        if self.t_end / MAX_STEPS > self.dt:
+            raise ValueError(f"dt={self.dt:g} is too small for t_end="
+                             f"{self.t_end:g}: it takes more than "
+                             f"MAX_STEPS={MAX_STEPS} steps")
         vmax, decay = _step_rates(self.metric, self.grid, self.flow_speed,
                                   self.resistivity)
         if vmax > 0 and self.dt > ADVECTIVE_LIMIT * self.grid.dz / vmax + 1e-15:
@@ -789,7 +796,9 @@ def growth_fit(t: np.ndarray, norms: np.ndarray,
         raise ValueError(f"fit window {tuple(window)} must satisfy "
                          "0.2 <= start < end <= 1: it excludes the first 20% "
                          "of samples and ends inside the series")
-    if np.any(norms <= 0):
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(norms))):
+        raise ValueError("t and the norm series must be finite for a log fit")
+    if not np.all(norms > 0):
         raise ValueError("norm series must be strictly positive for a log fit")
     n = len(t)
     lo, hi = int(window[0] * n), int(window[1] * n)

@@ -513,3 +513,95 @@ def test_csv_numbers_carry_full_precision(tmp_path, capsys):
     val = rows[3].split(",")[2]
     assert len(val.replace(".", "").replace("-", "").lstrip("0")) >= 12
     assert f"{float(val):.15g}" == val
+
+
+# -- the command table ------------------------------------------------------------
+
+
+def test_commands_table_drives_argparse_and_load_config(tmp_path, capsys,
+                                                        monkeypatch):
+    from framedynamo import cli
+
+    assert list(cli.COMMANDS) == ["evolve", "curvature", "fluxrope", "catmap",
+                                  "verify-all"]
+    for name, (_, defaults) in cli.COMMANDS.items():
+        assert cli.load_config(name, None, "o", 0).values == defaults
+    # a command with no defaults takes no config key
+    assert [n for n, (_, d) in cli.COMMANDS.items() if not d] \
+        == ["catmap", "verify-all"]
+    for name in ("catmap", "verify-all"):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[{name}]\nlam = 1.0\n")
+        code, _, err = run_cli(capsys, name, "--config", str(cfg),
+                               "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: [{name}] unknown key 'lam'; allowed: (none)\n"
+    # an entry added to the table is a command, with its own keys
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "probe",
+                        (lambda cfg: seen.append(cfg.values) or 0, {"x": "1"}))
+    cfg = tmp_path / "probe.ini"
+    cfg.write_text("[probe]\nx = 2\n")
+    assert main(["probe", "--config", str(cfg)]) == 0
+    assert seen == [{"x": "2"}]
+
+
+def test_fluxrope_passes_every_rope_field_from_the_config(tmp_path, capsys):
+    from dataclasses import fields
+
+    from framedynamo.cli import COMMANDS
+    from framedynamo.flux_rope import (RopeParams, btheta_solution,
+                                       continuity_solution, frenet_integrate,
+                                       rope_csv, tube_metric_factor)
+
+    names = [f.name for f in fields(RopeParams)]
+    assert len(names) == 7 and set(names) <= set(COMMANDS["fluxrope"][1])
+    values = dict(zip(names, (0.05, 2.5, 0.9, 1.3, 0.7, 0.3, 1.7)))
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[fluxrope]\n" + "".join(f"{k} = {v}\n"
+                                            for k, v in values.items())
+                   + "t = 0.6\nv_theta0 = 1.1\n")
+    code, _, err = run_cli(capsys, "fluxrope", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    params = RopeParams(**values)
+    curve = frenet_integrate(params.kappa, params.tau, 2 * np.pi, 0.002)
+    tube = tube_metric_factor(params, curve.s)
+    expected = rope_csv(params, tube,
+                        continuity_solution(params, curve.s, 1.1),
+                        btheta_solution(params, tube, 0.6))
+    assert (tmp_path / "o" / "rope.csv").read_text() == expected
+
+
+# -- inputs rejected with an error line, not a traceback or a warning -------------
+
+
+@pytest.mark.parametrize("section, setting, text", [
+    # an evolve step count past MAX_STEPS ended in a KeyError traceback from
+    # evolve, and one whose t_end/dt overflows in an OverflowError from n_steps
+    ("evolve", "n_p = 4\nn_q = 4\ndt = 1e-300",
+     "dt=1e-300 is too small for t_end=2: it takes more than "
+     "MAX_STEPS=9007199254740992 steps"),
+    ("evolve", "n_p = 4\nn_q = 4\nt_end = 1e300\ndt = 1e-300",
+     "dt=1e-300 is too small for t_end=1e+300: it takes more than "
+     "MAX_STEPS=9007199254740992 steps"),
+    # warned from the exponential coframe, then failed without naming lam
+    ("curvature", "metric = stretched\nlam = inf", "lam must be finite, got inf"),
+    ("curvature", "metric = stretched_half\nlam = nan",
+     "lam must be finite, got nan"),
+    ("curvature", "metric = flat\nlam = inf", "lam must be finite, got inf"),
+    # exited 0 with a nan column in rope.csv
+    ("fluxrope", "t = nan", "t must be finite, got nan"),
+    ("fluxrope", "v_theta0 = nan", "v0 = v_theta(0) must be finite, got nan"),
+])
+def test_config_unusable_input_rejected_up_front(tmp_path, capsys, section,
+                                                 setting, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{setting}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, section, "--config", str(cfg),
+                               "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err == f"error: {text}\n"
+    assert not (tmp_path / "o").exists()

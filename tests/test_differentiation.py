@@ -119,6 +119,22 @@ def test_periodic_second_derivative():
                                rtol=1e-5, atol=1e-4)
 
 
+def test_periodic_matrix_on_five_points():
+    # five points carry the 5-point periodic stencils of both orders; the
+    # 6-point closed end closure of order 2 used to be demanded here too
+    dz = 0.2
+    z = np.arange(5) * dz
+    f = np.cos(2 * np.pi * z)
+    for order, exact in ((1, -2 * np.pi * np.sin(2 * np.pi * z)),
+                         (2, -(2 * np.pi) ** 2 * f)):
+        D = z_derivative_matrix(5, dz, order, periodic=True)
+        np.testing.assert_array_equal(D, periodic_reference(5, dz, order))
+        np.testing.assert_allclose(D @ np.ones(5), 0.0, atol=1e-13)
+        # one wavelength on five points: 6.5% (order 1), 2.4% (order 2) off
+        np.testing.assert_allclose(D @ f, exact, rtol=0,
+                                   atol=0.07 * (2 * np.pi) ** order)
+
+
 def test_matrix_rejects_tiny_grids():
     with pytest.raises(ValueError):
         z_derivative_matrix(4, 0.1, 1)

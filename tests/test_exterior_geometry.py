@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,24 @@ def test_named_coframe_labels_and_scale_factors(name, label, legs):
 def test_named_coframe_rejects_unknown_names(name, text):
     with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
         named_coframe(name, LAM)
+
+
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+def test_named_coframe_rejects_non_finite_lam(lam):
+    # stretched warned from exp(k z) before failing without naming lam;
+    # flat accepted it and put NaN in the paper's column
+    for name in ("flat", "arnold", "constant:4", "stretched", "stretched_half"):
+        with pytest.raises(ValueError, match=f"^lam must be finite, got {lam}$"):
+            named_coframe(name, lam)
+
+
+@pytest.mark.parametrize("rates", [(0.0, np.inf, 0.5), (np.nan, 1.0, 1.0),
+                                   (0.0, 2 * 1e308, 1e308)])
+def test_exponential_coframe_rejects_non_finite_rates(rates):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^rates must be finite, got \("):
+            CoframeBasis.exponential(rates)
 
 
 @pytest.mark.parametrize("label,basis", [

@@ -449,6 +449,15 @@ def test_btheta_thin_tube_uniform_limit():
     assert devs[2] <= 0.05 * 2 * np.pi
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.0, np.nan])])
+def test_btheta_rejects_non_finite_time(t):
+    # a NaN time wrote a column of nan into rope.csv
+    params = RopeParams(r=0.1)
+    tube = tube_metric_factor(params, np.linspace(0, 1, 11))
+    with pytest.raises(ValueError, match="^t must be finite, got"):
+        btheta_solution(params, tube, t)
+
+
 # -- continuity -------------------------------------------------------------------
 
 
@@ -482,6 +491,12 @@ def test_continuity_residual_rejects_unusable_s(s, match):
         continuity_residual(params, s, v)
     # an analytic derivative needs no differencing, so any s is accepted
     continuity_residual(params, s, v, dv_theta=np.zeros(s.shape))
+
+
+@pytest.mark.parametrize("v0", [np.nan, np.inf, -np.inf])
+def test_continuity_solution_rejects_non_finite_v0(v0):
+    with pytest.raises(ValueError, match=r"^v0 = v_theta\(0\) must be finite"):
+        continuity_solution(RopeParams(r=0.1), np.linspace(0, 1, 11), v0)
 
 
 def test_continuity_constant_profile_without_twist():

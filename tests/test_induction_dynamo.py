@@ -96,6 +96,45 @@ def test_scenario_rejects_non_finite_inputs(kwargs, match):
                        resistivity=args["eta"])
 
 
+def test_scenario_step_count_bound():
+    # t_end/dt past the bound ended in a KeyError from evolve (near 1.2e18
+    # steps) or, once it overflowed, in an OverflowError from n_steps
+    MAX_STEPS = induction_dynamo.MAX_STEPS
+    metric = FrameMetric(1.0)
+    grid = metric.grid(4, 4, 5, z_periodic=True)
+
+    def build(t_end, dt):
+        return DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                              initial_field=q_sine(), t_end=t_end, dt=dt)
+
+    sc = build(1e-3, 1e-3 / MAX_STEPS)
+    assert MAX_STEPS == 2 ** 53 and sc.n_steps == MAX_STEPS
+    # matrix_power makes the cost grow with log(n_steps) only
+    result = evolve(sc)
+    assert result.stop_reason == "completed" and result.steps == MAX_STEPS
+    assert result.series.t[-1] == 1e-3
+    for t_end, dt in ((1e-3, np.nextafter(1e-3 / MAX_STEPS, 0.0)),
+                      (2.0, 1e-300), (1e300, 1e-300)):
+        text = f"dt={dt:g} is too small for t_end={t_end:g}: it takes more "
+        with pytest.raises(ValueError, match="^" + re.escape(text)):
+            build(t_end, dt)
+
+
+def test_periodic_grid_of_five_z_points_evolves():
+    # 5 is the documented periodic minimum, but the order-2 operator asked
+    # for the 6 points of the closed end closure
+    metric = FrameMetric(1.0)
+    grid = Grid3D(4, 4, 5, z_periodic=True)
+    op = FrameOperators(metric, grid)
+    assert op.d2.shape == (5, 5)
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                        initial_field=q_sine(), t_end=1.0,
+                        dt=stable_dt(metric, grid, 1.0))
+    result = evolve(sc)
+    assert result.stop_reason == "completed"
+    assert np.all(np.isfinite(result.series.total_l2))
+
+
 @pytest.mark.parametrize("kwargs, match", [
     # -5 was read as "choose automatically", 2.5 failed inside evolve
     ({"sample_stride": -5}, "^sample_stride must be an int >= 0"),
@@ -1389,6 +1428,17 @@ def test_growth_fit_rejects_nonpositive_norms():
     y[3] = 0.0
     with pytest.raises(ValueError, match="positive"):
         growth_fit(t, y)
+
+
+@pytest.mark.parametrize("where", ["t", "norms"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_growth_fit_rejects_non_finite_series(where, bad):
+    # np.any(norms <= 0) is False for NaN, so rate = nan came back silently
+    series = {"t": np.linspace(0, 1, 100), "norms": np.exp(np.linspace(0, 1, 100))}
+    series[where][50] = bad
+    with pytest.raises(ValueError, match="^t and the norm series must be "
+                       "finite for a log fit$"):
+        growth_fit(series["t"], series["norms"])
 
 
 def test_growth_fit_enforces_transient_cut():
