@@ -2,6 +2,8 @@
 
 The package re-exports nothing; import each name from its module:
 
+* differentiation: the spectral p, q derivative, the 4th-order z-stencil
+  matrices (Fornberg weights) and the not-a-knot `CubicSpline`;
 * frame_calculus: diagonal frame metrics and grad/div/curl/Laplacian in the
   orthonormal frame;
 * exterior_geometry: Cartan structure equations, connection forms, Riemann

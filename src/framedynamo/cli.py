@@ -11,8 +11,9 @@ CSV/plain-text files written under --out with at least 15 significant
 digits per number; evolve also writes what the run did as run.json (steps,
 dt, CFL numbers, stop reason and wall time by layer), and verify-all writes
 its matrix as verify.json (name, passed, measured, limit and runtime_s per
-check). Exit codes: 0 on success, 1 on configuration or validation errors,
-2 on numerical failure or a run stopped early.
+check). Exit codes: 0 on success, 1 on configuration or validation errors
+(a rejected config writes nothing), 2 on numerical failure or a run
+stopped early.
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from .flux_rope import (NoDynamoBoundError, RopeParams, amplification_ratio,
 from .frame_calculus import ConformalFactor, FrameMetric
 from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
                                NumericalError, cat_map_eigen, evolve,
-                               growth_fit, named_initial_field, stable_dt)
+                               fit_window, growth_fit, named_initial_field,
+                               stable_dt)
 from .verification import AcceptanceSuite, format_summary
 
 __all__ = ["main", "RunConfig", "ConfigError"]
@@ -124,6 +126,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
         metric=metric, grid=grid, flow_speed=v,
         initial_field=named_initial_field(cfg.get("init"), lam, cfg.seed),
         t_end=cfg.get_float("t_end"), dt=dt, resistivity=eta)
+    window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
+    # a run too short for the fit is a config error: raise before writing
+    fit_window(scenario.n_samples, window)
     result = evolve(scenario)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "series.csv").write_text(result.series.to_csv())
@@ -142,7 +147,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
         print("note: the Bq norm is identically 0, so there is no growth "
               "rate to fit; growth.txt not written")
         return 0
-    window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
     # for Omega = c the mean-field (k = 0) mode grows at lam v / c minus the
     # resistive decay; a z-dependent Omega has no closed-form rate
     theory = (lam * v / omega.constant - eta * lam ** 2
@@ -160,8 +164,17 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 def cmd_curvature(cfg: RunConfig) -> int:
     lam = cfg.get_float("lam")
-    z = np.linspace(cfg.get_float("z_min"), cfg.get_float("z_max"),
-                    cfg.get_int("n_z"))
+    z_min, z_max, n_z = (cfg.get_float("z_min"), cfg.get_float("z_max"),
+                         cfg.get_int("n_z"))
+    for key, ok, expected in (
+            ("z_min", np.isfinite(z_min), "a finite number"),
+            ("z_max", np.isfinite(z_max - z_min),
+             "a finite number a finite distance from z_min"),
+            ("n_z", n_z >= 1, "an integer >= 1")):
+        if not ok:
+            raise ConfigError(f"[curvature] {key}: expected {expected}, got "
+                              f"{cfg.get(key)!r}")
+    z = np.linspace(z_min, z_max, n_z)
     header, table = curvature_comparison(cfg.get("metric"), lam, z)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "curvature.txt").write_text(header + table)
@@ -178,18 +191,19 @@ def cmd_fluxrope(cfg: RunConfig) -> int:
     tube = tube_metric_factor(params, curve.s)
     v_theta = continuity_solution(params, curve.s, cfg.get_float("v_theta0"))
     b_theta = btheta_solution(params, tube, cfg.get_float("t"))
+    ratio = amplification_ratio(params)  # may reject: before any write
+    try:
+        bound = (f"{dynamo_radius_bound(params):.12g} (r={params.r:g} -> "
+                 f"{'dynamo' if is_dynamo(params) else 'no dynamo'})")
+    except NoDynamoBoundError as exc:
+        bound = f"none ({exc})"
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "rope.csv").write_text(
         rope_csv(params, tube, v_theta, b_theta))
     print(f"wrote {cfg.out_dir / 'rope.csv'}")
     print(f"triad orthonormality drift : {curve.orthonormality_drift():.3e}")
-    print(f"amplification ratio        : {amplification_ratio(params):.12g}")
-    try:
-        bound = dynamo_radius_bound(params)
-        print(f"dynamo radius bound        : {bound:.12g} "
-              f"(r={params.r:g} -> {'dynamo' if is_dynamo(params) else 'no dynamo'})")
-    except NoDynamoBoundError as exc:
-        print(f"dynamo radius bound        : none ({exc})")
+    print(f"amplification ratio        : {ratio:.12g}")
+    print(f"dynamo radius bound        : {bound}")
     print(f"thin-tube flag             : {tube.thin}")
     return 0
 

@@ -224,9 +224,6 @@ class ConnectionForms:
     gamma: np.ndarray  # (nz, 3, 3, 3), antisymmetric in the first two slots
     basis: CoframeBasis
 
-    def antisymmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.gamma + np.swapaxes(self.gamma, 1, 2))))
-
     def structure_residual(self) -> float:
         """max |d omega^i + omega^i_j ^ omega^j| over the wedge basis."""
         d = exterior_derivative(self.basis, self.z)

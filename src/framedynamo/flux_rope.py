@@ -17,11 +17,13 @@ constant curvature kappa and torsion tau of its axis, and the tube, B_theta,
 continuity and CSV functions read them from there. Only `frenet_integrate`
 takes kappa(s) and tau(s) as profiles of s (floats or callables).
 
-The tube cross-section angle winds as theta(s) = theta0 - tau s.
+The tube cross-section angle winds as theta(s) = theta0 - tau (s - s0).
 The tube metric deviates from flat by K(s) = 1 - r kappa cos theta(s).
 The endpoint dynamo quantities are the poloidal/toroidal amplification
 ratio tau*omega*r/gamma^2, the radius bound r > gamma^2/(omega tau), and
-the poloidal amplitude B_theta = B0 exp(gamma t - int (1 - K) dtheta).
+the poloidal amplitude B_theta = B0 exp(gamma t - int (1 - K) dtheta),
+int (1 - K) dtheta = r kappa (sin theta - sin theta0): every integral
+along the rope is in closed form, from its first sample s0.
 """
 from __future__ import annotations
 
@@ -79,10 +81,6 @@ class FrenetCurve:
         for u, v in ((self.t, self.n), (self.t, self.b), (self.n, self.b)):
             worst = max(worst, float(np.max(np.abs(np.sum(u * v, axis=1)))))
         return worst
-
-    def binormal_residual(self) -> float:
-        """max |b - t x n|."""
-        return float(np.max(np.abs(self.b - np.cross(self.t, self.n))))
 
 
 # the most steps `frenet_integrate` takes: about 0.45 GB of working arrays
@@ -213,20 +211,13 @@ class TubeMetric:
     thin: bool
 
 
-def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid-rule integral of y over x, 0 at x[0]."""
-    out = np.zeros(len(x))
-    out[1:] = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
-    return out
-
-
 def tube_metric_factor(params: RopeParams, s: np.ndarray) -> TubeMetric:
     """K(s) along the rope; rejects self-intersecting tubes (K <= 0)."""
     s = np.asarray(s, dtype=float)
     if params.r * params.kappa >= 1.0:
         raise ValueError("tube radius exceeds 1/kappa: metric factor "
                          "would vanish")
-    theta = params.theta0 - cumulative_trapezoid(np.full_like(s, params.tau), s)
+    theta = params.theta0 - params.tau * (s - s[:1])
     K = 1.0 - params.r * params.kappa * np.cos(theta)
     if np.any(K <= 0):
         raise ValueError("tube metric factor is non-positive somewhere")
@@ -234,19 +225,30 @@ def tube_metric_factor(params: RopeParams, s: np.ndarray) -> TubeMetric:
 
 
 def amplification_ratio(params: RopeParams) -> float:
-    """Poloidal-to-toroidal ratio tau*omega*r/gamma^2; positive means dynamo."""
-    if params.gamma == 0.0:
-        raise ValueError("amplification ratio is undefined for gamma = 0")
-    return params.tau * params.omega * params.r / params.gamma ** 2
+    """Poloidal-to-toroidal ratio tau*omega*r/gamma^2; positive means dynamo.
+    Raises ValueError unless it is finite (gamma^2 = 0 has none)."""
+    with np.errstate(all="ignore"):
+        ratio = float(np.float64(params.tau) * params.omega * params.r
+                      / np.float64(params.gamma) ** 2)
+    if not math.isfinite(ratio):
+        raise ValueError("amplification ratio tau*omega*r/gamma^2 is not "
+                         f"finite for gamma = {params.gamma:g}")
+    return ratio
 
 
 def dynamo_radius_bound(params: RopeParams) -> float:
-    """Lower radius bound gamma^2/(omega tau) for rope dynamo action."""
+    """Lower radius bound gamma^2/(omega tau) for rope dynamo action;
+    raises ValueError unless it is finite."""
     ot = params.omega * params.tau
     if ot <= 0.0:
         raise NoDynamoBoundError(
             f"omega*tau = {ot:g} <= 0: no dynamo radius bound exists")
-    return params.gamma ** 2 / ot
+    with np.errstate(all="ignore"):
+        bound = float(np.float64(params.gamma) ** 2 / ot)
+    if not math.isfinite(bound):
+        raise ValueError("dynamo radius bound gamma^2/(omega tau) is not "
+                         f"finite for gamma = {params.gamma:g}")
+    return bound
 
 
 def is_dynamo(params: RopeParams) -> bool:
@@ -261,15 +263,21 @@ def btheta_solution(params: RopeParams, tube: TubeMetric,
                     t: float | np.ndarray) -> np.ndarray:
     """Poloidal amplitude B0 exp(gamma t - int (1 - K) dtheta) over s.
 
-    The angle integral accumulates along the stored theta(s) (dtheta =
-    -tau ds), evaluated with the trapezoid rule. Returns shape (len(s),)
-    for scalar t, else (len(t), len(s)); t must be finite.
+    The angle integral is r kappa (sin theta - sin theta0) on the stored
+    theta(s). Returns shape (len(s),) for scalar t, else (len(t), len(s));
+    t and the amplitude must be finite.
     """
     if not np.all(np.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
-    integral = cumulative_trapezoid(1.0 - tube.K, tube.theta)
+    integral = params.r * params.kappa * (np.sin(tube.theta)
+                                          - np.sin(params.theta0))
     t_arr = np.expand_dims(np.asarray(t, dtype=float), -1)
-    return params.b_amplitude * np.exp(params.gamma * t_arr - integral)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = params.b_amplitude * np.exp(params.gamma * t_arr - integral)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"B_theta overflows for gamma = {params.gamma:g} "
+                         f"and B0 = {params.b_amplitude:g}")
+    return b
 
 
 def continuity_residual(params: RopeParams, s: np.ndarray, v_theta: np.ndarray,
@@ -298,12 +306,11 @@ def continuity_residual(params: RopeParams, s: np.ndarray, v_theta: np.ndarray,
 
 def continuity_solution(params: RopeParams, s: np.ndarray,
                         v0: float = 1.0) -> np.ndarray:
-    """Exact angular-flow profile v_theta(s) = v0 exp(-r int tau kappa ds)."""
+    """Exact angular-flow profile v_theta(s) = v0 exp(-r tau kappa (s - s0))."""
     if not np.isfinite(v0):
         raise ValueError(f"v0 = v_theta(0) must be finite, got {v0}")
     s = np.asarray(s, dtype=float)
-    integrand = np.full_like(s, params.tau * params.kappa)
-    return v0 * np.exp(-params.r * cumulative_trapezoid(integrand, s))
+    return v0 * np.exp(-params.r * params.tau * params.kappa * (s - s[:1]))
 
 
 def rope_csv(params: RopeParams, tube: TubeMetric, v_theta: np.ndarray,

@@ -233,16 +233,19 @@ class FrameMetric:
         Each of h, h', h'' has shape (3, *z.shape); w = Omega^{1/2} and its
         derivatives come from `ConformalFactor.sqrt_profile`, so
         h' = (w' + r w) e^{r z} and h'' = (w'' + 2 r w' + r^2 w) e^{r z}.
+        Raises ValueError, with no warning, unless h > 0 and all are finite.
         """
         z = np.asarray(z, dtype=float)
-        w, dw, d2w = self.omega.sqrt_profile(z)
         r = np.array([-self.lam, self.lam, 0.0]).reshape(3, *(1,) * z.ndim)
-        e = np.exp(r * z)
-        return w * e, (dw + r * w) * e, (d2w + 2 * r * dw + r * r * w) * e
-
-    def determinant(self, z: np.ndarray) -> np.ndarray:
-        h1, h2, h3 = self.scale_factors(z)[0]
-        return (h1 * h2 * h3) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, dw, d2w = self.omega.sqrt_profile(z)
+            e = np.exp(r * z)
+            h = w * e, (dw + r * w) * e, (d2w + 2 * r * dw + r * r * w) * e
+        if not (np.all(h[0] > 0) and np.all(np.isfinite(h))):
+            raise ValueError(f"lam={self.lam:g}: scale factors must be finite "
+                             "and positive, and their first two derivatives "
+                             "finite, on the z points")
+        return h
 
     def grid(self, n_p: int = 32, n_q: int = 32, n_z: int = 128,
              z_periodic: bool = False) -> "Grid3D":

@@ -35,7 +35,9 @@ and s steps are B <- P(h L)^s B. `_propagators` builds P(h L)^s once per
 run for each sample interval length s, by one Horner loop on a stack of
 matrices, and `_advance` forms a chunk of sampled states from the last
 state of the chunk before it; the fields between two samples are never
-formed.
+formed. A run samples every max(1, n_steps // 200) steps and stops at the
+first sample past OVERFLOW_FACTOR times its initial norm; both are module
+constants, and `DynamoScenario` has no knob for either.
 - On periodic z, Omega is z-uniform, so L has constant coefficients on a
   wrap-around stencil: it is circulant, diagonal in the z Fourier modes,
   with eigenvalues mu_k the discrete Fourier transform of its first
@@ -51,14 +53,11 @@ along p or q exactly constant along it. `evolve` therefore builds and
 holds its state at the smallest shape that broadcasts exactly to the
 initial field, (3, n_p', n_q', n_z) with n_p' in {1, n_p} and n_q' in
 {1, n_q}: the Arnold q-slot run advances 1 x 1 x n_z profiles, a field
-with p,q structure the full grid, by the same code. The sampled states
-are formed in chunks; each chunk is checked for finite values and
-against the overflow guard, and the norms and div_rel of its states are
-computed in one batched pass. The run returns its final state at that
-shape, and `characteristics_oracle` its solution likewise: a `FrameField`
-takes p and q axes of length 1 as constant along them, and its norms are
-p,q means, so comparing the two touches n_z points per component for a
-z-profile, never the full grid.
+with p,q structure the full grid, by the same code. The run returns its
+final state at that shape, and `characteristics_oracle` its solution
+likewise: a `FrameField` takes p and q axes of length 1 as constant along
+them, and its norms are p,q means, so comparing the two touches n_z points
+per component for a z-profile, never the full grid.
 
 Every run also carries a real-axis step bound. Its fastest real decay,
 of the z Nyquist mode of Bp (of Bq when lam v < 0), is
@@ -101,6 +100,8 @@ __all__ = [
     "ADVECTIVE_LIMIT",
     "RK4_REAL_AXIS_LIMIT",
     "MAX_STEPS",
+    "OVERFLOW_FACTOR",
+    "fit_window",
 ]
 
 
@@ -244,6 +245,10 @@ ADVECTIVE_LIMIT = 0.5
 RK4_REAL_AXIS_LIMIT = 2.785
 # the most steps a scenario takes: step indices up to it are exact in float64
 MAX_STEPS = 2 ** 53
+# a run stops at the first sample whose total L2 exceeds this times sample 0's
+OVERFLOW_FACTOR = 1e12
+# a run samples every max(1, n_steps // _SAMPLE_INTERVALS) steps
+_SAMPLE_INTERVALS = 200
 
 
 def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
@@ -351,16 +356,15 @@ def _require_constant_along_pq(data: np.ndarray) -> None:
 class DynamoScenario:
     """Everything needed to run one induction evolution.
 
-    Accepted: an int sample_stride >= 0; overflow_factor > 0 (inf turns
-    the guard off); finite resistivity >= 0; finite flow_speed; finite
-    t_end, dt > 0 with t_end/dt <= MAX_STEPS; Omega > 0 on grid.z; dt
-    within the advective bound 0.5 dz / max|v_eff| and the real-axis bound
+    Accepted: finite resistivity >= 0; finite flow_speed; finite t_end,
+    dt > 0 with t_end/dt <= MAX_STEPS; Omega > 0 and scale factors h > 0,
+    with h, h', h'' finite, on grid.z; dt within the advective bound
+    0.5 dz / max|v_eff| and the real-axis bound
     dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) <= RK4_REAL_AXIS_LIMIT;
     periodic z only with a z-uniform factor. Resistivity > 0 is accepted
     only with an initial field exactly constant along p and q on the grid,
     and then only on periodic z, since closed z has no boundary condition
-    for eta dzz (see the module docstring).
-    Anything else raises ValueError.
+    for eta dzz (see the module docstring). Anything else raises ValueError.
     """
 
     metric: FrameMetric
@@ -370,22 +374,8 @@ class DynamoScenario:
     t_end: float
     dt: float
     resistivity: float = 0.0
-    # steps per sample interval; a run forms only the sampled states
-    # (see `evolve`). 0: choose automatically (~200 samples); capped at
-    # n_steps
-    sample_stride: int = 0
-    overflow_factor: float = 1e12
 
     def __post_init__(self):
-        stride = self.sample_stride
-        if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
-                or stride < 0):
-            raise ValueError("sample_stride must be an int >= 0 (0: choose "
-                             f"automatically), got {stride!r}")
-        if not self.overflow_factor > 0:
-            raise ValueError("overflow_factor must be positive and not NaN "
-                             f"(inf turns the guard off), got "
-                             f"{self.overflow_factor}")
         if not 0.0 <= self.resistivity < np.inf:
             raise ValueError("resistivity must be finite and non-negative, "
                              f"got {self.resistivity}")
@@ -402,6 +392,7 @@ class DynamoScenario:
                              f"MAX_STEPS={MAX_STEPS} steps")
         vmax, decay = _step_rates(self.metric, self.grid, self.flow_speed,
                                   self.resistivity)
+        self.metric.scale_factors(self.grid.z)  # raises where they overflow
         if vmax > 0 and self.dt > ADVECTIVE_LIMIT * self.grid.dz / vmax + 1e-15:
             raise ValueError(
                 f"dt={self.dt:g} violates the advective bound "
@@ -429,9 +420,13 @@ class DynamoScenario:
 
     @property
     def stride(self) -> int:
-        if self.sample_stride > 0:
-            return min(self.sample_stride, self.n_steps)
-        return max(1, self.n_steps // 200)
+        """Steps per sample interval (see `evolve`)."""
+        return max(1, self.n_steps // _SAMPLE_INTERVALS)
+
+    @property
+    def n_samples(self) -> int:
+        """Samples of a completed run: t = 0, every `stride` steps, t_end."""
+        return -(-self.n_steps // self.stride) + 1
 
 
 # -- right-hand side ----------------------------------------------------------
@@ -528,11 +523,8 @@ class EvolutionResult:
     # RK4_REAL_AXIS_LIMIT
     cfl_real_axis: float
     # the run's wall time by layer, in seconds: set-up (initial field,
-    # operators, and the propagators: the RK4 symbol powers on periodic z,
-    # the dense ones on closed z); forming the sampled states (the rfft,
-    # spectral products and irfft on periodic z, the propagator matmuls on
-    # closed z) with their finite check and norms (component and total L2,
-    # which the overflow guard reads); and the batched div passes (div_rel)
+    # operators, propagators); forming the sampled states with their finite
+    # check and norms; and the batched div passes (div_rel)
     build_s: float
     advance_s: float
     sample_s: float
@@ -566,11 +558,9 @@ def _propagators(scenario: DynamoScenario, op: FrameOperators, dt: float,
 
     On closed z the stack is each component's transposed z-operator
     `_RHS.zmat_t`; P(A)^T = P(A^T), so P(h L)^n comes back transposed for a
-    row-vector matmul. On periodic z each circulant L is diagonal in the z
-    Fourier modes, with eigenvalues mu the rfft of its first column; the
-    stack is then one 1 x 1 matrix h mu per component and mode, and
-    P(h mu)^n comes back as an array (3, n_z // 2 + 1). Overflow to inf or
-    NaN is left to the caller's finite check.
+    row-vector matmul. On periodic z it is h mu per component and mode (see
+    the module docstring), and P(h mu)^n comes back as an array
+    (3, n_z // 2 + 1). Overflow to inf or NaN is left to the caller.
     """
     if scenario.grid.z_periodic:
         column = _z_operators(scenario, op, slice(0, 1))[..., 0]
@@ -613,28 +603,21 @@ def _advance(last: np.ndarray, lengths: np.ndarray, z_periodic: bool,
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
     """Classical 4-stage Runge-Kutta integration of the induction system.
 
-    A step applies P(h L). The run samples at t = 0, at every `stride`
-    steps and at t_end, and forms only the sampled states (see the module
-    docstring) with the propagators P(h L)^stride and
-    P(h L)^(n_steps mod stride) of `_propagators`: on periodic z each
-    state of a chunk as irfft(rfft(B) P(h mu)^n) from the chunk's start B,
-    the last state of the chunk before; on closed z one matmul per
-    interval (`_advance`). A non-finite field is therefore reported at the
-    end of its sample interval.
-
-    The state is the initial field at the smallest shape that broadcasts
-    exactly to it (`_initial_state`): a p or q axis along which the field
-    is exactly constant has length 1, and since L keeps that constancy
-    exactly, it stays so. The returned field is a fresh contiguous copy of
-    the final state at that shape, (3, n_p', n_q', n_z); broadcast to
-    (3, *grid.shape) it is the field on the full grid.
+    A step applies P(h L). The run samples at t = 0, every
+    `scenario.stride` steps and t_end (`scenario.n_samples` samples), and
+    forms only the sampled states (see the module docstring), by `_advance`
+    with the propagators P(h L)^stride and P(h L)^(n_steps mod stride) of
+    `_propagators`; a non-finite field is therefore reported at the end of
+    its sample interval. The state is held, and the final one returned as
+    a fresh contiguous copy, at the smallest shape that broadcasts exactly
+    to the initial field (`_initial_state`), (3, n_p', n_q', n_z).
 
     The sampled states are formed in chunks of up to _HISTORY_BYTES (one
     state at least); the first chunk's slot 0 holds the only copy of the
     initial state. Each chunk is checked for finite values and its finite
     prefix normed once; the overflow guard stops the run with stop_reason
     "overflow guard" at the first sample whose total L2 exceeds
-    `overflow_factor` times sample 0's, and a non-finite sample before
+    OVERFLOW_FACTOR times sample 0's, and a non-finite sample before
     that raises NumericalError. The series keeps those norms, and
     `_diagnostics` adds div_rel, one batched pass per chunk up to the
     stop; every figure equals that of a pass per sample. The run reports
@@ -673,7 +656,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         l2 = op.component_norms(chunk[:ok])
         total = _total(l2)
         if first == 0:
-            guard = scenario.overflow_factor * max(total[0], 1e-300)
+            guard = OVERFLOW_FACTOR * max(total[0], 1e-300)
         over = np.flatnonzero(total[lead:] > guard)
         if len(over):
             stop_reason = "overflow guard"
@@ -781,31 +764,34 @@ class GrowthFit:
                 "of the series\n")
 
 
-def growth_fit(t: np.ndarray, norms: np.ndarray,
-               theory_rate: float | None = None,
-               window: tuple[float, float] = (0.4, 1.0)) -> GrowthFit:
-    """Fit log||B|| against t over a trailing fraction of the series.
+def fit_window(n: int, window: tuple[float, float]) -> slice:
+    """The slice of a series of n samples that a growth fit reads.
 
-    The window is a fraction pair (start, end) of the sample count with
-    0.2 <= start < end <= 1: it skips at least the first 20% of samples
-    (initial transient) and ends inside the series.
-    """
-    t = np.asarray(t, dtype=float)
-    norms = np.asarray(norms, dtype=float)
+    window = (start, end) are fractions of n, 0.2 <= start < end <= 1 (the
+    first 20% is transient); ValueError unless so and 20 samples are kept."""
     if not 0.2 <= window[0] < window[1] <= 1.0:
         raise ValueError(f"fit window {tuple(window)} must satisfy "
                          "0.2 <= start < end <= 1: it excludes the first 20% "
                          "of samples and ends inside the series")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(norms))):
-        raise ValueError("t and the norm series must be finite for a log fit")
-    if not np.all(norms > 0):
-        raise ValueError("norm series must be strictly positive for a log fit")
-    n = len(t)
     lo, hi = int(window[0] * n), int(window[1] * n)
     if hi - lo < 20:
         raise ValueError(f"need at least 20 samples past the transient, "
                          f"got {hi - lo}")
-    tw, yw = t[lo:hi], np.log(norms[lo:hi])
+    return slice(lo, hi)
+
+
+def growth_fit(t: np.ndarray, norms: np.ndarray,
+               theory_rate: float | None = None,
+               window: tuple[float, float] = (0.4, 1.0)) -> GrowthFit:
+    """Fit log||B|| against t over the samples `fit_window` keeps."""
+    t = np.asarray(t, dtype=float)
+    norms = np.asarray(norms, dtype=float)
+    keep = fit_window(len(t), window)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(norms))):
+        raise ValueError("t and the norm series must be finite for a log fit")
+    if not np.all(norms > 0):
+        raise ValueError("norm series must be strictly positive for a log fit")
+    tw, yw = t[keep], np.log(norms[keep])
     slope, intercept = np.polyfit(tw, yw, 1)
     resid = yw - (slope * tw + intercept)
     theory = None if theory_rate is None else float(theory_rate)

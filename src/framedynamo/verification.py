@@ -72,25 +72,15 @@ class CheckResult:
                 f"(limit {self.limit:.6g})")
 
 
-def _coordinate_curl_of_frame_axis(metric: FrameMetric, z: np.ndarray,
-                                   axis: int) -> np.ndarray:
-    """Frame components of curl(e_axis) from the coordinate-basis formula.
+def _coordinate_curl_eq_p(metric: FrameMetric, z: np.ndarray) -> np.ndarray:
+    """The frame p component of curl(e_q) from the coordinate-basis formula.
 
-    Independent of FrameOperators: lowers the unit frame vector to
-    covariant coordinate components, applies
-    (curl V)^a = eps^{abc} d_b V_c / sqrt(g), converts back to the frame.
-    Only z-derivatives survive for constant frame fields.
+    Independent of FrameOperators: e_q lowers to the covariant component
+    V_q = h_q, (curl V)^p = eps^{pzq} d_z V_q / sqrt(g) = -h_q' / sqrt(g),
+    and the frame component is h_p times that.
     """
     h, dh, _ = metric.scale_factors(z)
-    G = h[0] * h[1] * h[2]
-    out = np.zeros((3, len(np.atleast_1d(z))))
-    # covariant components: V_c = g_cc * (delta_{c,axis}/h_axis) = h_axis delta
-    if axis == 0:      # d_z V_p enters (curl)^q with +
-        out[1] = dh[0] / G * h[1]
-    elif axis == 1:    # d_z V_q enters (curl)^p with -
-        out[0] = -dh[1] / G * h[0]
-    # axis == 2: V_z depends only on z -> curl vanishes
-    return out
+    return -dh[1] / (h[0] * h[1] * h[2]) * h[0]
 
 
 class AcceptanceSuite:
@@ -173,9 +163,9 @@ class AcceptanceSuite:
         errs["lap_ez"] = np.max(np.abs(op.vector_laplacian(e_z).data)) / lam ** 2
         # the q-slot sign, arbitrated by the coordinate-basis curl
         curl_eq = op.curl(e_q)
-        oracle = _coordinate_curl_of_frame_axis(metric, grid.z, 1)
+        oracle = _coordinate_curl_eq_p(metric, grid.z)
         errs["curl_eq_vs_oracle"] = float(np.max(np.abs(
-            curl_eq.data[0] - oracle[0])))
+            curl_eq.data[0] - oracle)))
         agrees_minus = np.allclose(curl_eq.data[0], -lam, atol=1e-9)
         worst = max(errs.values())
         details = ("curl e_p = -lam e_q and curl e_q = -lam e_p both "

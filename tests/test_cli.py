@@ -247,6 +247,7 @@ def test_config_fit_window_past_series_rejected(tmp_path, capsys):
                            "--out", str(tmp_path / "o"))
     assert code == 1
     assert "error:" in err and "fit window" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_resistive_field_with_pq_structure_rejected(tmp_path, capsys):
@@ -506,8 +507,11 @@ def test_verify_all_writes_json_matrix(tmp_path, capsys, monkeypatch):
 
 def test_csv_numbers_carry_full_precision(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[evolve]\nn_p = 4\nn_q = 4\nn_z = 64\nt_end = 0.1\n")
-    run_cli(capsys, "evolve", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    # 80 steps: 81 samples, enough for the growth fit
+    cfg.write_text("[evolve]\nn_p = 4\nn_q = 4\nn_z = 64\nt_end = 0.5\n")
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+    assert code == 0, err
     rows = (tmp_path / "o" / "series.csv").read_text().strip().split("\n")[1:]
     # a value like the q norm must round-trip at 15 significant digits
     val = rows[3].split(",")[2]
@@ -593,6 +597,35 @@ def test_fluxrope_passes_every_rope_field_from_the_config(tmp_path, capsys):
     # exited 0 with a nan column in rope.csv
     ("fluxrope", "t = nan", "t must be finite, got nan"),
     ("fluxrope", "v_theta0 = nan", "v0 = v_theta(0) must be finite, got nan"),
+    # wrote series.csv and run.json, then found 16 samples in the fit window
+    ("evolve", "n_z = 5", "need at least 20 samples past the transient, got 16"),
+    # warned "overflow encountered in exp" and sampled NaN norms
+    ("evolve", "lam = 800", "lam=800: scale factors must be finite and "
+     "positive, and their first two derivatives finite, on the z points"),
+    ("curvature", "metric = arnold\nlam = 1e300", "lam=1e+300: scale factors "
+     "must be finite and positive, and their first two derivatives finite, "
+     "on the z points"),
+    # gamma^2 underflows: a ZeroDivisionError traceback after rope.csv, or a
+    # ratio of inf; gamma^2 overflows: an OverflowError traceback
+    ("fluxrope", "gamma = 1e-200", "amplification ratio tau*omega*r/gamma^2 "
+     "is not finite for gamma = 1e-200"),
+    ("fluxrope", "gamma = 1e-160", "amplification ratio tau*omega*r/gamma^2 "
+     "is not finite for gamma = 1e-160"),
+    ("fluxrope", "gamma = 1e200", "B_theta overflows for gamma = 1e+200 "
+     "and B0 = 1"),
+    ("fluxrope", "gamma = 1e200\nt = 0", "dynamo radius bound "
+     "gamma^2/(omega tau) is not finite for gamma = 1e+200"),
+    # warned and then failed in the coframe, or failed inside a reduction
+    ("curvature", "z_max = inf",
+     "[curvature] z_max: expected a finite number a finite distance from "
+     "z_min, got 'inf'"),
+    ("curvature", "z_min = nan",
+     "[curvature] z_min: expected a finite number, got 'nan'"),
+    ("curvature", "z_min = -1e308\nz_max = 1e308",
+     "[curvature] z_max: expected a finite number a finite distance from "
+     "z_min, got '1e308'"),
+    ("curvature", "n_z = 0", "[curvature] n_z: expected an integer >= 1, "
+     "got '0'"),
 ])
 def test_config_unusable_input_rejected_up_front(tmp_path, capsys, section,
                                                  setting, text):

@@ -11,7 +11,7 @@ from framedynamo import flux_rope
 from framedynamo.flux_rope import (NoDynamoBoundError, RopeParams,
                                    amplification_ratio, btheta_solution,
                                    continuity_residual, continuity_solution,
-                                   cumulative_trapezoid, dynamo_radius_bound,
+                                   dynamo_radius_bound,
                                    frenet_integrate, is_dynamo, rope_csv,
                                    tube_metric_factor)
 
@@ -22,21 +22,6 @@ def rodrigues(axis, angle):
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
-
-
-# -- quadrature -------------------------------------------------------------------
-
-
-def test_cumulative_trapezoid_matches_scipy_on_nonuniform_grid():
-    from scipy.integrate import cumulative_trapezoid as reference
-
-    rng = np.random.default_rng(3)
-    x = np.cumsum(rng.uniform(0.001, 0.05, size=400))
-    y = np.sin(7 * x) * np.exp(-x)
-    want = reference(y, x, initial=0.0)
-    got = cumulative_trapezoid(y, x)
-    assert got.shape == want.shape and got[0] == 0.0
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_import_framedynamo_loads_no_scipy():
@@ -129,7 +114,7 @@ def test_triad_orthonormality_along_ten_thousand_steps():
     c = frenet_integrate(0.7, -0.4, 100.0, 0.01)
     assert len(c.s) == 10001
     assert c.orthonormality_drift() <= 1e-8
-    assert c.binormal_residual() <= 1e-8
+    assert np.max(np.abs(c.b - np.cross(c.t, c.n))) <= 1e-8
 
 
 def test_curvature_recovered_from_tangent_derivative():
@@ -352,6 +337,28 @@ def test_amplification_ratio_rejects_zero_gamma():
         amplification_ratio(RopeParams(r=1, gamma=0.0))
 
 
+@pytest.mark.parametrize("gamma", [1e-200, 1e-160, -1e-170])
+def test_amplification_ratio_rejects_an_underflowing_gamma_squared(gamma):
+    # gamma^2 = 0 raised ZeroDivisionError, a subnormal one gave a ratio of inf
+    with pytest.raises(ValueError, match="^amplification ratio .* is not "
+                       "finite for gamma"):
+        amplification_ratio(RopeParams(r=0.1, gamma=gamma))
+
+
+def test_endpoint_formulas_past_the_double_range():
+    # gamma^2 = 1e400 raised OverflowError from gamma ** 2; the ratio
+    # 0.1/1e400 rounds to 0, and the bound itself overflows
+    params = RopeParams(r=0.1, gamma=1e200)
+    assert amplification_ratio(params) == 0.0
+    with pytest.raises(ValueError, match="^dynamo radius bound .* is not "
+                       "finite for gamma = 1e\\+200"):
+        dynamo_radius_bound(params)
+    tube = tube_metric_factor(params, np.linspace(0, 1, 11))
+    assert np.all(btheta_solution(params, tube, 0.0) > 0)
+    with pytest.raises(ValueError, match="^B_theta overflows for gamma = "):
+        btheta_solution(params, tube, 1.0)
+
+
 def test_amplification_sign_invariances():
     base = RopeParams(r=0.4, omega=0.8, gamma=0.6, tau=1.1)
     flipped = RopeParams(r=0.4, omega=-0.8, gamma=0.6, tau=-1.1)
@@ -447,6 +454,39 @@ def test_btheta_thin_tube_uniform_limit():
         devs.append(np.max(np.abs(bt / (np.exp(0.5)) - 1.0)))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] <= 0.05 * 2 * np.pi
+
+
+def test_trapezoid_btheta_converges_to_the_closed_form_at_second_order():
+    # B_theta was exp(gamma t - I) with I the running trapezoid rule of
+    # (1 - K) over theta; I has the closed form r kappa (sin theta - sin
+    # theta0), which the rule approaches as the square of the step
+    from scipy.integrate import cumulative_trapezoid
+
+    params = RopeParams(r=0.3, gamma=0.7, kappa=0.9, tau=1.3, theta0=0.4)
+    errs = []
+    for n in (64, 128, 256, 512):
+        s = np.linspace(0.5, 0.5 + 2 * np.pi, n + 1)
+        tube = tube_metric_factor(params, s)
+        trapezoid = params.b_amplitude * np.exp(
+            params.gamma * 1.5
+            - cumulative_trapezoid(1.0 - tube.K, tube.theta, initial=0.0))
+        exact = btheta_solution(params, tube, 1.5)
+        errs.append(np.max(np.abs(trapezoid / exact - 1.0)))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    np.testing.assert_allclose(orders, 2.0, atol=0.02)
+
+
+def test_closed_forms_start_at_the_first_sample():
+    s = np.linspace(0.5, 3.0, 11)
+    params = RopeParams(r=0.2, kappa=0.8, tau=-1.1, theta0=0.3)
+    tube = tube_metric_factor(params, s)
+    np.testing.assert_allclose(tube.theta, 0.3 + 1.1 * (s - 0.5), rtol=1e-15)
+    assert tube.theta[0] == 0.3
+    assert btheta_solution(params, tube, 0.0)[0] == params.b_amplitude
+    v = continuity_solution(params, s, 2.0)
+    assert v[0] == 2.0
+    np.testing.assert_allclose(v, 2.0 * np.exp(0.2 * 1.1 * 0.8 * (s - 0.5)),
+                               rtol=1e-15)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.0, np.nan])])

