@@ -4,8 +4,8 @@ The package re-exports nothing; import each name from its module:
 
 * differentiation: the spectral p, q derivative, the 4th-order z-stencil
   matrices (Fornberg weights) and the not-a-knot `CubicSpline`;
-* frame_calculus: diagonal frame metrics and grad/div/curl/Laplacian in the
-  orthonormal frame;
+* frame_calculus: diagonal coframes, frame metrics and grad/div/curl and
+  the vector Laplacian in the orthonormal frame;
 * exterior_geometry: Cartan structure equations, connection forms, Riemann
   curvature, with a coordinate Christoffel oracle;
 * induction_dynamo: induction-equation evolution, characteristics oracle,

@@ -4,9 +4,9 @@ A coframe here is a triple of 1-forms
 
     omega^p = a_p(z) dp,   omega^q = a_q(z) dq,   omega^z = a_z(z) dz,
 
-with strictly positive coefficients. A coframe is one routine
-z -> (a, a', a'') (`CoframeBasis`); the coframe of a `FrameMetric` is its
-`scale_factors`, and `named_coframe` builds the five named coframes.
+with strictly positive coefficients: a `frame_calculus.CoframeBasis`,
+whose profile z -> (a, a', a'') gives them. A `FrameMetric` is such a
+coframe, and `named_coframe` builds the five named coframes.
 Two independent curvature pipelines are provided:
 
   * the structure-equation path: exterior derivatives of the coframe, the
@@ -43,15 +43,12 @@ R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce}Gamma^e_{db}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .differentiation import CubicSpline
-from .frame_calculus import ConformalFactor, FrameMetric
+from .frame_calculus import CoframeBasis, ConformalFactor, FrameMetric
 
 __all__ = [
-    "CoframeBasis",
     "TwoForms",
     "ConnectionForms",
     "CurvatureReport",
@@ -59,7 +56,6 @@ __all__ = [
     "solve_connection",
     "curvature",
     "christoffel_oracle",
-    "conformal_coframe",
     "named_coframe",
     "curvature_comparison",
 ]
@@ -78,115 +74,36 @@ def _pair_coeff(i: int, j: int) -> tuple[int, float]:
     return _PAIR_INDEX[(j, i)], -1.0
 
 
-@dataclass(frozen=True)
-class CoframeBasis:
-    """Diagonal coframe given by one routine z -> (a, a', a'').
-
-    `profile` has the contract of `FrameMetric.scale_factors`: each of a,
-    a', a'' has shape (3, *z.shape), legs ordered (p, q, z). A metric's
-    coframe is `conformal_coframe(metric)`, whose profile is
-    `metric.scale_factors`; `scale_factors` is the one checked accessor
-    every pipeline reads.
-    """
-
-    profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    label: str = "coframe"
-
-    @classmethod
-    def exponential(cls, rates: Sequence[float],
-                    label: str = "coframe") -> "CoframeBasis":
-        """Coefficients a_i(z) = exp(rate_i z); the rates must be finite."""
-        r = np.asarray(rates, dtype=float)
-        if not np.all(np.isfinite(r)):
-            raise ValueError(f"rates must be finite, got {tuple(r.tolist())}")
-
-        def profile(z):
-            k = r.reshape(3, *(1,) * z.ndim)
-            a = np.exp(k * z)
-            return a, k * a, k * k * a
-
-        return cls(profile, label)
-
-    @classmethod
-    def from_samples(cls, z_samples: np.ndarray, coeff_samples: Sequence[np.ndarray],
-                     label: str = "tabulated") -> "CoframeBasis":
-        """Coefficients a_p, a_q, a_z interpolated from samples on z_samples.
-
-        Each coefficient is a not-a-knot `CubicSpline` through its samples;
-        its first and second derivatives are the spline's own, exact on the
-        cubic pieces and extrapolated through the end pieces. `CubicSpline`
-        rejects fewer than 4 knots, z_samples that are not strictly
-        increasing, non-finite samples and mismatched lengths.
-        """
-        if len(coeff_samples) != 3:
-            raise ValueError("coeff_samples must hold the samples of three "
-                             f"coefficients, got {len(coeff_samples)}")
-        splines = [CubicSpline(z_samples, c) for c in coeff_samples]
-
-        def profile(z):
-            return tuple(np.stack([s(z, nu) for s in splines]) for nu in range(3))
-
-        return cls(profile, label)
-
-    def scale_factors(self, z: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, a', a'') on z; raises ValueError unless all three are finite
-        and a > 0 on every sample point."""
-        z = np.asarray(z, dtype=float)
-        with np.errstate(over="ignore"):
-            a, da, d2a = self.profile(z)
-        if not (np.all(a > 0) and np.all(np.isfinite((a, da, d2a)))):
-            raise ValueError(f"{self.label}: coframe coefficients must be "
-                             "finite and strictly positive, and their first "
-                             "two derivatives finite, on the sample points")
-        return a, da, d2a
-
-    def structure_rates(self, z: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, c, c') on z: the coefficients, c_i = a_i'/(a_z a_i) and
-        their z-derivatives, from one evaluation of the profile.
-
-        c and c' may overflow; the connection and the curvature check them.
-        """
-        a, da, d2a = self.scale_factors(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = da / (a[2] * a)
-            dc = d2a / (a[2] * a) - c * (da[2] / a[2] + da / a)
-        return a, c, dc
-
-
-def conformal_coframe(metric: FrameMetric, label: str = "conformal") -> CoframeBasis:
-    """Coframe of a FrameMetric: its `scale_factors` are the profile."""
-    return CoframeBasis(metric.scale_factors, label)
-
-
 def named_coframe(name: str, lam: float) -> CoframeBasis:
     """The named coframes, by their line elements:
 
-      flat            dp^2 + dq^2 + dz^2;
-      arnold          e^{-2 lam z} dp^2 + e^{2 lam z} dq^2 + dz^2, the
-                      coframe of FrameMetric(lam);
-      constant:<c>    the coframe of the FrameMetric with the constant
-                      conformal factor c (`ConformalFactor.from_spec`);
+      flat            dp^2 + dq^2 + dz^2, FrameMetric(0);
+      arnold          e^{-2 lam z} dp^2 + e^{2 lam z} dq^2 + dz^2,
+                      FrameMetric(lam);
+      constant:<c>    the FrameMetric with the constant conformal factor
+                      c (`ConformalFactor.from_spec`);
       stretched       dp^2 + e^{4 lam z} dq^2 + e^{lam z} dz^2;
       stretched_half  dp^2 + e^{2 lam z} dq^2 + e^{lam z} dz^2, the q
                       stretching halved, whose torsion-free connection
                       has the closed form omega^q_z = lam e^{-lam z/2} omega^q.
-    Every name rejects a non-finite lam, flat included.
+    Every name rejects a non-finite lam, flat included. The label is the
+    name and lam, "arnold (lam=1)", with "stretched-half" for stretched_half.
     """
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
+    label = f"{name} (lam={lam:g})"
     if name == "flat":
-        return conformal_coframe(FrameMetric(0.0), "flat")
+        return FrameMetric(0.0, label=label)
     if name == "arnold":
-        return conformal_coframe(FrameMetric(lam), "arnold")
+        return FrameMetric(lam, label=label)
     if name.startswith("constant:"):
-        return conformal_coframe(
-            FrameMetric(lam, ConformalFactor.from_spec(name, "metric")), name)
+        return FrameMetric(lam, ConformalFactor.from_spec(name, "metric"),
+                           label=label)
     if name == "stretched":
-        return CoframeBasis.exponential((0, 2 * lam, lam / 2), "stretched")
+        return CoframeBasis.exponential((0, 2 * lam, lam / 2), label)
     if name == "stretched_half":
-        return CoframeBasis.exponential((0, lam, lam / 2), "stretched-half")
+        return CoframeBasis.exponential((0, lam, lam / 2),
+                                        f"stretched-half (lam={lam:g})")
     raise ValueError(f"metric: unknown metric {name!r}")
 
 
@@ -462,7 +379,7 @@ def curvature_comparison(metric: str, lam: float, z: np.ndarray
     cart = curvature(conn)
     orac = christoffel_oracle(basis, z)
     header = (
-        f"metric: {basis.label} (lam={lam:g})\n"
+        f"metric: {basis.label}\n"
         f"cartan-vs-oracle max difference : {cart.max_difference(orac):.6e}\n"
         f"structure-equation residual     : {conn.structure_residual():.6e}\n"
         f"antisymmetry residual           : {cart.antisymmetry_residual():.6e}\n"

@@ -113,7 +113,8 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
     partial product with the one d steps before it, for d = 1, 2, 4, ...
 
     kappa and tau may be floats or callables of s; kappa must be
-    non-negative and kappa*h <= 0.1 everywhere (step-size guard). The
+    non-negative, and kappa*h and |tau|*h at most 0.1 on the samples s
+    (step-size guard, which also keeps the step rotation finite). The
     curve starts at the origin with the triad (t, n, b) = (e_x, e_y, e_z).
     """
     if not 0.0 < ds < np.inf:
@@ -132,8 +133,11 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
     kap = _as_profile(kappa, s)
     if np.any(kap < 0):
         raise ValueError("curvature profile must be non-negative")
-    if np.max(kap) * h > 0.1:
-        raise ValueError(f"step too large: max kappa*h = {np.max(kap) * h:.3g} > 0.1")
+    for name, profile in (("kappa", kap), ("|tau|", np.abs(_as_profile(tau, s)))):
+        # a Python float product: inf where it overflows, with no warning
+        step = float(np.max(profile)) * h
+        if not step <= 0.1:
+            raise ValueError(f"step too large: max {name}*h = {step:.3g} > 0.1")
 
     # per-step rotation vectors theta, shape (m - 1, 3)
     w1, w2 = (np.stack([_as_profile(tau, s[:-1] + c * h),
@@ -237,17 +241,22 @@ def amplification_ratio(params: RopeParams) -> float:
 
 
 def dynamo_radius_bound(params: RopeParams) -> float:
-    """Lower radius bound gamma^2/(omega tau) for rope dynamo action;
-    raises ValueError unless it is finite."""
+    """Lower radius bound gamma^2/(omega tau) for rope dynamo action.
+
+    A bound exists where omega and tau have the same sign, read from the
+    signs since their product may underflow to 0; raises ValueError
+    unless it is finite.
+    """
     ot = params.omega * params.tau
-    if ot <= 0.0:
+    if np.sign(params.omega) * np.sign(params.tau) <= 0:
         raise NoDynamoBoundError(
             f"omega*tau = {ot:g} <= 0: no dynamo radius bound exists")
     with np.errstate(all="ignore"):
         bound = float(np.float64(params.gamma) ** 2 / ot)
     if not math.isfinite(bound):
         raise ValueError("dynamo radius bound gamma^2/(omega tau) is not "
-                         f"finite for gamma = {params.gamma:g}")
+                         f"finite for gamma = {params.gamma:g}, omega = "
+                         f"{params.omega:g} and tau = {params.tau:g}")
     return bound
 
 

@@ -1,35 +1,30 @@
-"""Diagonal frame metrics and orthonormal-frame vector calculus.
+"""Diagonal coframes, frame metrics and orthonormal-frame vector calculus.
 
-The metric family handled here is
+A diagonal coframe (`CoframeBasis`) is one routine z -> (h, h', h'') of
+the scale factors of h_p^2 dp^2 + h_q^2 dq^2 + h_z^2 dz^2. The paper's
+metric family is the coframe `FrameMetric`,
 
-    ds^2 = Omega(z) [ e^{-2 lam z} dp^2 + e^{2 lam z} dq^2 + dz^2 ]
+    ds^2 = Omega(z) [ e^{-2 lam z} dp^2 + e^{2 lam z} dq^2 + dz^2 ],
+    h_i = w(z) e^{r_i z},   r = (-lam, lam, 0),   w = Omega^{1/2},
 
-on p, q periodic in [0, 1) and z on the interval of a `Grid3D`, i.e.
-diagonal metrics with scale factors
-
-    h_i = w(z) e^{r_i z},   r = (-lam, lam, 0),
-
-where w = Omega^{1/2}; `FrameMetric.scale_factors` is the one place that
-evaluates them, for the frame operators and, as the metric's coframe
-(`exterior_geometry.conformal_coframe`), for the curvature. Omega comes in two families: the closed form
-c e^{a z} (identity, constant and exponential factors), which supplies w,
-w', w'' and its characteristic foot points exactly, and a tabulated
-not-a-knot cubic spline (`differentiation.CubicSpline`, plain numpy),
-whose derivatives and antiderivative are those of its cubic pieces; its
-foot points bisect that antiderivative. All
-differential operators (grad, div, curl, scalar and vector Laplacian) are
-the general orthogonal-coordinates expressions in these scale factors,
-evaluated with spectral derivatives in p, q and 4th-order finite
-differences in z. Metric factors and their z-derivatives enter
-analytically, so operators applied to constant frame fields are exact up
-to roundoff.
+on p, q periodic in [0, 1) and z on the interval of a `Grid3D`. Omega
+comes in two families: the closed form c e^{a z} (identity, constant and
+exponential factors), which supplies w, w', w'' and its characteristic
+foot points exactly, and a tabulated not-a-knot cubic spline
+(`differentiation.CubicSpline`, plain numpy), whose derivatives and
+antiderivative are those of its cubic pieces; its foot points bisect that
+antiderivative. `FrameOperators` evaluates grad, div, curl and the vector
+Laplacian of any coframe, the general orthogonal-coordinates expressions,
+with spectral derivatives in p, q and 4th-order finite differences in z.
+Scale factors and their z-derivatives enter analytically, so operators
+applied to constant frame fields are exact up to roundoff.
 
 Orientation convention: (e_p, e_q, e_z) is right-handed, e_p x e_q = e_z.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +32,7 @@ from .differentiation import (CubicSpline, spectral_derivative,
                               z_derivative_matrix)
 
 __all__ = [
+    "CoframeBasis",
     "ConformalFactor",
     "FrameMetric",
     "Grid3D",
@@ -208,44 +204,115 @@ class ConformalFactor:
         return z0
 
 
+class CoframeBasis:
+    """Diagonal coframe given by one routine z -> (h, h', h'').
+
+    `profile(z)` returns h, h', h'', each of shape (3, *z.shape), legs
+    ordered (p, q, z); `label` names the coframe in errors and reports.
+    `scale_factors` is the one checked accessor every pipeline reads, and
+    `structure_rates` the one place the connection coefficients are formed.
+    """
+
+    def __init__(self, profile: Callable, label: str = "coframe"):
+        self.profile = profile
+        self.label = label
+
+    @classmethod
+    def exponential(cls, rates: Sequence[float],
+                    label: str = "coframe") -> "CoframeBasis":
+        """Scale factors h_i(z) = exp(rate_i z); the rates must be finite."""
+        r = np.asarray(rates, dtype=float)
+        if not np.all(np.isfinite(r)):
+            raise ValueError(f"rates must be finite, got {tuple(r.tolist())}")
+
+        def profile(z):
+            k = r.reshape(3, *(1,) * z.ndim)
+            a = np.exp(k * z)
+            return a, k * a, k * k * a
+
+        return cls(profile, label)
+
+    @classmethod
+    def from_samples(cls, z_samples: np.ndarray, coeff_samples: Sequence[np.ndarray],
+                     label: str = "tabulated") -> "CoframeBasis":
+        """Scale factors h_p, h_q, h_z interpolated from samples on z_samples.
+
+        Each is a not-a-knot `CubicSpline` through its samples; its first
+        and second derivatives are the spline's own, exact on the cubic
+        pieces and extrapolated through the end pieces. `CubicSpline`
+        rejects fewer than 4 knots, z_samples that are not strictly
+        increasing, non-finite samples and mismatched lengths.
+        """
+        if len(coeff_samples) != 3:
+            raise ValueError("coeff_samples must hold the samples of three "
+                             f"coefficients, got {len(coeff_samples)}")
+        splines = [CubicSpline(z_samples, c) for c in coeff_samples]
+
+        def profile(z):
+            return tuple(np.stack([s(z, nu) for s in splines]) for nu in range(3))
+
+        return cls(profile, label)
+
+    def scale_factors(self, z: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h, h', h'') on z; raises ValueError, with no warning, unless
+        h > 0 and all three are finite on every z point."""
+        z = np.asarray(z, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = self.profile(z)
+        if not (np.all(h[0] > 0) and np.all(np.isfinite(h))):
+            raise ValueError(f"{self.label}: scale factors must be finite "
+                             "and positive, and their first two derivatives "
+                             "finite, on the z points")
+        return h
+
+    def structure_rates(self, z: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h, c, c') on z: the scale factors, c_i = h_i'/(h_z h_i) and
+        their z-derivatives, from one evaluation of the profile.
+
+        c and c' may overflow; their readers check them.
+        """
+        h, dh, d2h = self.scale_factors(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = dh / (h[2] * h)
+            dc = d2h / (h[2] * h) - c * (dh[2] / h[2] + dh / h)
+        return h, c, dc
+
+
 @dataclass(frozen=True)
-class FrameMetric:
-    """Stretched metric with optional conformal factor.
+class FrameMetric(CoframeBasis):
+    """The coframe of the stretched metric with optional conformal factor.
 
     lam is the stretching rate per unit z and must be finite. With the
     identity factor the scale factors are exactly (e^{-lam z}, e^{lam z},
     1); the metric determinant is the squared product of the scale factors,
     i.e. Omega^3. The metric has no z range of its own: the `Grid3D` it is
-    sampled on owns it.
+    sampled on owns it. The label defaults to "lam=<lam>".
     """
 
     lam: float
     omega: ConformalFactor = field(default_factory=ConformalFactor.identity)
+    label: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         if not np.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
+        if not self.label:
+            object.__setattr__(self, "label", f"lam={self.lam:g}")
 
-    def scale_factors(self, z: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def profile(self, z: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """h_i = w e^{r_i z} with r = (-lam, lam, 0), and h_i', h_i''.
 
-        Each of h, h', h'' has shape (3, *z.shape); w = Omega^{1/2} and its
-        derivatives come from `ConformalFactor.sqrt_profile`, so
-        h' = (w' + r w) e^{r z} and h'' = (w'' + 2 r w' + r^2 w) e^{r z}.
-        Raises ValueError, with no warning, unless h > 0 and all are finite.
+        w = Omega^{1/2} and its derivatives come from
+        `ConformalFactor.sqrt_profile`, so h' = (w' + r w) e^{r z} and
+        h'' = (w'' + 2 r w' + r^2 w) e^{r z}.
         """
-        z = np.asarray(z, dtype=float)
         r = np.array([-self.lam, self.lam, 0.0]).reshape(3, *(1,) * z.ndim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, dw, d2w = self.omega.sqrt_profile(z)
-            e = np.exp(r * z)
-            h = w * e, (dw + r * w) * e, (d2w + 2 * r * dw + r * r * w) * e
-        if not (np.all(h[0] > 0) and np.all(np.isfinite(h))):
-            raise ValueError(f"lam={self.lam:g}: scale factors must be finite "
-                             "and positive, and their first two derivatives "
-                             "finite, on the z points")
-        return h
+        w, dw, d2w = self.omega.sqrt_profile(z)
+        e = np.exp(r * z)
+        return w * e, (dw + r * w) * e, (d2w + 2 * r * dw + r * r * w) * e
 
     def grid(self, n_p: int = 32, n_q: int = 32, n_z: int = 128,
              z_periodic: bool = False) -> "Grid3D":
@@ -300,9 +367,6 @@ class Grid3D:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.n_p, self.n_q, self.n_z)
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.meshgrid(self.p, self.q, self.z, indexing="ij")
 
     def z_weights(self) -> np.ndarray:
         """Quadrature weights along z (trapezoid closed, uniform periodic)."""
@@ -394,34 +458,27 @@ class FrameField:
 
 
 class FrameOperators:
-    """grad/div/curl/Laplacian on a fixed (metric, grid) pair.
+    """grad/div/curl/vector Laplacian on a fixed (coframe, grid) pair.
 
-    Precomputes the z-differentiation matrices and all metric coefficient
-    profiles; raises ValueError unless Omega > 0 on grid.z. Inputs are
-    never mutated; every result is checked finite.
+    Precomputes the z-differentiation matrices and the coframe's
+    coefficient profiles; raises ValueError unless its scale factors are
+    finite and positive on grid.z. Inputs are never mutated; every result
+    is checked finite.
     """
 
-    def __init__(self, metric: FrameMetric, grid: Grid3D):
-        self.metric = metric
+    def __init__(self, coframe: CoframeBasis, grid: Grid3D):
         self.grid = grid
         self.d1 = z_derivative_matrix(grid.n_z, grid.dz, 1, grid.z_periodic)
         self.d2 = z_derivative_matrix(grid.n_z, grid.dz, 2, grid.z_periodic)
-        (h1, h2, h3), (dh1, dh2, dh3), _ = metric.scale_factors(grid.z)
-        self.inv_h = (1.0 / h1, 1.0 / h2, 1.0 / h3)
-        G = h1 * h2 * h3
-        # div B = (1/h1) dp Bp + (1/h2) dq Bq + (1/h3) dz Bz + c_div Bz
-        self.c_div = (dh1 * h2 + h1 * dh2) / G
-        # curl coefficient profiles: h_i'/(h_i h3)
-        self.c_curl_p = dh1 / (h1 * h3)
-        self.c_curl_q = dh2 / (h2 * h3)
-        # scalar Laplacian z-part: (1/G)[(h1 h2/h3)' dz + (h1 h2/h3) dzz]
-        Pz = h1 * h2 / h3
-        dPz = (dh1 * h2 + h1 * dh2 - h1 * h2 * dh3 / h3) / h3
-        self.c_lap_dz = dPz / G
-        self.c_lap_dzz = Pz / G
+        h, c, _ = coframe.structure_rates(grid.z)
+        self.inv_h = tuple(1.0 / h)
+        # curl coefficients c_i = h_i'/(h_i h_z); div B = (1/h_p) dp Bp
+        # + (1/h_q) dq Bq + (1/h_z) dz Bz + (c_p + c_q) Bz
+        self.c_curl_p, self.c_curl_q = c[0], c[1]
+        self.c_div = c[0] + c[1]
         # z measure of the norms: sqrt(det g) dz, restricted to the interior
         # third on closed grids; the norms take the p,q mean against it
-        measure = G * grid.z_weights()
+        measure = h[0] * h[1] * h[2] * grid.z_weights()
         if not grid.z_periodic:
             mask = np.zeros(grid.n_z)
             mask[grid.interior_z_slice()] = 1.0
@@ -489,16 +546,6 @@ class FrameOperators:
         out = np.stack([cp, cq, cz])
         _require_finite(out, "curl output")
         return FrameField(self.grid, out)
-
-    def laplacian_scalar(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        _require_finite(f, "laplacian input")
-        out = (self.inv_h[0] ** 2 * spectral_derivative(f, 0, 2)
-               + self.inv_h[1] ** 2 * spectral_derivative(f, 1, 2)
-               + self.c_lap_dz * self.dz(f)
-               + self.c_lap_dzz * self.dzz(f))
-        _require_finite(out, "laplacian output")
-        return out
 
     def vector_laplacian(self, B: FrameField) -> FrameField:
         """grad(div B) - curl(curl B), the frame vector Laplacian."""

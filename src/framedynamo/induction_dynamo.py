@@ -261,9 +261,11 @@ def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
     16/(3 dz^2), the central dz stencil vanishes, and the -eta lam^2 shift
     and the stretching decay -|lam| v_eff of Bp (of Bq when lam v < 0) add
     to it (see the module docstring). Raises ValueError unless Omega > 0
-    on grid.z.
+    and the scale factors are finite and positive on grid.z; their h''
+    carries lam^2, so a lam whose square overflows is rejected here.
     """
     vmax = float(np.max(np.abs(flow_speed / metric.omega.value(grid.z))))
+    metric.scale_factors(grid.z)
     decay = (resistivity * (16.0 / (3.0 * grid.dz ** 2) + metric.lam ** 2)
              + abs(metric.lam) * vmax)
     return vmax, decay
@@ -392,7 +394,6 @@ class DynamoScenario:
                              f"MAX_STEPS={MAX_STEPS} steps")
         vmax, decay = _step_rates(self.metric, self.grid, self.flow_speed,
                                   self.resistivity)
-        self.metric.scale_factors(self.grid.z)  # raises where they overflow
         if vmax > 0 and self.dt > ADVECTIVE_LIMIT * self.grid.dz / vmax + 1e-15:
             raise ValueError(
                 f"dt={self.dt:g} violates the advective bound "
@@ -743,11 +744,13 @@ class GrowthFit:
 
     @property
     def relative_error(self) -> float:
-        """|rate - theory| / |theory|; NaN for theory None or 0, which
-        have no relative error."""
+        """|rate - theory| / |theory|; NaN for theory None or 0, and where
+        the quotient overflows (a subnormal theory), which have no
+        relative error."""
         if not self.theory_rate:
             return float("nan")
-        return abs(self.rate - self.theory_rate) / abs(self.theory_rate)
+        err = abs(self.rate - self.theory_rate) / abs(self.theory_rate)
+        return err if np.isfinite(err) else float("nan")
 
     def report(self) -> str:
         """The fit as text; the theory rate only with one, the relative

@@ -49,20 +49,28 @@ def test_evolve_zero_flow_constant_norms(tmp_path, capsys):
     assert (tmp_path / "o" / "growth.txt").exists()
 
 
-def test_evolve_zero_flow_reports_no_relative_error(tmp_path, capsys):
+@pytest.mark.parametrize("setting, theory", [("v = 0.0", "0"),
+                                             ("lam = 5e-324", "4.94065645841e-324")])
+def test_evolve_zero_flow_reports_no_relative_error(tmp_path, capsys, setting,
+                                                    theory):
     # the theory rate lam v / c is 0 at v = 0, and a rate of 0 has no
-    # relative error: the fitted rate is compared with it by eye only
+    # relative error: the fitted rate is compared with it by eye only. At
+    # lam = 5e-324 it is subnormal, and the quotient read inf.
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[evolve]\nv = 0.0\nn_p = 4\nn_q = 4\n")
+    cfg.write_text(f"[evolve]\n{setting}\nn_p = 4\nn_q = 4\n")
     out_dir = tmp_path / "o"
-    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
-                             "--out", str(out_dir))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                                 "--out", str(out_dir))
     assert code == 0, err
     report = (out_dir / "growth.txt").read_text()
     assert report in out
     for text in (out, report):
-        assert "  theory rate   : 0\n" in text
+        assert f"  theory rate   : {theory}\n" in text
         assert "relative error" not in text
+    rows = (out_dir / "series.csv").read_text().strip().split("\n")[1:]
+    assert np.all(np.isfinite([[float(x) for x in r.split(",")] for r in rows]))
 
 
 def test_evolve_is_deterministic(tmp_path, capsys):
@@ -602,9 +610,12 @@ def test_fluxrope_passes_every_rope_field_from_the_config(tmp_path, capsys):
     # warned "overflow encountered in exp" and sampled NaN norms
     ("evolve", "lam = 800", "lam=800: scale factors must be finite and "
      "positive, and their first two derivatives finite, on the z points"),
-    ("curvature", "metric = arnold\nlam = 1e300", "lam=1e+300: scale factors "
-     "must be finite and positive, and their first two derivatives finite, "
-     "on the z points"),
+    ("curvature", "metric = arnold\nlam = 1e300", "arnold (lam=1e+300): scale "
+     "factors must be finite and positive, and their first two derivatives "
+     "finite, on the z points"),
+    # an OverflowError traceback from lam ** 2 in stable_dt
+    ("evolve", "lam = 1e300", "lam=1e+300: scale factors must be finite and "
+     "positive, and their first two derivatives finite, on the z points"),
     # gamma^2 underflows: a ZeroDivisionError traceback after rope.csv, or a
     # ratio of inf; gamma^2 overflows: an OverflowError traceback
     ("fluxrope", "gamma = 1e-200", "amplification ratio tau*omega*r/gamma^2 "
@@ -614,7 +625,14 @@ def test_fluxrope_passes_every_rope_field_from_the_config(tmp_path, capsys):
     ("fluxrope", "gamma = 1e200", "B_theta overflows for gamma = 1e+200 "
      "and B0 = 1"),
     ("fluxrope", "gamma = 1e200\nt = 0", "dynamo radius bound "
-     "gamma^2/(omega tau) is not finite for gamma = 1e+200"),
+     "gamma^2/(omega tau) is not finite for gamma = 1e+200, omega = 1 and "
+     "tau = 1"),
+    # omega*tau underflowed to 0: exit 0 with "no dynamo radius bound"
+    ("fluxrope", "omega = 1e-200\ntau = 1e-200", "dynamo radius bound "
+     "gamma^2/(omega tau) is not finite for gamma = 1, omega = 1e-200 and "
+     "tau = 1e-200"),
+    # the step rotation overflowed: a warning, and exit 0 with a ratio 1e+299
+    ("fluxrope", "tau = 1e300", "step too large: max |tau|*h = 2e+297 > 0.1"),
     # warned and then failed in the coframe, or failed inside a reduction
     ("curvature", "z_max = inf",
      "[curvature] z_max: expected a finite number a finite distance from "

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framedynamo.exterior_geometry import (CoframeBasis, christoffel_oracle,
-                                           comparison_table, conformal_coframe,
-                                           curvature, exterior_derivative,
+from framedynamo.exterior_geometry import (christoffel_oracle,
+                                           comparison_table, curvature,
+                                           exterior_derivative,
                                            frame_connection_oracle,
                                            named_coframe, solve_connection)
-from framedynamo.frame_calculus import ConformalFactor, FrameMetric
+from framedynamo.frame_calculus import (CoframeBasis, ConformalFactor,
+                                        FrameMetric)
 
 Z = np.linspace(0.0, 1.0, 65)
 ZS_WIDE = np.linspace(-1.0, 2.0, 301)  # spline knots that cover Z
@@ -106,8 +107,7 @@ def test_christoffel_oracle_rejects_metric_nonpositive_on_samples():
     zs = np.linspace(0, 1, 21)
     tab = ConformalFactor.tabulated(zs, 1.0 - 0.95 * zs)
     with pytest.raises(ValueError, match="not finite and positive"):
-        christoffel_oracle(conformal_coframe(FrameMetric(1.0, tab)),
-                           np.linspace(0, 2, 33))
+        christoffel_oracle(FrameMetric(1.0, tab), np.linspace(0, 2, 33))
 
 
 @pytest.mark.parametrize("a", [0.9, -1.3])
@@ -119,10 +119,8 @@ def test_conformal_scale_factors_match_closed_form(a):
     metric = FrameMetric(lam, ConformalFactor.exponential(a))
     k = a / 2 + np.array([-lam, lam, 0.0])[:, None]
     h = np.exp(k * Z)
-    legs = conformal_coframe(metric).scale_factors(Z)
+    legs = metric.scale_factors(Z)
     for order, want in enumerate((h, k * h, k ** 2 * h)):
-        np.testing.assert_allclose(metric.scale_factors(Z)[order], want,
-                                   rtol=1e-12)
         np.testing.assert_allclose(legs[order], want, rtol=1e-12)
 
 
@@ -159,7 +157,7 @@ def test_connection_stretched_half_closed_form():
 def test_connection_antisymmetry_and_structure_residual():
     for basis in (named_coframe("arnold", LAM),
                   named_coframe("stretched", LAM),
-                  conformal_coframe(FrameMetric(0.6, ConformalFactor.exponential(0.9)))):
+                  FrameMetric(0.6, ConformalFactor.exponential(0.9))):
         conn = solve_connection(basis, Z)
         assert np.max(np.abs(conn.gamma + np.swapaxes(conn.gamma, 1, 2))) \
             <= 1e-14
@@ -213,13 +211,14 @@ def test_curvature_stretched_doubled_closed_form():
 
 
 @pytest.mark.parametrize("name, label, legs", [
-    ("flat", "flat", lambda z: (1.0, 1.0, 1.0)),
-    ("arnold", "arnold", lambda z: (np.exp(-LAM * z), np.exp(LAM * z), 1.0)),
-    ("constant:4", "constant:4",
+    ("flat", "flat (lam=1)", lambda z: (1.0, 1.0, 1.0)),
+    ("arnold", "arnold (lam=1)",
+     lambda z: (np.exp(-LAM * z), np.exp(LAM * z), 1.0)),
+    ("constant:4", "constant:4 (lam=1)",
      lambda z: (2 * np.exp(-LAM * z), 2 * np.exp(LAM * z), 2.0)),
-    ("stretched", "stretched",
+    ("stretched", "stretched (lam=1)",
      lambda z: (1.0, np.exp(2 * LAM * z), np.exp(LAM * z / 2))),
-    ("stretched_half", "stretched-half",
+    ("stretched_half", "stretched-half (lam=1)",
      lambda z: (1.0, np.exp(LAM * z), np.exp(LAM * z / 2))),
 ])
 def test_named_coframe_labels_and_scale_factors(name, label, legs):
@@ -263,13 +262,11 @@ def test_exponential_coframe_rejects_non_finite_rates(rates):
 @pytest.mark.parametrize("label,basis", [
     ("flat", named_coframe("flat", LAM)),
     ("arnold", named_coframe("arnold", LAM)),
-    ("const-omega", conformal_coframe(
-        FrameMetric(LAM, ConformalFactor.from_constant(4.0)))),
+    ("const-omega", FrameMetric(LAM, ConformalFactor.from_constant(4.0))),
     ("stretched", named_coframe("stretched", LAM)),
-    ("exp-omega", conformal_coframe(
-        FrameMetric(0.8, ConformalFactor.exponential(1.2)))),
-    ("tabulated-omega", conformal_coframe(FrameMetric(0.8, ConformalFactor.tabulated(
-        ZS_WIDE, 1.0 + 0.3 * np.sin(2 * np.pi * ZS_WIDE))))),
+    ("exp-omega", FrameMetric(0.8, ConformalFactor.exponential(1.2))),
+    ("tabulated-omega", FrameMetric(0.8, ConformalFactor.tabulated(
+        ZS_WIDE, 1.0 + 0.3 * np.sin(2 * np.pi * ZS_WIDE)))),
     ("sampled", CoframeBasis.from_samples(
         ZS_WIDE, [np.ones_like(ZS_WIDE), 2.0 + np.sin(ZS_WIDE), np.exp(ZS_WIDE / 3)])),
 ])
@@ -335,9 +332,9 @@ def test_curvature_rejects_non_finite_sectional_curvatures():
 
 def test_constant_conformal_scaling_law():
     # scaling the metric by a constant c divides every frame component by c
-    base = christoffel_oracle(conformal_coframe(FrameMetric(LAM)), Z)
-    scaled = christoffel_oracle(conformal_coframe(
-        FrameMetric(LAM, ConformalFactor.from_constant(4.0))), Z)
+    base = christoffel_oracle(FrameMetric(LAM), Z)
+    scaled = christoffel_oracle(
+        FrameMetric(LAM, ConformalFactor.from_constant(4.0)), Z)
     np.testing.assert_allclose(scaled.riemann, base.riemann / 4.0, atol=1e-13)
 
 
@@ -347,7 +344,7 @@ def test_christoffel_oracle_euclidean():
 
 
 def test_christoffel_oracle_accepts_metric():
-    rep = christoffel_oracle(conformal_coframe(FrameMetric(LAM)), Z)
+    rep = christoffel_oracle(FrameMetric(LAM), Z)
     np.testing.assert_allclose(rep.component(0, 1, 0, 1),
                                np.full_like(Z, 1.0), atol=1e-12)
 

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ def test_import_framedynamo_loads_no_scipy():
 import sys
 import numpy as np
 import framedynamo
-from framedynamo.exterior_geometry import CoframeBasis, exterior_derivative
-from framedynamo.frame_calculus import ConformalFactor, FrameMetric
+from framedynamo.exterior_geometry import exterior_derivative
+from framedynamo.frame_calculus import CoframeBasis, ConformalFactor, FrameMetric
 from framedynamo.induction_dynamo import (DynamoScenario, InitialField,
                                           characteristics_oracle, stable_dt)
 zs = np.linspace(-1.0, 2.0, 301)
@@ -253,6 +254,11 @@ def test_step_count_at_the_cap_is_accepted(monkeypatch):
 def test_step_size_guard():
     with pytest.raises(ValueError, match="step too large"):
         frenet_integrate(2.0, 0.0, 1.0, 0.2)
+    # |tau| h is bounded too: tau = 1e300 overflowed the step rotation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"max \|tau\|\*h = 1e\+298"):
+            frenet_integrate(0.5, -1e300, 1.0, 0.01)
 
 
 def test_negative_curvature_rejected():

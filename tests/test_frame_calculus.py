@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from framedynamo.frame_calculus import (ConformalFactor, FrameField,
-                                        FrameMetric, FrameOperators, Grid3D)
+from framedynamo.frame_calculus import (CoframeBasis, ConformalFactor,
+                                        FrameField, FrameMetric,
+                                        FrameOperators, Grid3D)
 
 LAM = 1.0
 
@@ -16,13 +17,17 @@ def make_ops(lam=LAM, omega=None, n_p=8, n_q=8, n_z=129, periodic=False):
     return metric, grid, FrameOperators(metric, grid)
 
 
+def mesh(grid):
+    return np.meshgrid(grid.p, grid.q, grid.z, indexing="ij")
+
+
 def smooth_field(grid, seed=7):
     """Random smooth field with full p, q, z structure.
 
     z content is 1-periodic on periodic grids, free-form otherwise.
     """
     rng = np.random.default_rng(seed)
-    P, Q, Z = grid.mesh()
+    P, Q, Z = mesh(grid)
     if grid.z_periodic:
         z_funcs = (np.sin(2 * np.pi * Z), np.cos(4 * np.pi * Z))
     else:
@@ -245,7 +250,7 @@ def test_grid_spacing_conventions():
 def test_grad_flat_reduces_to_cartesian():
     # lam = 0: grad f = (dp f, dq f, dz f)
     metric, grid, op = make_ops(lam=0.0)
-    P, _, _ = grid.mesh()
+    P, _, _ = mesh(grid)
     g = op.grad(np.sin(2 * np.pi * P))
     np.testing.assert_allclose(g.bp, 2 * np.pi * np.cos(2 * np.pi * P), atol=1e-10)
     np.testing.assert_allclose(g.bq, 0.0, atol=1e-10)
@@ -254,7 +259,7 @@ def test_grad_flat_reduces_to_cartesian():
 
 def test_grad_z_slot_is_plain_z_derivative():
     metric, grid, op = make_ops(lam=1.0)
-    _, _, Z = grid.mesh()
+    _, _, Z = mesh(grid)
     g = op.grad(Z.copy())
     np.testing.assert_allclose(g.bz, 1.0, atol=1e-10)
     np.testing.assert_allclose(g.bp, 0.0, atol=1e-12)
@@ -264,7 +269,7 @@ def test_grad_z_slot_is_plain_z_derivative():
 def test_grad_conformal_frame_normalization():
     # q-slot picks up Omega^{-1/2} e^{-lam z}; at z = 0 the factor is 1
     metric, grid, op = make_ops(lam=1.0, omega=ConformalFactor.exponential(1.0))
-    _, Q, Z = grid.mesh()
+    _, Q, Z = mesh(grid)
     g = op.grad(np.sin(2 * np.pi * Q))
     expect = np.exp(-0.5 * Z) * np.exp(-Z) * 2 * np.pi * np.cos(2 * np.pi * Q)
     np.testing.assert_allclose(g.bq, expect, atol=1e-10)
@@ -294,7 +299,7 @@ def test_div_of_unit_frame_fields_vanishes():
 
 def test_div_linear_z_slot():
     metric, grid, op = make_ops(lam=1.0)
-    _, _, Z = grid.mesh()
+    _, _, Z = mesh(grid)
     B = FrameField.from_components(grid, 0.0, 0.0, Z)
     np.testing.assert_allclose(op.div(B), np.ones(grid.shape), atol=1e-9)
 
@@ -374,37 +379,20 @@ def test_curl_conformal_unit_q_matches_closed_form():
         atol=1e-12)
 
 
-# -- laplacian ------------------------------------------------------------------
-
-
-def test_laplacian_flat_z_mode():
-    metric, grid, op = make_ops(lam=0.0)
-    _, _, Z = grid.mesh()
-    f = np.sin(2 * np.pi * Z)
-    res = op.laplacian_scalar(f.copy())
-    np.testing.assert_allclose(res, -4 * np.pi ** 2 * f, atol=2e-3)
-    # interior rows are tighter than the one-sided closures
-    sl = grid.interior_z_slice()
-    np.testing.assert_allclose(res[:, :, sl], (-4 * np.pi ** 2 * f)[:, :, sl],
-                               atol=2e-4)
-
-
-def test_laplacian_p_mode_at_stretched_metric():
-    metric, grid, op = make_ops(lam=1.0)
-    P, _, Z = grid.mesh()
-    f = np.sin(2 * np.pi * P)
-    expect = -4 * np.pi ** 2 * np.exp(2 * Z) * f
-    np.testing.assert_allclose(op.laplacian_scalar(f.copy()), expect, atol=1e-9)
-
-
-def test_laplacian_conformal_quadratic_matches_closed_form():
-    # Omega = e^z, f = z^2: the conformal Laplacian gives (z + 2) e^{-z};
-    # 4th-order stencils are exact on quadratics, so this is roundoff-level
-    metric, grid, op = make_ops(lam=1.0, omega=ConformalFactor.exponential(1.0))
-    _, _, Z = grid.mesh()
-    res = op.laplacian_scalar(Z ** 2)
-    np.testing.assert_allclose(res, bcast(grid, (grid.z + 2) * np.exp(-grid.z)),
-                               atol=1e-9)
+def test_operators_take_any_coframe():
+    # the stretched_half coframe (1, e^{lam z}, e^{lam z/2}) is no
+    # FrameMetric: c_p = 0 and c_q = lam e^{-lam z/2}, so
+    # (curl e_q)_p = -c_q, curl e_p = 0 and div e_z = c_p + c_q
+    lam = 1.3
+    grid = Grid3D(4, 4, 65)
+    op = FrameOperators(CoframeBasis.exponential((0.0, lam, lam / 2)), grid)
+    c_q = bcast(grid, lam * np.exp(-lam * grid.z / 2))
+    np.testing.assert_allclose(op.curl(FrameField.unit(grid, 1)).bp, -c_q,
+                               atol=1e-12)
+    np.testing.assert_allclose(op.curl(FrameField.unit(grid, 0)).data, 0.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(op.div(FrameField.unit(grid, 2)), c_q,
+                               atol=1e-12)
 
 
 # -- vector laplacian -----------------------------------------------------------
@@ -439,11 +427,6 @@ def test_flat_reduction_matches_cartesian_operators():
     np.testing.assert_allclose(op.div(B), cart_div, atol=1e-12)
     cart_curl_p = spectral_derivative(B.bz, 1) - dz(B.bq)
     np.testing.assert_allclose(op.curl(B).bp, cart_curl_p, atol=1e-12)
-    f = B.bp
-    cart_lap = (spectral_derivative(f, 0, 2) + spectral_derivative(f, 1, 2)
-                + np.tensordot(f, z_derivative_matrix(grid.n_z, grid.dz, 2),
-                               axes=(2, 1)))
-    np.testing.assert_allclose(op.laplacian_scalar(f), cart_lap, atol=1e-12)
 
 
 def test_div_of_curl_converges_to_zero():
@@ -484,7 +467,7 @@ def test_identity_factor_pipeline_is_bit_identical_to_base():
     grid = base.grid(8, 8, 65)
     op_base = FrameOperators(base, grid)
     op_unit = FrameOperators(unit, grid)
-    for name in ("c_div", "c_curl_p", "c_curl_q", "c_lap_dz", "c_lap_dzz"):
+    for name in ("c_div", "c_curl_p", "c_curl_q"):
         assert np.array_equal(getattr(op_base, name), getattr(op_unit, name))
     B = smooth_field(grid, seed=11)
     assert np.array_equal(op_base.curl(B).data, op_unit.curl(B).data)

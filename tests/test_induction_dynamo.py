@@ -280,14 +280,17 @@ def test_ideal_run_honours_the_real_axis_bound():
 
 def test_scenario_rejects_overflowing_scale_factors():
     # lam = 800 was accepted: e^{800 z} overflowed in evolve, which warned
-    # and sampled NaN norms (inf times a zero measure)
+    # and sampled NaN norms (inf times a zero measure); stable_dt rejects
+    # it too, before lam^2 can overflow
     metric = FrameMetric(800.0)
     grid = Grid3D(2, 2, 32, z_periodic=True)
-    dt = stable_dt(metric, grid, 1.0)
+    with pytest.raises(ValueError, match="^lam=800: scale factors must be "
+                       "finite and positive"):
+        stable_dt(metric, grid, 1.0)
     with pytest.raises(ValueError, match="^lam=800: scale factors must be "
                        "finite and positive"):
         DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
-                       initial_field=q_sine(), t_end=0.1, dt=dt)
+                       initial_field=q_sine(), t_end=0.1, dt=1e-4)
 
 
 def test_scenario_holds_only_what_a_caller_sets():
@@ -1573,7 +1576,7 @@ def test_z_profiles_are_evaluated_on_n_z_points(slot):
 def test_on_grid_matches_the_full_mesh_evaluation(name, periodic):
     init = named_initial_field(name, CAT_STRETCH_RATE, seed=5)
     grid = Grid3D(32, 32, 128, z_periodic=periodic)
-    P, Q, Z = grid.mesh()
+    P, Q, Z = np.meshgrid(grid.p, grid.q, grid.z, indexing="ij")
     ref = np.stack([np.broadcast_to(c(P, Q, Z), grid.shape)
                     for c in (init.bp, init.bq, init.bz)])
     data = init.on_grid(grid).data
