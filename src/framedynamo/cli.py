@@ -115,8 +115,8 @@ _RUN_KEYS = ("steps", "dt", "cfl_advective", "cfl_real_axis", "stop_reason",
 def cmd_evolve(cfg: RunConfig) -> int:
     lam = CAT_STRETCH_RATE if cfg.get("lam") == "catmap" \
         else cfg.get_float("lam")
-    omega = ConformalFactor.from_spec(cfg.get("omega"), "omega")
-    metric = FrameMetric(lam, omega)
+    metric = FrameMetric(lam, ConformalFactor.from_spec(cfg.get("omega"),
+                                                        "omega"))
     grid = metric.grid(cfg.get_int("n_p"), cfg.get_int("n_q"),
                        cfg.get_int("n_z"), z_periodic=cfg.get_bool("z_periodic"))
     v, eta = cfg.get_float("v"), cfg.get_float("eta")
@@ -147,10 +147,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         print("note: the Bq norm is identically 0, so there is no growth "
               "rate to fit; growth.txt not written")
         return 0
-    # for Omega = c the mean-field (k = 0) mode grows at lam v / c minus the
-    # resistive decay; a z-dependent Omega has no closed-form rate
-    theory = (lam * v / omega.constant - eta * lam ** 2
-              if omega.z_uniform else None)
+    theory = scenario.theory_rate
     fit = growth_fit(result.series.t, bq_norms, theory_rate=theory,
                      window=window)
     (cfg.out_dir / "growth.txt").write_text(fit.report())

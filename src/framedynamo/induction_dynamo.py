@@ -1,33 +1,23 @@
 """Magnetic induction evolution in the stretched frame and its oracles.
 
 The flow is (0, 0, v) with constant v; with a conformal factor Omega(z) it
-advects at the effective speed v_eff = v / Omega, written w below. With
-c = (1/2) (ln Omega)'/Omega and Lap = e^{2 lam z} dpp + e^{-2 lam z} dqq
-+ dzz, the component equations of the stretched frame are
-
-    dt Bp = -w dz Bp - lam w Bp
-            + eta [(Lap - lam^2) Bp - 2 lam e^{lam z} dp Bz - c (dz + lam) Bp]
-    dt Bq = -w dz Bq + lam w Bq
-            + eta [(Lap - lam^2) Bq - 2 lam e^{-lam z} dq Bz - c (dz - lam) Bq]
-    dt Bz = -w dz Bz + v (ln Omega)'/Omega Bz
-            + eta [(Lap - 2 lam dz) Bz - c dz Bz]
-
-so Bq grows at +lam w, Bp decays at -lam w, and Bz picks up the conformal
-stretching factor Omega(z)/Omega(z0) along characteristics.
-
-Only the terms that an accepted run reaches are evaluated. The resistive
-p, q terms carry e^{+-lam z}, which is not z-periodic, and closed z has no
-boundary condition for eta dzz, so `DynamoScenario` accepts eta > 0 only
-on periodic z with an initial field constant along p and q. On such a
-field dpp, dqq and the dp, dq Bz cross terms vanish, and the operator keeps
-the field constant along p and q; periodic z needs a z-uniform Omega, so
-c = 0. What remains couples z points only:
+advects at the effective speed v_eff = v / Omega, written w below.
+`DynamoScenario` accepts eta > 0 only on periodic z, which needs a
+z-uniform Omega, and with an initial field constant along p and q: the
+resistive p, q terms carry e^{+-lam z}, which is not z-periodic, and closed
+z has no boundary condition for eta dzz. On every field it accepts, the
+equations evaluated couple z points only:
 
     dt Bp = eta dzz Bp - w dz Bp - (lam w + eta lam^2) Bp
     dt Bq = eta dzz Bq - w dz Bq + (lam w - eta lam^2) Bq
     dt Bz = eta dzz Bz - (w + 2 eta lam) dz Bz + v (ln Omega)'/Omega Bz
 
-Each component's right-hand side is one n_z-by-n_z matrix L.
+so Bq grows at +lam w, Bp decays at -lam w, and Bz picks up the conformal
+stretching factor Omega(z)/Omega(z0) along characteristics. `_rates` forms
+w and the three diagonal rates. `_z_operators` applies them, and every
+run's real-axis step bound reads its fastest real decay from them
+(`_step_rates`). Each component's right-hand side is one n_z-by-n_z
+matrix L.
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
@@ -58,13 +48,6 @@ final state at that shape, and `characteristics_oracle` its solution
 likewise: a `FrameField` takes p and q axes of length 1 as constant along
 them, and its norms are p,q means, so comparing the two touches n_z points
 per component for a z-profile, never the full grid.
-
-Every run also carries a real-axis step bound. Its fastest real decay,
-of the z Nyquist mode of Bp (of Bq when lam v < 0), is
-eta (16/(3 dz^2) + lam^2) + |lam| max|w|: the stretching decay alone for
-eta = 0, and for eta > 0 that of the accepted resistive L, which is z-only
-on periodic z with a z-uniform Omega. RK4 is stable on the negative real
-axis down to -RK4_REAL_AXIS_LIMIT.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
@@ -251,24 +234,36 @@ OVERFLOW_FACTOR = 1e12
 _SAMPLE_INTERVALS = 200
 
 
+def _rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
+           resistivity: float) -> tuple[np.ndarray, np.ndarray]:
+    """w = v / Omega on grid.z, and the diagonal rates (3, n_z) of the
+    module docstring's Bp, Bq and Bz equations."""
+    lam, v, eta, z = metric.lam, flow_speed, resistivity, grid.z
+    om = metric.omega.value(z)
+    w = v / om
+    rate = np.stack([-lam * w - eta * lam ** 2,
+                     lam * w - eta * lam ** 2,
+                     v * metric.omega.log_derivative(z) / om])
+    return w, rate
+
+
 def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
                 resistivity: float) -> tuple[float, float]:
-    """max |v_eff| and the fastest real decay rate.
+    """max |v_eff| and the fastest real decay rate of the operator.
 
     A step dt has the advective number dt max|v_eff| / dz and the real-axis
-    number dt times the decay eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|.
-    At the z Nyquist mode the 4th-order central dzz stencil takes
-    16/(3 dz^2), the central dz stencil vanishes, and the -eta lam^2 shift
-    and the stretching decay -|lam| v_eff of Bp (of Bq when lam v < 0) add
-    to it (see the module docstring). Raises ValueError unless Omega > 0
-    and the scale factors are finite and positive on grid.z; their h''
-    carries lam^2, so a lam whose square overflows is rejected here.
+    number dt times this decay. The real-axis rule: at the z Nyquist mode
+    the 4th-order central dzz stencil decays at eta 16/(3 dz^2) and the
+    central dz stencil vanishes, and the fastest decay among the diagonal
+    rates of `_rates`, over the three components and grid.z, adds to it.
+    Raises ValueError unless Omega > 0 and the scale factors are finite and
+    positive on grid.z; their h'' carries lam^2, so a lam whose square
+    overflows is rejected here, before the rates square it.
     """
-    vmax = float(np.max(np.abs(flow_speed / metric.omega.value(grid.z))))
     metric.scale_factors(grid.z)
-    decay = (resistivity * (16.0 / (3.0 * grid.dz ** 2) + metric.lam ** 2)
-             + abs(metric.lam) * vmax)
-    return vmax, decay
+    w, rate = _rates(metric, grid, flow_speed, resistivity)
+    decay = resistivity * (16.0 / (3.0 * grid.dz ** 2)) - float(np.min(rate))
+    return float(np.max(np.abs(w))), decay
 
 
 def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
@@ -276,11 +271,11 @@ def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
     """The smaller of the advective and the real-axis time step.
 
     The advective step is cfl * dz / max |v_eff| (cfl * dz with no flow).
-    The real-axis step puts the real-axis number at the same fraction
-    cfl / ADVECTIVE_LIMIT of RK4_REAL_AXIS_LIMIT that the advective number
-    takes of ADVECTIVE_LIMIT, so cfl = 0.4 keeps both at 80% of what
-    `DynamoScenario` accepts. Raises ValueError for a non-finite
-    flow_speed and unless 0 < cfl < inf.
+    The real-axis step puts the real-axis number of `_step_rates` at the
+    same fraction cfl / ADVECTIVE_LIMIT of RK4_REAL_AXIS_LIMIT that the
+    advective number takes of ADVECTIVE_LIMIT, so cfl = 0.4 keeps both at
+    80% of what `DynamoScenario` accepts. Raises ValueError for a
+    non-finite flow_speed and unless 0 < cfl < inf.
     """
     if not np.isfinite(flow_speed):
         raise ValueError(f"flow_speed must be finite, got {flow_speed}")
@@ -361,12 +356,12 @@ class DynamoScenario:
     Accepted: finite resistivity >= 0; finite flow_speed; finite t_end,
     dt > 0 with t_end/dt <= MAX_STEPS; Omega > 0 and scale factors h > 0,
     with h, h', h'' finite, on grid.z; dt within the advective bound
-    0.5 dz / max|v_eff| and the real-axis bound
-    dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|) <= RK4_REAL_AXIS_LIMIT;
-    periodic z only with a z-uniform factor. Resistivity > 0 is accepted
-    only with an initial field exactly constant along p and q on the grid,
-    and then only on periodic z, since closed z has no boundary condition
-    for eta dzz (see the module docstring). Anything else raises ValueError.
+    0.5 dz / max|v_eff| and the real-axis bound, dt times the decay of
+    `_step_rates` at most RK4_REAL_AXIS_LIMIT; periodic z only with a
+    z-uniform factor. Resistivity > 0 is accepted only with an initial
+    field exactly constant along p and q on the grid, and then only on
+    periodic z, since closed z has no boundary condition for eta dzz (see
+    the module docstring). Anything else raises ValueError.
     """
 
     metric: FrameMetric
@@ -409,11 +404,22 @@ class DynamoScenario:
                     "boundary condition for the diffusion term eta dzz")
         if decay * self.dt > RK4_REAL_AXIS_LIMIT * (1.0 + 1e-12):
             raise ValueError(
-                f"dt={self.dt:g} violates the real-axis bound "
-                f"dt*(eta*(16/(3 dz^2) + lam^2) + |lam|*max|v_eff|) <= "
-                f"{RK4_REAL_AXIS_LIMIT} "
-                f"(RK4's real-axis limit), dt <= "
+                f"dt={self.dt:g} violates the real-axis bound: dt times "
+                f"the fastest real decay rate {decay:g} must be at most "
+                f"{RK4_REAL_AXIS_LIMIT} (RK4's real-axis limit), so dt <= "
                 f"{RK4_REAL_AXIS_LIMIT / decay:g}")
+
+    @property
+    def theory_rate(self) -> float | None:
+        """The paper's closed-form growth rate of Bq's mean (k = 0) mode,
+        lam v / c - eta lam^2 for a z-uniform Omega = c; None for a
+        z-dependent Omega, which has none. It is the oracle a fitted rate
+        is compared with, so it does not read the rates of `_rates`."""
+        omega, lam = self.metric.omega, self.metric.lam
+        if not omega.z_uniform:
+            return None
+        return (lam * self.flow_speed / omega.constant
+                - self.resistivity * lam ** 2)
 
     @property
     def n_steps(self) -> int:
@@ -440,16 +446,11 @@ def _z_operators(scenario: DynamoScenario, op: FrameOperators,
     L is the fused z-only operator of the module docstring,
     eta d2 - w d1 + rate, with -2 eta lam d1 more for Bz.
     """
-    m, g = scenario.metric, scenario.grid
-    lam, v, eta = m.lam, scenario.flow_speed, scenario.resistivity
-    om = m.omega.value(g.z)
-    w = v / om                            # effective advection speed
-    rate = np.stack([-lam * w - eta * lam ** 2,
-                     lam * w - eta * lam ** 2,
-                     v * m.omega.log_derivative(g.z) / om])
+    m, g, eta = scenario.metric, scenario.grid, scenario.resistivity
+    w, rate = _rates(m, g, scenario.flow_speed, eta)
     d1, d2 = op.d1[:, cols], op.d2[:, cols]
     base = eta * d2 - w[:, None] * d1
-    mats = np.stack([base, base, base - 2.0 * eta * lam * d1])
+    mats = np.stack([base, base, base - 2.0 * eta * m.lam * d1])
     diag = np.arange(g.n_z)[cols]
     mats[:, diag, np.arange(len(diag))] += rate[:, diag]
     return mats
@@ -520,8 +521,7 @@ class EvolutionResult:
     dt: float            # step size, t_end / n_steps
     stop_reason: str     # "completed" or "overflow guard"
     cfl_advective: float  # dt max|v_eff| / dz, accepted up to ADVECTIVE_LIMIT
-    # dt (eta (16/(3 dz^2) + lam^2) + |lam| max|v_eff|), accepted up to
-    # RK4_REAL_AXIS_LIMIT
+    # dt times the decay of `_step_rates`, accepted up to RK4_REAL_AXIS_LIMIT
     cfl_real_axis: float
     # the run's wall time by layer, in seconds: set-up (initial field,
     # operators, propagators); forming the sampled states with their finite

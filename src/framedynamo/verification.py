@@ -117,7 +117,7 @@ class AcceptanceSuite:
     def check_arnold_growth(self) -> CheckResult:
         sc, res = self._run("arnold-growth")
         fit = growth_fit(res.series.t, res.series.l2[:, 1],
-                         theory_rate=sc.metric.lam * sc.flow_speed)
+                         theory_rate=sc.theory_rate)
         runtime = res.build_s + res.advance_s + res.sample_s
         return CheckResult(
             "arnold-fast-dynamo-growth", fit.relative_error <= 0.01
@@ -127,12 +127,12 @@ class AcceptanceSuite:
 
     def check_conformal_speed(self) -> CheckResult:
         sc, res = self._run("conformal-growth")
-        theory = sc.metric.lam * sc.flow_speed / 2.0
-        fit = growth_fit(res.series.t, res.series.l2[:, 1], theory_rate=theory)
+        fit = growth_fit(res.series.t, res.series.l2[:, 1],
+                         theory_rate=sc.theory_rate)
         return CheckResult(
             "conformal-speed-change", fit.relative_error <= 0.01,
             fit.relative_error, 0.01,
-            f"fitted {fit.rate:.8f} vs lam*v/2 = {theory:.8f}")
+            f"fitted {fit.rate:.8f} vs lam*v/c = {fit.theory_rate:.8f}")
 
     def check_solver_vs_oracle(self) -> CheckResult:
         # default-resolution error on the growth run, then the two-component

@@ -1,12 +1,14 @@
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from framedynamo.cli import main
-from framedynamo.frame_calculus import FrameMetric
-from framedynamo.induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
+from framedynamo.frame_calculus import ConformalFactor, FrameMetric
+from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
+                                          RK4_REAL_AXIS_LIMIT, DynamoScenario,
                                           evolve, named_initial_field,
                                           stable_dt)
 
@@ -71,6 +73,31 @@ def test_evolve_zero_flow_reports_no_relative_error(tmp_path, capsys, setting,
         assert "relative error" not in text
     rows = (out_dir / "series.csv").read_text().strip().split("\n")[1:]
     assert np.all(np.isfinite([[float(x) for x in r.split(",")] for r in rows]))
+
+
+def test_evolve_bounds_the_step_by_bz_conformal_rate(tmp_path, capsys):
+    # Bz's rate v (ln Omega)'/Omega = -50 e^{50 z} was left out of the
+    # real-axis bound: dt = auto took 1.54e-23, Bz's norm grew from 5.7e-8
+    # to 4.6e5 in 26 steps and the norms warned "invalid value encountered
+    # in matmul"; the bound now keeps the run stable and every number finite
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nlam = 1\nz_periodic = false\n"
+                   "omega = exponential:-50\nn_p = 4\nn_q = 4\nn_z = 6\n"
+                   "init = solenoidal\nt_end = 3e-21\n")
+    out_dir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                                 "--out", str(out_dir))
+    assert code == 0, err
+    run = json.loads((out_dir / "run.json").read_text())
+    assert run["stop_reason"] == "completed"
+    assert run["cfl_real_axis"] <= RK4_REAL_AXIS_LIMIT
+    number = (r"(?i)[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+              r"|\b(?:inf|infinity|nan)\b")
+    for text in (out, (out_dir / "series.csv").read_text(),
+                 (out_dir / "run.json").read_text()):
+        assert all(np.isfinite(float(x)) for x in re.findall(number, text))
 
 
 def test_evolve_is_deterministic(tmp_path, capsys):
@@ -176,8 +203,25 @@ def test_evolve_theory_rate_includes_resistive_decay(tmp_path, capsys):
                                           ("exponential:0.5", None)])
 def test_evolve_theory_rate_only_for_a_z_uniform_omega(omega, theory,
                                                        tmp_path, capsys):
-    # Omega = c grows Bq at lam v / c; Omega = e^{0.5 z} on closed z has no
-    # closed-form rate, so the run reports the fitted rate alone
+    # Omega = c grows Bq at lam v / c - eta lam^2, `theory_rate`; Omega =
+    # e^{0.5 z} on closed z, like a tabulated Omega, has no closed-form rate,
+    # so the run reports the fitted rate alone
+    lam = np.log((3.0 + np.sqrt(5.0)) / 2.0)
+    factor = ConformalFactor.from_spec(omega, "omega")
+    zs = np.linspace(-1.0, 2.0, 31)
+    cases = ([(factor, 0.0), (factor, 0.01)] if theory is not None else
+             [(factor, 0.0), (ConformalFactor.tabulated(
+                 zs, 1.0 + 0.3 * np.sin(zs)), 0.0)])
+    for factor, eta in cases:
+        metric = FrameMetric(lam, factor)
+        grid = metric.grid(4, 4, 128, z_periodic=theory is not None)
+        sc = DynamoScenario(
+            metric=metric, grid=grid, flow_speed=1.0,
+            initial_field=named_initial_field("q_sine"), t_end=0.25,
+            dt=stable_dt(metric, grid, 1.0, resistivity=eta),
+            resistivity=eta)
+        assert sc.theory_rate == (None if theory is None
+                                  else theory * lam - eta * lam ** 2)
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[evolve]\nomega = {omega}\nn_p = 4\nn_q = 4\n"
                    + ("z_periodic = false\nt_end = 0.25\n" if theory is None
@@ -193,7 +237,6 @@ def test_evolve_theory_rate_only_for_a_z_uniform_omega(omega, theory,
         for text in (out, report):
             assert "theory rate" not in text and "relative error" not in text
         return
-    lam = np.log((3.0 + np.sqrt(5.0)) / 2.0)
     rate = next(l for l in out.splitlines() if "theory rate" in l)
     assert float(rate.split(":")[1]) == pytest.approx(theory * lam, rel=1e-9)
     error = next(l for l in out.splitlines() if "relative error" in l)

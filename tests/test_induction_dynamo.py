@@ -16,7 +16,7 @@ from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
                                           EvolutionSeries, GrowthFit,
                                           InitialField, NumericalError,
                                           _collapse_pq, _initial_state,
-                                          cat_map_eigen,
+                                          _step_rates, cat_map_eigen,
                                           characteristics_oracle, evolve,
                                           growth_fit, induction_rhs,
                                           named_initial_field, stable_dt)
@@ -186,6 +186,23 @@ def test_scenario_rejects_resistive_closed_z():
         scenario(eta=1e-3, periodic=False, init=z_field())
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=st.floats(-5.0, 5.0), v=st.floats(-10.0, 10.0),
+       eta=st.floats(0.0, 1.0), c=st.floats(0.1, 10.0),
+       n_z=st.sampled_from([5, 32, 128]))
+def test_z_uniform_decay_is_the_diffusive_and_stretching_decay(lam, v, eta,
+                                                               c, n_z):
+    # for Omega = c, Bz's rate is 0 and the fastest decay is Bp's (Bq's for
+    # lam v < 0) on top of the dzz stencil's: the formula the bound was
+    # derived by hand from before it read the operator's rates
+    metric = FrameMetric(lam, ConformalFactor.from_constant(c))
+    grid = metric.grid(2, 2, n_z, z_periodic=True)
+    vmax, decay = _step_rates(metric, grid, v, eta)
+    assert vmax == abs(v / c)
+    oracle = eta * (16.0 / (3.0 * grid.dz ** 2) + lam ** 2) + abs(lam) * vmax
+    assert decay == pytest.approx(oracle, rel=1e-15, abs=0.0)
+
+
 def test_stable_dt_takes_the_smaller_of_advective_and_diffusive_step():
     metric = FrameMetric(CAT_STRETCH_RATE)
     grid = metric.grid(8, 8, 64, z_periodic=True)
@@ -259,23 +276,39 @@ def test_diffusive_bound_counts_the_stretching_decay_of_bp():
         assert np.all(np.diff(bp) <= 0) and bp[-1] < 1e-12 * bp[0]
 
 
-def test_ideal_run_honours_the_real_axis_bound():
-    # at dt = 0.4 dz, lam v dt = 3.75 lies past RK4's real-axis limit and
-    # Bp's norm goes from 2.1 to 412 where the exact Bp decays by e^-15;
-    # stable_dt's step lets Bp decay monotonically
-    metric = FrameMetric(300.0)
-    grid = metric.grid(2, 2, 32, z_periodic=True)
+@pytest.mark.parametrize(
+    "lam, omega, n_z, periodic, init, t_end, unstable_dt, decay, comp, "
+    "shrink", [
+        # at dt = 0.4 dz, lam v dt = 3.75 lies past RK4's real-axis limit
+        # and Bp's norm goes from 2.1 to 412 where the exact Bp decays by
+        # e^-15
+        (300.0, ConformalFactor.identity(), 32, True, "pq_mixed", 0.05,
+         0.4 / 32, 300.0, 0, 1e-2),
+        # Bz's rate v (ln Omega)'/Omega = -50 e^{50 z} was left out of the
+        # bound: at dt = 1.54e-23 it put h v (ln Omega)'/Omega at -4.0 at
+        # z = 1, and Bz's norm grew from 5.7e-8 to 4.6e5 in 26 steps; the
+        # decay is confined to z near 1, so the norm only has to fall
+        (1.0, ConformalFactor.exponential(-50.0), 6, False, "solenoidal",
+         3e-21, 1.54e-23, 50.0 * np.exp(50.0), 2, 1.0),
+    ], ids=["bp-stretching", "bz-conformal"])
+def test_ideal_run_honours_the_real_axis_bound(lam, omega, n_z, periodic,
+                                               init, t_end, unstable_dt,
+                                               decay, comp, shrink):
+    # the fastest decay sets stable_dt, and its step keeps the decaying
+    # component's norm decreasing
+    metric = FrameMetric(lam, omega)
+    grid = metric.grid(2, 2, n_z, z_periodic=periodic)
     make = lambda dt: DynamoScenario(
         metric=metric, grid=grid, flow_speed=1.0,
-        initial_field=named_initial_field("pq_mixed"), t_end=0.05, dt=dt)
-    with pytest.raises(ValueError, match="real-axis bound"):
-        make(0.4 * grid.dz)
+        initial_field=named_initial_field(init, lam), t_end=t_end, dt=dt)
+    with pytest.raises(ValueError, match="real-axis bound.*2.785"):
+        make(unstable_dt)
     dt = stable_dt(metric, grid, 1.0)
-    assert dt == pytest.approx(0.8 * RK4_REAL_AXIS_LIMIT / 300.0, rel=1e-15)
+    assert dt == pytest.approx(0.8 * RK4_REAL_AXIS_LIMIT / decay, rel=1e-15)
     res = evolve(make(dt))
-    bp = res.series.l2[:, 0]
+    norm = res.series.l2[:, comp]
     assert res.stop_reason == "completed"
-    assert np.all(np.diff(bp) < 0) and bp[-1] < 1e-2 * bp[0]
+    assert np.all(np.diff(norm) < 0) and norm[-1] < shrink * norm[0]
 
 
 def test_scenario_rejects_overflowing_scale_factors():
