@@ -10,7 +10,9 @@ step is one rotation about the step's averaged Darboux vector, so the triad
 stays orthonormal to round-off without renormalisation (Iserles,
 Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000; Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 2009). The triads are the prefix products of those
-rotations, formed by a doubling scan rather than one step at a time.
+rotations, formed by a two-level blocked scan: running products inside
+blocks of about sqrt(m) rotations and a carry across the blocks, O(m)
+products in about 2 sqrt(m) numpy calls rather than one call per step.
 
 The rope has one owner: `RopeParams` carries its radius r and the
 constant curvature kappa and torsion tau of its axis, and the tube, B_theta,
@@ -83,7 +85,7 @@ class FrenetCurve:
         return worst
 
 
-# the most steps `frenet_integrate` takes: about 0.45 GB of working arrays
+# the most steps `frenet_integrate` takes: about 0.5 GB of working arrays
 MAX_FRENET_STEPS = 10 ** 6
 
 # Gauss-Legendre nodes of [0, 1] for the two-point Magnus step
@@ -107,10 +109,14 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
     most a relative 1e-12 above a whole number, as round-off leaves it,
     rounds down to that number); s_max = 0 gives the starting point
     alone, and more than MAX_FRENET_STEPS steps (an infinite s_max/ds
-    among them) raise ValueError before anything is allocated. The frame after step k is the product R_k^T ... R_1^T of the
-    step rotations, formed by a doubling prefix scan (Hillis & Steele,
-    CACM 29, 1986): ceil(log2(n)) batched matmuls, each combining every
-    partial product with the one d steps before it, for d = 1, 2, 4, ...
+    among them) raise ValueError before anything is allocated. The
+    frame after step k is the product R_k^T ... R_1^T of the step
+    rotations, formed by a two-level scan of the m = n + 1 matrices
+    (I, R_1^T, ..., R_n^T) in blocks of ceil(sqrt(m)): a running product
+    inside every block at once, a sequential carry across the blocks,
+    then one batched product of each block with the carry into it. That
+    is O(m) 3x3 products in about 2 sqrt(m) numpy calls (a work-efficient
+    scan; Blelloch, "Prefix sums and their applications", 1990).
 
     kappa and tau may be floats or callables of s; kappa must be
     non-negative, and kappa*h and |tau|*h at most 0.1 on the samples s
@@ -139,31 +145,45 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
         if not step <= 0.1:
             raise ValueError(f"step too large: max {name}*h = {step:.3g} > 0.1")
 
-    # per-step rotation vectors theta, shape (m - 1, 3)
-    w1, w2 = (np.stack([_as_profile(tau, s[:-1] + c * h),
-                        np.zeros(m - 1),
-                        _as_profile(kappa, s[:-1] + c * h)], axis=1)
-              for c in _GAUSS)
-    theta = 0.5 * h * (w1 + w2) + (np.sqrt(3.0) * h ** 2 / 12.0) * np.cross(w1, w2)
-    # R = I + a [theta]x + b [theta]x^2, a = sin|theta|/|theta|,
-    # b = 2 sin^2(|theta|/2)/|theta|^2 (no 1 - cos cancellation)
-    ang = np.linalg.norm(theta, axis=1)
+    # per-step rotation vectors theta = (x, y, z): with w = (tau, 0, kappa)
+    # at the Gauss points, w1 x w2 = (0, kappa1 tau2 - tau1 kappa2, 0)
+    g1, g2 = (s[:-1] + c * h for c in _GAUSS)
+    tau1, tau2 = _as_profile(tau, g1), _as_profile(tau, g2)
+    kap1, kap2 = _as_profile(kappa, g1), _as_profile(kappa, g2)
+    x = 0.5 * h * (tau1 + tau2)
+    y = (np.sqrt(3.0) * h ** 2 / 12.0) * (kap1 * tau2 - tau1 * kap2)
+    z = 0.5 * h * (kap1 + kap2)
+    # R^T = I + a K + b K^2 for K = [theta]x^T = -[theta]x, whose square
+    # is theta theta^T - |theta|^2 I, written out entry by entry as rows of
+    # 9; a = sin|theta|/|theta|, b = 2 sin^2(|theta|/2)/|theta|^2 (no
+    # 1 - cos cancellation)
+    ang = np.sqrt(x * x + y * y + z * z)
     safe = np.where(ang > 0.0, ang, 1.0)  # theta = 0 gives R = I for any a, b
     a = np.sin(ang) / safe
     b = 2.0 * (np.sin(0.5 * ang) / safe) ** 2
-    # rows theta x e_j make K = [theta]x^T, so R^T = I + a K + b K^2
-    K = np.cross(theta[:, None, :], np.eye(3))
-    rot_t = np.eye(3) + a[:, None, None] * K + b[:, None, None] * (K @ K)
+    ax, ay, az = a * x, a * y, a * z
+    bx, by, bz = b * x, b * y, b * z
+    cos = 1.0 - b * ang ** 2
+    rot_t = np.array([cos + bx * x, bx * y + az, bx * z - ay,
+                      bx * y - az, cos + by * y, by * z + ax,
+                      bx * z + ay, by * z - ax, cos + bz * z]).T
 
-    # frames[k] = R_k^T ... R_1^T: after the pass with stride d, frames[k]
-    # holds the product of the 2d rotations up to step k (fewer near k = 0)
-    frames = np.empty((m, 3, 3))
-    frames[0] = np.eye(3)
-    frames[1:] = rot_t
-    d = 1
-    while d < m - 1:
-        frames[d + 1:] = frames[d + 1:] @ frames[1:m - d]
-        d *= 2
+    # frames[k] = R_k^T ... R_1^T by the docstring's two-level scan, on
+    # (I, R_1^T, ..., R_n^T) padded with I to whole blocks of ceil(sqrt(m));
+    # the last product takes each block as one (3 block, 3) matrix
+    block = math.isqrt(m - 1) + 1
+    n_blocks = -(-m // block)
+    prod = np.empty((n_blocks * block, 9))
+    prod[:] = np.eye(3).ravel()
+    prod[1:m] = rot_t
+    prod = prod.reshape(n_blocks, block, 3, 3)
+    for j in range(1, block):
+        prod[:, j] = prod[:, j] @ prod[:, j - 1]
+    carry = np.empty((n_blocks, 3, 3))
+    carry[0] = np.eye(3)
+    for i in range(1, n_blocks):
+        carry[i] = prod[i - 1, -1] @ carry[i - 1]
+    frames = (prod.reshape(n_blocks, 3 * block, 3) @ carry).reshape(-1, 3, 3)[:m]
     ts, ns, bs = frames[:, 0], frames[:, 1], frames[:, 2]
 
     kn = kap[:, None] * ns
@@ -228,12 +248,38 @@ def tube_metric_factor(params: RopeParams, s: np.ndarray) -> TubeMetric:
     return TubeMetric(s, K, theta, thin=bool(np.max(np.abs(1.0 - K)) < 0.05))
 
 
+def _quotient(num: tuple[float, ...], den: tuple[float, ...]) -> float:
+    """prod(num)/prod(den); inf where it overflows or den holds a zero.
+
+    The binary exponents (math.frexp) are summed apart from the mantissas,
+    so no intermediate product under- or overflows, only the quotient
+    itself; where the plain float expression, multiplied left to right,
+    has no intermediate under- or overflow, the two agree bit for bit.
+    """
+    def split(factors):
+        mant, exp = 1.0, 0
+        for x in factors:
+            m, e = math.frexp(x)
+            mant, exp = mant * m, exp + e
+        return mant, exp
+
+    (mn, en), (md, ed) = split(num), split(den)
+    if md == 0.0:
+        return math.inf
+    try:
+        return math.ldexp(mn / md, en - ed)
+    except OverflowError:
+        return math.inf
+
+
 def amplification_ratio(params: RopeParams) -> float:
     """Poloidal-to-toroidal ratio tau*omega*r/gamma^2; positive means dynamo.
-    Raises ValueError unless it is finite (gamma^2 = 0 has none)."""
-    with np.errstate(all="ignore"):
-        ratio = float(np.float64(params.tau) * params.omega * params.r
-                      / np.float64(params.gamma) ** 2)
+
+    Raises ValueError unless it is finite (gamma^2 = 0 has none); an
+    intermediate product that would under- or overflow does not count.
+    """
+    ratio = _quotient((params.tau, params.omega, params.r),
+                      (params.gamma, params.gamma))
     if not math.isfinite(ratio):
         raise ValueError("amplification ratio tau*omega*r/gamma^2 is not "
                          f"finite for gamma = {params.gamma:g}")
@@ -245,14 +291,14 @@ def dynamo_radius_bound(params: RopeParams) -> float:
 
     A bound exists where omega and tau have the same sign, read from the
     signs since their product may underflow to 0; raises ValueError
-    unless it is finite.
+    unless the bound is finite (an intermediate product that would under-
+    or overflow does not count).
     """
     ot = params.omega * params.tau
     if np.sign(params.omega) * np.sign(params.tau) <= 0:
         raise NoDynamoBoundError(
             f"omega*tau = {ot:g} <= 0: no dynamo radius bound exists")
-    with np.errstate(all="ignore"):
-        bound = float(np.float64(params.gamma) ** 2 / ot)
+    bound = _quotient((params.gamma, params.gamma), (params.omega, params.tau))
     if not math.isfinite(bound):
         raise ValueError("dynamo radius bound gamma^2/(omega tau) is not "
                          f"finite for gamma = {params.gamma:g}, omega = "

@@ -486,6 +486,27 @@ def test_fluxrope_one_torsion_end_to_end(tmp_path, capsys):
                for line in lines)
 
 
+@pytest.mark.parametrize("config", [
+    "omega = 1e-200\ngamma = 1e-200\ntau = 1e-200\n",
+    # |tau| h <= 0.1 needs ds <= 1e-201, and B_theta = e^{gamma t} needs t = 0
+    "omega = 1e200\ngamma = 1e200\ntau = 1e200\ns_max = 1e-199\n"
+    "ds = 1e-201\nt = 0\n",
+])
+def test_fluxrope_extreme_but_finite_rope_inputs(tmp_path, capsys, config):
+    # tau*omega*r/gamma^2 = gamma^2/(omega tau) = 1 although the plain
+    # products under- or overflow; this exited 1 with "is not finite"
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[fluxrope]\nr = 1\nkappa = 0.5\n" + config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fluxrope", "--config", str(cfg),
+                                 "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "amplification ratio        : 1" in lines
+    assert "dynamo radius bound        : 1 (r=1 -> no dynamo)" in lines
+
+
 def test_fluxrope_no_bound_signaled(tmp_path, capsys):
     cfg = tmp_path / "f.ini"
     cfg.write_text("[fluxrope]\nomega = -1.0\n")

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -134,6 +135,80 @@ def test_sampled_coframe_curvature_matches_closed_form():
     want = curvature(solve_connection(named_coframe("stretched", 1.0), Z))
     got = curvature(solve_connection(sampled, Z))
     assert got.max_difference(want) <= 1e-4 * want.max_abs()
+
+
+# -- the Christoffel oracle against its index loops --------------------------------
+
+
+def loop_christoffel(basis, z):
+    """(a, a', Gamma, d_z Gamma) of g_ii = a_i(z)^2 by the textbook formula,
+    one index combination at a time: the reference for the array oracle."""
+    a, da, d2a = basis.scale_factors(z)
+    g, gp, gpp = a ** 2, 2 * a * da, 2 * (da ** 2 + a * d2a)
+    ginv, ginv_p = 1.0 / g, -gp / g ** 2
+
+    def dg(deriv, d, c, b):
+        # d_b g_{dc} (deriv = gp) or d_b d_z g_{dc} (deriv = gpp)
+        return deriv[d] if d == c and b == 2 else 0.0
+
+    gam = np.zeros((len(z), 3, 3, 3))
+    dgam = np.zeros_like(gam)
+    for A, B, C in itertools.product(range(3), repeat=3):
+        s = dg(gp, A, C, B) + dg(gp, A, B, C) - dg(gp, B, C, A)
+        ds = dg(gpp, A, C, B) + dg(gpp, A, B, C) - dg(gpp, B, C, A)
+        gam[:, A, B, C] = 0.5 * ginv[A] * s
+        dgam[:, A, B, C] = 0.5 * (ginv_p[A] * s + ginv[A] * ds)
+    return a, da, gam, dgam
+
+
+def loop_frame_riemann(basis, z):
+    """R^A_{BCD} = d_C Gamma^A_{DB} - d_D Gamma^A_{CB} + Gamma^A_{CE} Gamma^E_{DB}
+    - Gamma^A_{DE} Gamma^E_{CB}, index by index, in the orthonormal frame."""
+    a, _, gam, dgam = loop_christoffel(basis, z)
+    frame = np.zeros((len(z), 3, 3, 3, 3))
+    for A, B, C, D in itertools.product(range(3), repeat=4):
+        acc = np.zeros(len(z))
+        if C == 2:
+            acc += dgam[:, A, D, B]
+        if D == 2:
+            acc -= dgam[:, A, C, B]
+        for E in range(3):
+            acc += gam[:, A, C, E] * gam[:, E, D, B]
+            acc -= gam[:, A, D, E] * gam[:, E, C, B]
+        frame[:, A, B, C, D] = acc * a[A] / (a[B] * a[C] * a[D])
+    return frame
+
+
+def loop_frame_connection(basis, z):
+    a, da, gam, _ = loop_christoffel(basis, z)
+    out = np.zeros_like(gam)
+    for i, j, k in itertools.product(range(3), repeat=3):
+        val = gam[:, i, k, j] / (a[k] * a[j]) * a[i]
+        if i == j and k == 2:
+            val = val - a[i] * da[j] / (a[k] * a[j] ** 2)
+        out[:, i, j, k] = val
+    return out
+
+
+def sampled_coframe():
+    zs = np.linspace(-0.2, 1.2, 141)
+    return CoframeBasis.from_samples(
+        zs, [1.0 + 0.2 * np.sin(3 * zs), np.exp(2 * zs),
+             np.exp(zs / 2) + 0.1 * zs ** 2])
+
+
+@pytest.mark.parametrize("basis", [
+    *(named_coframe(name, lam) for name in ("flat", "arnold", "constant:4",
+                                            "stretched", "stretched_half")
+      for lam in (LAM, -0.7)),
+    sampled_coframe(),
+], ids=lambda basis: basis.label)
+def test_christoffel_oracles_match_their_index_loops(basis):
+    for got, want in ((christoffel_oracle(basis, Z).riemann,
+                       loop_frame_riemann(basis, Z)),
+                      (frame_connection_oracle(basis, Z),
+                       loop_frame_connection(basis, Z))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- connection ------------------------------------------------------------------
@@ -279,7 +354,7 @@ def test_pipeline_equivalence(label, basis):
         assert rep.bianchi_residual() <= 1e-8
         assert rep.pair_symmetry_residual() <= 1e-8
     # exact by construction on the structure-equation path, roundoff on the
-    # brute-force oracle
+    # coordinate oracle
     assert cart.last_pair_antisymmetry_residual() == 0.0
     assert orac.last_pair_antisymmetry_residual() <= 1e-14
 

@@ -174,14 +174,27 @@ def sequential_magnus(kappa, tau, s):
     return np.array(frames)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 1024, 1025])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 1023, 1024, 1025, 1026])
 def test_scan_frames_match_sequential_product(m):
+    # the scan runs on blocks of ceil(sqrt(m)) samples: m = 1 and 2 fit in
+    # one block, 1024 = 32^2 fills 32 blocks of 32, 1023 leaves the last
+    # block one short, and 1025, 1026 (steps 1024 = 32^2 and 1025) take
+    # blocks of 33 with a last block of 2 and 3 samples
     kappa = lambda s: 0.5 + 0.3 * np.sin(s)
     tau = lambda s: 0.2 * np.cos(1.7 * s) - 0.1
     ds = 0.01
     c = frenet_integrate(kappa, tau, (m - 1) * ds, ds)
     assert len(c.s) == m
     ref = sequential_magnus(kappa, tau, c.s)
+    got = np.stack([c.t, c.n, c.b], axis=1)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_scan_frames_match_sequential_product_on_the_verify_all_helix():
+    # check_flux_rope's helix: 5000 steps of constant kappa = tau = 0.5
+    c = frenet_integrate(0.5, 0.5, 20.0, 0.004)
+    assert len(c.s) == 5001
+    ref = sequential_magnus(lambda s: 0.5, lambda s: 0.5, c.s)
     got = np.stack([c.t, c.n, c.b], axis=1)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
@@ -363,6 +376,37 @@ def test_endpoint_formulas_past_the_double_range():
     assert np.all(btheta_solution(params, tube, 0.0) > 0)
     with pytest.raises(ValueError, match="^B_theta overflows for gamma = "):
         btheta_solution(params, tube, 1.0)
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200,
+                                   1.7976931348623157e308])
+def test_endpoint_formulas_at_extreme_but_finite_inputs(scale):
+    # tau*omega*r and gamma^2 (or omega*tau) under- or overflow, but both
+    # quotients are exactly 1: they used to raise "is not finite"
+    params = RopeParams(r=1.0, omega=scale, gamma=scale, tau=scale)
+    assert amplification_ratio(params) == 1.0
+    assert dynamo_radius_bound(params) == 1.0
+
+
+def test_radius_bound_still_rejects_a_bound_past_the_double_range():
+    # gamma^2/(omega tau) = 1e400 is not finite; the ratio 1e-400 rounds to 0
+    params = RopeParams(r=1.0, omega=1e-200, gamma=1.0, tau=1e-200)
+    with pytest.raises(ValueError, match="^dynamo radius bound .* is not "
+                       "finite for gamma = 1, omega = 1e-200"):
+        dynamo_radius_bound(params)
+    assert amplification_ratio(params) == 0.0
+
+
+def test_endpoint_formulas_match_the_plain_quotients_in_range():
+    # no intermediate under- or overflow: the mantissa/exponent split
+    # rounds as the plain expressions multiplied left to right
+    rng = np.random.default_rng(7)
+    for tau, omega, r, gamma in (rng.choice([-1.0, 1.0], (500, 4))
+                                 * 10.0 ** rng.uniform(-60, 60, (500, 4))):
+        params = RopeParams(r=abs(r), omega=omega, gamma=gamma, tau=tau)
+        assert amplification_ratio(params) == tau * omega * abs(r) / (gamma * gamma)
+        if omega * tau > 0:
+            assert dynamo_radius_bound(params) == gamma * gamma / (omega * tau)
 
 
 def test_amplification_sign_invariances():
