@@ -290,14 +290,15 @@ def dynamo_radius_bound(params: RopeParams) -> float:
     """Lower radius bound gamma^2/(omega tau) for rope dynamo action.
 
     A bound exists where omega and tau have the same sign, read from the
-    signs since their product may underflow to 0; raises ValueError
+    signs since their product may underflow to 0 (so NoDynamoBoundError
+    names omega and tau, not their product); raises ValueError
     unless the bound is finite (an intermediate product that would under-
     or overflow does not count).
     """
-    ot = params.omega * params.tau
     if np.sign(params.omega) * np.sign(params.tau) <= 0:
         raise NoDynamoBoundError(
-            f"omega*tau = {ot:g} <= 0: no dynamo radius bound exists")
+            f"omega*tau <= 0 for omega = {params.omega:g} and tau = "
+            f"{params.tau:g}: no dynamo radius bound exists")
     bound = _quotient((params.gamma, params.gamma), (params.omega, params.tau))
     if not math.isfinite(bound):
         raise ValueError("dynamo radius bound gamma^2/(omega tau) is not "

@@ -382,23 +382,30 @@ class Grid3D:
 
 
 def overflow_safe_norms(norm: Callable[[np.ndarray], np.ndarray],
-                        fields: np.ndarray) -> np.ndarray:
+                        fields: np.ndarray,
+                        weights: np.ndarray | None = None) -> np.ndarray:
     """norm(fields), normed again where its squares overflowed.
 
     norm maps fields stacked on leading axes, (*lead, ...), to their norms,
     shape lead, each the square root of a weighted sum of squares of the
     field's entries; a field with entries above ~1.3e154 overflows the
-    squares and reads inf. Only such fields are normed again, scaled by
-    2^-e with e the binary exponent of their max |entry|, and their norms
-    scaled back by 2^e. A power of two scales exactly, so every finite
-    norm keeps its bits and costs no extra pass; a field holding inf, or
-    whose norm exceeds the double range, keeps the norm inf.
+    squares and reads inf, or NaN where a weight of 0 multiplies an inf
+    square. Only fields whose norm is not finite are normed again: entries
+    whose weight along the last axis (`weights`, if given) is 0 are set to
+    0, the field is scaled by 2^-e with e the binary exponent of its max
+    remaining |entry|, and its norm scaled back by 2^e. A power of two
+    scales exactly, so every finite norm keeps its bits and costs no extra
+    pass, and an entry of weight 0 can neither poison a norm nor set its
+    scale. A field whose norm exceeds the double range reads inf, and one
+    holding inf or NaN where it is weighted (e = 0) keeps the norm it had.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(norm(fields))
-        over = np.isinf(out)
+        over = ~np.isfinite(out)
         if over.any():
             big = fields[over]
+            if weights is not None:
+                big = np.where(weights != 0, big, 0.0)
             e = np.frexp(np.abs(big).reshape(len(big), -1).max(axis=1))[1]
             scaled = np.ldexp(big, -e.reshape(-1, *(1,) * (big.ndim - 1)))
             out[over] = np.ldexp(norm(scaled), e)
@@ -519,6 +526,14 @@ class FrameOperators:
         drops the component axis. The z-derivative is one matmul with a
         batch per field, so each field of a stack gets exactly the figures
         of a call on it alone.
+
+        Terms that are exactly zero are not formed: the dp term of a field
+        constant along p (an axis of length 1), the dq term of one constant
+        along q, and the terms of a component that is identically zero over
+        the whole input. The input is checked finite first, so each of them
+        would add exactly +-0: the figures are those of the four-term sum,
+        up to the sign of a zero, and a field with no term left has
+        divergence 0.
         """
         data = B.data if isinstance(B, FrameField) else B
         if data.ndim < 4 or data.shape[-4] != 3:
@@ -527,12 +542,17 @@ class FrameOperators:
         self._pq_points(data)
         _require_finite(data, "div input")
         bp, bq, bz = (data[..., c, :, :, :] for c in range(3))
-        per_field = (-1, bz.shape[-3] * bz.shape[-2], bz.shape[-1])
-        out = (self.inv_h[0] * self.dp(bp)
-               + self.inv_h[1] * self.dq(bq)
-               + self.inv_h[2] * np.matmul(bz.reshape(per_field),
-                                           self.d1.T).reshape(bz.shape)
-               + self.c_div * bz)
+        terms = []
+        if bp.shape[-3] > 1 and bp.any():
+            terms.append(self.inv_h[0] * self.dp(bp))
+        if bq.shape[-2] > 1 and bq.any():
+            terms.append(self.inv_h[1] * self.dq(bq))
+        if bz.any():
+            per_field = (-1, bz.shape[-3] * bz.shape[-2], bz.shape[-1])
+            terms += [self.inv_h[2] * np.matmul(bz.reshape(per_field),
+                                                self.d1.T).reshape(bz.shape),
+                      self.c_div * bz]
+        out = sum(terms[1:], terms[0]) if terms else np.zeros(bz.shape)
         _require_finite(out, "div output")
         return out
 
@@ -572,15 +592,16 @@ class FrameOperators:
         along it) gives the same figure as the full grid. Closed-interval
         grids integrate over the interior third only (the measurement
         region); periodic grids integrate over the full domain. A field
-        whose squares overflow is normed scaled by a power of two
-        (`overflow_safe_norms`), so its norm is finite while the field's
-        is.
+        whose squares overflow is normed again, scaled by a power of two
+        and with its entries outside the measurement region set to 0
+        (`overflow_safe_norms`), so its norm is finite while the field is
+        finite in that region and its norm is in the double range.
         """
         n = self._pq_points(a)
         return float(overflow_safe_norms(
             lambda r: np.sqrt(np.einsum("...iz,...iz->...z", r, r)
                               @ self.measure / n),
-            a.reshape(-1, a.shape[-1])))
+            a.reshape(-1, a.shape[-1]), self.measure))
 
     def component_norms(self, B: FrameField | np.ndarray) -> np.ndarray:
         """Per-component L2 norms, each the p,q mean as in `l2_norm`.
@@ -596,4 +617,4 @@ class FrameOperators:
         n = self._pq_points(data)
         return overflow_safe_norms(
             lambda d: np.sqrt(np.einsum("...pqz,...pqz->...z", d, d)
-                              @ self.measure / n), data)
+                              @ self.measure / n), data, self.measure)

@@ -49,6 +49,16 @@ likewise: a `FrameField` takes p and q axes of length 1 as constant along
 them, and its norms are p,q means, so comparing the two touches n_z points
 per component for a z-profile, never the full grid.
 
+L is also block-diagonal by component, so a component that starts
+identically zero stays exactly zero. `evolve` finds the live components
+once, from the initial state (exactly, as `_collapse_pq` compares: any
+non-zero entry makes a component live), and builds the propagators of,
+advances and finite-checks only those; the others are written as 0 once
+per chunk. The live components are a basic slice of the component axis
+(`_live_components`), so each chunk's live part is a view and nothing is
+staged. The Arnold q-slot run advances Bq alone, and `FrameOperators.div`
+skips the terms of its all-zero Bp and Bz.
+
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
 """
@@ -553,50 +563,77 @@ def _diagnostics(op: FrameOperators, states: np.ndarray,
                      where=total > 0)
 
 
-def _propagators(scenario: DynamoScenario, op: FrameOperators, dt: float,
-                 intervals: set[int]) -> dict[int, np.ndarray]:
-    """P(h L)^n for each interval length n, on a stack of matrices.
+def _live_components(state: np.ndarray) -> slice:
+    """The components of a state (3, ...) that are not identically zero, as
+    a basic slice of its component axis.
 
-    On closed z the stack is each component's transposed z-operator
-    `_RHS.zmat_t`; P(A)^T = P(A^T), so P(h L)^n comes back transposed for a
-    row-vector matmul. On periodic z it is h mu per component and mode (see
-    the module docstring), and P(h mu)^n comes back as an array
-    (3, n_z // 2 + 1). Overflow to inf or NaN is left to the caller.
+    The test is exact, as in `_collapse_pq`: a component is live if any
+    entry is non-zero, with no tolerance. Any subset of three indices is an
+    arithmetic progression, so the slice is a view (`1:2`, `0:3:2`, ...);
+    an all-zero state gives the empty slice `0:0`.
+    """
+    live = np.flatnonzero(state.reshape(3, -1).any(axis=1))
+    if not len(live):
+        return slice(0, 0)
+    step = int(live[1] - live[0]) if len(live) > 1 else 1
+    return slice(int(live[0]), int(live[-1]) + 1, step)
+
+
+def _propagators(scenario: DynamoScenario, op: FrameOperators, dt: float,
+                 intervals: np.ndarray, live: slice) -> np.ndarray:
+    """P(h L)^n of the `live` components for each interval length n of
+    `intervals`, stacked on axis 0 in their order.
+
+    The Horner build and the powers run on the live components' blocks
+    only; a component that is identically zero stays so under its own
+    block (the module docstring). On closed z the stack is each live
+    component's transposed z-operator `_RHS.zmat_t`; P(A)^T = P(A^T), so
+    P(h L)^n comes back transposed for a row-vector matmul, shape
+    (len(intervals), k, n_z, n_z) for k live components. On periodic z it
+    is h mu per live component and mode (see the module docstring), and
+    P(h mu)^n comes back as (len(intervals), k, n_z // 2 + 1). Overflow
+    to inf or NaN is left to the caller.
     """
     if scenario.grid.z_periodic:
-        column = _z_operators(scenario, op, slice(0, 1))[..., 0]
+        column = _z_operators(scenario, op, slice(0, 1))[live, :, 0]
         a = (dt * np.fft.rfft(column))[..., None, None]
     else:
-        a = dt * _RHS(scenario, op).zmat_t
+        a = dt * _RHS(scenario, op).zmat_t[live]
     eye = np.eye(a.shape[-1])
     poly = eye + a / 4.0
     for c in (3.0, 2.0, 1.0):
         poly = eye + (a / c) @ poly
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = {n: np.linalg.matrix_power(poly, n) for n in intervals}
+        powers = np.stack([np.linalg.matrix_power(poly, n) for n in intervals])
     if scenario.grid.z_periodic:
-        return {n: power[..., 0, 0] for n, power in powers.items()}
+        return powers[..., 0, 0]
     return powers
 
 
-def _advance(last: np.ndarray, lengths: np.ndarray, z_periodic: bool,
-             propagators: dict[int, np.ndarray], out: np.ndarray) -> None:
-    """Write into out[i] the state lengths[0] + ... + lengths[i] steps after
-    `last`, with `propagators` from `_propagators`.
+def _advance(last: np.ndarray, which: np.ndarray, z_periodic: bool,
+             propagators: np.ndarray, out: np.ndarray) -> None:
+    """Write into out[i] the state after the intervals which[0], ...,
+    which[i] from `last`, each an index into the stack of `_propagators`.
 
-    On periodic z each is irfft(rfft(last) P(h mu)^n), a running product of
-    the interval symbols; on closed z each is one batched matmul of the
-    state before it with the dense P(h L)^n.
+    `last` (k, n_p', n_q', n_z) and `out` (m, k, n_p', n_q', n_z) hold the
+    live components only, as views into the chunks of `evolve`. On
+    periodic z each state is irfft(rfft(last) P(h mu)^n), with the running
+    product of the interval symbols as one cumprod over the picked rows of
+    the stack; on closed z each is one batched matmul of the state before
+    it with the dense P(h L)^n.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if z_periodic:
-            powers = np.cumprod([propagators[n] for n in lengths], axis=0)
+            powers = np.cumprod(propagators[which], axis=0)
             spectrum = np.fft.rfft(last) * powers[:, :, None, None, :]
             np.fft.irfft(spectrum, n=last.shape[-1], axis=-1, out=out)
             return
-        rows = (3, -1, last.shape[-1])
-        for n, state in zip(lengths, out):
-            np.matmul(last.reshape(rows), propagators[n],
+        k, n_p, n_q, n_z = last.shape
+        rows = (k, n_p * n_q, n_z)
+        for i, state in zip(which, out):
+            # a state's p, q and z axes are contiguous, so both reshapes
+            # are views and matmul writes into out
+            np.matmul(last.reshape(rows), propagators[i],
                       out=state.reshape(rows))
             last = state
 
@@ -612,12 +649,17 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     its sample interval. The state is held, and the final one returned as
     a fresh contiguous copy, at the smallest shape that broadcasts exactly
     to the initial field (`_initial_state`), (3, n_p', n_q', n_z).
+    Only the components that are not identically zero in the initial
+    state (`_live_components`) are propagated and checked finite; the
+    others are exactly 0 in every sampled state and in the final field.
 
     The sampled states are formed in chunks of up to _HISTORY_BYTES (one
-    state at least); the first chunk's slot 0 holds the only copy of the
-    initial state. Each chunk is checked for finite values and its finite
-    prefix normed once; the overflow guard stops the run with stop_reason
-    "overflow guard" at the first sample whose total L2 exceeds
+    state at least): a chunk's dead components are written as 0 once and
+    its live ones in place; the first chunk's slot 0 holds the only copy
+    of the initial state. Each chunk's live components are checked for
+    finite values and its finite prefix normed once; the overflow guard
+    stops the run with stop_reason "overflow guard" at the first sample
+    whose total L2 exceeds
     OVERFLOW_FACTOR times sample 0's, and a non-finite sample before
     that raises NumericalError. The series keeps those norms, and
     `_diagnostics` adds div_rel, one batched pass per chunk up to the
@@ -633,8 +675,11 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     stride = scenario.stride
     steps = np.append(np.arange(0, nsteps, stride), nsteps)
     per_pass = max(1, _HISTORY_BYTES // b.nbytes)
-    propagators = _propagators(scenario, op, dt,
-                               {stride, nsteps % stride} - {0})
+    live = _live_components(b)
+    dead = np.ones(3, dtype=bool)
+    dead[live] = False
+    intervals = np.array(sorted({stride, nsteps % stride} - {0}))
+    propagators = _propagators(scenario, op, dt, intervals, live)
     build_s = time.perf_counter() - start
 
     parts, stop_reason = [], "completed"
@@ -643,6 +688,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         begin = time.perf_counter()
         end = min(first + per_pass, len(steps))
         chunk = np.empty((end - first, *b.shape))
+        chunk[:, dead] = 0.0  # never advanced: 0 in every state
         states = chunk  # the states to form
         if first == 0:
             # slot 0 takes the initial state and holds its only copy
@@ -650,9 +696,10 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
             b, states = chunk[0], chunk[1:]
         lead = len(chunk) - len(states)  # the chunk index of states[0]
         if len(states):
-            _advance(b, np.diff(steps[first + lead - 1:end]), grid.z_periodic,
-                     propagators, states)
-        finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
+            lengths = np.diff(steps[first + lead - 1:end])
+            _advance(b[live], np.searchsorted(intervals, lengths),
+                     grid.z_periodic, propagators, states[:, live])
+        finite = np.isfinite(states[:, live]).all(axis=(1, 2, 3, 4))
         ok = len(chunk) if finite.all() else lead + int(np.argmin(finite))
         l2 = op.component_norms(chunk[:ok])
         total = _total(l2)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -431,6 +432,13 @@ def test_radius_bound_rejects_nonpositive_omega_tau():
     with pytest.raises(NoDynamoBoundError):
         dynamo_radius_bound(RopeParams(r=1, omega=-1.0, gamma=1, tau=1.0))
     assert not is_dynamo(RopeParams(r=100.0, omega=-1.0, gamma=1, tau=1.0))
+    # omega*tau underflows to -0: the message names omega and tau, not the
+    # product, which used to read "omega*tau = -0"
+    with pytest.raises(NoDynamoBoundError, match=re.escape(
+            "omega*tau <= 0 for omega = 1e-200 and tau = -1e-200: no dynamo "
+            "radius bound exists")):
+        dynamo_radius_bound(RopeParams(r=1, omega=1e-200, gamma=1,
+                                       tau=-1e-200))
 
 
 def test_radius_bound_monotonicity():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from framedynamo import frame_calculus
 from framedynamo.frame_calculus import (CoframeBasis, ConformalFactor,
                                         FrameField, FrameMetric,
                                         FrameOperators, Grid3D)
@@ -555,6 +556,81 @@ def test_stacked_div_and_norms_equal_single_calls_bit_for_bit(k, size, keep,
     # a stack of one-component fields: the figures of l2_norm
     assert np.array_equal(op.component_norms(div[:, None])[:, 0],
                           [op.l2_norm(d) for d in div])
+
+
+def four_term_div(op, data):
+    """div as the sum of all four terms, none skipped: the reference for
+    the terms `FrameOperators.div` leaves out."""
+    bp, bq, bz = (data[..., c, :, :, :] for c in range(3))
+    per_field = (-1, bz.shape[-3] * bz.shape[-2], bz.shape[-1])
+    return (op.inv_h[0] * op.dp(bp)
+            + op.inv_h[1] * op.dq(bq)
+            + op.inv_h[2] * np.matmul(bz.reshape(per_field),
+                                      op.d1.T).reshape(bz.shape)
+            + op.c_div * bz)
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+@pytest.mark.parametrize("keep", [(1, 1), (1, None), (None, 1), (None, None)],
+                         ids=["p-and-q", "p", "q", "neither"])
+@pytest.mark.parametrize("zero", [(), (0,), (1,), (2,), (0, 2), (0, 1, 2),
+                                  "bz-of-one-field"],
+                         ids=lambda z: "-".join(map(str, z)) if isinstance(
+                             z, tuple) else z)
+def test_div_skips_only_terms_that_are_exactly_zero(zero, keep, periodic,
+                                                    monkeypatch):
+    # stacks with all-zero components and collapsed p or q axes: the terms
+    # div leaves out change no figure of the four-term sum, for the stack
+    # and for each field alone
+    _, grid, op = make_ops(n_p=6, n_q=4, n_z=33, periodic=periodic)
+    n_p, n_q = (kept or n for kept, n in zip(keep, grid.shape))
+    stack = np.random.default_rng(5).normal(size=(3, 3, n_p, n_q, grid.n_z))
+    if zero == "bz-of-one-field":
+        stack[1, 2] = 0.0
+    else:
+        stack[:, list(zero)] = 0.0
+    calls = []
+    derivative = frame_calculus.spectral_derivative
+    monkeypatch.setattr(frame_calculus, "spectral_derivative",
+                        lambda f, axis, **kw: calls.append(axis)
+                        or derivative(f, axis, **kw))
+    div = op.div(stack)
+    # a dp or dq term is formed only for a live component along an axis of
+    # more than one point
+    live = [c for c in range(3) if stack[:, c].any()]
+    assert calls == [axis for c, axis, n in ((0, -3, n_p), (1, -2, n_q))
+                     if c in live and n > 1]
+    assert div.shape == (3, n_p, n_q, grid.n_z)
+    assert np.array_equal(div, four_term_div(op, stack))
+    for data in stack:
+        assert np.array_equal(op.div(data), four_term_div(op, data))
+        assert np.array_equal(op.div(FrameField(grid, data)),
+                              four_term_div(op, data))
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+def test_norms_of_a_field_past_1e154_are_finite_where_it_is_weighted(
+        periodic):
+    # a closed grid weighs only the interior third of z: an entry of 1e200
+    # outside it, whose square overflows, used to read NaN (0 * inf) and
+    # warn; the norms are those of the field without it, bit for bit
+    _, grid, op = make_ops(n_p=4, n_q=4, n_z=30, periodic=periodic)
+    ones = np.ones((3, *grid.shape))
+    for z in (0, 12):  # outside and inside the interior third
+        data = ones.copy()
+        data[1, 0, 0, z] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms, total = op.component_norms(data), op.l2_norm(data)
+        assert np.isfinite(norms).all() and np.isfinite(total)
+        if z < grid.n_z // 3 and not periodic:
+            assert np.array_equal(norms, op.component_norms(ones))
+            assert total == op.l2_norm(ones)
+        else:
+            # the spike's own norm: one of 4 x 4 p,q points at one z point
+            spike = 1e200 * np.sqrt(op.measure[z] / 16)
+            assert norms[1] == pytest.approx(spike, rel=1e-15)
+            assert total == pytest.approx(spike, rel=1e-15)
 
 
 def test_div_rejects_arrays_that_are_not_three_component_fields():

@@ -962,8 +962,10 @@ def assert_series_is_per_sample(sc, res, states):
     steps = [*range(0, n, stride), n][:len(states)]
     assert len(res.series.t) == len(states)
     assert np.array_equal(res.series.t, np.array(steps) * res.dt)
-    # every pass sees new states: no state is diagnosed twice
-    assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:]))
+    # every pass sees new states: no state is diagnosed twice (the states
+    # of an all-zero field are all equal, so only non-zero ones can tell)
+    assert not any(np.array_equal(a, b) for a, b in zip(states, states[1:])
+                   if a.any())
     l2, totals, divs = per_sample_series(sc, states)
     assert np.array_equal(res.series.l2, l2)
     assert np.array_equal(res.series.total_l2, totals)
@@ -1101,6 +1103,45 @@ def dense_reference(sc):
     return steps[:len(states)], states
 
 
+def assert_dead_components_stay_zero(sc, res, states):
+    """The components that are identically zero in the initial state are
+    exactly 0 in every sampled state and in the final field."""
+    dead = [c for c, comp in enumerate(_initial_state(sc.initial_field,
+                                                      sc.grid))
+            if not comp.any()]
+    assert not any(np.any(data[dead]) for data in states)
+    assert not np.any(res.field.data[dead])
+    return dead
+
+
+# one field per set of live components, with the slice `evolve` advances:
+# Bq, Bz, Bp and Bq, Bp and Bz (the strided slice), and none; `z_field` and
+# `pqz_field` have all three
+LIVE_FIELDS = {
+    "q-slot": (slice(1, 2), lambda: InitialField.q_slot(
+        lambda z: 2.0 + np.sin(2 * np.pi * z))),
+    "z-slot": (slice(2, 3), lambda: InitialField.z_slot(
+        lambda z: 1.5 + np.cos(2 * np.pi * z))),
+    "pq-profiles": (slice(0, 2), lambda: named_initial_field("pq_mixed")),
+    "solenoidal-pz": (slice(0, 3, 2), lambda: InitialField.solenoidal_pz(
+        CAT_STRETCH_RATE, lambda z: 3.0 * np.sin(2 * np.pi * z),
+        lambda z: 6.0 * np.pi * np.cos(2 * np.pi * z))),
+    "zero": (slice(0, 0), InitialField),
+}
+
+
+@pytest.mark.parametrize("live,init", [*LIVE_FIELDS.values(),
+                                       (slice(0, 3), z_field),
+                                       (slice(0, 3), pqz_field)],
+                         ids=[*LIVE_FIELDS, "z-field", "full-grid"])
+def test_live_components_are_the_slice_of_the_non_zero_ones(live, init):
+    state = _initial_state(init(), Grid3D(4, 4, 32, z_periodic=True))
+    got = induction_dynamo._live_components(state)
+    # a basic slice, so the live part of a state is a view
+    assert isinstance(got, slice) and range(3)[got] == range(3)[live]
+    assert list(range(3)[got]) == [c for c in range(3) if state[c].any()]
+
+
 def cap_history(monkeypatch, sc, states):
     """Cap a chunk at `states` sampled states of `sc` (None: leave it)."""
     if states is not None:
@@ -1118,7 +1159,8 @@ def cap_history(monkeypatch, sc, states):
     pytest.param(0.0, z_field, id="ideal-collapsed"),
     pytest.param(1e-2, z_field, id="resistive-collapsed"),
     pytest.param(0.0, pqz_field, id="ideal-full-grid"),
-])
+] + [pytest.param(0.0, make, id=name)
+     for name, (_, make) in LIVE_FIELDS.items()])
 def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
                                                     monkeypatch):
     sc = scenario(eta=eta, n_z=32, n_pq=4, t_end=1.0, init=init())
@@ -1135,8 +1177,10 @@ def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
         assert passes == [3] * (len(steps) // 3) + [len(steps) % 3] * (
             len(steps) % 3 > 0)
     assert_series_is_per_sample(sc, res, kept)
+    dead = assert_dead_components_stay_zero(sc, res, kept)
     b = np.broadcast_to(states[-1], res.field.data.shape)
-    assert np.max(np.abs(b)) > 1.0
+    # a tolerance relative to the field's size, exact for the zero field
+    assert np.max(np.abs(b)) > 1.0 or len(dead) == 3
     tol = 1e-12 * np.max(np.abs(b))
     np.testing.assert_allclose(res.field.data, b, rtol=0, atol=tol)
     for got, want in zip(kept, states):
@@ -1152,15 +1196,20 @@ def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
 # before
 @pytest.mark.parametrize("chunk", [None, 1, 2],
                          ids=["one-pass", "chunks-of-1", "chunks-of-2"])
-@pytest.mark.parametrize("omega", ["exponential", "tabulated"])
-def test_closed_run_is_the_dense_propagation(omega, chunk, monkeypatch):
+@pytest.mark.parametrize("omega,init", [
+    pytest.param(omega, init, id="-".join([omega, *name]))
+    for name, init in [((), pqz_field)] + [
+        ((name,), make) for name, (_, make) in LIVE_FIELDS.items()]
+    for omega in ("exponential", "tabulated")])
+def test_closed_run_is_the_dense_propagation(omega, init, chunk, monkeypatch):
     sc = scenario(omega=OMEGAS[omega](), periodic=False, n_z=32, t_end=0.25,
-                  init=pqz_field())
+                  init=init())
     assert sc.n_steps % 3 != 0
     sample_every(monkeypatch, sc, 3)
     cap_history(monkeypatch, sc, chunk)
     steps, states = dense_reference(sc)
-    res = evolve(sc)
+    res, kept, _ = evolve_keeping_states(sc, monkeypatch)
+    assert_dead_components_stay_zero(sc, res, kept)
     assert res.steps == sc.n_steps
     assert np.array_equal(res.series.t, np.array(steps) * res.dt)
     assert np.array_equal(res.field.data,
