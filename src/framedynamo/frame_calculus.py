@@ -15,14 +15,17 @@ foot points exactly, and a tabulated not-a-knot cubic spline
 antiderivative are those of its cubic pieces; its foot points bisect that
 antiderivative. `FrameOperators` evaluates grad, div, curl and the vector
 Laplacian of any coframe, the general orthogonal-coordinates expressions,
-with spectral derivatives in p, q and 4th-order finite differences in z.
-Scale factors and their z-derivatives enter analytically, so operators
-applied to constant frame fields are exact up to roundoff.
+with spectral derivatives in p, q and 4th-order finite differences in z;
+the z matrices of the last few z grids are cached read-only
+(`_z_matrices`), so operators on one grid share one pair. Scale factors
+and their z-derivatives enter analytically, so operators applied to
+constant frame fields are exact up to roundoff.
 
 Orientation convention: (e_p, e_q, e_z) is right-handed, e_p x e_q = e_z.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -464,19 +467,35 @@ class FrameField:
         return self.data[2]
 
 
+@functools.lru_cache(maxsize=4)
+def _z_matrices(n_z: int, dz: float,
+                periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only first and second z-derivative matrices of a z grid.
+
+    Cached for the last 4 z grids, so every `FrameOperators` on one grid
+    shares one pair, and a caller's operator and the one `evolve` builds
+    form them once; the cache keeps up to 4 pairs of n_z-by-n_z matrices
+    after the operators are gone.
+    """
+    mats = tuple(z_derivative_matrix(n_z, dz, order, periodic)
+                 for order in (1, 2))
+    for D in mats:
+        D.flags.writeable = False
+    return mats
+
+
 class FrameOperators:
     """grad/div/curl/vector Laplacian on a fixed (coframe, grid) pair.
 
-    Precomputes the z-differentiation matrices and the coframe's
-    coefficient profiles; raises ValueError unless its scale factors are
-    finite and positive on grid.z. Inputs are never mutated; every result
-    is checked finite.
+    Precomputes the coframe's coefficient profiles, and takes its read-only
+    z-differentiation matrices from `_z_matrices`; raises ValueError unless
+    its scale factors are finite and positive on grid.z. Inputs are never
+    mutated; every result is checked finite.
     """
 
     def __init__(self, coframe: CoframeBasis, grid: Grid3D):
         self.grid = grid
-        self.d1 = z_derivative_matrix(grid.n_z, grid.dz, 1, grid.z_periodic)
-        self.d2 = z_derivative_matrix(grid.n_z, grid.dz, 2, grid.z_periodic)
+        self.d1, self.d2 = _z_matrices(grid.n_z, grid.dz, grid.z_periodic)
         h, c, _ = coframe.structure_rates(grid.z)
         self.inv_h = tuple(1.0 / h)
         # curl coefficients c_i = h_i'/(h_i h_z); div B = (1/h_p) dp Bp

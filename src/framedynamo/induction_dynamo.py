@@ -15,9 +15,9 @@ equations evaluated couple z points only:
 so Bq grows at +lam w, Bp decays at -lam w, and Bz picks up the conformal
 stretching factor Omega(z)/Omega(z0) along characteristics. `_rates` forms
 w and the three diagonal rates. `_z_operators` applies them, and every
-run's real-axis step bound reads its fastest real decay from them
-(`_step_rates`). Each component's right-hand side is one n_z-by-n_z
-matrix L.
+scenario's real-axis step bound reads its fastest real decay from them
+(`_step_rates`, computed once per scenario). Each component's right-hand
+side is one n_z-by-n_z matrix L.
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
@@ -324,14 +324,20 @@ def _collapsed_on_mesh(initial: InitialField, grid: Grid3D,
     `np.ix_(grid.p, grid.q, z)`, as in `InitialField.on_grid`, and its
     result is cut by `_collapse_pq` before anything is broadcast or
     stacked, so a z-profile never fills the grid. Returns a fresh
-    contiguous (3, n_p', n_q', n_z) array.
+    contiguous (3, n_p', n_q', n_z) array, each component written into it
+    by one broadcasting assignment.
     """
     P, Q, Z = np.ix_(grid.p, grid.q, z)
-    comps = [_collapse_pq(np.broadcast_to(np.asarray(c(P, Q, Z), dtype=float),
-                                          grid.shape))
-             for c in (initial.bp, initial.bq, initial.bz)]
-    shape = np.broadcast_shapes(*(c.shape for c in comps))
-    return np.stack([np.broadcast_to(c, shape) for c in comps])
+    comps = []
+    for c in (initial.bp, initial.bq, initial.bz):
+        value = np.asarray(c(P, Q, Z), dtype=float)
+        if value.shape != grid.shape:
+            value = np.broadcast_to(value, grid.shape)
+        comps.append(_collapse_pq(value))
+    out = np.empty((3, *np.broadcast_shapes(*(c.shape for c in comps))))
+    for slot, c in zip(out, comps):
+        slot[...] = c
+    return out
 
 
 def _initial_state(initial: InitialField, grid: Grid3D) -> np.ndarray:
@@ -372,6 +378,9 @@ class DynamoScenario:
     field exactly constant along p and q on the grid, and then only on
     periodic z, since closed z has no boundary condition for eta dzz (see
     the module docstring). Anything else raises ValueError.
+
+    Construction computes the step rates of `_step_rates` once, to check
+    dt, and keeps them for every run's CFL figures; it builds nothing else.
     """
 
     metric: FrameMetric
@@ -418,6 +427,8 @@ class DynamoScenario:
                 f"the fastest real decay rate {decay:g} must be at most "
                 f"{RK4_REAL_AXIS_LIMIT} (RK4's real-axis limit), so dt <= "
                 f"{RK4_REAL_AXIS_LIMIT / decay:g}")
+        # not a field: the step rates every run reports its CFL figures from
+        object.__setattr__(self, "_vmax_decay", (vmax, decay))
 
     @property
     def theory_rate(self) -> float | None:
@@ -653,6 +664,10 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     state (`_live_components`) are propagated and checked finite; the
     others are exactly 0 in every sampled state and in the final field.
 
+    Each run builds its operators and propagators afresh; the step rates
+    of its CFL figures are those the scenario validated dt with, and its
+    `FrameOperators` shares the cached z matrices of its grid.
+
     The sampled states are formed in chunks of up to _HISTORY_BYTES (one
     state at least): a chunk's dead components are written as 0 once and
     its live ones in place; the first chunk's slot 0 holds the only copy
@@ -728,8 +743,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
                              div_rel=div_rel,
                              truncated=stop_reason != "completed")
     field = FrameField(grid, b.copy())
-    vmax, decay = _step_rates(scenario.metric, grid, scenario.flow_speed,
-                              scenario.resistivity)
+    vmax, decay = scenario._vmax_decay
     return EvolutionResult(field, series, int(steps[kept - 1]), dt,
                            stop_reason, cfl_advective=dt * vmax / grid.dz,
                            cfl_real_axis=dt * decay, build_s=build_s,

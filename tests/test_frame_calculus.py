@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from framedynamo import frame_calculus
+from framedynamo.differentiation import z_derivative_matrix
 from framedynamo.frame_calculus import (CoframeBasis, ConformalFactor,
                                         FrameField, FrameMetric,
                                         FrameOperators, Grid3D)
@@ -518,6 +519,22 @@ def test_norms_reject_pq_axes_of_another_length():
         op.l2_norm(np.ones((3, 6, 2, 33)))
     with pytest.raises(ValueError, match="grid"):
         FrameField(grid, np.ones((3, 3, 4, 33)))
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+def test_operators_on_one_grid_share_read_only_z_matrices(periodic):
+    _, grid, a = make_ops(n_z=64, periodic=periodic)
+    b = FrameOperators(FrameMetric(0.5), grid)
+    assert a.d1 is b.d1 and a.d2 is b.d2
+    for order, d in ((1, a.d1), (2, a.d2)):
+        assert np.array_equal(d, z_derivative_matrix(grid.n_z, grid.dz, order,
+                                                     periodic))
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
+    # a matrix of its own for every other z grid
+    other = FrameOperators(FrameMetric(LAM),
+                           Grid3D(8, 8, 65, z_periodic=periodic))
+    assert other.d1 is not a.d1 and other.d1.shape == (65, 65)
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])

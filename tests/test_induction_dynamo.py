@@ -1739,3 +1739,64 @@ def test_evolve_and_oracle_return_the_collapsed_field(name, periodic,
         assert not np.shares_memory(got, again)
         assert np.array_equal(np.broadcast_to(got, want.shape), want,
                               equal_nan=True)
+
+
+# -- what a scenario's runs share ----------------------------------------------
+
+
+def assert_same_run(a, b):
+    """Two EvolutionResults agree bit for bit in everything but wall time."""
+    assert np.array_equal(a.field.data, b.field.data)
+    for name in ("t", "l2", "total_l2", "div_rel"):
+        assert np.array_equal(getattr(a.series, name),
+                              getattr(b.series, name))
+    assert a.series.truncated == b.series.truncated
+    for name in ("steps", "dt", "stop_reason", "cfl_advective",
+                 "cfl_real_axis"):
+        assert getattr(a, name) == getattr(b, name)
+
+
+RERUN_SCENARIOS = {
+    "arnold": lambda: scenario(n_pq=32, n_z=128, t_end=2.0),
+    "resistive": lambda: scenario(eta=1e-2, n_z=32, t_end=0.25),
+    "closed-exponential": lambda: scenario(
+        omega=ConformalFactor.exponential(0.5), periodic=False, n_z=48,
+        t_end=0.25),
+    "closed-solenoidal": lambda: scenario(
+        periodic=False, n_z=48, t_end=0.25,
+        init=named_initial_field("solenoidal", CAT_STRETCH_RATE)),
+    "full-grid": lambda: scenario(n_pq=8, n_z=32, t_end=0.1,
+                                  init=pqz_field()),
+}
+
+
+@pytest.mark.parametrize("make", RERUN_SCENARIOS.values(),
+                         ids=RERUN_SCENARIOS)
+def test_second_run_of_a_scenario_is_bit_identical(make):
+    # the z matrices and step rates a run reuses change no figure
+    sc = make()
+    first = evolve(sc)
+    assert_same_run(first, evolve(sc))
+    assert_same_run(first, evolve(make()))
+
+
+def test_step_rates_are_computed_once_per_scenario(monkeypatch):
+    metric = FrameMetric(CAT_STRETCH_RATE)
+    grid = metric.grid(4, 4, 64, z_periodic=True)
+    dt = stable_dt(metric, grid, 1.0, resistivity=1e-2)
+    vmax, decay = _step_rates(metric, grid, 1.0, 1e-2)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _step_rates(*args)
+
+    monkeypatch.setattr(induction_dynamo, "_step_rates", spy)
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                        initial_field=q_sine(), t_end=0.3, dt=dt,
+                        resistivity=1e-2)
+    runs = evolve(sc), evolve(sc)
+    assert len(calls) == 1
+    for res in runs:
+        assert res.cfl_advective == res.dt * vmax / grid.dz
+        assert res.cfl_real_axis == res.dt * decay
