@@ -14,29 +14,29 @@ equations evaluated couple z points only:
 
 so Bq grows at +lam w, Bp decays at -lam w, and Bz picks up the conformal
 stretching factor Omega(z)/Omega(z0) along characteristics. `_rates` forms
-w and the three diagonal rates. `_z_operators` applies them, and every
-scenario's real-axis step bound reads its fastest real decay from them
-(`_step_rates`, computed once per scenario). Each component's right-hand
-side is one n_z-by-n_z matrix L.
+w and the three diagonal rates, and the real-axis step bound reads its
+fastest real decay from them (`_step_rates`). Each component's right-hand
+side is one n_z-by-n_z matrix L, whose one home is `_RHS`: built once per
+scenario, it applies L and builds and applies the propagators of `evolve`.
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
-and s steps are B <- P(h L)^s B. `_propagators` builds P(h L)^s once per
-run for each sample interval length s, by one Horner loop on a stack of
-matrices, and `_advance` forms a chunk of sampled states from the last
-state of the chunk before it; the fields between two samples are never
-formed. A run samples every max(1, n_steps // 200) steps and stops at the
-first sample past OVERFLOW_FACTOR times its initial norm; both are module
-constants, and `DynamoScenario` has no knob for either.
+and s steps are B <- P(h L)^s B. `_RHS.propagators` builds P(h L)^s once
+per run for each sample interval length s, by one Horner loop on a stack
+of matrices, and `_RHS.advance` forms a chunk of sampled states from the
+last state of the chunk before it; the fields between two samples are
+never formed. A run samples every max(1, n_steps // 200) steps and stops
+at the first sample past OVERFLOW_FACTOR times its initial norm; both are
+module constants, and `DynamoScenario` has no knob for either.
 - On periodic z, Omega is z-uniform, so L has constant coefficients on a
   wrap-around stencil: it is circulant, diagonal in the z Fourier modes,
   with eigenvalues mu_k the discrete Fourier transform of its first
-  column. The stack is one 1 x 1 matrix h mu_k per component and mode,
-  and the state n steps after a chunk's start B is
-  irfft(rfft(B) P(h mu)^n); no n_z-by-n_z matrix is applied.
-- On closed z the one-sided end rows make L non-circulant. The stack is
-  each component's dense n_z-by-n_z h L, and each interval of s steps is
-  one batched matmul with P(h L)^s.
+  column, which is all `_RHS` holds of it. The stack is one 1 x 1 matrix
+  h mu_k per component and mode, and the state n steps after a chunk's
+  start B is irfft(rfft(B) P(h mu)^n); no n_z-by-n_z matrix is applied.
+- On closed z the one-sided end rows make L non-circulant. `_RHS` holds
+  each component's dense n_z-by-n_z L, the stack is h L, and each
+  interval of s steps is one batched matmul with P(h L)^s.
 
 Because L couples z points only, it also keeps a field that is constant
 along p or q exactly constant along it. `evolve` therefore builds and
@@ -247,7 +247,17 @@ _SAMPLE_INTERVALS = 200
 def _rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
            resistivity: float) -> tuple[np.ndarray, np.ndarray]:
     """w = v / Omega on grid.z, and the diagonal rates (3, n_z) of the
-    module docstring's Bp, Bq and Bz equations."""
+    module docstring's Bp, Bq and Bz equations. The input check that
+    `stable_dt` and `DynamoScenario` share: ValueError unless
+    0 <= resistivity < inf, flow_speed is finite, and Omega > 0 and the
+    scale factors are finite and positive on grid.z (h'' carries lam^2, so
+    a lam whose square overflows is rejected before the rates square it)."""
+    if not 0.0 <= resistivity < np.inf:
+        raise ValueError("resistivity must be finite and non-negative, "
+                         f"got {resistivity}")
+    if not np.isfinite(flow_speed):
+        raise ValueError(f"flow_speed must be finite, got {flow_speed}")
+    metric.scale_factors(grid.z)
     lam, v, eta, z = metric.lam, flow_speed, resistivity, grid.z
     om = metric.omega.value(z)
     w = v / om
@@ -257,22 +267,17 @@ def _rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
     return w, rate
 
 
-def _step_rates(metric: FrameMetric, grid: Grid3D, flow_speed: float,
-                resistivity: float) -> tuple[float, float]:
-    """max |v_eff| and the fastest real decay rate of the operator.
+def _step_rates(w: np.ndarray, rate: np.ndarray, resistivity: float,
+                dz: float) -> tuple[float, float]:
+    """max |v_eff| and the fastest real decay rate, from `_rates`' output.
 
     A step dt has the advective number dt max|v_eff| / dz and the real-axis
     number dt times this decay. The real-axis rule: at the z Nyquist mode
     the 4th-order central dzz stencil decays at eta 16/(3 dz^2) and the
     central dz stencil vanishes, and the fastest decay among the diagonal
-    rates of `_rates`, over the three components and grid.z, adds to it.
-    Raises ValueError unless Omega > 0 and the scale factors are finite and
-    positive on grid.z; their h'' carries lam^2, so a lam whose square
-    overflows is rejected here, before the rates square it.
+    rates, over the three components and grid.z, adds to it.
     """
-    metric.scale_factors(grid.z)
-    w, rate = _rates(metric, grid, flow_speed, resistivity)
-    decay = resistivity * (16.0 / (3.0 * grid.dz ** 2)) - float(np.min(rate))
+    decay = resistivity * (16.0 / (3.0 * dz ** 2)) - float(np.min(rate))
     return float(np.max(np.abs(w))), decay
 
 
@@ -284,14 +289,13 @@ def stable_dt(metric: FrameMetric, grid: Grid3D, flow_speed: float,
     The real-axis step puts the real-axis number of `_step_rates` at the
     same fraction cfl / ADVECTIVE_LIMIT of RK4_REAL_AXIS_LIMIT that the
     advective number takes of ADVECTIVE_LIMIT, so cfl = 0.4 keeps both at
-    80% of what `DynamoScenario` accepts. Raises ValueError for a
-    non-finite flow_speed and unless 0 < cfl < inf.
+    80% of what `DynamoScenario` accepts. Raises ValueError unless
+    0 < cfl < inf, and for what `_rates` rejects.
     """
-    if not np.isfinite(flow_speed):
-        raise ValueError(f"flow_speed must be finite, got {flow_speed}")
     if not 0.0 < cfl < np.inf:
         raise ValueError(f"cfl must be positive and finite, got {cfl}")
-    vmax, decay = _step_rates(metric, grid, flow_speed, resistivity)
+    vmax, decay = _step_rates(*_rates(metric, grid, flow_speed, resistivity),
+                              resistivity, grid.dz)
     dt = cfl * grid.dz / vmax if vmax > 0.0 else cfl * grid.dz
     if decay > 0.0:
         dt = min(dt, cfl / ADVECTIVE_LIMIT * RK4_REAL_AXIS_LIMIT / decay)
@@ -379,8 +383,9 @@ class DynamoScenario:
     periodic z, since closed z has no boundary condition for eta dzz (see
     the module docstring). Anything else raises ValueError.
 
-    Construction computes the step rates of `_step_rates` once, to check
-    dt, and keeps them for every run's CFL figures; it builds nothing else.
+    Construction forms `_rates` once and checks dt with their `_step_rates`;
+    only then does it build its operator `_RHS`, which runs and
+    `induction_rhs` read.
     """
 
     metric: FrameMetric
@@ -392,11 +397,8 @@ class DynamoScenario:
     resistivity: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.resistivity < np.inf:
-            raise ValueError("resistivity must be finite and non-negative, "
-                             f"got {self.resistivity}")
-        if not np.isfinite(self.flow_speed):
-            raise ValueError(f"flow_speed must be finite, got {self.flow_speed}")
+        w, rate = _rates(self.metric, self.grid, self.flow_speed,
+                         self.resistivity)
         for name in ("t_end", "dt"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
@@ -406,8 +408,7 @@ class DynamoScenario:
             raise ValueError(f"dt={self.dt:g} is too small for t_end="
                              f"{self.t_end:g}: it takes more than "
                              f"MAX_STEPS={MAX_STEPS} steps")
-        vmax, decay = _step_rates(self.metric, self.grid, self.flow_speed,
-                                  self.resistivity)
+        vmax, decay = _step_rates(w, rate, self.resistivity, self.grid.dz)
         if vmax > 0 and self.dt > ADVECTIVE_LIMIT * self.grid.dz / vmax + 1e-15:
             raise ValueError(
                 f"dt={self.dt:g} violates the advective bound "
@@ -427,8 +428,8 @@ class DynamoScenario:
                 f"the fastest real decay rate {decay:g} must be at most "
                 f"{RK4_REAL_AXIS_LIMIT} (RK4's real-axis limit), so dt <= "
                 f"{RK4_REAL_AXIS_LIMIT / decay:g}")
-        # not a field: the step rates every run reports its CFL figures from
-        object.__setattr__(self, "_vmax_decay", (vmax, decay))
+        # not a field: the one home of the scenario's operator L
+        object.__setattr__(self, "_rhs", _RHS(self, w, rate, (vmax, decay)))
 
     @property
     def theory_rate(self) -> float | None:
@@ -460,40 +461,97 @@ class DynamoScenario:
 # -- right-hand side ----------------------------------------------------------
 
 
-def _z_operators(scenario: DynamoScenario, op: FrameOperators,
-                 cols: slice = slice(None)) -> np.ndarray:
-    """Columns `cols` of each component's z-operator L, shape (3, n_z, n).
-
-    L is the fused z-only operator of the module docstring,
-    eta d2 - w d1 + rate, with -2 eta lam d1 more for Bz.
-    """
-    m, g, eta = scenario.metric, scenario.grid, scenario.resistivity
-    w, rate = _rates(m, g, scenario.flow_speed, eta)
-    d1, d2 = op.d1[:, cols], op.d2[:, cols]
-    base = eta * d2 - w[:, None] * d1
-    mats = np.stack([base, base, base - 2.0 * eta * m.lam * d1])
-    diag = np.arange(g.n_z)[cols]
-    mats[:, diag, np.arange(len(diag))] += rate[:, diag]
-    return mats
-
-
 class _RHS:
-    """Fused right-hand side; `zmat_t` holds each component's z-operator."""
+    """The induction operator L of one scenario (eta d2 - w d1 + rate, with
+    -2 eta lam d1 more for Bz, one block per component), its step rates and
+    its `FrameOperators`: built once by `DynamoScenario`, and the only code
+    that picks the spectral or the dense path. Periodic z is admitted only
+    with a z-uniform Omega, so the blocks are circulant there and `blocks`
+    holds their first columns (3, n_z); on closed z, the transposed dense
+    blocks (3, n_z, n_z)."""
 
-    def __init__(self, scenario: DynamoScenario,
-                 op: FrameOperators | None = None):
-        self.op = op or FrameOperators(scenario.metric, scenario.grid)
-        self.zmat_t = np.ascontiguousarray(
-            _z_operators(scenario, self.op).transpose(0, 2, 1))
+    def __init__(self, scenario: DynamoScenario, w: np.ndarray,
+                 rate: np.ndarray, step_rates: tuple[float, float]):
+        m, g, eta = scenario.metric, scenario.grid, scenario.resistivity
+        self.step_rates = step_rates  # (max |v_eff|, decay) of `_step_rates`
+        self.op = FrameOperators(m, g)
+        self.circulant = g.z_periodic
+        cols = slice(0, 1) if self.circulant else slice(None)
+        d1, d2 = self.op.d1[:, cols], self.op.d2[:, cols]
+        base = eta * d2 - w[:, None] * d1
+        mats = np.stack([base, base, base - 2.0 * eta * m.lam * d1])
+        diag = np.arange(g.n_z)[cols]
+        mats[:, diag, np.arange(len(diag))] += rate[:, diag]
+        self.blocks = (mats[..., 0] if self.circulant else
+                       np.ascontiguousarray(mats.transpose(0, 2, 1)))
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
-        n_z = data.shape[-1]
-        return np.matmul(data.reshape(3, -1, n_z),
-                         self.zmat_t).reshape(data.shape)
+        """L applied to a field (3, n_p', n_q', n_z) by one dense matmul; a
+        circulant block is expanded, L[i, j] = column[(i - j) mod n_z], and
+        laid out as the dense blocks are (an FFT apply differs in the last
+        bits, and matmul's bits may depend on its operand's layout)."""
+        mats, n_z = self.blocks, data.shape[-1]
+        if self.circulant:
+            wrap = (np.arange(n_z) - np.arange(n_z)[:, None]) % n_z
+            mats = np.ascontiguousarray(mats[:, wrap])
+        return np.matmul(data.reshape(3, -1, n_z), mats).reshape(data.shape)
+
+    def propagators(self, dt: float, intervals: np.ndarray,
+                    live: slice) -> np.ndarray:
+        """P(h L)^n of the `live` components for each interval length n of
+        `intervals`, stacked on axis 0 in their order.
+
+        The Horner build and the powers run on the live blocks only; a
+        component that is identically zero stays so under its own block.
+        Circulant: P(h mu)^n per mode, (len(intervals), k, n_z // 2 + 1) for
+        k live components. Dense: P(h L)^n transposed for a row-vector
+        matmul, as P(A)^T = P(A^T), (len(intervals), k, n_z, n_z). Overflow
+        to inf or NaN is left to the caller.
+        """
+        if self.circulant:
+            a = (dt * np.fft.rfft(self.blocks[live]))[..., None, None]
+        else:
+            a = dt * self.blocks[live]
+        eye = np.eye(a.shape[-1])
+        poly = eye + a / 4.0
+        for c in (3.0, 2.0, 1.0):
+            poly = eye + (a / c) @ poly
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.stack([np.linalg.matrix_power(poly, n)
+                               for n in intervals])
+        return powers[..., 0, 0] if self.circulant else powers
+
+    def advance(self, last: np.ndarray, which: np.ndarray,
+                propagators: np.ndarray, out: np.ndarray) -> None:
+        """Write into out[i] the state after the intervals which[0], ...,
+        which[i] from `last`, each an index into the stack of `propagators`.
+
+        `last` (k, n_p', n_q', n_z) and `out` (m, k, n_p', n_q', n_z) hold
+        the live components only, as views into the chunks of `evolve`.
+        Circulant: each state is irfft(rfft(last) P(h mu)^n), the running
+        product of the interval symbols one cumprod over the picked rows of
+        the stack. Dense: each is one batched matmul of the state before it
+        with P(h L)^n.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.circulant:
+                powers = np.cumprod(propagators[which], axis=0)
+                spectrum = np.fft.rfft(last) * powers[:, :, None, None, :]
+                np.fft.irfft(spectrum, n=last.shape[-1], axis=-1, out=out)
+                return
+            k, n_p, n_q, n_z = last.shape
+            rows = (k, n_p * n_q, n_z)
+            for i, state in zip(which, out):
+                # a state's p, q and z axes are contiguous, so both reshapes
+                # are views and matmul writes into out
+                np.matmul(last.reshape(rows), propagators[i],
+                          out=state.reshape(rows))
+                last = state
 
 
 def induction_rhs(scenario: DynamoScenario, B: FrameField) -> FrameField:
-    """Right-hand side of the induction system at one instant.
+    """Right-hand side of the induction system at one instant: the
+    scenario's `_RHS` applied to B.
 
     Rejects what `DynamoScenario` rejects: with resistivity > 0, a field
     that is not constant along p and q.
@@ -502,7 +560,7 @@ def induction_rhs(scenario: DynamoScenario, B: FrameField) -> FrameField:
         raise ValueError("induction_rhs: field contains non-finite values")
     if scenario.resistivity > 0:
         _require_constant_along_pq(_collapse_pq(B.data))
-    return FrameField(scenario.grid, _RHS(scenario)(B.data))
+    return FrameField(scenario.grid, scenario._rhs(B.data))
 
 
 # -- evolution ----------------------------------------------------------------
@@ -544,9 +602,9 @@ class EvolutionResult:
     cfl_advective: float  # dt max|v_eff| / dz, accepted up to ADVECTIVE_LIMIT
     # dt times the decay of `_step_rates`, accepted up to RK4_REAL_AXIS_LIMIT
     cfl_real_axis: float
-    # the run's wall time by layer, in seconds: set-up (initial field,
-    # operators, propagators); forming the sampled states with their finite
-    # check and norms; and the batched div passes (div_rel)
+    # the run's wall time by layer, in seconds: set-up (initial field and
+    # propagators; L is built with the scenario); forming the sampled
+    # states, their finite check and norms; the batched div passes (div_rel)
     build_s: float
     advance_s: float
     sample_s: float
@@ -590,83 +648,25 @@ def _live_components(state: np.ndarray) -> slice:
     return slice(int(live[0]), int(live[-1]) + 1, step)
 
 
-def _propagators(scenario: DynamoScenario, op: FrameOperators, dt: float,
-                 intervals: np.ndarray, live: slice) -> np.ndarray:
-    """P(h L)^n of the `live` components for each interval length n of
-    `intervals`, stacked on axis 0 in their order.
-
-    The Horner build and the powers run on the live components' blocks
-    only; a component that is identically zero stays so under its own
-    block (the module docstring). On closed z the stack is each live
-    component's transposed z-operator `_RHS.zmat_t`; P(A)^T = P(A^T), so
-    P(h L)^n comes back transposed for a row-vector matmul, shape
-    (len(intervals), k, n_z, n_z) for k live components. On periodic z it
-    is h mu per live component and mode (see the module docstring), and
-    P(h mu)^n comes back as (len(intervals), k, n_z // 2 + 1). Overflow
-    to inf or NaN is left to the caller.
-    """
-    if scenario.grid.z_periodic:
-        column = _z_operators(scenario, op, slice(0, 1))[live, :, 0]
-        a = (dt * np.fft.rfft(column))[..., None, None]
-    else:
-        a = dt * _RHS(scenario, op).zmat_t[live]
-    eye = np.eye(a.shape[-1])
-    poly = eye + a / 4.0
-    for c in (3.0, 2.0, 1.0):
-        poly = eye + (a / c) @ poly
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.stack([np.linalg.matrix_power(poly, n) for n in intervals])
-    if scenario.grid.z_periodic:
-        return powers[..., 0, 0]
-    return powers
-
-
-def _advance(last: np.ndarray, which: np.ndarray, z_periodic: bool,
-             propagators: np.ndarray, out: np.ndarray) -> None:
-    """Write into out[i] the state after the intervals which[0], ...,
-    which[i] from `last`, each an index into the stack of `_propagators`.
-
-    `last` (k, n_p', n_q', n_z) and `out` (m, k, n_p', n_q', n_z) hold the
-    live components only, as views into the chunks of `evolve`. On
-    periodic z each state is irfft(rfft(last) P(h mu)^n), with the running
-    product of the interval symbols as one cumprod over the picked rows of
-    the stack; on closed z each is one batched matmul of the state before
-    it with the dense P(h L)^n.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if z_periodic:
-            powers = np.cumprod(propagators[which], axis=0)
-            spectrum = np.fft.rfft(last) * powers[:, :, None, None, :]
-            np.fft.irfft(spectrum, n=last.shape[-1], axis=-1, out=out)
-            return
-        k, n_p, n_q, n_z = last.shape
-        rows = (k, n_p * n_q, n_z)
-        for i, state in zip(which, out):
-            # a state's p, q and z axes are contiguous, so both reshapes
-            # are views and matmul writes into out
-            np.matmul(last.reshape(rows), propagators[i],
-                      out=state.reshape(rows))
-            last = state
-
-
 def evolve(scenario: DynamoScenario) -> EvolutionResult:
     """Classical 4-stage Runge-Kutta integration of the induction system.
 
     A step applies P(h L). The run samples at t = 0, every
     `scenario.stride` steps and t_end (`scenario.n_samples` samples), and
-    forms only the sampled states (see the module docstring), by `_advance`
-    with the propagators P(h L)^stride and P(h L)^(n_steps mod stride) of
-    `_propagators`; a non-finite field is therefore reported at the end of
-    its sample interval. The state is held, and the final one returned as
-    a fresh contiguous copy, at the smallest shape that broadcasts exactly
-    to the initial field (`_initial_state`), (3, n_p', n_q', n_z).
+    forms only the sampled states (see the module docstring), by
+    `_RHS.advance` with the propagators P(h L)^stride and
+    P(h L)^(n_steps mod stride) of `_RHS.propagators`; a non-finite field
+    is therefore reported at the end of its sample interval. The state is
+    held, and the final one returned as a fresh contiguous copy, at the
+    smallest shape that broadcasts exactly to the initial field
+    (`_initial_state`), (3, n_p', n_q', n_z).
     Only the components that are not identically zero in the initial
     state (`_live_components`) are propagated and checked finite; the
     others are exactly 0 in every sampled state and in the final field.
 
-    Each run builds its operators and propagators afresh; the step rates
-    of its CFL figures are those the scenario validated dt with, and its
-    `FrameOperators` shares the cached z matrices of its grid.
+    L, its `FrameOperators` (norms and div) and the step rates of the CFL
+    figures are the scenario's `_RHS`, built with the scenario; each run
+    samples its initial state and builds its propagators afresh.
 
     The sampled states are formed in chunks of up to _HISTORY_BYTES (one
     state at least): a chunk's dead components are written as 0 once and
@@ -682,8 +682,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     its wall time split into build_s, advance_s and sample_s.
     """
     start = time.perf_counter()
-    grid = scenario.grid
-    op = FrameOperators(scenario.metric, grid)
+    grid, rhs = scenario.grid, scenario._rhs
     b = _initial_state(scenario.initial_field, grid)
     nsteps = scenario.n_steps
     dt = scenario.t_end / nsteps
@@ -694,7 +693,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     dead = np.ones(3, dtype=bool)
     dead[live] = False
     intervals = np.array(sorted({stride, nsteps % stride} - {0}))
-    propagators = _propagators(scenario, op, dt, intervals, live)
+    propagators = rhs.propagators(dt, intervals, live)
     build_s = time.perf_counter() - start
 
     parts, stop_reason = [], "completed"
@@ -712,11 +711,11 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         lead = len(chunk) - len(states)  # the chunk index of states[0]
         if len(states):
             lengths = np.diff(steps[first + lead - 1:end])
-            _advance(b[live], np.searchsorted(intervals, lengths),
-                     grid.z_periodic, propagators, states[:, live])
+            rhs.advance(b[live], np.searchsorted(intervals, lengths),
+                        propagators, states[:, live])
         finite = np.isfinite(states[:, live]).all(axis=(1, 2, 3, 4))
         ok = len(chunk) if finite.all() else lead + int(np.argmin(finite))
-        l2 = op.component_norms(chunk[:ok])
+        l2 = rhs.op.component_norms(chunk[:ok])
         total = _total(l2)
         if first == 0:
             guard = OVERFLOW_FACTOR * max(total[0], 1e-300)
@@ -732,7 +731,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         b = chunk[-1]
         sampled = time.perf_counter()
         advance_s += sampled - begin
-        parts.append((l2, total, _diagnostics(op, chunk, total)))
+        parts.append((l2, total, _diagnostics(rhs.op, chunk, total)))
         sample_s += time.perf_counter() - sampled
         if stop_reason != "completed":
             break
@@ -743,7 +742,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
                              div_rel=div_rel,
                              truncated=stop_reason != "completed")
     field = FrameField(grid, b.copy())
-    vmax, decay = scenario._vmax_decay
+    vmax, decay = rhs.step_rates
     return EvolutionResult(field, series, int(steps[kept - 1]), dt,
                            stop_reason, cfl_advective=dt * vmax / grid.dz,
                            cfl_real_axis=dt * decay, build_s=build_s,

@@ -109,7 +109,7 @@ class AcceptanceSuite:
         if not mask.all():
             raise ValueError(f"{name}: characteristics oracle undefined at "
                              f"{np.sum(~mask)} of {mask.size} z points")
-        op = FrameOperators(sc.metric, sc.grid)
+        op = sc._rhs.op
         return op.l2_norm(res.field.data - oracle.data) / op.l2_norm(oracle.data)
 
     # -- criteria -------------------------------------------------------------

@@ -16,7 +16,7 @@ from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
                                           EvolutionSeries, GrowthFit,
                                           InitialField, NumericalError,
                                           _collapse_pq, _initial_state,
-                                          _step_rates, cat_map_eigen,
+                                          _rates, _step_rates, cat_map_eigen,
                                           characteristics_oracle, evolve,
                                           growth_fit, induction_rhs,
                                           named_initial_field, stable_dt)
@@ -197,7 +197,7 @@ def test_z_uniform_decay_is_the_diffusive_and_stretching_decay(lam, v, eta,
     # derived by hand from before it read the operator's rates
     metric = FrameMetric(lam, ConformalFactor.from_constant(c))
     grid = metric.grid(2, 2, n_z, z_periodic=True)
-    vmax, decay = _step_rates(metric, grid, v, eta)
+    vmax, decay = _step_rates(*_rates(metric, grid, v, eta), eta, grid.dz)
     assert vmax == abs(v / c)
     oracle = eta * (16.0 / (3.0 * grid.dz ** 2) + lam ** 2) + abs(lam) * vmax
     assert decay == pytest.approx(oracle, rel=1e-15, abs=0.0)
@@ -226,6 +226,16 @@ def test_stable_dt_rejects_non_finite_flow_speed(v):
     metric = FrameMetric(1.0)
     with pytest.raises(ValueError, match="flow_speed must be finite"):
         stable_dt(metric, Grid3D(4, 4, 32), v)
+
+
+@pytest.mark.parametrize("eta", [np.nan, -1.0, np.inf])
+def test_stable_dt_rejects_unusable_resistivity(eta):
+    # NaN and -1 used to give the step of eta = 0, and inf a step of 0
+    metric = FrameMetric(1.0)
+    with pytest.raises(ValueError, match="resistivity must be finite and "
+                       "non-negative"):
+        stable_dt(metric, Grid3D(4, 4, 32, z_periodic=True), 1.0,
+                  resistivity=eta)
 
 
 @pytest.mark.parametrize("cfl", [-1.0, 0.0, np.nan, np.inf])
@@ -540,10 +550,10 @@ def test_fused_rhs_matches_termwise_formula(omega, periodic, eta):
 
 
 def curl_gaps(omega, periodic, n_z):
-    """Max relative gap over z between the Bp, Bq rows of `_RHS` and the
-    frame calculus's curl(u x B), u = (0, 0, v / sqrt(Omega)), on the
-    p,q-constant pq_mixed field; closed z leaves out 4 points at each end,
-    where the one-sided stencils differ."""
+    """Max relative gap over z between the Bp, Bq rows of the scenario's
+    `_RHS` and the frame calculus's curl(u x B), u = (0, 0, v / sqrt(Omega)),
+    on the p,q-constant pq_mixed field; closed z leaves out 4 points at each
+    end, where the one-sided stencils differ."""
     metric = FrameMetric(0.7, omega)
     grid = metric.grid(4, 4, n_z, z_periodic=periodic)
     init = named_initial_field("pq_mixed")
@@ -554,7 +564,7 @@ def curl_gaps(omega, periodic, n_z):
     u = 1.3 / np.sqrt(omega.value(grid.z))
     u_cross_b = FrameField.from_components(grid, -u * B.bq, u * B.bp, 0.0)
     ref = FrameOperators(metric, grid).curl(u_cross_b).data
-    got = induction_dynamo._RHS(sc)(B.data)
+    got = sc._rhs(B.data)
     keep = slice(None) if periodic else slice(4, -4)
     return [np.max(np.abs(got[c, ..., keep] - ref[c, ..., keep]))
             / np.max(np.abs(ref[c, ..., keep])) for c in (0, 1)]
@@ -582,6 +592,46 @@ def test_rhs_bp_bq_rows_are_the_frame_curl_of_u_cross_b():
                                     1.0 + 0.3 * np.sin(2 * np.pi * knots))
     assert max(curl_gaps(tab, False, 129)) <= 3e-5
     assert max(curl_gaps(tab, False, 257)) <= 6e-6
+
+
+def dense_stencil_product(sc, data):
+    """Each component's dense L, eta d2 - w d1 + rate (-2 eta lam d1 more
+    for Bz), from the frame operators' z matrices, applied by one matmul
+    with its contiguous transpose."""
+    m, g, eta = sc.metric, sc.grid, sc.resistivity
+    op = FrameOperators(m, g)
+    w = sc.flow_speed / m.omega.value(g.z)
+    rate = [-m.lam * w - eta * m.lam ** 2, m.lam * w - eta * m.lam ** 2,
+            sc.flow_speed * m.omega.log_derivative(g.z) / m.omega.value(g.z)]
+    base = eta * op.d2 - w[:, None] * op.d1
+    mats = np.stack([base, base, base - 2.0 * eta * m.lam * op.d1])
+    mats += np.stack([np.diag(r) for r in rate])
+    return np.matmul(data.reshape(3, -1, g.n_z),
+                     np.ascontiguousarray(mats.transpose(0, 2, 1))
+                     ).reshape(data.shape)
+
+
+@pytest.mark.parametrize("periodic,omega", [
+    (True, ConformalFactor.from_constant(2.0)),
+    (False, ConformalFactor.exponential(0.5))], ids=["periodic", "closed"])
+def test_rhs_holds_a_circulant_column_and_applies_the_dense_stencil(periodic,
+                                                                   omega):
+    # periodic z keeps each circulant block's first column only, yet applies
+    # the same dense stencil product bit for bit: an FFT apply differs in
+    # the last bits
+    n_z, eta = 257, (1e-3 if periodic else 0.0)
+    metric = FrameMetric(0.7, omega)
+    grid = metric.grid(4, 4, n_z, z_periodic=periodic)
+    init = named_initial_field("pq_mixed")
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.3,
+                        initial_field=init, t_end=0.1, resistivity=eta,
+                        dt=stable_dt(metric, grid, 1.3, resistivity=eta))
+    B = init.on_grid(grid)
+    assert np.array_equal(induction_rhs(sc, B).data,
+                          dense_stencil_product(sc, B.data))
+    held = {k: v.shape for k, v in vars(sc._rhs).items()
+            if isinstance(v, np.ndarray)}
+    assert held == {"blocks": (3, n_z) if periodic else (3, n_z, n_z)}
 
 
 def test_rhs_rejects_resistive_field_with_pq_structure():
@@ -1071,12 +1121,16 @@ def test_overflow_guard_stops_where_a_pass_per_sample_stops(monkeypatch):
 def dense_reference(sc):
     """The sample steps and sampled states of `sc` by dense propagation.
 
-    Each component's P(h L) is built by Horner's rule from `_RHS`'s
-    z-operators and raised to each interval length by `matrix_power`; the
-    collapsed initial state is advanced one interval per matmul, up to the
-    end of the run or the first non-finite state.
+    Each component's P(h L) is built by Horner's rule from the scenario's
+    `_RHS`, its transposed dense blocks on closed z and, on periodic z,
+    their expansion by `_RHS.__call__` on the identity, and raised to each
+    interval length by `matrix_power`; the collapsed initial state is
+    advanced one interval per matmul, up to the end of the run or the
+    first non-finite state.
     """
-    zmat_t = induction_dynamo._RHS(sc).zmat_t
+    rhs = sc._rhs
+    zmat_t = (rhs(np.stack([np.eye(sc.grid.n_z)] * 3)) if rhs.circulant
+              else rhs.blocks)
     n, stride = sc.n_steps, sc.stride
     dt = sc.t_end / n
     n_z = zmat_t.shape[-1]
@@ -1781,22 +1835,33 @@ def test_second_run_of_a_scenario_is_bit_identical(make):
 
 
 def test_step_rates_are_computed_once_per_scenario(monkeypatch):
+    # the rates, the step rates and the frame operators are formed once,
+    # with the scenario, and every run and right-hand side reads them
     metric = FrameMetric(CAT_STRETCH_RATE)
     grid = metric.grid(4, 4, 64, z_periodic=True)
     dt = stable_dt(metric, grid, 1.0, resistivity=1e-2)
-    vmax, decay = _step_rates(metric, grid, 1.0, 1e-2)
-    calls = []
+    vmax, decay = _step_rates(*_rates(metric, grid, 1.0, 1e-2), 1e-2, grid.dz)
+    calls = {"_rates": 0, "_step_rates": 0, "FrameOperators": 0}
 
-    def spy(*args):
-        calls.append(args)
-        return _step_rates(*args)
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(induction_dynamo, "_step_rates", spy)
+    for name in ("_rates", "_step_rates"):
+        monkeypatch.setattr(induction_dynamo, name,
+                            spy(name, getattr(induction_dynamo, name)))
+    monkeypatch.setattr(FrameOperators, "__init__",
+                        spy("FrameOperators", FrameOperators.__init__))
     sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
                         initial_field=q_sine(), t_end=0.3, dt=dt,
                         resistivity=1e-2)
     runs = evolve(sc), evolve(sc)
-    assert len(calls) == 1
+    B = q_sine().on_grid(grid)
+    for _ in range(3):
+        induction_rhs(sc, B)
+    assert calls == {"_rates": 1, "_step_rates": 1, "FrameOperators": 1}
     for res in runs:
         assert res.cfl_advective == res.dt * vmax / grid.dz
         assert res.cfl_real_axis == res.dt * decay
