@@ -355,8 +355,13 @@ def continuity_residual(params: RopeParams, s: np.ndarray, v_theta: np.ndarray,
         if not (np.all(step > 0) and np.ptp(step) <= 1e-9 * step[0]):
             raise ValueError("s must be strictly increasing and uniformly "
                              "spaced to finite-difference v_theta")
-        D = z_derivative_matrix(len(s), float(s[1] - s[0]), 1)
-        dv_theta = D @ v
+        # the end closures (rows 0, 1, 3, 4) and central stencil (row 2) of
+        # the 5-point matrix; the stencil is 5 shifted products, O(n) memory
+        D = z_derivative_matrix(5, float(s[1] - s[0]), 1)
+        dv_theta = np.empty((len(s), *v.shape[1:]))
+        dv_theta[:2], dv_theta[-2:] = D[:2] @ v[:5], D[3:] @ v[-5:]
+        dv_theta[2:-2] = sum(w * v[k:len(s) - 4 + k]
+                             for k, w in enumerate(D[2]))
     return dv_theta + v * params.r * params.tau * params.kappa
 
 

@@ -538,29 +538,34 @@ class FrameOperators:
         _require_finite(out, "grad output")
         return FrameField(self.grid, out)
 
-    def div(self, B: FrameField | np.ndarray) -> np.ndarray:
+    def div(self, B: FrameField | np.ndarray,
+            components: slice = slice(0, 3)) -> np.ndarray:
         """Divergence of a field, or of fields stacked on leading axes.
 
-        B is a FrameField or an array (..., 3, n_p', n_q', n_z); the result
-        drops the component axis. The z-derivative is one matmul with a
-        batch per field, so each field of a stack gets exactly the figures
-        of a call on it alone.
+        B is a FrameField or an array (..., k, n_p', n_q', n_z) of the k
+        frame components `components` of (p, q, z), all three by default;
+        the result drops the component axis. The z-derivative is one matmul
+        with a batch per field, so each field of a stack gets exactly the
+        figures of a call on it alone.
 
-        Terms that are exactly zero are not formed: the dp term of a field
-        constant along p (an axis of length 1), the dq term of one constant
-        along q, and the terms of a component that is identically zero over
-        the whole input. The input is checked finite first, so each of them
-        would add exactly +-0: the figures are those of the four-term sum,
-        up to the sign of a zero, and a field with no term left has
-        divergence 0.
+        Terms that are exactly zero are not formed: those of a component B
+        does not hold, the dp term of a field constant along p (an axis of
+        length 1), the dq term of one constant along q, and the terms of a
+        component that is identically zero over the whole input. The input
+        is checked finite first, so each of them would add exactly +-0: the
+        figures are those of the four-term sum, up to the sign of a zero,
+        and a field with no term left has divergence 0.
         """
         data = B.data if isinstance(B, FrameField) else B
-        if data.ndim < 4 or data.shape[-4] != 3:
-            raise ValueError(f"div: shape {data.shape} is not (..., 3, n_p, "
-                             "n_q, n_z)")
+        held = range(3)[components]
+        if data.ndim < 4 or data.shape[-4] != len(held):
+            raise ValueError(f"div: shape {data.shape} is not (..., "
+                             f"{len(held)}, n_p, n_q, n_z)")
         self._pq_points(data)
         _require_finite(data, "div input")
-        bp, bq, bz = (data[..., c, :, :, :] for c in range(3))
+        # a component not held forms no term, as an all-zero one forms none
+        comps = dict(zip(held, np.moveaxis(data, -4, 0)))
+        bp, bq, bz = (comps.get(c, np.zeros((1, 1, 1))) for c in range(3))
         terms = []
         if bp.shape[-3] > 1 and bp.any():
             terms.append(self.inv_h[0] * self.dp(bp))
@@ -571,7 +576,9 @@ class FrameOperators:
             terms += [self.inv_h[2] * np.matmul(bz.reshape(per_field),
                                                 self.d1.T).reshape(bz.shape),
                       self.c_div * bz]
-        out = sum(terms[1:], terms[0]) if terms else np.zeros(bz.shape)
+        if not terms:
+            return np.zeros(data.shape[:-4] + data.shape[-3:])
+        out = sum(terms[1:], terms[0])
         _require_finite(out, "div output")
         return out
 
@@ -629,8 +636,10 @@ class FrameOperators:
         C components stacked on leading axes; the result has shape (..., C).
         Each field's norms are one matrix-vector product over its
         components, so a field of a stack gets exactly the figures of a
-        call on it alone, and a one-component field (C = 1) those of
-        `l2_norm`. Fields whose squares overflow are normed as in `l2_norm`.
+        call on it alone. Measured, C = 1 gives exactly the figures of
+        `l2_norm`; C >= 2 may differ from them in the last bit, by row (C = 2
+        equals rows 0 and 1 of C = 3). Fields whose squares overflow are
+        normed as in `l2_norm`.
         """
         data = B.data if isinstance(B, FrameField) else B
         n = self._pq_points(data)

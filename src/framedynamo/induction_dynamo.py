@@ -52,12 +52,12 @@ per component for a z-profile, never the full grid.
 L is also block-diagonal by component, so a component that starts
 identically zero stays exactly zero. `evolve` finds the live components
 once, from the initial state (exactly, as `_collapse_pq` compares: any
-non-zero entry makes a component live), and builds the propagators of,
-advances and finite-checks only those; the others are written as 0 once
-per chunk. The live components are a basic slice of the component axis
-(`_live_components`), so each chunk's live part is a view and nothing is
-staged. The Arnold q-slot run advances Bq alone, and `FrameOperators.div`
-skips the terms of its all-zero Bp and Bz.
+non-zero entry makes a component live), a basic slice of the component
+axis (`_live_components`), and its sampled states hold those alone,
+(k, n_p', n_q', n_z) for k live components: it propagates, finite-checks,
+norms and diagnoses the live stack, telling `FrameOperators.div` which
+components it holds. The dead ones are 0 in the series' norms and in the
+returned field and stored nowhere else: the Arnold run holds Bq alone.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
@@ -527,7 +527,7 @@ class _RHS:
         which[i] from `last`, each an index into the stack of `propagators`.
 
         `last` (k, n_p', n_q', n_z) and `out` (m, k, n_p', n_q', n_z) hold
-        the live components only, as views into the chunks of `evolve`.
+        the live components only, as the chunks of `evolve` do.
         Circulant: each state is irfft(rfft(last) P(h mu)^n), the running
         product of the interval symbols one cumprod over the picked rows of
         the stack. Dense: each is one batched matmul of the state before it
@@ -610,7 +610,7 @@ class EvolutionResult:
     sample_s: float
 
 
-# bytes of sampled states `evolve` holds before one batched diagnostics pass
+# bytes of live components `evolve` holds before one batched diagnostics pass
 _HISTORY_BYTES = 1 << 20
 
 
@@ -619,15 +619,15 @@ def _total(l2: np.ndarray) -> np.ndarray:
     return overflow_safe_norms(lambda c: np.sqrt(np.sum(c ** 2, axis=-1)), l2)
 
 
-def _diagnostics(op: FrameOperators, states: np.ndarray,
+def _diagnostics(op: FrameOperators, states: np.ndarray, live: slice,
                  total: np.ndarray) -> np.ndarray:
-    """div_rel of states stacked on axis 0, given their total L2 (`_total`
-    of their `component_norms`).
+    """div_rel of states stacked on axis 0, each holding the `live`
+    components, given their total L2 (`_total` of their norms).
 
     One batched pass; every state gets exactly the figure of
     `l2_norm(div)` / total on it alone.
     """
-    div_l2 = op.component_norms(op.div(states)[:, None])[:, 0]
+    div_l2 = op.component_norms(op.div(states, live)[:, None])[:, 0]
     return np.divide(div_l2, total, out=np.zeros_like(total),
                      where=total > 0)
 
@@ -660,18 +660,18 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     held, and the final one returned as a fresh contiguous copy, at the
     smallest shape that broadcasts exactly to the initial field
     (`_initial_state`), (3, n_p', n_q', n_z).
-    Only the components that are not identically zero in the initial
-    state (`_live_components`) are propagated and checked finite; the
-    others are exactly 0 in every sampled state and in the final field.
+    Only the components not identically zero in the initial state
+    (`_live_components`) are held, advanced, checked finite, normed and
+    diagnosed; the others read exactly 0 in the l2 series and final field.
 
     L, its `FrameOperators` (norms and div) and the step rates of the CFL
     figures are the scenario's `_RHS`, built with the scenario; each run
     samples its initial state and builds its propagators afresh.
 
-    The sampled states are formed in chunks of up to _HISTORY_BYTES (one
-    state at least): a chunk's dead components are written as 0 once and
-    its live ones in place; the first chunk's slot 0 holds the only copy
-    of the initial state. Each chunk's live components are checked for
+    The sampled states are formed in place in chunks (m, k, n_p', n_q',
+    n_z) of up to _HISTORY_BYTES of live components (one state at least;
+    with k = 0 every state fits); the first chunk's slot 0 holds the only
+    copy of the initial state's live part. Each chunk is checked for
     finite values and its finite prefix normed once; the overflow guard
     stops the run with stop_reason "overflow guard" at the first sample
     whose total L2 exceeds
@@ -684,14 +684,13 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     start = time.perf_counter()
     grid, rhs = scenario.grid, scenario._rhs
     b = _initial_state(scenario.initial_field, grid)
+    live = _live_components(b)
+    b = b[live]
     nsteps = scenario.n_steps
     dt = scenario.t_end / nsteps
     stride = scenario.stride
     steps = np.append(np.arange(0, nsteps, stride), nsteps)
-    per_pass = max(1, _HISTORY_BYTES // b.nbytes)
-    live = _live_components(b)
-    dead = np.ones(3, dtype=bool)
-    dead[live] = False
+    per_pass = max(1, _HISTORY_BYTES // b.nbytes) if b.nbytes else len(steps)
     intervals = np.array(sorted({stride, nsteps % stride} - {0}))
     propagators = rhs.propagators(dt, intervals, live)
     build_s = time.perf_counter() - start
@@ -702,7 +701,6 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         begin = time.perf_counter()
         end = min(first + per_pass, len(steps))
         chunk = np.empty((end - first, *b.shape))
-        chunk[:, dead] = 0.0  # never advanced: 0 in every state
         states = chunk  # the states to form
         if first == 0:
             # slot 0 takes the initial state and holds its only copy
@@ -711,11 +709,12 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         lead = len(chunk) - len(states)  # the chunk index of states[0]
         if len(states):
             lengths = np.diff(steps[first + lead - 1:end])
-            rhs.advance(b[live], np.searchsorted(intervals, lengths),
-                        propagators, states[:, live])
-        finite = np.isfinite(states[:, live]).all(axis=(1, 2, 3, 4))
+            rhs.advance(b, np.searchsorted(intervals, lengths),
+                        propagators, states)
+        finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
         ok = len(chunk) if finite.all() else lead + int(np.argmin(finite))
-        l2 = rhs.op.component_norms(chunk[:ok])
+        l2 = np.zeros((ok, 3))  # a dead component's norm is exactly 0
+        l2[:, live] = rhs.op.component_norms(chunk[:ok])
         total = _total(l2)
         if first == 0:
             guard = OVERFLOW_FACTOR * max(total[0], 1e-300)
@@ -731,7 +730,7 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
         b = chunk[-1]
         sampled = time.perf_counter()
         advance_s += sampled - begin
-        parts.append((l2, total, _diagnostics(rhs.op, chunk, total)))
+        parts.append((l2, total, _diagnostics(rhs.op, chunk, live, total)))
         sample_s += time.perf_counter() - sampled
         if stop_reason != "completed":
             break
@@ -741,7 +740,8 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     series = EvolutionSeries(t=steps[:kept] * dt, l2=l2, total_l2=total,
                              div_rel=div_rel,
                              truncated=stop_reason != "completed")
-    field = FrameField(grid, b.copy())
+    field = FrameField(grid, np.zeros((3, *b.shape[1:])))
+    field.data[live] = b
     vmax, decay = rhs.step_rates
     return EvolutionResult(field, series, int(steps[kept - 1]), dt,
                            stop_reason, cfl_advective=dt * vmax / grid.dz,

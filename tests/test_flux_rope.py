@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import framedynamo
 from framedynamo import flux_rope
+from framedynamo.differentiation import z_derivative_matrix
 from framedynamo.flux_rope import (NoDynamoBoundError, RopeParams,
                                    amplification_ratio, btheta_solution,
                                    continuity_residual, continuity_solution,
@@ -570,6 +572,26 @@ def test_continuity_exact_solution_has_zero_residual():
     # finite-difference derivative: residual at discretization level
     res_fd = continuity_residual(params, s, v)
     assert np.max(np.abs(res_fd)) <= 1e-8
+
+
+def test_continuity_stencil_runs_in_linear_memory():
+    # the dense len(s)^2 difference matrix took 33.8 MB at 2049 points; the
+    # stencil takes a few arrays of len(s). With tau = 0 the residual is the
+    # derivative, which agrees with the dense product to 1e-12 in L2: the
+    # same five products per row, summed in another order
+    s = np.linspace(0, 10, 2049)
+    params = RopeParams(r=0.1, kappa=1.0, tau=0.0)
+    v = np.exp(-0.1 * s)
+    continuity_residual(params, s, v)
+    tracemalloc.start()
+    try:
+        got = continuity_residual(params, s, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    want = z_derivative_matrix(len(s), s[1] - s[0], 1) @ v
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("s, match", [

@@ -626,6 +626,48 @@ def test_div_skips_only_terms_that_are_exactly_zero(zero, keep, periodic,
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+@pytest.mark.parametrize("components", [slice(0, 0), slice(1, 2), slice(2, 3),
+                                        slice(0, 2), slice(0, 3, 2),
+                                        slice(0, 3)],
+                         ids=lambda c: f"{c.start}:{c.stop}:{c.step or 1}")
+def test_div_of_the_held_components_is_that_of_the_field(components,
+                                                         periodic):
+    # a stack that holds some components has the divergence, bit for bit,
+    # of the fields whose other components are 0
+    _, grid, op = make_ops(n_p=6, n_q=4, n_z=33, periodic=periodic)
+    full = np.random.default_rng(6).normal(size=(5, 3, *grid.shape))
+    held = range(3)[components]
+    full[:, [c for c in range(3) if c not in held]] = 0.0
+    stack = np.ascontiguousarray(full[:, components])
+    div = op.div(stack, components)
+    assert div.shape == (5, *grid.shape)
+    assert np.array_equal(div, op.div(full))
+    assert np.array_equal(div, four_term_div(op, full))
+    for data, one in zip(stack, div):
+        assert np.array_equal(op.div(data, components), one)
+    with pytest.raises(ValueError, match=rf"is not \(\.\.\., {len(held)}, "):
+        op.div(full[:, :len(held) - 1] if held else full, components)
+
+
+# stacks as `evolve` holds them: 215 states at collapsed and full p, q shapes
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
+@pytest.mark.parametrize("pq", [(1, 1), (4, 1), (4, 4)],
+                         ids=["1x1", "4x1", "4x4"])
+def test_component_norms_depend_on_the_component_count_as_documented(
+        pq, periodic):
+    # C = 1 gives the figures of l2_norm, and the two rows of C = 2 those of
+    # the first two rows of C = 3
+    _, grid, op = make_ops(n_p=4, n_q=4, n_z=128, periodic=periodic)
+    stack = np.random.default_rng(7).normal(size=(215, 3, *pq, grid.n_z))
+    three = op.component_norms(stack)
+    two = op.component_norms(np.ascontiguousarray(stack[:, :2]))
+    assert np.array_equal(two, three[:, :2])
+    for c in range(3):
+        one = op.component_norms(np.ascontiguousarray(stack[:, c:c + 1]))
+        assert np.array_equal(one[:, 0], [op.l2_norm(f[c]) for f in stack])
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "closed"])
 def test_norms_of_a_field_past_1e154_are_finite_where_it_is_weighted(
         periodic):
     # a closed grid weighs only the interior third of z: an entry of 1e200

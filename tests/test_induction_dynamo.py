@@ -977,31 +977,54 @@ def test_ideal_overflow_inside_one_interval_raises_numerical_error(
 # -- batched diagnostics ---------------------------------------------------------
 
 
+def live_stack(sc):
+    """The components `evolve` holds for `sc`, as a slice, and the bytes of
+    one state that holds them."""
+    initial = _initial_state(sc.initial_field, sc.grid)
+    live = induction_dynamo._live_components(initial)
+    return live, initial[live].nbytes
+
+
 def per_sample_series(sc, states):
-    """The series of a pass per sample: `component_norms`, their total and
-    `l2_norm(div)` / total, on each state alone."""
+    """The series of a pass per sample on each state (3, ...) alone: the
+    `component_norms` of its live components, stacked as `evolve` holds
+    them, with 0 for the others; their total; and `l2_norm(div)` / total
+    of the three components."""
     op = FrameOperators(sc.metric, sc.grid)
+    live, _ = live_stack(sc)
     l2, totals, divs = [], [], []
     for data in states:
-        fld = FrameField(sc.grid, data)
-        comp = op.component_norms(fld)
+        comp = np.zeros(3)
+        comp[live] = op.component_norms(np.ascontiguousarray(data[live]))
         total = float(np.sqrt(np.sum(comp ** 2)))
         l2.append(comp)
         totals.append(total)
-        divs.append(op.l2_norm(op.div(fld)) / total if total > 0 else 0.0)
+        divs.append(op.l2_norm(op.div(FrameField(sc.grid, data))) / total
+                    if total > 0 else 0.0)
     return np.array(l2), np.array(totals), np.array(divs)
+
+
+# the unpatched batched pass, which each spy below calls
+DIAGNOSTICS = induction_dynamo._diagnostics
 
 
 def evolve_keeping_states(sc, monkeypatch):
     """evolve(sc), a copy of every state its diagnostics passes see, and the
-    number of states in each pass."""
-    states, passes = [], []
-    batched = induction_dynamo._diagnostics
+    number of states in each pass.
 
-    def spy(op, stacked, *norms):
-        states.extend(stacked.copy())
+    A pass sees the live components alone (`live_stack`); each state is
+    kept as a field (3, ...) whose other components are 0.
+    """
+    states, passes = [], []
+    held, _ = live_stack(sc)
+
+    def spy(op, stacked, live, total):
+        assert live == held and stacked.shape[1] == len(range(3)[live])
+        full = np.zeros((len(stacked), 3, *stacked.shape[2:]))
+        full[:, live] = stacked
+        states.extend(full)
         passes.append(len(stacked))
-        return batched(op, stacked, *norms)
+        return DIAGNOSTICS(op, stacked, live, total)
 
     monkeypatch.setattr(induction_dynamo, "_diagnostics", spy)
     return evolve(sc), states, passes
@@ -1059,19 +1082,52 @@ def test_evolve_series_matches_per_sample_reference(case, monkeypatch):
 
 
 def test_diagnostics_passes_fill_the_byte_cap(monkeypatch):
+    # the cap counts the live components a state holds
     cap = induction_dynamo._HISTORY_BYTES
-    # Arnold: 215 states of 3 x 1 x 1 x 128 doubles, 0.66 MB, in one pass
+    # Arnold: 215 states of Bq alone, 1 x 1 x 128 doubles, 0.22 MB, in one
+    # pass
     sc = scenario(n_pq=32, n_z=128, t_end=2.0)
     res, states, passes = evolve_keeping_states(sc, monkeypatch)
-    assert passes == [215] and len(states) * states[0].nbytes < cap
-    # solenoidal: 3 x 32 x 1 x 128 doubles, ten states per pass
+    assert passes == [215] and len(states) * live_stack(sc)[1] < cap
+    # solenoidal: Bp and Bz, 2 x 32 x 1 x 128 doubles, 16 states per pass
     sc = scenario(n_pq=32, n_z=128, t_end=2.0,
                   init=named_initial_field("solenoidal", CAT_STRETCH_RATE))
     res, states, passes = evolve_keeping_states(sc, monkeypatch)
-    per_pass = cap // states[0].nbytes
-    assert per_pass == 10 and len(passes) == 22
-    assert passes[:-1] == [per_pass] * 21 and sum(passes) == 215
+    per_pass = cap // live_stack(sc)[1]
+    assert per_pass == 16 and len(passes) == 14
+    assert passes[:-1] == [per_pass] * 13 and sum(passes) == 215
     assert_series_is_per_sample(sc, res, states)
+
+
+# the Arnold run and a closed-z q-slot run, as in the oracle-suite workload
+@pytest.mark.parametrize("case", ["arnold", "closed-tabulated"])
+def test_one_live_component_series_is_l2_norm(case, monkeypatch):
+    # a run holds Bq alone, so its norms are those of `l2_norm` on Bq
+    sc = scenario(n_pq=32, n_z=128, t_end=2.0) if case == "arnold" else \
+        scenario(omega=OMEGAS["tabulated"](), periodic=False, n_pq=16,
+                 n_z=128, t_end=0.25, init=InitialField.q_slot(
+                     lambda z: 1.5 + 0.5 * np.cos(2 * np.pi * z)))
+    res, states, _ = evolve_keeping_states(sc, monkeypatch)
+    op = FrameOperators(sc.metric, sc.grid)
+    assert len(states) == len(res.series.t) == sc.n_samples
+    assert np.array_equal(res.series.l2[:, 1],
+                          [op.l2_norm(data[1]) for data in states])
+    assert np.array_equal(res.series.total_l2, res.series.l2[:, 1])
+    assert not res.series.l2[:, [0, 2]].any()
+
+
+def test_warmed_arnold_run_peaks_below_one_mib():
+    # the run holds Bq alone: a chunk of 215 states of 128 doubles, and the
+    # spectra and symbol powers of its one advance
+    sc = scenario(n_pq=32, n_z=128, t_end=2.0)
+    evolve(sc)  # warm the caches tracemalloc would count
+    tracemalloc.start()
+    try:
+        evolve(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_full_grid_history_flushes_each_state_within_the_memory_of_one(
@@ -1159,11 +1215,14 @@ def dense_reference(sc):
 
 def assert_dead_components_stay_zero(sc, res, states):
     """The components that are identically zero in the initial state are
-    exactly 0 in every sampled state and in the final field."""
+    exactly 0 in every sampled state, in the l2 series and in the final
+    field, a contiguous (3, ...) array."""
     dead = [c for c, comp in enumerate(_initial_state(sc.initial_field,
                                                       sc.grid))
             if not comp.any()]
     assert not any(np.any(data[dead]) for data in states)
+    assert not np.any(res.series.l2[:, dead])
+    assert res.field.data.shape[0] == 3 and res.field.data.flags.c_contiguous
     assert not np.any(res.field.data[dead])
     return dead
 
@@ -1197,16 +1256,20 @@ def test_live_components_are_the_slice_of_the_non_zero_ones(live, init):
 
 
 def cap_history(monkeypatch, sc, states):
-    """Cap a chunk at `states` sampled states of `sc` (None: leave it)."""
+    """Cap a chunk at `states` sampled states of `sc` (None: leave it), in
+    the bytes of the live components a state holds; a state of none holds
+    0 bytes, so a chunk then takes every state."""
     if states is not None:
-        state_bytes = _initial_state(sc.initial_field, sc.grid).nbytes
         monkeypatch.setattr(induction_dynamo, "_HISTORY_BYTES",
-                            states * state_bytes)
+                            states * live_stack(sc)[1])
 
 
 # 80 steps: a stride of 8 divides them, 7 leaves a last interval of 3, and
-# 80 is one interval; a cap of 3 states spreads the run over many chunks
-@pytest.mark.parametrize("chunk", [None, 3], ids=["one-pass", "chunks-of-3"])
+# 80 is one interval; a cap of 1 to 3 states spreads the run over many
+# chunks (a state of no live component holds 0 bytes: one chunk)
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3],
+                         ids=["one-pass", "chunks-of-1", "chunks-of-2",
+                              "chunks-of-3"])
 @pytest.mark.parametrize("stride", [8, 7, 80],
                          ids=["dividing", "partial", "one-interval"])
 @pytest.mark.parametrize("eta,init", [
@@ -1227,9 +1290,11 @@ def test_periodic_run_matches_the_dense_propagators(eta, init, stride, chunk,
     assert res.dt == sc.t_end / 80
     assert np.array_equal(res.series.t, np.array(steps) * res.dt)
     assert res.series.t[-1] == 80 * res.dt
-    if chunk:
-        assert passes == [3] * (len(steps) // 3) + [len(steps) % 3] * (
-            len(steps) % 3 > 0)
+    if chunk and live_stack(sc)[1]:
+        assert passes == [chunk] * (len(steps) // chunk) + [
+            len(steps) % chunk] * (len(steps) % chunk > 0)
+    elif chunk:
+        assert passes == [len(steps)]
     assert_series_is_per_sample(sc, res, kept)
     dead = assert_dead_components_stay_zero(sc, res, kept)
     b = np.broadcast_to(states[-1], res.field.data.shape)
