@@ -23,8 +23,8 @@ The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
 and s steps are B <- P(h L)^s B. `_RHS.propagators` builds P(h L)^s once
 per run for each sample interval length s, by one Horner loop on a stack
-of matrices, and `_RHS.advance` forms a chunk of sampled states from the
-last state of the chunk before it; the fields between two samples are
+of matrices, and `_RHS.advance` forms a chunk of sampled states from what
+the chunk before it carries over; the fields between two samples are
 never formed. A run samples every max(1, n_steps // 200) steps and stops
 at the first sample past OVERFLOW_FACTOR times its initial norm; both are
 module constants, and `DynamoScenario` has no knob for either.
@@ -32,11 +32,15 @@ module constants, and `DynamoScenario` has no knob for either.
   wrap-around stencil: it is circulant, diagonal in the z Fourier modes,
   with eigenvalues mu_k the discrete Fourier transform of its first
   column, which is all `_RHS` holds of it. The stack is one 1 x 1 matrix
-  h mu_k per component and mode, and the state n steps after a chunk's
-  start B is irfft(rfft(B) P(h mu)^n); no n_z-by-n_z matrix is applied.
+  h mu_k per component and mode, and the state n steps after the initial
+  state B0 is irfft(rfft(B0) P(h mu)^n); no n_z-by-n_z matrix is applied.
+  A chunk continues the running product of the interval symbols from the
+  one the chunk before it ended on, and scales the spectrum of B0, so a
+  run's states are the same to the bit however its chunks split.
 - On closed z the one-sided end rows make L non-circulant. `_RHS` holds
   each component's dense n_z-by-n_z L, the stack is h L, and each
-  interval of s steps is one batched matmul with P(h L)^s.
+  interval of s steps is one batched matmul with P(h L)^s, a chunk's first
+  from the last state of the chunk before.
 
 Because L couples z points only, it also keeps a field that is constant
 along p or q exactly constant along it. `evolve` therefore builds and
@@ -61,6 +65,8 @@ returned field and stored nowhere else: the Arnold run holds Bq alone.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
+`growth_fit` fits log||B|| against t by the closed-form least-squares line
+of the centred normal equations.
 """
 from __future__ import annotations
 
@@ -521,24 +527,59 @@ class _RHS:
                                for n in intervals])
         return powers[..., 0, 0] if self.circulant else powers
 
-    def advance(self, last: np.ndarray, which: np.ndarray,
-                propagators: np.ndarray, out: np.ndarray) -> None:
-        """Write into out[i] the state after the intervals which[0], ...,
-        which[i] from `last`, each an index into the stack of `propagators`.
+    def start(self, state: np.ndarray):
+        """The carry of a run's first `advance`, from its initial state
+        (k, n_p', n_q', n_z) of live components: on the circulant path its
+        rFFT and no symbol product yet, on the dense path the state."""
+        return (np.fft.rfft(state), None) if self.circulant else state
 
-        `last` (k, n_p', n_q', n_z) and `out` (m, k, n_p', n_q', n_z) hold
-        the live components only, as the chunks of `evolve` do.
-        Circulant: each state is irfft(rfft(last) P(h mu)^n), the running
-        product of the interval symbols one cumprod over the picked rows of
-        the stack. Dense: each is one batched matmul of the state before it
-        with P(h L)^n.
+    def advance(self, carry, which: np.ndarray, propagators: np.ndarray,
+                out: np.ndarray):
+        """Write into out[i] the state after the intervals which[0], ...,
+        which[i] past the carry, each an index into the stack of
+        `propagators`, and return the carry of the next chunk.
+
+        `out` (m, k, n_p', n_q', n_z) holds the live components only, as
+        the chunks of `evolve` do; `carry` is `start` of the initial state
+        for the first chunk, and what the call before returned after it.
+        Circulant: each state is irfft(rfft(B0) P(h mu)^n) of the initial
+        state B0. The carry holds rfft(B0) and the running product of the
+        interval symbols, which one cumprod over the picked rows of the
+        stack continues, so a state's bits do not depend on where the
+        chunks split. The rows are gathered, multiplied and, for a z-profile
+        (n_p' = n_q' = 1), scaled by rfft(B0) in one buffer.
+        Dense: the carry is the last state, and each state is one batched
+        matmul of the state before it with P(h L)^n.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             if self.circulant:
-                powers = np.cumprod(propagators[which], axis=0)
-                spectrum = np.fft.rfft(last) * powers[:, :, None, None, :]
-                np.fft.irfft(spectrum, n=last.shape[-1], axis=-1, out=out)
-                return
+                initial, product = carry
+                lead = product is not None
+                # the product carried in, the chunk's interval symbols and a
+                # spare row, so that cumprod forms every product in a run of
+                # two or more: numpy forms such a run, whose output overlaps
+                # its input, by its scalar loop, and a lone product by its
+                # vector loop, which rounds differently
+                chain = np.empty((lead + len(which) + 1,
+                                  *propagators.shape[1:]), propagators.dtype)
+                if lead:
+                    chain[0] = product
+                # `which` indexes the stack, so clipping changes nothing;
+                # the default mode would buffer the output
+                np.take(propagators, which, axis=0, out=chain[lead:-1],
+                        mode="clip")
+                chain[-1] = 0.0
+                np.cumprod(chain, axis=0, out=chain)
+                product = chain[-2].copy()
+                symbols = chain[lead:-1, :, None, None, :]
+                # a z-profile's spectra (m, k, 1, 1, n_z // 2 + 1) overwrite
+                # the symbols they scale
+                spectrum = np.multiply(
+                    initial, symbols,
+                    out=symbols if initial.shape[1:3] == (1, 1) else None)
+                np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
+                return initial, product
+            last = carry
             k, n_p, n_q, n_z = last.shape
             rows = (k, n_p * n_q, n_z)
             for i, state in zip(which, out):
@@ -547,6 +588,7 @@ class _RHS:
                 np.matmul(last.reshape(rows), propagators[i],
                           out=state.reshape(rows))
                 last = state
+            return last
 
 
 def induction_rhs(scenario: DynamoScenario, B: FrameField) -> FrameField:
@@ -625,9 +667,14 @@ def _diagnostics(op: FrameOperators, states: np.ndarray, live: slice,
     components, given their total L2 (`_total` of their norms).
 
     One batched pass; every state gets exactly the figure of
-    `l2_norm(div)` / total on it alone.
+    `l2_norm(div)` / total on it alone. A stack whose div is exactly zero,
+    as when no div term forms (the q-slot and p,q-profile runs), reads 0
+    with no norm pass: its norms would be +0, and so would each quotient.
     """
-    div_l2 = op.component_norms(op.div(states, live)[:, None])[:, 0]
+    div = op.div(states, live)
+    if not div.any():
+        return np.zeros_like(total)
+    div_l2 = op.component_norms(div[:, None])[:, 0]
     return np.divide(div_l2, total, out=np.zeros_like(total),
                      where=total > 0)
 
@@ -671,15 +718,18 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     The sampled states are formed in place in chunks (m, k, n_p', n_q',
     n_z) of up to _HISTORY_BYTES of live components (one state at least;
     with k = 0 every state fits); the first chunk's slot 0 holds the only
-    copy of the initial state's live part. Each chunk is checked for
+    copy of the initial state's live part. Each chunk is formed from the
+    carry `_RHS.advance` returned for the chunk before (`_RHS.start` of the
+    initial state for the first), so where the chunks split does not
+    change a state's bits on either path. Each chunk is checked for
     finite values and its finite prefix normed once; the overflow guard
     stops the run with stop_reason "overflow guard" at the first sample
-    whose total L2 exceeds
-    OVERFLOW_FACTOR times sample 0's, and a non-finite sample before
-    that raises NumericalError. The series keeps those norms, and
-    `_diagnostics` adds div_rel, one batched pass per chunk up to the
-    stop; every figure equals that of a pass per sample. The run reports
-    its wall time split into build_s, advance_s and sample_s.
+    whose total L2 exceeds OVERFLOW_FACTOR times sample 0's, and a
+    non-finite sample before that raises NumericalError. The series keeps
+    those norms, and `_diagnostics` adds div_rel, one batched pass per
+    chunk up to the stop (with no norm pass where the div is exactly zero);
+    every figure equals that of a pass per sample. The run reports its
+    wall time split into build_s, advance_s and sample_s.
     """
     start = time.perf_counter()
     grid, rhs = scenario.grid, scenario._rhs
@@ -706,11 +756,12 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
             # slot 0 takes the initial state and holds its only copy
             chunk[0] = b
             b, states = chunk[0], chunk[1:]
+            carry = rhs.start(b)
         lead = len(chunk) - len(states)  # the chunk index of states[0]
         if len(states):
             lengths = np.diff(steps[first + lead - 1:end])
-            rhs.advance(b, np.searchsorted(intervals, lengths),
-                        propagators, states)
+            carry = rhs.advance(carry, np.searchsorted(intervals, lengths),
+                                propagators, states)
         finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
         ok = len(chunk) if finite.all() else lead + int(np.argmin(finite))
         l2 = np.zeros((ok, 3))  # a dead component's norm is exactly 0
@@ -846,7 +897,13 @@ def fit_window(n: int, window: tuple[float, float]) -> slice:
 def growth_fit(t: np.ndarray, norms: np.ndarray,
                theory_rate: float | None = None,
                window: tuple[float, float] = (0.4, 1.0)) -> GrowthFit:
-    """Fit log||B|| against t over the samples `fit_window` keeps."""
+    """Fit log||B|| against t over the samples `fit_window` keeps.
+
+    The least-squares line comes from the centred normal equations: with
+    t and y = log||B|| less their window means, the rate is
+    sum(t y) / sum(t^2) and the residual y - rate t, less its mean.
+    ValueError if the window's t are all equal, which fixes no rate.
+    """
     t = np.asarray(t, dtype=float)
     norms = np.asarray(norms, dtype=float)
     keep = fit_window(len(t), window)
@@ -855,8 +912,15 @@ def growth_fit(t: np.ndarray, norms: np.ndarray,
     if not np.all(norms > 0):
         raise ValueError("norm series must be strictly positive for a log fit")
     tw, yw = t[keep], np.log(norms[keep])
-    slope, intercept = np.polyfit(tw, yw, 1)
-    resid = yw - (slope * tw + intercept)
+    tc, yc = tw - tw.mean(), yw - yw.mean()
+    spread = tc @ tc
+    if not (tw.min() < tw.max() and spread > 0):
+        raise ValueError("the fit window's t must not all be equal")
+    slope = (tc @ yc) / spread
+    resid = yc - slope * tc
+    # the residual of a least-squares line sums to 0; t far from 0 rounds
+    # its mean by an ulp of t, which shifts every residual by rate * ulp
+    resid -= resid.mean()
     theory = None if theory_rate is None else float(theory_rate)
     return GrowthFit(float(slope), theory,
                      float(np.sqrt(np.mean(resid ** 2))), window)

@@ -4,7 +4,8 @@ Each check returns a CheckResult with the measured figure and its limit;
 the pytest acceptance module asserts them and the CLI prints them. Every
 evolution is an entry of `_RUNS`, evolved once per suite and shared
 between checks; the divergence audit reads every entry, whichever checks
-ran before it.
+ran before it. The curvature and flux-rope checks import their modules when
+they run, so importing this one loads neither.
 """
 from __future__ import annotations
 
@@ -14,12 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .exterior_geometry import (christoffel_oracle, curvature,
-                                curvature_comparison, named_coframe,
-                                solve_connection)
-from .flux_rope import (RopeParams, amplification_ratio, btheta_solution,
-                        dynamo_radius_bound, frenet_integrate, is_dynamo,
-                        tube_metric_factor)
 from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
                              FrameOperators)
 from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
@@ -176,6 +171,11 @@ class AcceptanceSuite:
                            worst <= 1e-6 and agrees_minus, worst, 1e-6, details)
 
     def check_curvature_pipeline(self) -> CheckResult:
+        # imported here, so a caller that runs no curvature check never
+        # loads the module
+        from .exterior_geometry import (christoffel_oracle, curvature,
+                                        curvature_comparison, named_coframe,
+                                        solve_connection)
         z = np.linspace(0.0, 1.0, 65)
         lam = 1.0
         worst = 0.0
@@ -224,6 +224,11 @@ class AcceptanceSuite:
             f"by {c:g}^(-1/2)")
 
     def check_flux_rope(self) -> CheckResult:
+        # imported here for the reason `check_curvature_pipeline` gives
+        from .flux_rope import (RopeParams, amplification_ratio,
+                                btheta_solution, dynamo_radius_bound,
+                                frenet_integrate, is_dynamo,
+                                tube_metric_factor)
         errs = {}
         # circle closure
         circle = frenet_integrate(1.0, 0.0, 2 * np.pi, 2 * np.pi / 4096)

@@ -1264,6 +1264,72 @@ def cap_history(monkeypatch, sc, states):
                             states * live_stack(sc)[1])
 
 
+# the Arnold run and the oracle-suite's 4 x 4 x 256 mixed p, q run, 215
+# samples each: caps of 214 and 107 states leave a last chunk of one state,
+# 72, 54 and 43 make 3 to 5 full chunks, and 3 and 2 states make many
+@pytest.mark.parametrize("per_chunk", [214, 107, 72, 54, 43, 3, 2])
+@pytest.mark.parametrize("case", ["arnold", "mixed-256"])
+def test_periodic_run_does_not_depend_on_its_chunk_split(case, per_chunk,
+                                                         monkeypatch):
+    sc = scenario(n_pq=32, n_z=128, t_end=2.0) if case == "arnold" else \
+        scenario(n_pq=4, n_z=256, t_end=2.0, init=InitialField.pq_profiles(
+            lambda z: 2.0 + np.sin(2 * np.pi * z),
+            lambda z: 2.0 + np.cos(2 * np.pi * z)
+            + 0.5 * np.sin(4 * np.pi * z)))
+    whole, whole_states, passes = evolve_keeping_states(sc, monkeypatch)
+    assert passes == [215]
+    cap_history(monkeypatch, sc, per_chunk)
+    res, states, passes = evolve_keeping_states(sc, monkeypatch)
+    assert len(passes) == -(-215 // per_chunk)
+    assert np.array_equal(states, whole_states)
+    assert np.array_equal(res.field.data, whole.field.data)
+    for name in ("t", "l2", "total_l2", "div_rel"):
+        assert np.array_equal(getattr(res.series, name),
+                              getattr(whole.series, name))
+
+
+def spy_component_norms(monkeypatch):
+    """The shapes of the stacks `FrameOperators.component_norms` norms."""
+    calls, norms = [], FrameOperators.component_norms
+
+    def spy(self, B):
+        calls.append(np.shape(B))
+        return norms(self, B)
+
+    monkeypatch.setattr(FrameOperators, "component_norms", spy)
+    return calls
+
+
+@pytest.mark.parametrize("per_chunk", [None, 72], ids=["one-chunk",
+                                                      "three-chunks"])
+def test_a_div_that_forms_no_term_is_not_normed(per_chunk, monkeypatch):
+    # the Arnold run's states hold Bq alone, constant along q: no div term
+    sc = scenario(n_pq=32, n_z=128, t_end=2.0)
+    cap_history(monkeypatch, sc, per_chunk)
+    calls = spy_component_norms(monkeypatch)
+    res, _, passes = evolve_keeping_states(sc, monkeypatch)
+    # the states' norms only, one call per chunk
+    assert len(calls) == len(passes) == (1 if per_chunk is None else 3)
+    assert all(shape[1:] == (1, 1, 1, 128) for shape in calls)
+    assert res.series.div_rel.shape == (215,)
+    assert np.all(res.series.div_rel == 0.0)
+    assert not np.signbit(res.series.div_rel).any()
+
+
+def test_a_div_that_forms_terms_is_normed(monkeypatch):
+    # the closed-z solenoidal run of the divergence audit: Bp and Bz, with
+    # p and z structure
+    sc = scenario(lam=1.0, periodic=False, n_pq=16, n_z=128, t_end=0.25,
+                  init=named_initial_field("solenoidal", 1.0))
+    calls = spy_component_norms(monkeypatch)
+    res, states, passes = evolve_keeping_states(sc, monkeypatch)
+    # per chunk, the states' norms and their div's
+    assert len(passes) > 1 and len(calls) == 2 * len(passes)
+    assert [shape[1] for shape in calls] == [2, 1] * len(passes)
+    assert_series_is_per_sample(sc, res, states)
+    assert np.all(res.series.div_rel[1:] > 0)
+
+
 # 80 steps: a stride of 8 divides them, 7 leaves a last interval of 3, and
 # 80 is one interval; a cap of 1 to 3 states spreads the run over many
 # chunks (a state of no live component holds 0 bytes: one chunk)
@@ -1646,6 +1712,39 @@ def test_growth_fit_exact_line():
     assert fit.rate == pytest.approx(0.5, abs=1e-12)
     assert fit.residual_rms <= 1e-12
     assert fit.relative_error <= 1e-12
+
+
+# the reference fits t less the offset: the slope of a line does not move
+# with t, and np.polyfit on t near 1e6 is itself about 1e-10 off
+@pytest.mark.parametrize("offset", [0.0, 1.0e6])
+@pytest.mark.parametrize("noise", [0.0, 1e-3, 0.1])
+def test_growth_fit_is_the_least_squares_line(offset, noise):
+    rng = np.random.default_rng(7)
+    t = offset + np.linspace(0.0, 2.0, 215)
+    norms = np.exp(0.96 * (t - offset) + noise * rng.normal(size=t.size))
+    fit = growth_fit(t, norms)
+    keep = induction_dynamo.fit_window(t.size, (0.4, 1.0))
+    tw, yw = t[keep] - offset, np.log(norms[keep])
+    slope, intercept = np.polyfit(tw, yw, 1)
+    assert fit.rate == pytest.approx(slope, rel=1e-12, abs=0.0)
+    resid = yw - (slope * tw + intercept)
+    assert fit.residual_rms == pytest.approx(
+        np.sqrt(np.mean(resid ** 2)), rel=1e-9, abs=1e-12)
+    if noise == 0.0:
+        # an exact exponential: its rate, with a round-off residual
+        assert fit.rate == pytest.approx(0.96, rel=1e-12, abs=0.0)
+        assert fit.residual_rms <= 1e-12
+
+
+@pytest.mark.parametrize("value", [0.1, 3.0, 1.0e6])
+def test_growth_fit_rejects_a_window_of_equal_t(value):
+    # the mean of equal t need not be exactly t (0.1 is not): the check
+    # reads the t themselves, not their centred squares
+    t = np.linspace(0.0, 1.0, 100)
+    t[40:] = value
+    with pytest.raises(ValueError, match="^the fit window's t must not all "
+                       "be equal$"):
+        growth_fit(t, np.exp(np.linspace(0.0, 1.0, 100)))
 
 
 def test_growth_fit_reports_noise_residual():

@@ -31,3 +31,18 @@ print(sorted(n for n in {MODULE_NAMES!r} + ("__version__", "__all__")
                          capture_output=True, text=True).stdout
     assert out.split("\n")[:2] == ["[]", "[]"]
     assert len(MODULE_NAMES) == 29
+
+
+def test_import_verification_loads_no_curvature_or_flux_rope_module():
+    # the curvature and flux-rope checks import their modules when they run
+    code = """
+import sys
+import framedynamo.verification
+print(sorted(m for m in sys.modules if m.startswith("framedynamo.")))
+"""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[0] == str([
+        "framedynamo.differentiation", "framedynamo.frame_calculus",
+        "framedynamo.induction_dynamo", "framedynamo.verification"])
