@@ -92,9 +92,9 @@ def z_derivative_matrix(n: int, dz: float, order: int = 1,
 
 
 @functools.lru_cache(maxsize=64)
-def _fourier_matrix(n: int, order: int, length: float) -> np.ndarray:
+def _fourier_matrix(n: int, order: int) -> np.ndarray:
     """Read-only matrix whose column j is the rFFT derivative of e_j."""
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
     if order % 2 == 1 and n % 2 == 0:
         k[-1] = 0.0
     mult = ((1j * k) ** order)[:, None]
@@ -103,17 +103,16 @@ def _fourier_matrix(n: int, order: int, length: float) -> np.ndarray:
     return D
 
 
-def spectral_derivative(f: np.ndarray, axis: int, order: int = 1,
-                        length: float = 1.0) -> np.ndarray:
+def spectral_derivative(f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
     """Fourier derivative of a real field along a periodic axis.
 
-    The axis is assumed to sample [0, length) uniformly without the
-    endpoint. The Nyquist mode is zeroed for odd derivative orders.
+    The axis is assumed to sample [0, 1) uniformly without the endpoint,
+    as p and q do. The Nyquist mode is zeroed for odd derivative orders.
     """
     f = np.asarray(f)
     n = f.shape[axis]
     axis %= f.ndim
-    D = _fourier_matrix(n, order, float(length))
+    D = _fourier_matrix(n, order)
     stacked = f.reshape(math.prod(f.shape[:axis]), n,
                         math.prod(f.shape[axis + 1:]))
     return (D @ stacked).reshape(f.shape)

@@ -467,6 +467,14 @@ class FrameField:
         return self.data[2]
 
 
+def _field_data(B: FrameField | np.ndarray, grid: Grid3D,
+                what: str) -> np.ndarray:
+    """The data of B, an array or a FrameField on `grid`."""
+    if isinstance(B, FrameField) and B.grid != grid:
+        raise ValueError(f"{what}: the field is on {B.grid}, not on {grid}")
+    return B.data if isinstance(B, FrameField) else B
+
+
 @functools.lru_cache(maxsize=4)
 def _z_matrices(n_z: int, dz: float,
                 periodic: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -490,7 +498,8 @@ class FrameOperators:
     Precomputes the coframe's coefficient profiles, and takes its read-only
     z-differentiation matrices from `_z_matrices`; raises ValueError unless
     its scale factors are finite and positive on grid.z. Inputs are never
-    mutated; every result is checked finite.
+    mutated; every result is checked finite. A FrameField on another grid
+    is rejected with ValueError, whatever its shape.
     """
 
     def __init__(self, coframe: CoframeBasis, grid: Grid3D):
@@ -556,7 +565,7 @@ class FrameOperators:
         figures are those of the four-term sum, up to the sign of a zero,
         and a field with no term left has divergence 0.
         """
-        data = B.data if isinstance(B, FrameField) else B
+        data = _field_data(B, self.grid, "div")
         held = range(3)[components]
         if data.ndim < 4 or data.shape[-4] != len(held):
             raise ValueError(f"div: shape {data.shape} is not (..., "
@@ -583,7 +592,7 @@ class FrameOperators:
         return out
 
     def curl(self, B: FrameField) -> FrameField:
-        _require_finite(B.data, "curl input")
+        _require_finite(_field_data(B, self.grid, "curl"), "curl input")
         cp = (self.inv_h[1] * self.dq(B.bz)
               - self.inv_h[2] * self.dz(B.bq) - self.c_curl_q * B.bq)
         cq = (self.inv_h[2] * self.dz(B.bp) + self.c_curl_p * B.bp
@@ -641,7 +650,7 @@ class FrameOperators:
         equals rows 0 and 1 of C = 3). Fields whose squares overflow are
         normed as in `l2_norm`.
         """
-        data = B.data if isinstance(B, FrameField) else B
+        data = _field_data(B, self.grid, "component_norms")
         n = self._pq_points(data)
         return overflow_safe_norms(
             lambda d: np.sqrt(np.einsum("...pqz,...pqz->...z", d, d)

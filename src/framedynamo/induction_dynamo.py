@@ -17,30 +17,30 @@ stretching factor Omega(z)/Omega(z0) along characteristics. `_rates` forms
 w and the three diagonal rates, and the real-axis step bound reads its
 fastest real decay from them (`_step_rates`). Each component's right-hand
 side is one n_z-by-n_z matrix L, whose one home is `_RHS`: built once per
-scenario, it applies L and builds and applies the propagators of `evolve`.
+scenario, it applies L and produces a run's sampled states (`sampled`).
 
 The system dB/dt = L B is linear and autonomous, so one classical RK4 step
 of size h is exactly B <- P(h L) B, P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
-and s steps are B <- P(h L)^s B. `_RHS.propagators` builds P(h L)^s once
-per run for each sample interval length s, by one Horner loop on a stack
-of matrices, and `_RHS.advance` forms a chunk of sampled states from what
-the chunk before it carries over; the fields between two samples are
-never formed. A run samples every max(1, n_steps // 200) steps and stops
-at the first sample past OVERFLOW_FACTOR times its initial norm; both are
-module constants, and `DynamoScenario` has no knob for either.
+and s steps are B <- P(h L)^s B. `_RHS.sampled` builds P(h L)^s once per
+run for each sample interval length s, by one Horner loop on a stack of
+matrices, and then forms the sampled states chunk by chunk as they are
+drawn; the fields between two samples are never formed. A run samples
+every max(1, n_steps // 200) steps and stops at the first sample past
+OVERFLOW_FACTOR times its initial norm; both are module constants, and
+`DynamoScenario` has no knob for either.
 - On periodic z, Omega is z-uniform, so L has constant coefficients on a
   wrap-around stencil: it is circulant, diagonal in the z Fourier modes,
   with eigenvalues mu_k the discrete Fourier transform of its first
   column, which is all `_RHS` holds of it. The stack is one 1 x 1 matrix
   h mu_k per component and mode, and the state n steps after the initial
   state B0 is irfft(rfft(B0) P(h mu)^n); no n_z-by-n_z matrix is applied.
-  A chunk continues the running product of the interval symbols from the
-  one the chunk before it ended on, and scales the spectrum of B0, so a
-  run's states are the same to the bit however its chunks split.
+  Each chunk continues the running product of the interval symbols from
+  the one the chunk before it ended on, and scales the spectrum of B0, so
+  a run's states are the same to the bit however its chunks split.
 - On closed z the one-sided end rows make L non-circulant. `_RHS` holds
   each component's dense n_z-by-n_z L, the stack is h L, and each
-  interval of s steps is one batched matmul with P(h L)^s, a chunk's first
-  from the last state of the chunk before.
+  interval of s steps is one batched matmul with P(h L)^s of the state
+  before, across chunks as within one.
 
 Because L couples z points only, it also keeps a field that is constant
 along p or q exactly constant along it. `evolve` therefore builds and
@@ -58,10 +58,11 @@ identically zero stays exactly zero. `evolve` finds the live components
 once, from the initial state (exactly, as `_collapse_pq` compares: any
 non-zero entry makes a component live), a basic slice of the component
 axis (`_live_components`), and its sampled states hold those alone,
-(k, n_p', n_q', n_z) for k live components: it propagates, finite-checks,
-norms and diagnoses the live stack, telling `FrameOperators.div` which
-components it holds. The dead ones are 0 in the series' norms and in the
-returned field and stored nowhere else: the Arnold run holds Bq alone.
+(k, n_p', n_q', n_z) for k live components: `_RHS.sampled` propagates
+the live stack, and `evolve` finite-checks, norms and diagnoses it,
+telling `FrameOperators.div` which components it holds. The dead ones
+are 0 in the series' norms and in the returned field and stored nowhere
+else: the Arnold run holds Bq alone.
 
 Everything with eta = 0 has an exact method-of-characteristics solution
 (`characteristics_oracle`), used as ground truth for the RK4 solver.
@@ -78,7 +79,8 @@ from typing import Callable
 import numpy as np
 
 from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
-                             FrameOperators, Grid3D, overflow_safe_norms)
+                             FrameOperators, Grid3D, _field_data,
+                             overflow_safe_norms)
 
 __all__ = [
     "CatMap",
@@ -471,10 +473,11 @@ class _RHS:
     """The induction operator L of one scenario (eta d2 - w d1 + rate, with
     -2 eta lam d1 more for Bz, one block per component), its step rates and
     its `FrameOperators`: built once by `DynamoScenario`, and the only code
-    that picks the spectral or the dense path. Periodic z is admitted only
-    with a z-uniform Omega, so the blocks are circulant there and `blocks`
-    holds their first columns (3, n_z); on closed z, the transposed dense
-    blocks (3, n_z, n_z)."""
+    that picks the spectral or the dense path. It applies L (`__call__`)
+    and produces a run's sampled states (`sampled`), and holds nothing of
+    a run. Periodic z is admitted only with a z-uniform Omega, so the
+    blocks are circulant there and `blocks` holds their first columns
+    (3, n_z); on closed z, the transposed dense blocks (3, n_z, n_z)."""
 
     def __init__(self, scenario: DynamoScenario, w: np.ndarray,
                  rate: np.ndarray, step_rates: tuple[float, float]):
@@ -502,107 +505,114 @@ class _RHS:
             mats = np.ascontiguousarray(mats[:, wrap])
         return np.matmul(data.reshape(3, -1, n_z), mats).reshape(data.shape)
 
-    def propagators(self, dt: float, intervals: np.ndarray,
-                    live: slice) -> np.ndarray:
-        """P(h L)^n of the `live` components for each interval length n of
-        `intervals`, stacked on axis 0 in their order.
+    def sampled(self, b: np.ndarray, dt: float, steps: np.ndarray,
+                live: slice):
+        """The sampled states of a run from its initial state b (k, n_p',
+        n_q', n_z) of the `live` components, at the steps `steps` of size
+        dt: an iterator over chunks (m, k, n_p', n_q', n_z) of them, each
+        of up to _HISTORY_BYTES (one state at least; k = 0: one chunk). Slot
+        0 of the first chunk holds the only copy of b.
 
-        The Horner build and the powers run on the live blocks only; a
-        component that is identically zero stays so under its own block.
-        Circulant: P(h mu)^n per mode, (len(intervals), k, n_z // 2 + 1) for
-        k live components. Dense: P(h L)^n transposed for a row-vector
-        matmul, as P(A)^T = P(A^T), (len(intervals), k, n_z, n_z). Overflow
-        to inf or NaN is left to the caller.
+        P(h L)^n is built on the live blocks, for the first and the last gap
+        n of `steps`, before this returns; a chunk is formed only when it is
+        drawn. Circulant: a state is irfft(rfft(b) P(h mu)^n), the symbol
+        product one cumprod continued from chunk to chunk, so a state's bits
+        do not depend on where the chunks split; the rows are gathered,
+        multiplied and, for a z-profile, scaled by rfft(b) in one buffer.
+        Dense: P(h L)^n is transposed for a row-vector matmul (P(A)^T =
+        P(A^T)), and a state is one batched matmul of the one before.
+        Overflow to inf or NaN is left to the caller.
         """
-        if self.circulant:
-            a = (dt * np.fft.rfft(self.blocks[live]))[..., None, None]
-        else:
-            a = dt * self.blocks[live]
+        stride, tail = steps[1] - steps[0], steps[-1] - steps[-2]
+        a = dt * (np.fft.rfft(self.blocks[live])[..., None, None]
+                  if self.circulant else self.blocks[live])
         eye = np.eye(a.shape[-1])
         poly = eye + a / 4.0
         for c in (3.0, 2.0, 1.0):
             poly = eye + (a / c) @ poly
         with np.errstate(over="ignore", invalid="ignore"):
+            # one power where the two gaps are equal
             powers = np.stack([np.linalg.matrix_power(poly, n)
-                               for n in intervals])
-        return powers[..., 0, 0] if self.circulant else powers
+                               for n in dict.fromkeys((stride, tail))])
+        if self.circulant:
+            powers = powers[..., 0, 0]
+        per_chunk = (max(1, _HISTORY_BYTES // b.nbytes) if b.nbytes
+                     else len(steps))
 
-    def start(self, state: np.ndarray):
-        """The carry of a run's first `advance`, from its initial state
-        (k, n_p', n_q', n_z) of live components: on the circulant path its
-        rFFT and no symbol product yet, on the dense path the state."""
-        return (np.fft.rfft(state), None) if self.circulant else state
+        def chunks(last):
+            # last: the initial state, then the last state formed
+            product = None
+            for begin in range(0, len(steps), per_chunk):
+                chunk = np.empty((min(per_chunk, len(steps) - begin),
+                                  *last.shape))
+                states = chunk
+                if not begin:
+                    chunk[0] = last
+                    last, states = chunk[0], chunk[1:]
+                    if self.circulant:
+                        spectrum = np.fft.rfft(last)
+                # the power of each state's gap: the last gap's is the last
+                which = np.zeros(len(states), np.intp)
+                if begin + len(chunk) == len(steps):
+                    which[-1:] = len(powers) - 1
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if not self.circulant:
+                        k, n_p, n_q, n_z = last.shape
+                        rows = (k, n_p * n_q, n_z)
+                        for i, state in zip(which, states):
+                            # a state's p, q and z axes are contiguous, so
+                            # both reshapes are views and matmul writes
+                            # into the chunk
+                            np.matmul(last.reshape(rows), powers[i],
+                                      out=state.reshape(rows))
+                            last = state
+                    elif len(states):
+                        lead = product is not None
+                        # the product carried in, the chunk's interval
+                        # symbols and a spare row, so that cumprod forms
+                        # every product in a run of two or more: numpy forms
+                        # such a run, whose output overlaps its input, by
+                        # its scalar loop, and a lone product by its vector
+                        # loop, which rounds differently
+                        chain = np.empty((lead + len(states) + 1,
+                                          *powers.shape[1:]), powers.dtype)
+                        if lead:
+                            chain[0] = product
+                        chain[lead:-1] = powers[0]
+                        chain[-2] = powers[which[-1]]
+                        chain[-1] = 0.0
+                        np.cumprod(chain, axis=0, out=chain)
+                        product = chain[-2].copy()
+                        symbols = chain[lead:-1, :, None, None, :]
+                        # a z-profile's spectra (m, k, 1, 1, n_z // 2 + 1)
+                        # overwrite the symbols they scale
+                        profile = last.shape[1:3] == (1, 1)
+                        spectra = np.multiply(spectrum, symbols,
+                                              out=symbols if profile else None)
+                        np.fft.irfft(spectra, n=last.shape[-1], axis=-1,
+                                     out=states)
+                        # the caller reads the chunk while this frame waits
+                        del chain, symbols, spectra
+                last = chunk[-1]
+                yield chunk
 
-    def advance(self, carry, which: np.ndarray, propagators: np.ndarray,
-                out: np.ndarray):
-        """Write into out[i] the state after the intervals which[0], ...,
-        which[i] past the carry, each an index into the stack of
-        `propagators`, and return the carry of the next chunk.
-
-        `out` (m, k, n_p', n_q', n_z) holds the live components only, as
-        the chunks of `evolve` do; `carry` is `start` of the initial state
-        for the first chunk, and what the call before returned after it.
-        Circulant: each state is irfft(rfft(B0) P(h mu)^n) of the initial
-        state B0. The carry holds rfft(B0) and the running product of the
-        interval symbols, which one cumprod over the picked rows of the
-        stack continues, so a state's bits do not depend on where the
-        chunks split. The rows are gathered, multiplied and, for a z-profile
-        (n_p' = n_q' = 1), scaled by rfft(B0) in one buffer.
-        Dense: the carry is the last state, and each state is one batched
-        matmul of the state before it with P(h L)^n.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.circulant:
-                initial, product = carry
-                lead = product is not None
-                # the product carried in, the chunk's interval symbols and a
-                # spare row, so that cumprod forms every product in a run of
-                # two or more: numpy forms such a run, whose output overlaps
-                # its input, by its scalar loop, and a lone product by its
-                # vector loop, which rounds differently
-                chain = np.empty((lead + len(which) + 1,
-                                  *propagators.shape[1:]), propagators.dtype)
-                if lead:
-                    chain[0] = product
-                # `which` indexes the stack, so clipping changes nothing;
-                # the default mode would buffer the output
-                np.take(propagators, which, axis=0, out=chain[lead:-1],
-                        mode="clip")
-                chain[-1] = 0.0
-                np.cumprod(chain, axis=0, out=chain)
-                product = chain[-2].copy()
-                symbols = chain[lead:-1, :, None, None, :]
-                # a z-profile's spectra (m, k, 1, 1, n_z // 2 + 1) overwrite
-                # the symbols they scale
-                spectrum = np.multiply(
-                    initial, symbols,
-                    out=symbols if initial.shape[1:3] == (1, 1) else None)
-                np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
-                return initial, product
-            last = carry
-            k, n_p, n_q, n_z = last.shape
-            rows = (k, n_p * n_q, n_z)
-            for i, state in zip(which, out):
-                # a state's p, q and z axes are contiguous, so both reshapes
-                # are views and matmul writes into out
-                np.matmul(last.reshape(rows), propagators[i],
-                          out=state.reshape(rows))
-                last = state
-            return last
+        return chunks(b)
 
 
 def induction_rhs(scenario: DynamoScenario, B: FrameField) -> FrameField:
     """Right-hand side of the induction system at one instant: the
     scenario's `_RHS` applied to B.
 
-    Rejects what `DynamoScenario` rejects: with resistivity > 0, a field
-    that is not constant along p and q.
+    Rejects a field on another grid than the scenario's, and what
+    `DynamoScenario` rejects: with resistivity > 0, a field that is not
+    constant along p and q.
     """
-    if not np.all(np.isfinite(B.data)):
+    data = _field_data(B, scenario.grid, "induction_rhs")
+    if not np.all(np.isfinite(data)):
         raise ValueError("induction_rhs: field contains non-finite values")
     if scenario.resistivity > 0:
-        _require_constant_along_pq(_collapse_pq(B.data))
-    return FrameField(scenario.grid, scenario._rhs(B.data))
+        _require_constant_along_pq(_collapse_pq(data))
+    return FrameField(scenario.grid, scenario._rhs(data))
 
 
 # -- evolution ----------------------------------------------------------------
@@ -700,12 +710,10 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
 
     A step applies P(h L). The run samples at t = 0, every
     `scenario.stride` steps and t_end (`scenario.n_samples` samples), and
-    forms only the sampled states (see the module docstring), by
-    `_RHS.advance` with the propagators P(h L)^stride and
-    P(h L)^(n_steps mod stride) of `_RHS.propagators`; a non-finite field
-    is therefore reported at the end of its sample interval. The state is
-    held, and the final one returned as a fresh contiguous copy, at the
-    smallest shape that broadcasts exactly to the initial field
+    forms only the sampled states (see the module docstring); a non-finite
+    field is therefore reported at the end of its sample interval. The
+    state is held, and the final one returned as a fresh contiguous copy,
+    at the smallest shape that broadcasts exactly to the initial field
     (`_initial_state`), (3, n_p', n_q', n_z).
     Only the components not identically zero in the initial state
     (`_live_components`) are held, advanced, checked finite, normed and
@@ -715,78 +723,59 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     figures are the scenario's `_RHS`, built with the scenario; each run
     samples its initial state and builds its propagators afresh.
 
-    The sampled states are formed in place in chunks (m, k, n_p', n_q',
-    n_z) of up to _HISTORY_BYTES of live components (one state at least;
-    with k = 0 every state fits); the first chunk's slot 0 holds the only
-    copy of the initial state's live part. Each chunk is formed from the
-    carry `_RHS.advance` returned for the chunk before (`_RHS.start` of the
-    initial state for the first), so where the chunks split does not
-    change a state's bits on either path. Each chunk is checked for
-    finite values and its finite prefix normed once; the overflow guard
-    stops the run with stop_reason "overflow guard" at the first sample
-    whose total L2 exceeds OVERFLOW_FACTOR times sample 0's, and a
-    non-finite sample before that raises NumericalError. The series keeps
-    those norms, and `_diagnostics` adds div_rel, one batched pass per
-    chunk up to the stop (with no norm pass where the div is exactly zero);
-    every figure equals that of a pass per sample. The run reports its
-    wall time split into build_s, advance_s and sample_s.
+    The states are drawn from `_RHS.sampled` in chunks (m, k, n_p', n_q',
+    n_z) of up to _HISTORY_BYTES of live components, the first chunk's
+    slot 0 holding the only copy of the initial state's live part; a
+    state's bits do not depend on where the chunks split. `evolve` only
+    reads them: each chunk is checked for finite values and its finite
+    prefix normed once; the overflow guard stops the run with stop_reason
+    "overflow guard" at the first sample whose total L2 exceeds
+    OVERFLOW_FACTOR times sample 0's, and a non-finite sample before that
+    raises NumericalError. No chunk past the stop is drawn or formed.
+    The series keeps those norms, and `_diagnostics` adds div_rel, one
+    batched pass per chunk up to the stop (with no norm pass where the div
+    is exactly zero); every figure equals that of a pass per sample. The
+    run reports its wall time split into build_s, advance_s and sample_s.
     """
     start = time.perf_counter()
     grid, rhs = scenario.grid, scenario._rhs
     b = _initial_state(scenario.initial_field, grid)
     live = _live_components(b)
-    b = b[live]
     nsteps = scenario.n_steps
     dt = scenario.t_end / nsteps
-    stride = scenario.stride
-    steps = np.append(np.arange(0, nsteps, stride), nsteps)
-    per_pass = max(1, _HISTORY_BYTES // b.nbytes) if b.nbytes else len(steps)
-    intervals = np.array(sorted({stride, nsteps % stride} - {0}))
-    propagators = rhs.propagators(dt, intervals, live)
+    steps = np.append(np.arange(0, nsteps, scenario.stride), nsteps)
+    chunks = rhs.sampled(b[live], dt, steps, live)
     build_s = time.perf_counter() - start
 
-    parts, stop_reason = [], "completed"
+    parts, stop_reason, kept = [], "completed", 0
     sample_s = advance_s = 0.0
-    for first in range(0, len(steps), per_pass):
-        begin = time.perf_counter()
-        end = min(first + per_pass, len(steps))
-        chunk = np.empty((end - first, *b.shape))
-        states = chunk  # the states to form
-        if first == 0:
-            # slot 0 takes the initial state and holds its only copy
-            chunk[0] = b
-            b, states = chunk[0], chunk[1:]
-            carry = rhs.start(b)
-        lead = len(chunk) - len(states)  # the chunk index of states[0]
-        if len(states):
-            lengths = np.diff(steps[first + lead - 1:end])
-            carry = rhs.advance(carry, np.searchsorted(intervals, lengths),
-                                propagators, states)
-        finite = np.isfinite(states).all(axis=(1, 2, 3, 4))
-        ok = len(chunk) if finite.all() else lead + int(np.argmin(finite))
+    begin = time.perf_counter()
+    for chunk in chunks:
+        finite = np.isfinite(chunk).all(axis=(1, 2, 3, 4))
+        ok = len(chunk) if finite.all() else int(np.argmin(finite))
         l2 = np.zeros((ok, 3))  # a dead component's norm is exactly 0
         l2[:, live] = rhs.op.component_norms(chunk[:ok])
         total = _total(l2)
-        if first == 0:
+        if not kept:
             guard = OVERFLOW_FACTOR * max(total[0], 1e-300)
-        over = np.flatnonzero(total[lead:] > guard)
+        over = np.flatnonzero(total > guard)
         if len(over):
             stop_reason = "overflow guard"
-            ok = lead + over[0] + 1
+            ok = over[0] + 1
         elif ok < len(chunk):
-            step = int(steps[first + ok])
+            step = int(steps[kept + ok])
             raise NumericalError(f"non-finite field at step {step} "
                                  f"(t={step * dt:g})")
         chunk, l2, total = chunk[:ok], l2[:ok], total[:ok]
-        b = chunk[-1]
+        b, kept = chunk[-1], kept + ok
         sampled = time.perf_counter()
         advance_s += sampled - begin
         parts.append((l2, total, _diagnostics(rhs.op, chunk, live, total)))
-        sample_s += time.perf_counter() - sampled
+        begin = time.perf_counter()
+        sample_s += begin - sampled
         if stop_reason != "completed":
             break
 
-    kept = first + len(chunk)
     l2, total, div_rel = (np.concatenate(x) for x in zip(*parts))
     series = EvolutionSeries(t=steps[:kept] * dt, l2=l2, total_l2=total,
                              div_rel=div_rel,

@@ -165,10 +165,10 @@ def test_spectral_derivative_along_middle_axis():
     np.testing.assert_allclose(df[2, :, 3], expect, atol=1e-10)
 
 
-def rfft_derivative(f, axis, order, length):
-    """The transform-per-call Fourier derivative, as a reference."""
+def rfft_derivative(f, axis, order):
+    """The transform-per-call Fourier derivative on [0, 1), a reference."""
     n = f.shape[axis]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
     if order % 2 == 1 and n % 2 == 0:
         k[-1] = 0.0
     shape = [1] * f.ndim
@@ -181,24 +181,23 @@ def rfft_derivative(f, axis, order, length):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 32])
 def test_spectral_derivative_matches_rfft_reference(n, order):
     rng = np.random.default_rng(n + 10 * order)
-    length = 2.5
     cases = [((3, 4, 5), axis) for axis in (0, 1, 2, -1)] + \
         [((3, 4, 5, 6), axis) for axis in (1, 2)]
     for base, axis in cases:
         shape = list(base)
         shape[axis] = n
         f = rng.normal(size=shape)
-        got = spectral_derivative(f, axis, order, length)
-        ref = rfft_derivative(f, axis, order, length)
+        got = spectral_derivative(f, axis, order)
+        ref = rfft_derivative(f, axis, order)
         assert got.shape == f.shape
-        scale = (2 * np.pi * n / length) ** order
+        scale = (2 * np.pi * n) ** order
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale)
 
 
 def test_spectral_matrix_cache_is_read_only():
     spectral_derivative(np.ones((8, 3)), 0)
-    D = _fourier_matrix(8, 1, 1.0)
-    assert _fourier_matrix(8, 1, 1.0) is D
+    D = _fourier_matrix(8, 1)
+    assert _fourier_matrix(8, 1) is D
     with pytest.raises(ValueError):
         D[0, 0] = 1.0
 

@@ -692,6 +692,17 @@ def test_norms_of_a_field_past_1e154_are_finite_where_it_is_weighted(
             assert total == pytest.approx(spike, rel=1e-15)
 
 
+@pytest.mark.parametrize("method", ["div", "curl", "vector_laplacian",
+                                    "component_norms"])
+def test_operators_reject_a_field_from_another_grid_of_the_same_shape(method):
+    # a field on [0, 3] has the shape of one on [0, 1], but not its dz
+    _, grid, op = make_ops(n_p=4, n_q=4, n_z=64, periodic=True)
+    other = Grid3D(4, 4, 64, z_max=3.0, z_periodic=True)
+    assert other.shape == grid.shape and other != grid
+    with pytest.raises(ValueError, match=re.escape(f"on {other}, not on {grid}")):
+        getattr(op, method)(smooth_field(other))
+
+
 def test_div_rejects_arrays_that_are_not_three_component_fields():
     _, grid, op = make_ops(n_p=6, n_q=4, n_z=33)
     for shape in [(2, 6, 4, 33), (6, 4, 33), (2, 3, 6, 2, 33)]:

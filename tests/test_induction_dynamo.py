@@ -641,6 +641,16 @@ def test_rhs_rejects_resistive_field_with_pq_structure():
         induction_rhs(sc, pqz_field().on_grid(sc.grid))
 
 
+def test_rhs_rejects_a_field_from_another_grid_of_the_same_shape():
+    # a q-field on [0, 3] has the shape of one on the scenario's [0, 1]
+    sc = scenario(n_z=64)
+    other = Grid3D(4, 4, 64, z_max=3.0, z_periodic=True)
+    assert other.shape == sc.grid.shape and other != sc.grid
+    with pytest.raises(ValueError, match=re.escape(
+            f"induction_rhs: the field is on {other}, not on {sc.grid}")):
+        induction_rhs(sc, q_sine().on_grid(other))
+
+
 def test_rhs_rejects_nonfinite_field():
     sc = scenario()
     data = np.zeros((3, *sc.grid.shape))
@@ -1422,6 +1432,38 @@ def test_overflow_guard_inside_a_chunk_stops_at_the_dense_step(chunk,
     # no later sample is diagnosed
     assert len(kept) == len(res.series.t) == stop + 1
     assert res.series.t[-1] == steps[stop] * res.dt
+
+
+def count_drawn_chunks(monkeypatch):
+    """The lengths of the chunks a run draws from `_RHS.sampled`."""
+    drawn, sampled = [], induction_dynamo._RHS.sampled
+
+    def spy(self, *args):
+        for chunk in sampled(self, *args):
+            drawn.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(induction_dynamo._RHS, "sampled", spy)
+    return drawn
+
+
+# the guard trips at sample 72 of 201 on periodic z and at sample 24 of 211
+# on closed z: chunks of 50 and of 16 samples put it inside the second
+@pytest.mark.parametrize("periodic,per_chunk", [(True, 50), (False, 16)],
+                         ids=["periodic", "closed"])
+def test_no_chunk_past_the_overflow_stop_is_formed(periodic, per_chunk,
+                                                   monkeypatch):
+    sc = scenario(t_end=20.0, n_z=64, periodic=periodic)
+    guard_at(monkeypatch, 1e3)
+    cap_history(monkeypatch, sc, per_chunk)
+    drawn = count_drawn_chunks(monkeypatch)
+    res = evolve(sc)
+    stop = res.steps // sc.stride
+    assert res.stop_reason == "overflow guard"
+    assert per_chunk < stop < 2 * per_chunk - 1
+    assert sc.n_samples > 3 * per_chunk
+    assert drawn == [per_chunk, per_chunk]
+    assert len(res.series.t) == stop + 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
