@@ -1,23 +1,20 @@
 """Twisted flux-rope model: curve frames, tube metric factor, dynamo bounds.
 
-A rope is a thin magnetic tube around a space curve with curvature
-kappa(s) and torsion tau(s). The tangent/normal/binormal triad satisfies
+A rope is a thin magnetic tube around a space curve, its axis, of constant
+curvature kappa and torsion tau. The tangent/normal/binormal triad satisfies
 
     t' = kappa n,   n' = -kappa t + tau b,   b' = -tau n,
 
-`frenet_integrate` advances the triad by a 4th-order Magnus method: each
-step is one rotation about the step's averaged Darboux vector, so the triad
-stays orthonormal to round-off without renormalisation (Iserles,
-Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000; Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 2009). The triads are the prefix products of those
-rotations, formed by a two-level blocked scan: running products inside
-blocks of about sqrt(m) rotations and a carry across the blocks, O(m)
-products in about 2 sqrt(m) numpy calls rather than one call per step.
+a rotation of the triad at the constant Darboux vector, so the axis is a
+helix (a circle for tau = 0, a line for kappa = 0). `frenet_integrate`
+forms the triad in closed form by Rodrigues' formula, orthonormal to
+round-off at every sample, and integrates the positions by the corrected
+trapezoid rule.
 
 The rope has one owner: `RopeParams` carries its radius r and the
-constant curvature kappa and torsion tau of its axis, and the tube, B_theta,
-continuity and CSV functions read them from there. Only `frenet_integrate`
-takes kappa(s) and tau(s) as profiles of s (floats or callables).
+constant curvature kappa and torsion tau of its axis, and the tube,
+B_theta, continuity and CSV functions read them from there; its callers
+pass kappa and tau to `frenet_integrate`.
 
 The tube cross-section angle winds as theta(s) = theta0 - tau (s - s0).
 The tube metric deviates from flat by K(s) = 1 - r kappa cos theta(s).
@@ -25,7 +22,8 @@ The endpoint dynamo quantities are the poloidal/toroidal amplification
 ratio tau*omega*r/gamma^2, the radius bound r > gamma^2/(omega tau), and
 the poloidal amplitude B_theta = B0 exp(gamma t - int (1 - K) dtheta),
 int (1 - K) dtheta = r kappa (sin theta - sin theta0): every integral
-along the rope is in closed form, from its first sample s0.
+along the rope is in closed form, from its first sample s0, and only the
+axis positions are a quadrature.
 """
 from __future__ import annotations
 
@@ -59,12 +57,6 @@ class NoDynamoBoundError(ValueError):
     """The radius bound gamma^2/(omega tau) needs omega*tau > 0."""
 
 
-def _as_profile(f, s: np.ndarray) -> np.ndarray:
-    if callable(f):
-        return np.asarray(f(s), dtype=float) * np.ones_like(s)
-    return np.full_like(s, float(f))
-
-
 @dataclass(frozen=True)
 class FrenetCurve:
     """Discretized curve with its orthonormal triad per arclength sample."""
@@ -85,44 +77,40 @@ class FrenetCurve:
         return worst
 
 
-# the most steps `frenet_integrate` takes: about 0.5 GB of working arrays
+# the most steps `frenet_integrate` takes: its tracemalloc peak is 216 B a
+# step, about 0.22 GB, of which the returned curve holds 104 B a step
 MAX_FRENET_STEPS = 10 ** 6
 
-# Gauss-Legendre nodes of [0, 1] for the two-point Magnus step
-_GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
+def frenet_integrate(kappa: float, tau: float, s_max: float,
+                     ds: float) -> FrenetCurve:
+    """The axis of constant curvature kappa and torsion tau: its triad in
+    closed form, its positions by quadrature.
 
-def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
-    """Integrate the frame equations with a 4th-order Magnus method.
-
-    With F the matrix of rows (t, n, b), F' = -[w]x F for the body-frame
-    Darboux vector w = (tau, 0, kappa). Each step of size h samples w at
-    the two Gauss points, w1 and w2, and rotates the frame by
-    F <- R(theta)^T F with theta = (h/2)(w1 + w2) + (sqrt(3) h^2/12) w1 x w2
-    (Rodrigues), so the triad stays orthonormal to round-off. Positions
-    integrate t by the corrected trapezoid rule, whose h^2/12 end terms
-    use t' = kappa n. Both are 4th order in h; constant kappa and tau
-    rotate the frame exactly.
+    With F the matrix of rows (t, n, b), F' = -[w]x F for the constant
+    body-frame Darboux vector w = (tau, 0, kappa), so F(s) = R(s)^T F(0)
+    exactly, R(s) the rotation by phi = |w| s about u = w/|w|. Rodrigues'
+    formula forms it for all samples at once,
+    R^T = cos(phi) I + 2 sin^2(phi/2) u u^T - sin(phi) [u]x, with the
+    versine 2 sin^2(phi/2) in place of 1 - cos(phi), which cancels; the
+    triad is orthonormal to round-off at every s, however long the arc.
+    Positions integrate t by the corrected trapezoid rule, whose h^2/12
+    end terms use t' = kappa n: 4th order in h, the one discretisation
+    error of the curve.
 
     The curve ends at s_max: it takes n = ceil(s_max/ds) steps of equal
     size h = s_max/n <= ds, so s = 0, h, ..., n h (a ratio s_max/ds at
     most a relative 1e-12 above a whole number, as round-off leaves it,
     rounds down to that number); s_max = 0 gives the starting point
     alone, and more than MAX_FRENET_STEPS steps (an infinite s_max/ds
-    among them) raise ValueError before anything is allocated. The
-    frame after step k is the product R_k^T ... R_1^T of the step
-    rotations, formed by a two-level scan of the m = n + 1 matrices
-    (I, R_1^T, ..., R_n^T) in blocks of ceil(sqrt(m)): a running product
-    inside every block at once, a sequential carry across the blocks,
-    then one batched product of each block with the carry into it. That
-    is O(m) 3x3 products in about 2 sqrt(m) numpy calls (a work-efficient
-    scan; Blelloch, "Prefix sums and their applications", 1990).
+    among them) raise ValueError before anything is allocated.
 
-    kappa and tau may be floats or callables of s; kappa must be
-    non-negative, and kappa*h and |tau|*h at most 0.1 on the samples s
-    (step-size guard, which also keeps the step rotation finite). The
-    curve starts at the origin with the triad (t, n, b) = (e_x, e_y, e_z).
+    kappa must be non-negative, and kappa*h and |tau|*h at most 0.1
+    (step-size guard of the position rule, which also keeps phi finite).
+    The curve starts at the origin with the triad (t, n, b) =
+    (e_x, e_y, e_z).
     """
+    kappa, tau, s_max, ds = map(float, (kappa, tau, s_max, ds))
     if not 0.0 < ds < np.inf:
         raise ValueError(f"ds must be positive and finite, got {ds}")
     if not 0.0 <= s_max < np.inf:
@@ -134,60 +122,28 @@ def frenet_integrate(kappa, tau, s_max: float, ds: float) -> FrenetCurve:
                          f"MAX_FRENET_STEPS={MAX_FRENET_STEPS}")
     steps = math.ceil(ratio)
     h = s_max / steps if steps else ds
-    m = steps + 1
-    s = np.arange(m) * h
-    kap = _as_profile(kappa, s)
-    if np.any(kap < 0):
-        raise ValueError("curvature profile must be non-negative")
-    for name, profile in (("kappa", kap), ("|tau|", np.abs(_as_profile(tau, s)))):
-        # a Python float product: inf where it overflows, with no warning
-        step = float(np.max(profile)) * h
+    if kappa < 0:
+        raise ValueError(f"curvature kappa must be non-negative, got {kappa}")
+    # Python float products: inf where they overflow, with no warning
+    kh, th = kappa * h, tau * h
+    for name, step in (("kappa", kh), ("|tau|", abs(th))):
         if not step <= 0.1:
             raise ValueError(f"step too large: max {name}*h = {step:.3g} > 0.1")
 
-    # per-step rotation vectors theta = (x, y, z): with w = (tau, 0, kappa)
-    # at the Gauss points, w1 x w2 = (0, kappa1 tau2 - tau1 kappa2, 0)
-    g1, g2 = (s[:-1] + c * h for c in _GAUSS)
-    tau1, tau2 = _as_profile(tau, g1), _as_profile(tau, g2)
-    kap1, kap2 = _as_profile(kappa, g1), _as_profile(kappa, g2)
-    x = 0.5 * h * (tau1 + tau2)
-    y = (np.sqrt(3.0) * h ** 2 / 12.0) * (kap1 * tau2 - tau1 * kap2)
-    z = 0.5 * h * (kap1 + kap2)
-    # R^T = I + a K + b K^2 for K = [theta]x^T = -[theta]x, whose square
-    # is theta theta^T - |theta|^2 I, written out entry by entry as rows of
-    # 9; a = sin|theta|/|theta|, b = 2 sin^2(|theta|/2)/|theta|^2 (no
-    # 1 - cos cancellation)
-    ang = np.sqrt(x * x + y * y + z * z)
-    safe = np.where(ang > 0.0, ang, 1.0)  # theta = 0 gives R = I for any a, b
-    a = np.sin(ang) / safe
-    b = 2.0 * (np.sin(0.5 * ang) / safe) ** 2
-    ax, ay, az = a * x, a * y, a * z
-    bx, by, bz = b * x, b * y, b * z
-    cos = 1.0 - b * ang ** 2
-    rot_t = np.array([cos + bx * x, bx * y + az, bx * z - ay,
-                      bx * y - az, cos + by * y, by * z + ax,
-                      bx * z + ay, by * z - ax, cos + bz * z]).T
+    # phi_k = k |w| h from the guarded |w| h <= 0.15, which cannot overflow
+    wh = math.hypot(kh, th)
+    ux, uz = (th / wh, kh / wh) if wh else (1.0, 0.0)
+    k = np.arange(steps + 1)
+    s, phi = k * h, k * wh
+    sin, vers = np.sin(phi), 2.0 * np.sin(0.5 * phi) ** 2
+    cos = 1.0 - vers
+    # the rows of R^T, with u = (ux, 0, uz)
+    ts = np.column_stack([cos + vers * ux * ux, sin * uz, vers * ux * uz])
+    ns = np.column_stack([-sin * uz, cos, sin * ux])
+    bs = np.column_stack([vers * ux * uz, -sin * ux, cos + vers * uz * uz])
 
-    # frames[k] = R_k^T ... R_1^T by the docstring's two-level scan, on
-    # (I, R_1^T, ..., R_n^T) padded with I to whole blocks of ceil(sqrt(m));
-    # the last product takes each block as one (3 block, 3) matrix
-    block = math.isqrt(m - 1) + 1
-    n_blocks = -(-m // block)
-    prod = np.empty((n_blocks * block, 9))
-    prod[:] = np.eye(3).ravel()
-    prod[1:m] = rot_t
-    prod = prod.reshape(n_blocks, block, 3, 3)
-    for j in range(1, block):
-        prod[:, j] = prod[:, j] @ prod[:, j - 1]
-    carry = np.empty((n_blocks, 3, 3))
-    carry[0] = np.eye(3)
-    for i in range(1, n_blocks):
-        carry[i] = prod[i - 1, -1] @ carry[i - 1]
-    frames = (prod.reshape(n_blocks, 3 * block, 3) @ carry).reshape(-1, 3, 3)[:m]
-    ts, ns, bs = frames[:, 0], frames[:, 1], frames[:, 2]
-
-    kn = kap[:, None] * ns
-    xs = np.zeros((m, 3))
+    kn = kappa * ns
+    xs = np.zeros((steps + 1, 3))
     xs[1:] = np.cumsum(0.5 * h * (ts[:-1] + ts[1:])
                        + (h ** 2 / 12.0) * (kn[:-1] - kn[1:]), axis=0)
     return FrenetCurve(s, xs, ts, ns, bs)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from framedynamo import frame_calculus
 from framedynamo.cli import main
 from framedynamo.frame_calculus import ConformalFactor, FrameMetric
 from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
@@ -277,6 +278,25 @@ def test_config_cfl_violation_rejected(tmp_path, capsys):
                            "--out", str(tmp_path / "o"))
     assert code == 1
     assert "advective bound" in err
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # n_z = 1000000 asked for 7.28 TiB of z matrices and ended in a
+    # traceback; the patch raises where they would be allocated, on the
+    # default n_z, so this test allocates no large array
+    def no_memory(n_z, dz, periodic):
+        raise MemoryError(f"Unable to allocate the {n_z}x{n_z} z matrices")
+
+    monkeypatch.setattr(frame_calculus, "_z_matrices", no_memory)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nn_p = 2\nn_q = 2\n")
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert re.fullmatch(r"error: out of memory: Unable to allocate the "
+                        r"(\d+)x\1 z matrices\n", err)
+    assert out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_negative_cfl_rejected_by_name(tmp_path, capsys):

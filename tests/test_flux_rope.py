@@ -128,42 +128,9 @@ def test_curvature_recovered_from_tangent_derivative():
     np.testing.assert_allclose(kappa_est[5:-5], 0.8, rtol=1e-4)
 
 
-def test_varying_profiles_are_sampled():
-    kappa = lambda s: 0.5 + 0.2 * np.sin(s)
-    tau = lambda s: 0.1 * np.cos(s)
-    c = frenet_integrate(kappa, tau, 6.0, 0.01)
-    assert c.orthonormality_drift() <= 1e-10
-
-
-def test_magnus_integrator_is_fourth_order():
-    # tau/kappa varies, so the commutator term w1 x w2 is non-zero
-    kappa = lambda s: 0.5 + 0.3 * np.sin(s)
-    tau = lambda s: 0.2 * np.cos(1.7 * s)
-    ref = frenet_integrate(kappa, tau, 8.0, 0.0025)
-    errs = []
-    for ds in (0.04, 0.02, 0.01):
-        c = frenet_integrate(kappa, tau, 8.0, ds)
-        step = int(round(ds / 0.0025))
-        errs.append([np.max(np.abs(c.x - ref.x[::step])),
-                     np.max(np.abs(c.t - ref.t[::step]))])
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(orders >= 3.8), orders
-
-
-def test_lancret_helix_keeps_tangent_angle_with_axis():
-    # tau/kappa constant: the unit Darboux vector (tau t + kappa b)/|w| is a
-    # fixed axis u, so t.u stays constant however kappa varies
-    ratio = 0.6
-    kappa = lambda s: 0.5 + 0.3 * np.sin(s)
-    c = frenet_integrate(kappa, lambda s: ratio * kappa(s), 50.0, 0.01)
-    u = (ratio * c.t[0] + c.b[0]) / np.hypot(ratio, 1.0)
-    np.testing.assert_allclose(c.t @ u, ratio / np.hypot(ratio, 1.0),
-                               rtol=0, atol=1e-12)
-
-
 def sequential_magnus(kappa, tau, s):
     """Frames on the uniform samples s by one Magnus rotation per step,
-    multiplied in one at a time: the reference for the prefix scan."""
+    multiplied in one at a time: the reference for the closed-form triad."""
     h = s[1] - s[0] if len(s) > 1 else 0.0
     frames = [np.eye(3)]
     for s0 in s[:-1]:
@@ -179,16 +146,13 @@ def sequential_magnus(kappa, tau, s):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 1023, 1024, 1025, 1026])
 def test_scan_frames_match_sequential_product(m):
-    # the scan runs on blocks of ceil(sqrt(m)) samples: m = 1 and 2 fit in
-    # one block, 1024 = 32^2 fills 32 blocks of 32, 1023 leaves the last
-    # block one short, and 1025, 1026 (steps 1024 = 32^2 and 1025) take
-    # blocks of 33 with a last block of 2 and 3 samples
-    kappa = lambda s: 0.5 + 0.3 * np.sin(s)
-    tau = lambda s: 0.2 * np.cos(1.7 * s) - 0.1
-    ds = 0.01
+    # the closed-form triad against one rotation per step, multiplied in
+    # one at a time: m = 1 is the starting point alone, and m = 1023-1026
+    # are products of about a thousand steps
+    kappa, tau, ds = 0.8, -0.3, 0.01
     c = frenet_integrate(kappa, tau, (m - 1) * ds, ds)
     assert len(c.s) == m
-    ref = sequential_magnus(kappa, tau, c.s)
+    ref = sequential_magnus(lambda s: kappa, lambda s: tau, c.s)
     got = np.stack([c.t, c.n, c.b], axis=1)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
@@ -200,6 +164,24 @@ def test_scan_frames_match_sequential_product_on_the_verify_all_helix():
     ref = sequential_magnus(lambda s: 0.5, lambda s: 0.5, c.s)
     got = np.stack([c.t, c.n, c.b], axis=1)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_long_arc_triad_is_the_exact_rotation():
+    # |w| s = 1e4 rad over 160000 steps: the triad is the rotation itself
+    # at every sample, with no error that grows along the arc. |w| = 1 and
+    # h = 1/16 are exact, so |w| s is the same float here and in the
+    # integrator, and the rounding of the angle does not enter
+    kappa, tau = 0.8, 0.6
+    c = frenet_integrate(kappa, tau, 1e4, 0.0625)
+    assert len(c.s) == 160001 and c.s[-1] == 1e4
+    assert c.orthonormality_drift() <= 1e-12
+    om = np.hypot(kappa, tau)
+    u = np.array([tau, 0.0, kappa]) / om
+    got = np.stack([c.t, c.n, c.b], axis=1)
+    for i in np.linspace(0, len(c.s) - 1, 17).astype(int):
+        # F(s) = R(|w| s)^T: rows (t, n, b) rotate by -|w| s about u
+        np.testing.assert_allclose(got[i], rodrigues(u, -om * c.s[i]),
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("s_max, ds, steps", [
@@ -277,9 +259,19 @@ def test_step_size_guard():
             frenet_integrate(0.5, -1e300, 1.0, 0.01)
 
 
+def test_largest_curvature_and_torsion_within_the_guard():
+    # |w| = hypot(kappa, tau) overflows, |w| h = hypot(kappa h, tau h)
+    # does not: the triad is finite and orthonormal, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = frenet_integrate(1.5e308, 1.5e308, 5e-308, 5e-310)
+    assert len(c.s) == 101
+    assert c.orthonormality_drift() <= 1e-12
+
+
 def test_negative_curvature_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        frenet_integrate(lambda s: -0.5 + 0 * s, 0.0, 1.0, 0.01)
+        frenet_integrate(-0.5, 0.0, 1.0, 0.01)
 
 
 @pytest.mark.parametrize("kwargs, match", [

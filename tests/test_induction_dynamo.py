@@ -11,7 +11,7 @@ from framedynamo import induction_dynamo
 from framedynamo.differentiation import spectral_derivative
 from framedynamo.frame_calculus import (ConformalFactor, FrameField,
                                         FrameMetric, FrameOperators, Grid3D)
-from framedynamo.induction_dynamo import (CAT_STRETCH_RATE,
+from framedynamo.induction_dynamo import (ADVECTIVE_LIMIT, CAT_STRETCH_RATE,
                                           RK4_REAL_AXIS_LIMIT, DynamoScenario,
                                           EvolutionSeries, GrowthFit,
                                           InitialField, NumericalError,
@@ -79,6 +79,23 @@ def test_scenario_rejects_cfl_violation():
         DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
                        initial_field=q_sine(), t_end=1.0,
                        dt=2.0 * grid.dz)
+
+
+def test_advective_bound_is_relative_not_an_absolute_slack():
+    # v = 1e14 takes the bound 0.5 dz / v to 3.9e-17, so dt = 1e-15, an
+    # advective number of 12.8, was within the old absolute slack of 1e-15
+    metric = FrameMetric(0.0)
+    grid = metric.grid(2, 2, 128, z_periodic=True)
+    with pytest.raises(ValueError, match="advective bound"):
+        DynamoScenario(metric=metric, grid=grid, flow_speed=1e14,
+                       initial_field=q_sine(), t_end=4e-13, dt=1e-15)
+    # the bound itself is accepted, also at v = 1e14
+    for v in (1.0, 1e14):
+        dt = stable_dt(metric, grid, v, cfl=ADVECTIVE_LIMIT)
+        sc = DynamoScenario(metric=metric, grid=grid, flow_speed=v,
+                            initial_field=q_sine(), t_end=100 * dt, dt=dt)
+        assert sc.dt * v / grid.dz == pytest.approx(ADVECTIVE_LIMIT,
+                                                    rel=1e-15)
 
 
 def test_scenario_rejects_negative_resistivity():
