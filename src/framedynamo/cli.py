@@ -9,7 +9,8 @@ unknown keys are rejected. --seed alone sets the seed of synthetic
 initial fields (`init = q_random`); no config key sets it. Artifacts are
 CSV/plain-text files written under --out with at least 15 significant
 digits per number; evolve also writes what the run did as run.json (steps,
-dt, CFL numbers, stop reason and wall time by layer), and verify-all writes
+dt, CFL numbers, stop reason and wall time by layer), also for a run that
+turns non-finite, up to its last finite sample; verify-all writes
 its matrix as verify.json (name, passed, measured, limit and runtime_s per
 check). Exit codes: 0 on success, 1 on configuration or validation errors
 (a rejected config writes nothing), 2 on numerical failure or a run
@@ -33,9 +34,9 @@ from .flux_rope import (NoDynamoBoundError, RopeParams, amplification_ratio,
                         rope_csv, tube_metric_factor)
 from .frame_calculus import ConformalFactor, FrameMetric
 from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
-                               NumericalError, cat_map_eigen, evolve,
-                               fit_window, growth_fit, named_initial_field,
-                               stable_dt)
+                               EvolutionResult, NumericalError, cat_map_eigen,
+                               evolve, fit_window, growth_fit,
+                               named_initial_field, stable_dt)
 from .verification import AcceptanceSuite, format_summary
 
 __all__ = ["main", "RunConfig", "ConfigError"]
@@ -112,6 +113,17 @@ _RUN_KEYS = ("steps", "dt", "cfl_advective", "cfl_real_axis", "stop_reason",
              "build_s", "advance_s", "sample_s")
 
 
+def _write_run(cfg: RunConfig, result: EvolutionResult) -> None:
+    """Write an evolve run's series.csv and run.json and print its figures."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    (cfg.out_dir / "series.csv").write_text(result.series.to_csv())
+    run = {key: getattr(result, key) for key in _RUN_KEYS}
+    (cfg.out_dir / "run.json").write_text(json.dumps(run, indent=2) + "\n")
+    print(f"wrote {cfg.out_dir / 'series.csv'} and run.json")
+    print(" ".join(f"{key}={value:.6g}" if isinstance(value, float)
+                   else f"{key}={value}" for key, value in run.items()))
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     lam = CAT_STRETCH_RATE if cfg.get("lam") == "catmap" \
         else cfg.get_float("lam")
@@ -129,14 +141,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
     window = (cfg.get_float("fit_start"), cfg.get_float("fit_end"))
     # a run too short for the fit is a config error: raise before writing
     fit_window(scenario.n_samples, window)
-    result = evolve(scenario)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "series.csv").write_text(result.series.to_csv())
-    run = {key: getattr(result, key) for key in _RUN_KEYS}
-    (cfg.out_dir / "run.json").write_text(json.dumps(run, indent=2) + "\n")
-    print(f"wrote {cfg.out_dir / 'series.csv'} and run.json")
-    print(" ".join(f"{key}={value:.6g}" if isinstance(value, float)
-                   else f"{key}={value}" for key, value in run.items()))
+    try:
+        result = evolve(scenario)
+    except NumericalError as exc:
+        # record the run up to its last finite sample, then fail with exit 2
+        _write_run(cfg, exc.result)
+        raise
+    _write_run(cfg, result)
     if result.stop_reason != "completed":
         # a halted run may keep too few samples for a growth fit
         print(f"WARNING: evolution stopped early ({result.stop_reason}); "

@@ -113,7 +113,15 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """Raised when the time integration produces non-finite values."""
+    """Raised when the time integration produces non-finite values.
+
+    `result` is the run up to its last finite sample, with stop_reason
+    "non-finite" (see `evolve`).
+    """
+
+    def __init__(self, message: str, result: EvolutionResult):
+        super().__init__(message)
+        self.result = result
 
 
 # -- cat map ------------------------------------------------------------------
@@ -657,7 +665,7 @@ class EvolutionResult:
     series: EvolutionSeries
     steps: int           # RK4 steps taken
     dt: float            # step size, t_end / n_steps
-    stop_reason: str     # "completed" or "overflow guard"
+    stop_reason: str     # "completed", "overflow guard" or "non-finite"
     cfl_advective: float  # dt max|v_eff| / dz, accepted up to ADVECTIVE_LIMIT
     # dt times the decay of `_step_rates`, accepted up to RK4_REAL_AXIS_LIMIT
     cfl_real_axis: float
@@ -738,7 +746,9 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     prefix normed once; the overflow guard stops the run with stop_reason
     "overflow guard" at the first sample whose total L2 exceeds
     OVERFLOW_FACTOR times sample 0's, and a non-finite sample before that
-    raises NumericalError. No chunk past the stop is drawn or formed.
+    stops it with stop_reason "non-finite" and raises NumericalError, whose
+    `result` holds the run up to its last finite sample, its steps those
+    up to the non-finite one. No chunk past the stop is drawn or formed.
     The series keeps those norms, and `_diagnostics` adds div_rel, one
     batched pass per chunk up to the stop (with no norm pass where the div
     is exactly zero); every figure equals that of a pass per sample. The
@@ -770,14 +780,14 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
             stop_reason = "overflow guard"
             ok = over[0] + 1
         elif ok < len(chunk):
-            step = int(steps[kept + ok])
-            raise NumericalError(f"non-finite field at step {step} "
-                                 f"(t={step * dt:g})")
+            stop_reason = "non-finite"
         chunk, l2, total = chunk[:ok], l2[:ok], total[:ok]
-        b, kept = chunk[-1], kept + ok
         sampled = time.perf_counter()
         advance_s += sampled - begin
-        parts.append((l2, total, _diagnostics(rhs.op, chunk, live, total)))
+        if ok:
+            b, kept = chunk[-1], kept + ok
+            parts.append((l2, total,
+                          _diagnostics(rhs.op, chunk, live, total)))
         begin = time.perf_counter()
         sample_s += begin - sampled
         if stop_reason != "completed":
@@ -790,10 +800,16 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     field = FrameField(grid, np.zeros((3, *b.shape[1:])))
     field.data[live] = b
     vmax, decay = rhs.step_rates
-    return EvolutionResult(field, series, int(steps[kept - 1]), dt,
-                           stop_reason, cfl_advective=dt * vmax / grid.dz,
-                           cfl_real_axis=dt * decay, build_s=build_s,
-                           advance_s=advance_s, sample_s=sample_s)
+    # a non-finite run counts the steps up to its first non-finite sample
+    taken = int(steps[kept] if stop_reason == "non-finite" else steps[kept - 1])
+    result = EvolutionResult(field, series, taken, dt, stop_reason,
+                             cfl_advective=dt * vmax / grid.dz,
+                             cfl_real_axis=dt * decay, build_s=build_s,
+                             advance_s=advance_s, sample_s=sample_s)
+    if stop_reason == "non-finite":
+        raise NumericalError(f"non-finite field at step {taken} "
+                             f"(t={taken * dt:g})", result)
+    return result
 
 
 # -- method of characteristics -------------------------------------------------

@@ -5,6 +5,8 @@ stated tolerance, printing one pass/fail line per criterion (visible with
 pytest -s or in failure output).
 """
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +61,10 @@ def test_criterion_4_frame_identities(suite):
 
 def test_criterion_5_curvature_pipeline(suite):
     """Structure-equation curvature equals the Christoffel oracle at 1e-8
-    on the metric test matrix; flat components below 1e-10; symmetry
-    residuals below 1e-8; closed-form comparison table emitted."""
+    on the metric test matrix; flat components below 1e-10; the oracle's
+    antisymmetry and first-Bianchi residuals below 1e-8 (the structure-
+    equation build's are 0 by construction); closed-form comparison table
+    emitted."""
     result = suite.check_curvature_pipeline()
     _assert_check(result)
     table = (suite.out_dir / "curvature.txt").read_text()
@@ -116,6 +120,25 @@ def test_verify_all_cli_matches(tmp_path, capsys):
     entries = json.loads((tmp_path / "verify.json").read_text())
     assert len(entries) == 8
     assert all(e["passed"] is True and e["runtime_s"] > 0 for e in entries)
+
+
+def _table_number(text):
+    """A formatted figure as the README table writes it: 8.14e-7, not
+    8.14e-07."""
+    return re.sub(r"e([+-])0*(?=\d)",
+                  lambda m: "e-" if m[1] == "-" else "e", text)
+
+
+def test_readme_claims_table_shows_the_measured_figures(suite):
+    """Each verify-all entry's README row shows its measured figure to
+    three significant digits and its limit."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    results = suite.run_all()
+    assert len(results) == 8
+    for r in results:
+        figures = (f"{_table_number(f'{r.measured:.3g}')} "
+                   f"({_table_number(f'{r.limit:g}')})")
+        assert f"| `{r.name}` | {figures} |" in readme, (r.name, figures)
 
 
 def test_oracle_error_rejects_undefined_oracle_points(monkeypatch):

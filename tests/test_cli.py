@@ -149,6 +149,26 @@ def test_evolve_overflow_guard_reported_as_truncation(tmp_path, capsys):
     assert "stop_reason=overflow guard" in out
 
 
+def test_evolve_non_finite_run_records_its_finite_samples(tmp_path, capsys):
+    # e^{500 t} overflows double before the second sample, step 336: the
+    # run exits 2 and still writes its one finite sample and what it did
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[evolve]\nlam = 500\nt_end = 300\nn_p = 2\nn_q = 2\n"
+                   "n_z = 8\n")
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg),
+                             "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == "numerical failure: non-finite field at step 336 " \
+                  "(t=1.49722)\n"
+    run = json.loads((tmp_path / "o" / "run.json").read_text())
+    assert run["stop_reason"] == "non-finite" and run["steps"] == 336
+    assert run["steps"] * run["dt"] == pytest.approx(1.49722, rel=1e-5)
+    rows = (tmp_path / "o" / "series.csv").read_text().strip().split("\n")
+    assert rows[1:] == ["0,0,2.12132034355964,0,0"]
+    assert not (tmp_path / "o" / "growth.txt").exists()
+    assert "steps=336 " in out and "stop_reason=non-finite" in out
+
+
 def test_evolve_writes_what_the_run_did(tmp_path, capsys):
     # run.json holds the EvolutionResult figures of the same scenario
     cfg = tmp_path / "run.ini"

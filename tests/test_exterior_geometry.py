@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from framedynamo.exterior_geometry import (christoffel_oracle,
                                            comparison_table, curvature,
-                                           exterior_derivative,
+                                           curvature_comparison,
                                            frame_connection_oracle,
                                            named_coframe, solve_connection)
 from framedynamo.frame_calculus import (CoframeBasis, ConformalFactor,
@@ -31,43 +31,17 @@ ARNOLD_COMPONENTS = {
 }
 
 
-# -- exterior derivative ---------------------------------------------------------
+# -- coframe coefficients --------------------------------------------------------
 
 
-def test_exterior_derivative_flat_vanishes():
-    d = exterior_derivative(named_coframe("flat", LAM), Z)
-    assert np.max(np.abs(d.coeff)) == 0.0
-
-
-def test_exterior_derivative_stretched_half_coefficient():
-    # d omega^q = lam e^{-lam z/2} omega^z ^ omega^q; the coefficient is 1
-    # at lam = 1, z = 0
-    d = exterior_derivative(named_coframe("stretched_half", LAM), Z)
-    on_zq = d.on_wedge(1, 2, 1)
-    np.testing.assert_allclose(on_zq, LAM * np.exp(-LAM * Z / 2), rtol=1e-13)
-    assert on_zq[0] == pytest.approx(1.0, abs=1e-14)
-    # all other legs/pairs vanish
-    assert np.max(np.abs(d.coeff[:, 0, :])) == 0.0
-    assert np.max(np.abs(d.coeff[:, 2, :])) == 0.0
-
-
-def test_exterior_derivative_arnold_wedge_coefficients():
-    # d phi_p = -lam phi_z ^ phi_p, d phi_q = +lam phi_z ^ phi_q
-    d = exterior_derivative(named_coframe("arnold", LAM), Z)
-    np.testing.assert_allclose(d.on_wedge(0, 2, 0), -LAM * np.ones_like(Z),
-                               atol=1e-14)
-    np.testing.assert_allclose(d.on_wedge(1, 2, 1), LAM * np.ones_like(Z),
-                               atol=1e-14)
-
-
-def test_exterior_derivative_tabulated_matches_analytic():
+def test_connection_tabulated_matches_analytic():
     # spline-differentiated coefficients against the closed-form basis
     zs = np.linspace(-0.1, 1.1, 601)
     analytic = named_coframe("arnold", LAM)
     sampled = CoframeBasis.from_samples(zs, analytic.scale_factors(zs)[0])
-    d_a = exterior_derivative(analytic, Z)
-    d_s = exterior_derivative(sampled, Z)
-    np.testing.assert_allclose(d_s.coeff, d_a.coeff, atol=1e-8)
+    conn_a = solve_connection(analytic, Z)
+    conn_s = solve_connection(sampled, Z)
+    np.testing.assert_allclose(conn_s.gamma, conn_a.gamma, atol=1e-8)
 
 
 def test_from_samples_rejects_bad_samples():
@@ -78,7 +52,7 @@ def test_from_samples_rejects_bad_samples():
         CoframeBasis.from_samples(zs, [np.ones(9), np.ones(8), np.ones(9)])
 
 
-def test_exterior_derivative_rejects_nonpositive_coefficients():
+def test_connection_rejects_nonpositive_coefficients():
     # NaN compares false with everything, so it must fail the check too
     for value in (-1.0, 0.0, np.nan):
         def profile(z, value=value):
@@ -87,7 +61,7 @@ def test_exterior_derivative_rejects_nonpositive_coefficients():
             return a, np.zeros_like(a), np.zeros_like(a)
 
         with pytest.raises(ValueError, match="positive"):
-            exterior_derivative(CoframeBasis(profile), Z)
+            solve_connection(CoframeBasis(profile), Z)
 
 
 @pytest.mark.parametrize("rate", [800.0, 700.0])
@@ -229,14 +203,13 @@ def test_connection_stretched_half_closed_form():
     np.testing.assert_allclose(conn.gamma[:, 2, 0, 0], np.zeros_like(Z), atol=1e-14)
 
 
-def test_connection_antisymmetry_and_structure_residual():
+def test_connection_antisymmetry():
     for basis in (named_coframe("arnold", LAM),
                   named_coframe("stretched", LAM),
                   FrameMetric(0.6, ConformalFactor.exponential(0.9))):
         conn = solve_connection(basis, Z)
         assert np.max(np.abs(conn.gamma + np.swapaxes(conn.gamma, 1, 2))) \
             <= 1e-14
-        assert conn.structure_residual() <= 1e-8
 
 
 def test_connection_matches_christoffel_conversion():
@@ -437,3 +410,16 @@ def test_comparison_table_format():
     # numbers parse and the delta column equals |cartan - paper|
     zv, _, cv, ov, pv, dv = body[0].split()
     assert abs(abs(float(cv) - float(pv)) - float(dv)) < 1e-12
+
+
+def test_comparison_header_reports_the_oracle_residuals():
+    # the cartan build places its components by the symmetries, so its
+    # residuals read 0 whatever it computes; the header reports the oracle's
+    header, _ = curvature_comparison("stretched_half", 1.0, Z)
+    orac = christoffel_oracle(named_coframe("stretched_half", 1.0), Z)
+    printed = dict(re.findall(r"^(\S.*?residual)\s*: (\S+)$", header, re.M))
+    assert printed == {
+        "oracle antisymmetry residual": f"{orac.antisymmetry_residual():.6e}",
+        "oracle first-bianchi residual": f"{orac.bianchi_residual():.6e}",
+        "oracle pair-symmetry residual": f"{orac.pair_symmetry_residual():.6e}",
+    }

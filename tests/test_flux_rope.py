@@ -35,14 +35,14 @@ def test_import_framedynamo_loads_no_scipy():
 import sys
 import numpy as np
 import framedynamo
-from framedynamo.exterior_geometry import exterior_derivative
+from framedynamo.exterior_geometry import solve_connection
 from framedynamo.frame_calculus import CoframeBasis, ConformalFactor, FrameMetric
 from framedynamo.induction_dynamo import (DynamoScenario, InitialField,
                                           characteristics_oracle, stable_dt)
 zs = np.linspace(-1.0, 2.0, 301)
 tab = ConformalFactor.tabulated(zs, 1.0 + 0.3 * np.sin(2 * np.pi * zs))
 coframe = CoframeBasis.from_samples(zs, [np.exp(-zs), np.exp(zs), np.ones_like(zs)])
-exterior_derivative(coframe, np.linspace(0.0, 1.0, 9))
+solve_connection(coframe, np.linspace(0.0, 1.0, 9))
 metric = FrameMetric(1.0, tab)
 grid = metric.grid(2, 2, 32, z_periodic=False)
 sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,

@@ -1037,7 +1037,14 @@ DIAGNOSTICS = induction_dynamo._diagnostics
 
 def evolve_keeping_states(sc, monkeypatch):
     """evolve(sc), a copy of every state its diagnostics passes see, and the
-    number of states in each pass.
+    number of states in each pass (`keep_states`)."""
+    states, passes = keep_states(sc, monkeypatch)
+    return evolve(sc), states, passes
+
+
+def keep_states(sc, monkeypatch):
+    """Two lists that each later run of `sc` fills: a copy of every state
+    its diagnostics passes see, and the number of states in each pass.
 
     A pass sees the live components alone (`live_stack`); each state is
     kept as a field (3, ...) whose other components are 0.
@@ -1054,7 +1061,7 @@ def evolve_keeping_states(sc, monkeypatch):
         return DIAGNOSTICS(op, stacked, live, total)
 
     monkeypatch.setattr(induction_dynamo, "_diagnostics", spy)
-    return evolve(sc), states, passes
+    return states, passes
 
 
 def assert_series_is_per_sample(sc, res, states):
@@ -1502,6 +1509,37 @@ def test_overflow_to_inf_raises_at_the_dense_step(stride, monkeypatch):
     with pytest.raises(NumericalError,
                        match=f"^non-finite field at step {step} "):
         evolve(sc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("per_chunk,passes", [(None, [4]), (4, [4]),
+                                              (3, [3, 1])])
+def test_non_finite_run_carries_its_finite_samples(per_chunk, passes,
+                                                   monkeypatch):
+    # the run above at stride 269: samples 0 to 3 (step 807) are finite and
+    # sample 4 (step 1076) is not; a cap of 4 states makes it the first
+    # state of its chunk, so that chunk holds no finite sample
+    sc = scenario(lam=300.0, eta=1e-3, t_end=4.0, n_z=32, cfl=0.2,
+                  init=InitialField.q_slot(lambda z: np.sin(8 * np.pi * z)))
+    guard_at(monkeypatch, np.inf)
+    sample_every(monkeypatch, sc, 269)
+    cap_history(monkeypatch, sc, per_chunk)
+    kept, seen = keep_states(sc, monkeypatch)
+    with pytest.raises(NumericalError,
+                       match="^non-finite field at step 1076 ") as info:
+        evolve(sc)
+    res = info.value.result
+    assert (res.steps, res.stop_reason) == (1076, "non-finite")
+    assert res.series.truncated and seen == passes
+    # the series and field up to sample 3, as a pass per sample gives them;
+    # their totals pass 1.3e154, where the plain sum of squares overflows
+    assert np.array_equal(res.series.t, np.arange(4) * 269 * res.dt)
+    assert np.array_equal(res.series.l2, per_sample_series(sc, kept)[0])
+    np.testing.assert_allclose(res.series.total_l2, scaled_totals(sc, kept),
+                               rtol=1e-14)
+    assert np.array_equal(res.field.data,
+                          np.broadcast_to(kept[-1], res.field.data.shape))
+    assert np.isfinite(res.field.data).all()
 
 
 def scaled_totals(sc, states):
