@@ -155,10 +155,6 @@ class CurvatureReport:
         r = self.riemann
         return float(np.max(np.abs(r - np.transpose(r, (0, 3, 4, 1, 2)))))
 
-    def last_pair_antisymmetry_residual(self) -> float:
-        r = self.riemann
-        return float(np.max(np.abs(r + np.swapaxes(r, 3, 4))))
-
     def max_difference(self, other: "CurvatureReport") -> float:
         return float(np.max(np.abs(self.riemann - other.riemann)))
 

@@ -12,14 +12,14 @@ comes in two families: the closed form c e^{a z} (identity, constant and
 exponential factors), which supplies w, w', w'' and its characteristic
 foot points exactly, and a tabulated not-a-knot cubic spline
 (`differentiation.CubicSpline`, plain numpy), whose derivatives and
-antiderivative are those of its cubic pieces; its foot points bisect that
-antiderivative. `FrameOperators` evaluates grad, div, curl and the vector
-Laplacian of any coframe, the general orthogonal-coordinates expressions,
-with spectral derivatives in p, q and 4th-order finite differences in z;
-the z matrices of the last few z grids are cached read-only
-(`_z_matrices`), so operators on one grid share one pair. Scale factors
-and their z-derivatives enter analytically, so operators applied to
-constant frame fields are exact up to roundoff.
+antiderivative are those of its cubic pieces; its foot points invert that
+antiderivative by safeguarded Newton. `FrameOperators` evaluates grad,
+div, curl and the vector Laplacian of any coframe, the general
+orthogonal-coordinates expressions, with spectral derivatives in p, q and
+4th-order finite differences in z; the z matrices of the last few z grids
+are cached read-only (`_z_matrices`), so operators on one grid share one
+pair. Scale factors and their z-derivatives enter analytically, so
+operators applied to constant frame fields are exact up to roundoff.
 
 Orientation convention: (e_p, e_q, e_z) is right-handed, e_p x e_q = e_z.
 """
@@ -166,13 +166,21 @@ class ConformalFactor:
         The closed form inverts exactly: z0 = z - (v/c) t for a = 0, else
         ln(e^{a z} - a (v/c) t)/a, NaN where that logarithm is undefined
         (the characteristic escapes). A tabulated factor solves
-        int_{z0}^{z} Omega(u) du = v t for all z at once, with the spline's
-        exact antiderivative F = spline(z, -1) (quartic pieces, zero at the
-        first knot, and extrapolated through the end pieces like the
-        spline): the bracket, sized from min Omega over z, grows upstream
-        (against sign(v t)) by doubling, up to 60 times, and is then
-        bisected to adjacent floats. Points with no sign change in the
-        bracket have no finite foot (NaN).
+        int_{z0}^{z} Omega(u) du = v t for all z at once, on the path
+        upstream of z on which Omega > 0 (bounded by the spline's
+        `nearest_nonpositive`), with the spline's exact antiderivative
+        F = spline(z, -1) (quartic pieces, zero at the first knot, and
+        extrapolated through the end pieces like the spline) and F' = Omega:
+        the bracket, sized from min Omega over z, grows upstream (against
+        sign(v t)) by doubling, up to 60 times; safeguarded Newton (Press et
+        al., Numerical Recipes, 3rd ed., sec. 9.4) then starts from the
+        first-order foot z - v t/Omega(z), bisects wherever a step would
+        leave the bracket or the path, and stops where the residual is at
+        F's round-off, a step no longer moves z0, or the bracket cannot be
+        split. v t = 0 leaves every foot at z. Points with no sign change
+        in the bracket have no finite foot, nor have those whose
+        characteristic meets Omega <= 0 before it has travelled v t (F does
+        not increase there): both read NaN.
         """
         z = np.asarray(z, dtype=float)
         if self.spline is None:
@@ -184,27 +192,57 @@ class ConformalFactor:
                 return np.where(arg > 0, np.log(np.maximum(arg, 1e-300)) / a,
                                 np.nan)
         z = np.atleast_1d(z)
-        d = np.sign(v * t)  # 0 leaves every foot at z
-        # z0 is reached once d (F(z) - F(z0)) >= |v t|; F increases, so this
-        # holds from the foot point upstream and fails at z0 = z
-        target = d * self.spline(z, -1) - abs(v * t)
-        reached = lambda z0, goal: d * self.spline(z0, -1) <= goal
-        span = abs(v * t) / max(1e-12, float(np.min(self.value(z))))
-        trials = z - d * span * 2.0 ** np.arange(60)[:, None]  # (60, len(z))
-        hit = reached(trials, target)
-        found = hit.any(axis=0)
-        lo, target = z[found], target[found]  # lo not reached, hi reached
-        hi = trials[np.argmax(hit, axis=0), np.arange(z.size)][found]
-        while True:
-            mid = 0.5 * (lo + hi)
-            if np.all((mid == lo) | (mid == hi)):
+        om_z = self.value(z)
+        vt = v * t
+        if vt == 0:
+            return z.copy()
+        F = lambda u: self.spline(u, -1)
+        d = np.sign(vt)
+        # the foot solves d F(z0) = goal on the path upstream of z on which
+        # Omega > 0, bounded by `edge`; F increases there, so d F(z0) > goal
+        # between the foot and z, and d F(z0) <= goal from the foot upstream
+        edge = self.spline.nearest_nonpositive(z, -d)
+        Fz = F(z)
+        goal = d * Fz - abs(vt)
+        tol = 4 * np.finfo(float).eps * (np.abs(Fz) + abs(vt))  # F's round-off
+        # the first trial clears that round-off, so a travel below it still
+        # finds a foot
+        span = (max(abs(vt), float(np.max(tol)))
+                / max(1e-12, float(np.min(om_z))))
+        hi = np.full_like(z, np.nan)  # the first trial that reaches goal
+        pending = np.arange(z.size)
+        for k in range(60):
+            trial = z[pending] - d * span * 2.0 ** k
+            hit = d * F(trial) <= goal[pending]
+            hi[pending[hit]] = trial[hit]
+            pending = pending[~hit]
+            if not pending.size:
                 break
-            up = reached(mid, target)
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
+        i = np.flatnonzero(np.isfinite(hi))  # the points still solving
+        lo, hi, goal, tol, bound = z[i], hi[i], goal[i], tol[i], edge[i]
+        x = lo - vt / om_z[i]
         z0 = np.full_like(z, np.nan)
-        z0[found] = hi
-        return z0
+        while i.size:
+            x = np.where((np.minimum(lo, hi) < x) & (x < np.maximum(lo, hi)),
+                         x, 0.5 * (lo + hi))
+            g = d * F(x) - goal
+            om = self.spline(x)
+            # past the path counts as reached and bisects, so the bracket
+            # holds the one foot on the path, or the path's end
+            path = (d * (x - bound) > 0) & (om > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(path, x - g / (d * om), np.nan)
+            done = path & ((np.abs(g) <= tol) | (step == x))
+            stuck = (x == lo) | (x == hi)  # the bracket cannot be split
+            z0[i[done | stuck]] = np.where(done, x, hi)[done | stuck]
+            reached = (g <= 0) | ~path
+            lo, hi = np.where(reached, lo, x), np.where(reached, x, hi)
+            keep = ~(done | stuck)
+            i, lo, hi, x, goal, tol, bound = (
+                u[keep] for u in (i, lo, hi, step, goal, tol, bound))
+        # a bracket ended at the path's end holds no foot
+        return np.where((d * (z0 - edge) > 0) & (self.spline(z0) > 0), z0,
+                        np.nan)
 
 
 class CoframeBasis:
@@ -450,7 +488,9 @@ class FrameField:
 
     @classmethod
     def unit(cls, grid: Grid3D, axis: int) -> "FrameField":
-        data = np.zeros((3, *grid.shape))
+        """The unit frame field e_p, e_q or e_z (axis 0, 1, 2), stored
+        collapsed as (3, 1, 1, n_z): it is constant along p and q."""
+        data = np.zeros((3, 1, 1, grid.n_z))
         data[axis] = 1.0
         return cls(grid, data)
 

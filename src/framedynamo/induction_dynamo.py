@@ -692,13 +692,17 @@ def _diagnostics(op: FrameOperators, states: np.ndarray, live: slice,
     components, given their total L2 (`_total` of their norms).
 
     One batched pass; every state gets exactly the figure of
-    `l2_norm(div)` / total on it alone. A stack whose div is exactly zero,
-    as when no div term forms (the q-slot and p,q-profile runs), reads 0
-    with no norm pass: its norms would be +0, and so would each quotient.
+    `l2_norm(div)` / total on it alone. A stack on which
+    `FrameOperators.div` forms no term (no Bz held, and a held p or q
+    component constant along p or q respectively), as in the q-slot and
+    p,q-profile runs, reads 0 with neither a div nor a norm pass: its div,
+    its norms and each quotient would be +0.
     """
-    div = op.div(states, live)
-    if not div.any():
+    held, (n_p, n_q) = range(3)[live], states.shape[-3:-1]
+    if 2 not in held and (0 not in held or n_p == 1) \
+            and (1 not in held or n_q == 1):
         return np.zeros_like(total)
+    div = op.div(states, live)
     div_l2 = op.component_norms(div[:, None])[:, 0]
     return np.divide(div_l2, total, out=np.zeros_like(total),
                      where=total > 0)
@@ -750,9 +754,10 @@ def evolve(scenario: DynamoScenario) -> EvolutionResult:
     `result` holds the run up to its last finite sample, its steps those
     up to the non-finite one. No chunk past the stop is drawn or formed.
     The series keeps those norms, and `_diagnostics` adds div_rel, one
-    batched pass per chunk up to the stop (with no norm pass where the div
-    is exactly zero); every figure equals that of a pass per sample. The
-    run reports its wall time split into build_s, advance_s and sample_s.
+    batched pass per chunk up to the stop (with neither a div nor a norm
+    pass where no div term forms); every figure equals that of a pass per
+    sample. The run reports its wall time split into build_s, advance_s
+    and sample_s.
     """
     start = time.perf_counter()
     grid, rhs = scenario.grid, scenario._rhs
@@ -821,8 +826,10 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
 
     Requires eta = 0. Components translate along z-characteristics and pick
     up exp(-lam (z - z0)), exp(+lam (z - z0)), Omega(z)/Omega(z0)
-    respectively. Points whose foot leaves a z-limited initial condition's
-    domain are masked out (NaN) and flagged by the mask.
+    respectively. Points with no foot (`ConformalFactor.foot_point` reads
+    NaN, as where the characteristic meets Omega <= 0) and points whose
+    foot leaves a z-limited initial condition's domain are masked out (NaN)
+    and flagged by the mask.
 
     The initial field is evaluated on the foot points z0 by
     `_collapsed_on_mesh`, so the solution comes back, like `evolve`'s field,

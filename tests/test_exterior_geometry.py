@@ -326,10 +326,6 @@ def test_pipeline_equivalence(label, basis):
         assert rep.antisymmetry_residual() <= 1e-8
         assert rep.bianchi_residual() <= 1e-8
         assert rep.pair_symmetry_residual() <= 1e-8
-    # exact by construction on the structure-equation path, roundoff on the
-    # coordinate oracle
-    assert cart.last_pair_antisymmetry_residual() == 0.0
-    assert orac.last_pair_antisymmetry_residual() <= 1e-14
 
 
 _RATES = st.floats(-3.0, 3.0, allow_nan=False)

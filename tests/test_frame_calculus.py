@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedynamo import frame_calculus
 from framedynamo.differentiation import z_derivative_matrix
@@ -46,7 +47,8 @@ def smooth_field(grid, seed=7):
 
 
 def bcast(grid, profile):
-    """Broadcast a z-profile to the full grid shape for comparisons."""
+    """Broadcast a z-profile, or a result collapsed along p and q, to the
+    full grid shape for comparisons."""
     return np.broadcast_to(profile, grid.shape)
 
 
@@ -71,6 +73,29 @@ def test_tabulated_factor_foot_point_matches_closed_form():
     np.testing.assert_allclose(f.foot_point(z, 1.0, 0.1), want, rtol=0,
                                atol=1e-9)
     assert np.array_equal(f.foot_point(z, 0.0, 0.1), z)
+
+
+# 15 knots on [-3, 4] with samples in [0.5, 1.5]: the feet of z in [0, 1]
+# at |v t| <= 0.5 lie well inside the knots, where such a spline is positive
+_FOOT_KNOTS = np.linspace(-3.0, 4.0, 15)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(values=st.lists(st.floats(0.5, 1.5), min_size=15, max_size=15),
+       v=st.floats(-2.0, 2.0), t=st.floats(0.0, 0.25))
+def test_tabulated_foot_point_inverts_the_antiderivative(values, v, t):
+    # F(z) - F(z0) = v t at F's round-off, with the foot upstream of z
+    f = ConformalFactor.tabulated(_FOOT_KNOTS, np.array(values))
+    z = np.linspace(0.0, 1.0, 33)
+    z0 = f.foot_point(z, v, t)
+    if v * t == 0:
+        assert np.array_equal(z0, z)
+    assert np.all(np.isfinite(z0))
+    Fz = f.spline(z, -1)
+    np.testing.assert_array_less(
+        np.abs(Fz - f.spline(z0, -1) - v * t),
+        16 * np.finfo(float).eps * (np.abs(Fz) + abs(v * t)) + 1e-300)
+    assert np.all(np.sign(v * t) * (z - z0) >= 0)
 
 
 def test_exponential_factor_log_derivative_is_constant():
@@ -311,7 +336,8 @@ def test_div_conformal_unit_z_matches_closed_form():
     a = 1.0
     metric, grid, op = make_ops(lam=1.0, omega=ConformalFactor.exponential(a))
     res = op.div(FrameField.unit(grid, 2))
-    np.testing.assert_allclose(res, bcast(grid, a * np.exp(-a * grid.z / 2)),
+    np.testing.assert_allclose(bcast(grid, res),
+                               bcast(grid, a * np.exp(-a * grid.z / 2)),
                                atol=1e-12)
 
 
@@ -355,8 +381,10 @@ def test_curl_unit_q_sign_against_coordinate_oracle():
     oracle_p = -h1 * dh2 / (h1 * h2 * h3)
     np.testing.assert_allclose(oracle_p, np.full_like(z, -lam), atol=1e-12)
     res = op.curl(FrameField.unit(grid, 1))
-    np.testing.assert_allclose(res.bp, bcast(grid, oracle_p), atol=1e-12)
-    np.testing.assert_allclose(res.bq, np.zeros(grid.shape), atol=1e-12)
+    np.testing.assert_allclose(bcast(grid, res.bp), bcast(grid, oracle_p),
+                               atol=1e-12)
+    np.testing.assert_allclose(bcast(grid, res.bq), np.zeros(grid.shape),
+                               atol=1e-12)
 
 
 def test_curl_unit_z_vanishes():
@@ -377,8 +405,8 @@ def test_curl_conformal_unit_q_matches_closed_form():
     metric, grid, op = make_ops(lam=lam, omega=ConformalFactor.exponential(a))
     res = op.curl(FrameField.unit(grid, 1))
     np.testing.assert_allclose(
-        res.bp, bcast(grid, -(a / 2 + lam) * np.exp(-a * grid.z / 2)),
-        atol=1e-12)
+        bcast(grid, res.bp),
+        bcast(grid, -(a / 2 + lam) * np.exp(-a * grid.z / 2)), atol=1e-12)
 
 
 def test_operators_take_any_coframe():
@@ -389,12 +417,12 @@ def test_operators_take_any_coframe():
     grid = Grid3D(4, 4, 65)
     op = FrameOperators(CoframeBasis.exponential((0.0, lam, lam / 2)), grid)
     c_q = bcast(grid, lam * np.exp(-lam * grid.z / 2))
-    np.testing.assert_allclose(op.curl(FrameField.unit(grid, 1)).bp, -c_q,
-                               atol=1e-12)
+    np.testing.assert_allclose(
+        bcast(grid, op.curl(FrameField.unit(grid, 1)).bp), -c_q, atol=1e-12)
     np.testing.assert_allclose(op.curl(FrameField.unit(grid, 0)).data, 0.0,
                                atol=1e-12)
-    np.testing.assert_allclose(op.div(FrameField.unit(grid, 2)), c_q,
-                               atol=1e-12)
+    np.testing.assert_allclose(
+        bcast(grid, op.div(FrameField.unit(grid, 2))), c_q, atol=1e-12)
 
 
 # -- vector laplacian -----------------------------------------------------------
@@ -408,6 +436,33 @@ def test_vector_laplacian_frame_eigenrelations(lam):
         res = op.vector_laplacian(e)
         np.testing.assert_allclose(res.data, expect * e.data,
                                    atol=1e-6 * lam ** 2)
+
+
+@pytest.mark.parametrize("omega", [None, ConformalFactor.exponential(0.8)],
+                         ids=["identity", "exponential"])
+@pytest.mark.parametrize("periodic", [False, True], ids=["closed", "periodic"])
+def test_collapsed_unit_fields_match_the_full_grid(omega, periodic):
+    # a unit field is stored (3, 1, 1, n_z); materialised on the full grid
+    # it takes the p,q paths of every operator. The two differ only in the
+    # order d1 sums a constant row (one row, or n_p n_q rows): by the
+    # round-off of one d1 in curl and div, of two in the vector Laplacian
+    metric, grid, op = make_ops(lam=2.0, omega=omega, n_z=128,
+                                periodic=periodic)
+    d1 = 1 + np.abs(op.d1).sum(axis=1).max()
+    eps = np.finfo(float).eps
+    for axis in range(3):
+        e = FrameField.unit(grid, axis)
+        assert e.data.shape == (3, 1, 1, grid.n_z)
+        full = FrameField(grid, np.ascontiguousarray(
+            np.broadcast_to(e.data, (3, *grid.shape))))
+        for apply, tol in ((lambda B: op.curl(B).data, 4 * eps * d1),
+                           (op.div, 4 * eps * d1),
+                           (lambda B: op.vector_laplacian(B).data,
+                            4 * eps * d1 ** 2)):
+            got, want = apply(e), apply(full)
+            assert got.shape[-3:-1] == (1, 1)
+            np.testing.assert_allclose(np.broadcast_to(got, want.shape), want,
+                                       rtol=0, atol=tol)
 
 
 # -- structure properties ---------------------------------------------------------

@@ -1341,9 +1341,13 @@ def test_a_div_that_forms_no_term_is_not_normed(per_chunk, monkeypatch):
     sc = scenario(n_pq=32, n_z=128, t_end=2.0)
     cap_history(monkeypatch, sc, per_chunk)
     calls = spy_component_norms(monkeypatch)
+    divs = []
+    monkeypatch.setattr(FrameOperators, "div",
+                        lambda self, *args: divs.append(args))
     res, _, passes = evolve_keeping_states(sc, monkeypatch)
-    # the states' norms only, one call per chunk
+    # the states' norms only, one call per chunk, and no div pass
     assert len(calls) == len(passes) == (1 if per_chunk is None else 3)
+    assert not divs
     assert all(shape[1:] == (1, 1, 1, 128) for shape in calls)
     assert res.series.div_rel.shape == (215,)
     assert np.all(res.series.div_rel == 0.0)
@@ -1757,6 +1761,29 @@ def test_tabulated_trace_back_matches_quadrature_root_finding():
     want = np.array([foot(zi) for zi in z])
     np.testing.assert_allclose(tab.foot_point(z, 1.0, t), want, rtol=0,
                                atol=1e-12)
+
+
+def test_oracle_flags_a_foot_across_nonpositive_omega():
+    # 1 + 0.8 sin(2 pi z) on 11 knots is positive on the grid, so the
+    # scenario is accepted, but it dips to -0.151 through its first end
+    # piece, between z = 0 and the root -0.609 of F(0) - F(z0) = v t: the
+    # first four grid points have no foot, and every other foot crosses no
+    # Omega <= 0
+    zs = np.linspace(0.0, 1.0, 11)
+    omega = ConformalFactor.tabulated(zs, 1.0 + 0.8 * np.sin(2 * np.pi * zs))
+    metric = FrameMetric(1.0, omega)
+    grid = Grid3D(4, 4, 33)
+    sc = DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                        initial_field=q_sine(), t_end=0.25,
+                        dt=stable_dt(metric, grid, 1.0))
+    oracle, mask = characteristics_oracle(sc, 0.25)
+    assert np.array_equal(mask, np.arange(33) >= 4)
+    assert np.all(np.isnan(oracle.bq[..., ~mask]))
+    assert np.all(np.isfinite(oracle.bq[..., mask]))
+    z, z0 = grid.z[mask], omega.foot_point(grid.z, 1.0, 0.25)[mask]
+    assert np.all(omega.spline(np.linspace(z0, z, 201)) > 0)
+    np.testing.assert_allclose(omega.spline(z, -1) - omega.spline(z0, -1),
+                               0.25, rtol=0, atol=1e-14)
 
 
 def test_oracle_domain_restriction_flagged():
