@@ -33,10 +33,11 @@ from .flux_rope import (NoDynamoBoundError, RopeParams, amplification_ratio,
                         dynamo_radius_bound, frenet_integrate, is_dynamo,
                         rope_csv, tube_metric_factor)
 from .frame_calculus import ConformalFactor, FrameMetric
-from .induction_dynamo import (CAT_STRETCH_RATE, DynamoScenario,
-                               EvolutionResult, NumericalError, cat_map_eigen,
-                               evolve, fit_window, growth_fit,
-                               named_initial_field, stable_dt)
+from .induction_dynamo import (CAT_EIGENVALUES, CAT_EIGENVECTORS,
+                               CAT_STRETCH_RATE, DynamoScenario,
+                               EvolutionResult, NumericalError, evolve,
+                               fit_window, growth_fit, named_initial_field,
+                               stable_dt)
 from .verification import AcceptanceSuite, format_summary
 
 __all__ = ["main", "RunConfig", "ConfigError"]
@@ -217,17 +218,15 @@ def cmd_fluxrope(cfg: RunConfig) -> int:
 
 
 def cmd_catmap(cfg: RunConfig) -> int:
-    cm = cat_map_eigen()
-    chi1, chi2 = cm.eigenvalues
+    chi1, chi2 = CAT_EIGENVALUES
+    (stretch_p, stretch_q), (contract_p, contract_q) = CAT_EIGENVECTORS
     print("cat map [[2, 1], [1, 1]]")
     print(f"chi1 = {chi1:.12g}")
     print(f"chi2 = {chi2:.12g}")
     print(f"chi1*chi2 = {chi1 * chi2:.12g}")
     print(f"stretch rate ln(chi1) = {CAT_STRETCH_RATE:.12g}")
-    print(f"stretch direction: ({cm.eigenvectors[0, 0]:+.12g}, "
-          f"{cm.eigenvectors[1, 0]:+.12g})")
-    print(f"contract direction: ({cm.eigenvectors[0, 1]:+.12g}, "
-          f"{cm.eigenvectors[1, 1]:+.12g})")
+    print(f"stretch direction: ({stretch_p:+.12g}, {stretch_q:+.12g})")
+    print(f"contract direction: ({contract_p:+.12g}, {contract_q:+.12g})")
     return 0
 
 

@@ -3,17 +3,18 @@
 p and q are periodic on [0, 1) and are differentiated spectrally, by a
 cached read-only dense Fourier matrix (the rFFT derivative of the identity)
 applied along the axis in one batched matmul; at the small p, q sizes used
-here that beats an rFFT/irFFT pair per call. z is differentiated with
-4th-order finite differences, either on a closed interval (one-sided
-stencils of the same order at the ends) or on a periodic interval (central
-stencils throughout). Stencil weights come from Fornberg's recursion, so
-the boundary closures keep full order; the recursion runs once per
-distinct stencil (one central stencil, two one-sided ones at each closed
-end), not once per row.
+here that beats an rFFT/irFFT pair per call. An axis of length 1 holds a
+field constant along it, whose derivative is exactly 0 with no matmul.
+z is differentiated with 4th-order finite differences, either on a closed
+interval (one-sided stencils of the same order at the ends) or on a
+periodic interval (central stencils throughout). Stencil weights come from
+Fornberg's recursion, so the boundary closures keep full order; the
+recursion runs once per distinct stencil (one central stencil, two
+one-sided ones at each closed end), not once per row.
 
 Tabulated z-profiles are interpolated by `CubicSpline`, a not-a-knot
 cubic spline that carries its first two derivatives, its exact
-antiderivative and the points at which it is not positive.
+antiderivative and its minimum on its knots.
 """
 from __future__ import annotations
 
@@ -108,9 +109,12 @@ def spectral_derivative(f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
 
     The axis is assumed to sample [0, 1) uniformly without the endpoint,
     as p and q do. The Nyquist mode is zeroed for odd derivative orders.
+    An axis of length 1 (a field constant along it) gives exact zeros.
     """
     f = np.asarray(f)
     n = f.shape[axis]
+    if n == 1:
+        return np.zeros(f.shape)
     axis %= f.ndim
     D = _fourier_matrix(n, order)
     stacked = f.reshape(math.prod(f.shape[:axis]), n,
@@ -133,8 +137,7 @@ class CubicSpline:
     `spline(z, nu)` evaluates the spline (nu = 0), its first or second
     derivative (nu = 1, 2) or its antiderivative (nu = -1), which is zero
     at the first knot and continuous. All four piece sets are computed at
-    construction, with the knots and piece minima at which the spline is not
-    positive (`nearest_nonpositive`).
+    construction, with `minimum`, the spline's minimum on [x_0, x_n].
     """
 
     def __init__(self, z_samples: np.ndarray, values: np.ndarray):
@@ -178,36 +181,17 @@ class CubicSpline:
         self._pieces = {-1: anti, 0: c,
                         1: c[1:] * np.array([1.0, 2.0, 3.0])[:, None],
                         2: c[2:] * np.array([2.0, 6.0])[:, None]}
-        # a minimum inside an interval lies at a knot or at a root of a
-        # piece's derivative c1 + 2 c2 s + 3 c3 s^2 on that piece (the end
-        # pieces reach to -inf and +inf); the roots by the stable formula,
-        # which also gives the one root of a piece with c3 = 0
+        # the minimum on [x_0, x_n] lies at a knot or at a root of a piece's
+        # derivative c1 + 2 c2 s + 3 c3 s^2 on that piece; the roots by the
+        # stable formula, which also gives the one root of a piece with c3 = 0
         a, b = 3 * c[3], 2 * c[2]
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4 * a * c[1]), b))
             roots = np.stack([q / a, c[1] / q])
-        first, last = np.zeros(n - 1), dx.copy()
-        first[0], last[-1] = -np.inf, np.inf
-        on_piece = np.isfinite(roots) & (roots >= first) & (roots <= last)
+        on_piece = np.isfinite(roots) & (roots >= 0) & (roots <= dx)
         crit = np.concatenate([x, (x[:-1] + roots)[on_piece]])
         with np.errstate(over="ignore", invalid="ignore"):
-            low = np.sort(crit[~(self(crit) > 0)])
-        self._low = np.concatenate([[-np.inf], low, [np.inf]])
-
-    def nearest_nonpositive(self, z: np.ndarray, direction: float
-                            ) -> np.ndarray:
-        """The nearest knot or piece minimum at which the spline is not
-        positive, from each z towards -inf (direction < 0) or +inf
-        (direction > 0); -inf or +inf where there is none.
-
-        The minimum of the spline on an interval lies at an end, a knot or a
-        piece minimum, so the spline is positive on the interval from z to
-        z0 exactly where it is positive at both ends and z0 lies strictly
-        between z and this bound (up to the round-off of those values).
-        """
-        if direction < 0:
-            return self._low[np.searchsorted(self._low, z, "left") - 1]
-        return self._low[np.searchsorted(self._low, z, "right")]
+            self.minimum = float(np.min(self(crit)))
 
     @staticmethod
     def _evaluate(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -12,8 +12,10 @@ comes in two families: the closed form c e^{a z} (identity, constant and
 exponential factors), which supplies w, w', w'' and its characteristic
 foot points exactly, and a tabulated not-a-knot cubic spline
 (`differentiation.CubicSpline`, plain numpy), whose derivatives and
-antiderivative are those of its cubic pieces; its foot points invert that
-antiderivative by safeguarded Newton. `FrameOperators` evaluates grad,
+antiderivative are those of its cubic pieces. A tabulated Omega is data
+only on its knots: it must be positive there, it is read nowhere else,
+and its foot points invert that antiderivative by safeguarded Newton
+between z and the knot upstream. `FrameOperators` evaluates grad,
 div, curl and the vector Laplacian of any coframe, the general
 orthogonal-coordinates expressions, with spectral derivatives in p, q and
 4th-order finite differences in z; the z matrices of the last few z grids
@@ -53,7 +55,7 @@ class ConformalFactor:
     the characteristic foot point and the z-uniform flag (a = 0). The
     tabulated family interpolates samples with a not-a-knot `CubicSpline`,
     which carries Omega', Omega'' and the antiderivative that `foot_point`
-    inverts.
+    inverts; it is defined on its knots [x_0, x_n] only.
     """
 
     constant: float = 1.0
@@ -101,15 +103,18 @@ class ConformalFactor:
 
     @classmethod
     def tabulated(cls, z_samples: np.ndarray, values: np.ndarray) -> "ConformalFactor":
-        """Not-a-knot cubic spline through positive samples of Omega.
+        """Not-a-knot cubic spline through samples of Omega, which must be
+        positive on [x_0, x_n], at the knots and between them.
 
         `CubicSpline` rejects fewer than 4 knots, z_samples that are not
         strictly increasing, non-finite samples and mismatched lengths.
         """
-        values = np.asarray(values, dtype=float)
-        if np.any(values <= 0):
-            raise ValueError("tabulated conformal factor must be positive")
-        return cls(spline=CubicSpline(z_samples, values))
+        spline = CubicSpline(z_samples, values)
+        if not spline.minimum > 0:
+            raise ValueError("tabulated conformal factor must be positive on "
+                             f"its knots [{spline.x[0]:g}, {spline.x[-1]:g}], "
+                             f"its spline reaches {spline.minimum:.3g}")
+        return cls(spline=spline)
 
     @property
     def z_uniform(self) -> bool:
@@ -120,12 +125,17 @@ class ConformalFactor:
         """Omega(z); raises ValueError unless it is finite and positive at
         every z.
 
-        A tabulated factor is positive at its knots, but its spline need
-        not be between or beyond them; the closed form c e^{a z} can
+        A tabulated factor is positive on its knots and rejects any z
+        outside them, naming their range; the closed form c e^{a z} can
         overflow to +inf.
         """
         z = np.asarray(z, dtype=float)
         if self.spline is not None:
+            x = self.spline.x
+            if np.any(z < x[0]) or np.any(z > x[-1]):
+                raise ValueError("tabulated conformal factor is data only on "
+                                 f"its knots [{x[0]:g}, {x[-1]:g}], got z in "
+                                 f"[{np.min(z):g}, {np.max(z):g}]")
             om = self.spline(z)
         else:
             with np.errstate(over="ignore"):
@@ -139,7 +149,7 @@ class ConformalFactor:
         """d/dz ln Omega."""
         z = np.asarray(z, dtype=float)
         if self.spline is not None:
-            return self.spline(z, 1) / self.spline(z)
+            return self.spline(z, 1) / self.value(z)
         return np.full_like(z, self.exponent)
 
     def sqrt_profile(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,21 +176,19 @@ class ConformalFactor:
         The closed form inverts exactly: z0 = z - (v/c) t for a = 0, else
         ln(e^{a z} - a (v/c) t)/a, NaN where that logarithm is undefined
         (the characteristic escapes). A tabulated factor solves
-        int_{z0}^{z} Omega(u) du = v t for all z at once, on the path
-        upstream of z on which Omega > 0 (bounded by the spline's
-        `nearest_nonpositive`), with the spline's exact antiderivative
-        F = spline(z, -1) (quartic pieces, zero at the first knot, and
-        extrapolated through the end pieces like the spline) and F' = Omega:
-        the bracket, sized from min Omega over z, grows upstream (against
-        sign(v t)) by doubling, up to 60 times; safeguarded Newton (Press et
-        al., Numerical Recipes, 3rd ed., sec. 9.4) then starts from the
-        first-order foot z - v t/Omega(z), bisects wherever a step would
-        leave the bracket or the path, and stops where the residual is at
-        F's round-off, a step no longer moves z0, or the bracket cannot be
-        split. v t = 0 leaves every foot at z. Points with no sign change
-        in the bracket have no finite foot, nor have those whose
-        characteristic meets Omega <= 0 before it has travelled v t (F does
-        not increase there): both read NaN.
+        int_{z0}^{z} Omega(u) du = v t for all z at once with the spline's
+        exact antiderivative F = spline(z, -1) (quartic pieces, zero at the
+        first knot) and F' = Omega, on the knots alone: each foot is
+        bracketed between z and the knot upstream (x_0 for v t > 0, x_n for
+        v t < 0), where Omega > 0, so F increases and the foot is unique.
+        Safeguarded Newton (Press et al., Numerical Recipes, 3rd ed., sec.
+        9.4) starts from the first-order foot z - v t/Omega(z), bisects
+        wherever a step would leave the bracket, and stops where the
+        residual is at F's round-off, a step no longer moves z0, or the
+        bracket cannot be split. Each foot depends on its own z only. v t = 0
+        leaves every foot at z; a characteristic that leaves the knots before
+        it has travelled v t has no foot on them and reads NaN. z outside the
+        knots is rejected, as by `value`.
         """
         z = np.asarray(z, dtype=float)
         if self.spline is None:
@@ -198,51 +206,31 @@ class ConformalFactor:
             return z.copy()
         F = lambda u: self.spline(u, -1)
         d = np.sign(vt)
-        # the foot solves d F(z0) = goal on the path upstream of z on which
-        # Omega > 0, bounded by `edge`; F increases there, so d F(z0) > goal
-        # between the foot and z, and d F(z0) <= goal from the foot upstream
-        edge = self.spline.nearest_nonpositive(z, -d)
+        # the foot solves d F(z0) = goal between z and the knot upstream,
+        # where F increases: d F(z0) > goal between the foot and z, and
+        # d F(z0) <= goal from the foot to that knot, if the foot is on them
+        edge = self.spline.x[0] if d > 0 else self.spline.x[-1]
         Fz = F(z)
         goal = d * Fz - abs(vt)
         tol = 4 * np.finfo(float).eps * (np.abs(Fz) + abs(vt))  # F's round-off
-        # the first trial clears that round-off, so a travel below it still
-        # finds a foot
-        span = (max(abs(vt), float(np.max(tol)))
-                / max(1e-12, float(np.min(om_z))))
-        hi = np.full_like(z, np.nan)  # the first trial that reaches goal
-        pending = np.arange(z.size)
-        for k in range(60):
-            trial = z[pending] - d * span * 2.0 ** k
-            hit = d * F(trial) <= goal[pending]
-            hi[pending[hit]] = trial[hit]
-            pending = pending[~hit]
-            if not pending.size:
-                break
-        i = np.flatnonzero(np.isfinite(hi))  # the points still solving
-        lo, hi, goal, tol, bound = z[i], hi[i], goal[i], tol[i], edge[i]
+        i = np.flatnonzero(d * F(edge) <= goal)  # the points with a foot
+        lo, hi, goal, tol = z[i], np.full(i.size, edge), goal[i], tol[i]
         x = lo - vt / om_z[i]
         z0 = np.full_like(z, np.nan)
         while i.size:
             x = np.where((np.minimum(lo, hi) < x) & (x < np.maximum(lo, hi)),
                          x, 0.5 * (lo + hi))
             g = d * F(x) - goal
-            om = self.spline(x)
-            # past the path counts as reached and bisects, so the bracket
-            # holds the one foot on the path, or the path's end
-            path = (d * (x - bound) > 0) & (om > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(path, x - g / (d * om), np.nan)
-            done = path & ((np.abs(g) <= tol) | (step == x))
+            step = x - g / (d * self.spline(x))
+            done = (np.abs(g) <= tol) | (step == x)
             stuck = (x == lo) | (x == hi)  # the bracket cannot be split
             z0[i[done | stuck]] = np.where(done, x, hi)[done | stuck]
-            reached = (g <= 0) | ~path
+            reached = g <= 0
             lo, hi = np.where(reached, lo, x), np.where(reached, x, hi)
             keep = ~(done | stuck)
-            i, lo, hi, x, goal, tol, bound = (
-                u[keep] for u in (i, lo, hi, step, goal, tol, bound))
-        # a bracket ended at the path's end holds no foot
-        return np.where((d * (z0 - edge) > 0) & (self.spline(z0) > 0), z0,
-                        np.nan)
+            i, lo, hi, x, goal, tol = (
+                u[keep] for u in (i, lo, hi, step, goal, tol))
+        return z0
 
 
 class CoframeBasis:
@@ -598,12 +586,13 @@ class FrameOperators:
         figures of a call on it alone.
 
         Terms that are exactly zero are not formed: those of a component B
-        does not hold, the dp term of a field constant along p (an axis of
-        length 1), the dq term of one constant along q, and the terms of a
-        component that is identically zero over the whole input. The input
-        is checked finite first, so each of them would add exactly +-0: the
-        figures are those of the four-term sum, up to the sign of a zero,
-        and a field with no term left has divergence 0.
+        does not hold and those of a component that is identically zero
+        over the whole input. The input is checked finite first, so each of
+        them would add exactly +-0: the figures are those of the four-term
+        sum, up to the sign of a zero, and a field with no term left has
+        divergence 0. The dp term of a field constant along p (an axis of
+        length 1) and the dq term of one constant along q are exact zeros
+        from `spectral_derivative`, with no Fourier matmul.
         """
         data = _field_data(B, self.grid, "div")
         held = range(3)[components]
@@ -616,9 +605,9 @@ class FrameOperators:
         comps = dict(zip(held, np.moveaxis(data, -4, 0)))
         bp, bq, bz = (comps.get(c, np.zeros((1, 1, 1))) for c in range(3))
         terms = []
-        if bp.shape[-3] > 1 and bp.any():
+        if bp.any():
             terms.append(self.inv_h[0] * self.dp(bp))
-        if bq.shape[-2] > 1 and bq.any():
+        if bq.any():
             terms.append(self.inv_h[1] * self.dq(bq))
         if bz.any():
             per_field = (-1, bz.shape[-3] * bz.shape[-2], bz.shape[-1])

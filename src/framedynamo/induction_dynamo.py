@@ -89,8 +89,8 @@ from .frame_calculus import (ConformalFactor, FrameField, FrameMetric,
                              overflow_safe_norms)
 
 __all__ = [
-    "CatMap",
-    "cat_map_eigen",
+    "CAT_EIGENVALUES",
+    "CAT_EIGENVECTORS",
     "CAT_STRETCH_RATE",
     "InitialField",
     "named_initial_field",
@@ -127,25 +127,14 @@ class NumericalError(RuntimeError):
 # -- cat map ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatMap:
-    """The hyperbolic torus map [[2, 1], [1, 1]] and its eigenstructure."""
-
-    matrix: np.ndarray
-    eigenvalues: tuple[float, float]   # (chi1 > 1, chi2 < 1)
-    eigenvectors: np.ndarray           # columns, matching eigenvalue order
-
-
-def cat_map_eigen() -> CatMap:
-    m = np.array([[2.0, 1.0], [1.0, 1.0]])
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    return CatMap(m, (float(vals[0]), float(vals[1])), vecs)
-
-
-# ln chi1 = ln((3 + sqrt 5)/2), the stretching exponent per unit z
+# The cat map [[2, 1], [1, 1]] in closed form, with phi = (1 + sqrt 5)/2:
+# its eigenvalues chi_{1,2} = (3 +- sqrt 5)/2 = phi^{+-2} (chi1 chi2 = 1),
+# its stretching and contracting unit eigenvectors -(phi, 1)/|(phi, 1)| and
+# (1, -phi)/|(1, -phi)|, and ln chi1, the stretching exponent per unit z
+_PHI = (1.0 + np.sqrt(5.0)) / 2.0
+_NORM = np.hypot(_PHI, 1.0)
+CAT_EIGENVALUES = ((3.0 + np.sqrt(5.0)) / 2.0, (3.0 - np.sqrt(5.0)) / 2.0)
+CAT_EIGENVECTORS = ((-_PHI / _NORM, -1.0 / _NORM), (1.0 / _NORM, -_PHI / _NORM))
 CAT_STRETCH_RATE = float(np.log((3.0 + np.sqrt(5.0)) / 2.0))
 
 
@@ -827,9 +816,9 @@ def characteristics_oracle(scenario: DynamoScenario, t: float
     Requires eta = 0. Components translate along z-characteristics and pick
     up exp(-lam (z - z0)), exp(+lam (z - z0)), Omega(z)/Omega(z0)
     respectively. Points with no foot (`ConformalFactor.foot_point` reads
-    NaN, as where the characteristic meets Omega <= 0) and points whose
-    foot leaves a z-limited initial condition's domain are masked out (NaN)
-    and flagged by the mask.
+    NaN: the characteristic escapes a closed-form Omega, or leaves a
+    tabulated Omega's knots) and points whose foot leaves a z-limited
+    initial condition's domain are masked out (NaN) and flagged by the mask.
 
     The initial field is evaluated on the foot points z0 by
     `_collapsed_on_mesh`, so the solution comes back, like `evolve`'s field,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framedynamo import verification
+from framedynamo import differentiation, verification
 from framedynamo.frame_calculus import ConformalFactor
 from framedynamo.induction_dynamo import (InitialField, evolve,
                                           named_initial_field)
@@ -57,6 +57,27 @@ def test_criterion_4_frame_identities(suite):
     oracle-arbitrated q-slot curl sign, all at 1e-6 relative error."""
     result = suite.check_frame_identities()
     _assert_check(result)
+
+
+def test_frame_identities_form_no_length_one_fourier_matmul(suite,
+                                                           monkeypatch):
+    # the unit fields are constant along p and q: their dp and dq are exact
+    # zeros, and no 1 x 1 Fourier matrix is fetched to form them
+    sizes = []
+    fourier = differentiation._fourier_matrix
+
+    def spy(n, order):
+        sizes.append(n)
+        return fourier(n, order)
+
+    monkeypatch.setattr(differentiation, "_fourier_matrix", spy)
+    differentiation.spectral_derivative(np.ones((8, 1, 5)), 0)
+    assert sizes == [8]  # the spy sees every Fourier matmul
+    assert np.array_equal(
+        differentiation.spectral_derivative(np.ones((8, 1, 5)), 1),
+        np.zeros((8, 1, 5)))
+    assert suite.check_frame_identities().passed
+    assert 1 not in sizes
 
 
 def test_criterion_5_curvature_pipeline(suite):

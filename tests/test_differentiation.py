@@ -243,27 +243,9 @@ def test_cubic_spline_reproduces_a_cubic():
                         (spline(z, 2), p.deriv(2)),
                         (spline(z, -1), anti)]:
         np.testing.assert_allclose(mine, exact(z), rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("direction", [-1.0, 1.0])
-def test_cubic_spline_nearest_nonpositive_bounds_its_positive_reach(direction):
-    # 1 + 0.8 sin(2 pi x) on 11 knots dips below 0 through its end pieces
-    # and nowhere inside [0, 1]; the spline is positive from each z to each
-    # z0 exactly where it is at both ends and z0 lies before the bound
-    x = np.linspace(0.0, 1.0, 11)
-    spline = CubicSpline(x, 1.0 + 0.8 * np.sin(2 * np.pi * x))
-    z = np.linspace(-0.2, 1.2, 29)
-    bound = spline.nearest_nonpositive(z, direction)
-    assert np.all(direction * (bound - z) > 0)
-    for zi, bi in zip(z, bound):
-        reach = zi + direction * np.linspace(0.0, 1.5, 3001)
-        dense = np.minimum.accumulate(spline(reach)) > 0
-        bounded = (direction * (bi - reach) > 0) & (spline(zi) > 0) \
-            & (spline(reach) > 0)
-        assert np.array_equal(dense, bounded)
-    # none on the side that has no non-positive point
-    wide = CubicSpline(x, 2.0 + x ** 2)
-    assert np.all(wide.nearest_nonpositive(z, direction) == direction * np.inf)
+    # its minimum on the knots is the cubic's, at the root 0.252 of p'
+    assert spline.minimum == pytest.approx(p(p.deriv().roots().max()),
+                                           rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("z_samples,values,match", [

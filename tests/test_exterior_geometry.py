@@ -77,11 +77,12 @@ def test_overflowing_coframe_is_rejected_by_both_pipelines(rate):
 
 
 def test_christoffel_oracle_rejects_metric_nonpositive_on_samples():
-    # positive on [0, 1], negative spline extrapolation beyond: the samples
-    # past z = 1 would give NaN coefficients and a NaN report
+    # positive on its knots [0, 1], negative spline extrapolation beyond:
+    # the samples past z = 1 are off the knots and would give NaN
+    # coefficients and a NaN report
     zs = np.linspace(0, 1, 21)
     tab = ConformalFactor.tabulated(zs, 1.0 - 0.95 * zs)
-    with pytest.raises(ValueError, match="not finite and positive"):
+    with pytest.raises(ValueError, match=r"data only on its knots \[0, 1\]"):
         christoffel_oracle(FrameMetric(1.0, tab), np.linspace(0, 2, 33))
 
 

@@ -11,12 +11,13 @@ from framedynamo import induction_dynamo
 from framedynamo.differentiation import spectral_derivative
 from framedynamo.frame_calculus import (ConformalFactor, FrameField,
                                         FrameMetric, FrameOperators, Grid3D)
-from framedynamo.induction_dynamo import (ADVECTIVE_LIMIT, CAT_STRETCH_RATE,
+from framedynamo.induction_dynamo import (ADVECTIVE_LIMIT, CAT_EIGENVALUES,
+                                          CAT_EIGENVECTORS, CAT_STRETCH_RATE,
                                           RK4_REAL_AXIS_LIMIT, DynamoScenario,
                                           EvolutionSeries, GrowthFit,
                                           InitialField, NumericalError,
                                           _collapse_pq, _initial_state,
-                                          _rates, _step_rates, cat_map_eigen,
+                                          _rates, _step_rates,
                                           characteristics_oracle, evolve,
                                           growth_fit, induction_rhs,
                                           named_initial_field, stable_dt)
@@ -55,18 +56,24 @@ def guard_at(monkeypatch, factor):
 
 
 def test_cat_map_eigenstructure():
-    cm = cat_map_eigen()
-    chi1, chi2 = cm.eigenvalues
+    # the closed forms against a numerical eigensolver, eigenvalues in
+    # descending order and eigenvectors up to their sign
+    m = np.array([[2.0, 1.0], [1.0, 1.0]])
+    vals, vecs = np.linalg.eigh(m)
+    chi1, chi2 = CAT_EIGENVALUES
+    np.testing.assert_allclose(CAT_EIGENVALUES, vals[::-1], rtol=0,
+                               atol=1e-14)
     assert chi1 == pytest.approx((3 + np.sqrt(5)) / 2, abs=1e-12)
     assert chi1 * chi2 == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.det(cm.matrix) == pytest.approx(1.0, abs=1e-12)
-    assert CAT_STRETCH_RATE == pytest.approx(np.log(chi1), abs=1e-12)
+    assert CAT_STRETCH_RATE == np.log(chi1)
     assert CAT_STRETCH_RATE == pytest.approx(0.9624236501192069, abs=1e-12)
-    # eigenvector directions diagonalize the map
-    for k in range(2):
-        v = cm.eigenvectors[:, k]
-        np.testing.assert_allclose(cm.matrix @ v, cm.eigenvalues[k] * v,
-                                   atol=1e-12)
+    for u, chi, ref in zip(CAT_EIGENVECTORS, CAT_EIGENVALUES, vecs.T[::-1]):
+        u = np.array(u)
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(abs(u @ ref), 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m @ u, chi * u, rtol=0, atol=1e-14)
+    # today's signs: stretching along -(phi, 1), contracting along (1, -phi)
+    assert np.all(np.sign(CAT_EIGENVECTORS) == [[-1, -1], [1, -1]])
 
 
 # -- scenario validation ---------------------------------------------------------
@@ -367,13 +374,28 @@ def test_scenario_holds_only_what_a_caller_sets():
 
 
 def test_scenario_rejects_nonpositive_factor_on_the_grid():
-    # positive on [0, 1], negative spline extrapolation on the rest of [0, 2]
+    # positive on its knots [0, 1], negative spline extrapolation on the
+    # rest of [0, 2], which is off the knots
     zs = np.linspace(0, 1, 21)
     metric = FrameMetric(1.0, ConformalFactor.tabulated(zs, 1.0 - 0.95 * zs))
     grid = Grid3D(4, 4, 33, z_min=0.0, z_max=2.0)
-    with pytest.raises(ValueError, match="not finite and positive"):
+    with pytest.raises(ValueError, match=r"data only on its knots \[0, 1\]"):
         stable_dt(metric, grid, 1.0)
-    with pytest.raises(ValueError, match="not finite and positive"):
+    with pytest.raises(ValueError, match=r"data only on its knots \[0, 1\]"):
+        DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
+                       initial_field=q_sine(), t_end=0.1, dt=1e-3)
+
+
+def test_scenario_rejects_a_grid_past_the_knots():
+    # e^z sampled on [0, 1] stays positive when extrapolated to 1.5, but
+    # the spline is data only on its knots
+    zs = np.linspace(0, 1, 11)
+    metric = FrameMetric(1.0, ConformalFactor.tabulated(zs, np.exp(zs)))
+    grid = Grid3D(4, 4, 33, z_min=0.0, z_max=1.5)
+    match = r"data only on its knots \[0, 1\], got z in \[0, 1\.5\]"
+    with pytest.raises(ValueError, match=match):
+        stable_dt(metric, grid, 1.0)
+    with pytest.raises(ValueError, match=match):
         DynamoScenario(metric=metric, grid=grid, flow_speed=1.0,
                        initial_field=q_sine(), t_end=0.1, dt=1e-3)
 
@@ -1764,11 +1786,10 @@ def test_tabulated_trace_back_matches_quadrature_root_finding():
 
 
 def test_oracle_flags_a_foot_across_nonpositive_omega():
-    # 1 + 0.8 sin(2 pi z) on 11 knots is positive on the grid, so the
-    # scenario is accepted, but it dips to -0.151 through its first end
-    # piece, between z = 0 and the root -0.609 of F(0) - F(z0) = v t: the
-    # first four grid points have no foot, and every other foot crosses no
-    # Omega <= 0
+    # 1 + 0.8 sin(2 pi z) on 11 knots is positive on its knots [0, 1], so
+    # the scenario is accepted; its first end piece dips to -0.151 below
+    # z = 0, but that is off the knots: the first six grid points' feet
+    # leave [0, 1] and read NaN, and every other foot crosses no Omega <= 0
     zs = np.linspace(0.0, 1.0, 11)
     omega = ConformalFactor.tabulated(zs, 1.0 + 0.8 * np.sin(2 * np.pi * zs))
     metric = FrameMetric(1.0, omega)
@@ -1777,7 +1798,7 @@ def test_oracle_flags_a_foot_across_nonpositive_omega():
                         initial_field=q_sine(), t_end=0.25,
                         dt=stable_dt(metric, grid, 1.0))
     oracle, mask = characteristics_oracle(sc, 0.25)
-    assert np.array_equal(mask, np.arange(33) >= 4)
+    assert np.array_equal(mask, np.arange(33) >= 6)
     assert np.all(np.isnan(oracle.bq[..., ~mask]))
     assert np.all(np.isfinite(oracle.bq[..., mask]))
     z, z0 = grid.z[mask], omega.foot_point(grid.z, 1.0, 0.25)[mask]

@@ -9,7 +9,8 @@ MODULE_NAMES = (
     "ConformalFactor", "FrameField", "FrameMetric", "FrameOperators", "Grid3D",
     "CoframeBasis", "ConnectionForms", "CurvatureReport", "christoffel_oracle",
     "curvature", "exterior_derivative", "solve_connection",
-    "CatMap", "DynamoScenario", "GrowthFit", "InitialField", "cat_map_eigen",
+    "CAT_EIGENVALUES", "CAT_EIGENVECTORS", "DynamoScenario", "GrowthFit",
+    "InitialField",
     "characteristics_oracle", "evolve", "growth_fit", "induction_rhs",
     "FrenetCurve", "RopeParams", "TubeMetric", "amplification_ratio",
     "btheta_solution", "dynamo_radius_bound", "frenet_integrate",
